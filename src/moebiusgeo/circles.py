@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import NotPtolemyError, ValidationError
 from .spaces import DEFAULT_EPS, ExtendedMetricSpace, max_crt_deviation
-from .segments import (DEFAULT_EPS_ARG, _all_quads, _anchor_products,
-                       _signed_matrix)
+from .segments import DEFAULT_EPS_ARG, _anchor_products, _signed_matrix
 
 SECTOR_SCAN_STEP = 1e-3
 
@@ -324,9 +323,8 @@ def circle_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
     if verify and n_src >= 4:
         Dm = np.abs(_signed_matrix(mapped_points)) / dst_curve.R
         np.fill_diagonal(Dm, 0.0)
-        quads = _all_quads(n_src)
-        dev, worst = max_crt_deviation(Ds, None, Dm, None, quads)
-        witness = tuple(src_space.labels[src_idx[i]] for i in quads[worst])
+        dev, quad = max_crt_deviation(Ds, None, Dm, None, np.arange(n_src))
+        witness = tuple(src_space.labels[src_idx[i]] for i in quad)
     return CircleMap(tuple(src_labels), positions, mapped_params, mapped_points,
                      dev, witness)
 

@@ -51,7 +51,6 @@ def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
 def cmd_check(args) -> int:
     space = _load_space(args.matrix, args.eps)
     report = spaces.is_ptolemy(space, eps=args.eps)
-    boundary, total = spaces.circle_quadruple_census(space, eps=args.eps)
     embedding = None
     if space.omega is None:
         coords = spaces.line_embed(space, eps=args.eps)
@@ -65,7 +64,7 @@ def cmd_check(args) -> int:
             "worst_quadruple": list(report.worst_quad) if report.worst_quad else None,
             "worst_margin": report.worst_margin,
             "n_quadruples": report.n_checked,
-            "circle_quadruples": {"boundary": boundary, "total": total},
+            "circle_quadruples": {"boundary": report.n_boundary, "total": report.n_checked},
             "line_embedding": embedding,
         },
         args.output,

@@ -8,7 +8,7 @@ the factors d(., o) + 1, producing a metric of diameter at most one.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +39,9 @@ def invert_at(space: ExtendedMetricSpace, z, eps: float | None = None) -> Extend
             f"cannot invert at {space.labels[zi]!r}: distance 0 to {space.labels[coincident[0]]!r}"
         )
     out = np.zeros((n, n))
-    for a, b in itertools.combinations(others, 2):
-        out[a, b] = out[b, a] = D[a, b] / (dz[a] * dz[b])
+    out[np.ix_(others, others)] = D[np.ix_(others, others)] / np.outer(dz[others], dz[others])
     if space.omega is not None:
-        w = space.omega
-        for a in others:
-            out[a, w] = out[w, a] = 1.0 / dz[a]
+        out[others, space.omega] = out[space.omega, others] = 1.0 / dz[others]
     out[zi, :] = np.inf
     out[:, zi] = np.inf
     out[zi, zi] = 0.0
@@ -70,16 +67,11 @@ def bound_at(space: ExtendedMetricSpace, o, eps: float | None = None) -> Extende
     D = space.dist
     n = space.n
     fin = [i for i in range(n) if i != space.omega]
-    fac = np.ones(n)
-    for i in fin:
-        fac[i] = D[oi, i] + 1.0
+    fac = D[oi, fin] + 1.0
     out = np.zeros((n, n))
-    for a, b in itertools.combinations(fin, 2):
-        out[a, b] = out[b, a] = D[a, b] / (fac[a] * fac[b])
+    out[np.ix_(fin, fin)] = D[np.ix_(fin, fin)] / np.outer(fac, fac)
     if space.omega is not None:
-        w = space.omega
-        for a in fin:
-            out[a, w] = out[w, a] = 1.0 / fac[a]
+        out[fin, space.omega] = out[space.omega, fin] = 1.0 / fac
     try:
         return ExtendedMetricSpace(space.labels, out, None, eps=eps)
     except ValidationError as exc:
@@ -135,15 +127,10 @@ def crt_equivalent(corr: PointedCorrespondence, eps: float = DEFAULT_EPS) -> Equ
     tgt = corr.target
     if src.n < 4:
         raise ValueError("crt comparison needs at least four points")
-    quads = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(src.n), 4)),
-        dtype=np.int64,
-    ).reshape(-1, 4)
-    tmap = corr.target_indices()
-    dev, worst = max_crt_deviation(src.dist, src.omega, tgt.dist, tgt.omega,
-                                   quads, tmap[quads])
-    witness = tuple(src.labels[i] for i in quads[worst])
-    return EquivalenceReport(dev <= eps, dev, witness, len(quads))
+    dev, quad = max_crt_deviation(src.dist, src.omega, tgt.dist, tgt.omega,
+                                  corr.target_indices())
+    witness = tuple(src.labels[i] for i in quad)
+    return EquivalenceReport(dev <= eps, dev, witness, math.comb(src.n, 4))
 
 
 def homothety_factor(d1: ExtendedMetricSpace, d2: ExtendedMetricSpace,

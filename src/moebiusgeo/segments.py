@@ -10,7 +10,6 @@ endpoint images correspond exactly to valid segment metrics.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -339,20 +338,12 @@ def segment_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
     if verify and len(src_idx) >= 4:
         Dm = np.abs(_signed_matrix(mapped_points)) / dst_curve.R
         np.fill_diagonal(Dm, 0.0)
-        quads = _all_quads(len(src_idx))
-        dev, worst = max_crt_deviation(Ds, None, Dm, None, quads)
-        witness = tuple(src_space.labels[src_idx[i]] for i in quads[worst])
+        dev, quad = max_crt_deviation(Ds, None, Dm, None, np.arange(len(src_idx)))
+        witness = tuple(src_space.labels[src_idx[i]] for i in quad)
     return SegmentMap(
         tuple(src_space.labels[i] for i in src_idx),
         src_curve.params, mapped_params, mapped_points, dev, witness,
     )
-
-
-def _all_quads(n: int) -> np.ndarray:
-    return np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), 4)),
-        dtype=np.int64,
-    ).reshape(-1, 4)
 
 
 def curve_to_json_dict(curve: QuadrantCurve) -> dict:

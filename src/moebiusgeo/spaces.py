@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,15 +33,6 @@ DEFAULT_EPS = 1e-9
 _FULL_TRIANGLE_LIMIT = 256
 _SAMPLED_TRIANGLES = 2_000_000
 _TRIANGLE_SAMPLE_SEED = 24251
-
-
-def _scan_workers() -> int:
-    """Worker cap for quadruple scans, from the PTOLEMY_THREADS env var."""
-    raw = os.environ.get("PTOLEMY_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -293,73 +282,146 @@ def classify_simplex(triple: CrossRatioTriple, eps: float = DEFAULT_EPS) -> str:
     return triple.region(eps)
 
 
-def _quad_products(D: np.ndarray, omega: int | None, quads: np.ndarray) -> np.ndarray:
-    """Products (m, 3) for rows of index quadruples with at most one omega each."""
-    q = np.asarray(quads)
-    om = -1 if omega is None else omega
-    Ds = np.where(np.isfinite(D), D, 1.0)
-
-    def factor(i, j):
-        vals = Ds[q[:, i], q[:, j]]
-        mask = (q[:, i] == om) | (q[:, j] == om)
-        return np.where(mask, 1.0, vals)
-
-    cols = [factor(*p1) * factor(*p2) for p1, p2 in _PRODUCT_PAIRS]
-    return np.stack(cols, axis=1)
+# Cells per block of the quadruple kernel: a block holds as many minimum
+# indices a as fit their (n - a - 1)^3 tail cubes into this many cells, and
+# at least one, so a block never exceeds max(budget, (n - 1)^3) cells.
+_BLOCK_ELEMENTS = 1 << 16
 
 
-def _normalized_products(D, omega, quads):
-    P = _quad_products(D, omega, quads)
-    S = P.sum(axis=1)
-    good = S > 0
-    N = np.full_like(P, 1.0 / 3.0)
-    np.divide(P, S[:, None], out=N, where=good[:, None])
-    return N, good
+def _unit_remote(D: np.ndarray, omega: int | None) -> np.ndarray:
+    """``D`` with the remote row and column set to 1.
 
-
-def max_crt_deviation(D1, omega1, D2, omega2, quads, quads2=None) -> tuple[float, int]:
-    """Componentwise max deviation of normalized triples over quadruple rows.
-
-    ``quads2`` supplies the rows of indices into the second matrix (e.g.
-    mapped through a correspondence); it defaults to ``quads``.  Returns the
-    worst deviation and the row index attaining it.  Rows that are
-    degenerate on both sides count as deviation 0; rows degenerate on one
-    side only count as deviation 1.
+    A product over distinct points drops the remote point's infinite
+    factor, which is the same as a factor of 1.
     """
-    N1, g1 = _normalized_products(D1, omega1, quads)
-    N2, g2 = _normalized_products(D2, omega2, quads if quads2 is None else quads2)
-    dev = np.abs(N1 - N2).max(axis=1)
-    dev[~(g1 & g2)] = 1.0
-    dev[~g1 & ~g2] = 0.0
-    worst = int(np.argmax(dev)) if len(dev) else 0
-    return (float(dev[worst]) if len(dev) else 0.0), worst
+    if omega is None:
+        return D
+    M = D.copy()
+    M[omega, :] = 1.0
+    M[:, omega] = 1.0
+    return M
+
+
+def _quad_blocks(*mats: np.ndarray):
+    """The cross-ratio products of every 4-subset a < b < c < d, by blocks of a.
+
+    A block of minimum indices lo <= a < hi is the cube of cells (a, b, c, d)
+    with b, c, d in the tail lo < b, c, d < n; ``valid`` marks the cells with
+    a < b < c < d.  Yields ``lo``, ``valid`` and, per matrix, the products
+    d(a,b)d(c,d), d(a,c)d(b,d), d(a,d)d(b,c) of the valid cells in C order,
+    which is the lexicographic order of the subsets.
+    """
+    n = len(mats[0])
+    lo = 0
+    while lo < n - 3:
+        t = n - lo - 1
+        hi = min(n - 3, lo + max(1, _BLOCK_ELEMENTS // t ** 3))
+        tail = np.arange(lo + 1, n)
+        b, c, d = tail[:, None, None], tail[:, None], tail
+        valid = (np.arange(lo, hi)[:, None, None, None] < b) & (b < c) & (c < d)
+        products = []
+        for M in mats:
+            A = M[lo:hi, lo + 1:]
+            T = M[lo + 1:, lo + 1:]
+            products.append(((A[:, :, None, None] * T)[valid],
+                             (A[:, None, :, None] * T[:, None, :])[valid],
+                             (A[:, None, None, :] * T[:, :, None])[valid]))
+        yield lo, valid, products
+        lo = hi
+
+
+def _subset(lo: int, valid: np.ndarray, k: int) -> tuple[int, ...]:
+    """Point indices of the k-th valid cell of a :func:`_quad_blocks` block."""
+    a, b, c, d = np.unravel_index(np.flatnonzero(valid)[k], valid.shape)
+    return int(lo + a), int(lo + 1 + b), int(lo + 1 + c), int(lo + 1 + d)
+
+
+def _normalized(p1, p2, p3):
+    """Normalized triple and the mask of non-degenerate cells."""
+    s = p1 + p2 + p3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (p1 / s, p2 / s, p3 / s), s > 0
+
+
+def max_crt_deviation(D1, omega1, D2, omega2, perm) -> tuple[float, tuple[int, ...] | None]:
+    """Componentwise max deviation of normalized triples over all 4-subsets.
+
+    Subset {a, b, c, d} of the first matrix is compared with {perm[a],
+    perm[b], perm[c], perm[d]} of the second.  Returns the worst deviation
+    and the lexicographically first subset attaining it (None for fewer
+    than four points).  Subsets degenerate on both sides count as
+    deviation 0; subsets degenerate on one side only count as deviation 1.
+    """
+    perm = np.asarray(perm)
+    A = _unit_remote(np.asarray(D1, dtype=float), omega1)
+    B = _unit_remote(np.asarray(D2, dtype=float), omega2)[np.ix_(perm, perm)]
+    worst, quad = -math.inf, None
+    for lo, valid, (P, Q) in _quad_blocks(A, B):
+        (N1, g1), (N2, g2) = _normalized(*P), _normalized(*Q)
+        dev = np.maximum(np.maximum(np.abs(N1[0] - N2[0]), np.abs(N1[1] - N2[1])),
+                         np.abs(N1[2] - N2[2]))
+        dev = np.where(g1 & g2, dev, np.where(g1 | g2, 1.0, 0.0))
+        k = int(np.argmax(dev))
+        if dev[k] > worst:
+            worst, quad = float(dev[k]), _subset(lo, valid, k)
+    return (0.0, None) if quad is None else (worst, quad)
 
 
 @dataclass
 class PtolemyReport:
-    """Outcome of a full quadruple scan."""
+    """Outcome of a full quadruple scan.
+
+    ``n_boundary`` counts the scanned subsets whose triple lies within
+    ``eps`` of the boundary of the triangle-inequality region.
+    """
 
     holds: bool
     worst_quad: tuple[str, ...] | None
     worst_margin: float
     n_checked: int
+    n_boundary: int
 
 
-def _margins(P: np.ndarray) -> np.ndarray:
-    S = P.sum(axis=1)
-    m = np.full(len(P), -0.5)
-    np.divide(P.max(axis=1), S, out=m, where=S > 0)
-    return np.where(S > 0, m - 0.5, -0.5)
+def _ptolemy_scan(space: ExtendedMetricSpace, eps: float) -> PtolemyReport:
+    """One pass over all distinct 4-subsets for :func:`is_ptolemy` and the census.
 
-
-def _chunked_margins(D, omega, quads) -> np.ndarray:
-    workers = _scan_workers()
-    if workers <= 1 or len(quads) < 100_000:
-        return _margins(_quad_products(D, omega, quads))
-    chunks = np.array_split(quads, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda c: _margins(_quad_products(D, omega, c)), chunks))
-    return np.concatenate(parts)
+    The margin of a subset is max(P) / sum(P) - 1/2 over its products P
+    (-1/2 when they all vanish), positive exactly when the Ptolemy
+    inequality fails.  Subsets of finite points come first and subsets with
+    the remote point after them, each in lexicographic order; the first
+    worst subset is the witness.
+    """
+    fin = space.finite_indices
+    remote = space.omega is not None
+    order = fin + [space.omega] if remote else fin
+    M = _unit_remote(space.dist[np.ix_(order, order)], len(fin) if remote else None)
+    worst = [(-math.inf, None), (-math.inf, None)]  # finite subsets, remote subsets
+    boundary = 0
+    for lo, valid, ((p1, p2, p3),) in _quad_blocks(M):
+        s = p1 + p2 + p3
+        pos = s > 0
+        margin = np.maximum(np.maximum(p1, p2), p3)
+        np.divide(margin, s, out=margin, where=pos)
+        margin -= 0.5
+        margin[~pos] = -0.5
+        boundary += int(((margin <= eps) & (margin >= -eps)).sum())
+        if remote:
+            # the cells whose last point d is the remote point
+            last = np.broadcast_to(np.arange(valid.shape[-1]) == valid.shape[-1] - 1,
+                                   valid.shape)[valid]
+            groups = (np.where(last, -math.inf, margin), np.where(last, margin, -math.inf))
+        else:
+            groups = (margin,)
+        for g, part in enumerate(groups):
+            k = int(np.argmax(part))
+            if part[k] > worst[g][0]:
+                worst[g] = (float(part[k]), _subset(lo, valid, k))
+    checked = math.comb(len(fin), 4) + (math.comb(len(fin), 3) if remote else 0)
+    if checked == 0:
+        return PtolemyReport(True, None, -0.5, 0, 0)
+    margin, quad = worst[1] if worst[1][0] > worst[0][0] else worst[0]
+    return PtolemyReport(margin <= eps, tuple(space.labels[order[i]] for i in quad),
+                         margin, checked, boundary)
 
 
 def is_ptolemy(space: ExtendedMetricSpace, eps: float = DEFAULT_EPS) -> PtolemyReport:
@@ -369,35 +431,7 @@ def is_ptolemy(space: ExtendedMetricSpace, eps: float = DEFAULT_EPS) -> PtolemyR
     distinct subsets are scanned.  Subsets containing the remote point
     reduce to a triangle-inequality check of the remaining triple.
     """
-    fin = space.finite_indices
-    D = space.dist
-    worst_margin = -math.inf
-    worst_quad = None
-    checked = 0
-
-    if len(fin) >= 4:
-        quads = np.fromiter(itertools.chain.from_iterable(itertools.combinations(fin, 4)),
-                            dtype=np.int64).reshape(-1, 4)
-        margins = _chunked_margins(D, space.omega, quads)
-        checked += len(quads)
-        k = int(np.argmax(margins))
-        if margins[k] > worst_margin:
-            worst_margin = float(margins[k])
-            worst_quad = tuple(space.labels[i] for i in quads[k])
-    if space.omega is not None and len(fin) >= 3:
-        trips = np.fromiter(itertools.chain.from_iterable(itertools.combinations(fin, 3)),
-                            dtype=np.int64).reshape(-1, 3)
-        quads = np.hstack([trips, np.full((len(trips), 1), space.omega, dtype=np.int64)])
-        margins = _chunked_margins(D, space.omega, quads)
-        checked += len(quads)
-        k = int(np.argmax(margins))
-        if margins[k] > worst_margin:
-            worst_margin = float(margins[k])
-            worst_quad = tuple(space.labels[i] for i in quads[k])
-
-    if checked == 0:
-        return PtolemyReport(True, None, -0.5, 0)
-    return PtolemyReport(worst_margin <= eps, worst_quad, worst_margin, checked)
+    return _ptolemy_scan(space, eps)
 
 
 def is_circle_quadruple(space: ExtendedMetricSpace, quad, eps: float = DEFAULT_EPS) -> bool:
@@ -407,18 +441,8 @@ def is_circle_quadruple(space: ExtendedMetricSpace, quad, eps: float = DEFAULT_E
 
 def circle_quadruple_census(space: ExtendedMetricSpace, eps: float = DEFAULT_EPS) -> tuple[int, int]:
     """Count distinct 4-subsets on the boundary region; returns (boundary, total)."""
-    fin = space.finite_indices
-    subsets = []
-    if len(fin) >= 4:
-        subsets.extend(itertools.combinations(fin, 4))
-    if space.omega is not None and len(fin) >= 3:
-        subsets.extend(t + (space.omega,) for t in itertools.combinations(fin, 3))
-    if not subsets:
-        return 0, 0
-    quads = np.array(subsets, dtype=np.int64)
-    margins = _chunked_margins(space.dist, space.omega, quads)
-    boundary = int(((margins <= eps) & (margins >= -eps)).sum())
-    return boundary, len(quads)
+    report = _ptolemy_scan(space, eps)
+    return report.n_boundary, report.n_checked
 
 
 def line_embed(space: ExtendedMetricSpace, eps: float = DEFAULT_EPS) -> np.ndarray | None:

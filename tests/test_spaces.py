@@ -253,23 +253,33 @@ class TestLineEmbed:
         assert np.allclose(mg.line_embed(sp), [0.0])
 
 
-class TestScanParallelism:
-    def test_threaded_scan_matches_sequential(self, monkeypatch):
-        # 42 points give 111930 quadruples, enough to engage the chunked path
+class TestScanTiling:
+    def test_results_do_not_depend_on_block_size(self, monkeypatch):
+        # 42 points span blocks of several minimum indices at the default budget
         sp = mg.sample_space("sphere", n=3, count=42, seed=9)
-        seq = mg.is_ptolemy(sp)
-        monkeypatch.setattr("moebiusgeo.spaces._scan_workers", lambda: 4)
-        par = mg.is_ptolemy(sp)
-        assert par.holds == seq.holds
-        assert par.worst_margin == seq.worst_margin
-        assert par.worst_quad == seq.worst_quad
+        corr = mg.PointedCorrespondence.identity(sp, mg.invert_at(sp, 0))
+        default = mg.is_ptolemy(sp), mg.crt_equivalent(corr)
+        monkeypatch.setattr("moebiusgeo.spaces._BLOCK_ELEMENTS", 1)  # one index per block
+        single = mg.is_ptolemy(sp), mg.crt_equivalent(corr)
+        assert single[0] == default[0]
+        assert single[1].witness == default[1].witness
+        assert single[1].max_deviation == default[1].max_deviation
 
-    def test_env_var_parsing(self, monkeypatch):
-        from moebiusgeo.spaces import _scan_workers
-        monkeypatch.setenv("PTOLEMY_THREADS", "3")
-        assert _scan_workers() == 3
-        monkeypatch.setenv("PTOLEMY_THREADS", "junk")
-        assert _scan_workers() == 1
+    def test_tie_break_prefers_first_finite_subset(self, monkeypatch):
+        # omega at index 0 and collinear integer points: every margin is exactly 0
+        xs = np.arange(6.0)
+        D = np.full((7, 7), INF)
+        D[0, 0] = 0.0
+        D[1:, 1:] = np.abs(xs[:, None] - xs[None, :])
+        sp = mg.ExtendedMetricSpace(("omega",) + tuple("abcdef"), D, omega=0)
+        reports = [mg.is_ptolemy(sp)]
+        monkeypatch.setattr("moebiusgeo.spaces._BLOCK_ELEMENTS", 1)  # ties across blocks
+        reports.append(mg.is_ptolemy(sp))
+        for report in reports:
+            assert report.holds and report.worst_margin == 0.0
+            assert report.worst_quad == ("a", "b", "c", "d")
+            assert report.n_checked == math.comb(6, 4) + math.comb(6, 3)
+            assert mg.circle_quadruple_census(sp) == (report.n_boundary, report.n_checked)
 
 
 class TestJson:
