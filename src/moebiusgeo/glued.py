@@ -7,9 +7,10 @@ normal coordinates (rho, tau): distance rho >= 0 to the seam above the
 foot gamma(tau).  The off-seam base point o' sits in the halfplane at
 (ell, 0), so its projection onto the seam is o.
 
-Distances within a component are closed-form; distances across the seam
-minimize d(x, gamma(tau)) + d(gamma(tau), y) over tau, a strictly convex
-objective handled by golden-section search.  Gromov products of boundary
+Distances within a component are closed-form, and so are distances across
+the seam: the minimum of d(x, gamma(tau)) + d(gamma(tau), y) over tau is
+one hyperbolic-plane distance once the bulk point is rotated about the
+seam into the plane opposite the halfplane.  Gromov products of boundary
 points are limits along rays truncated at t_max, extrapolated linearly in
 exp(-2t); the boundary metric is exp(-product).
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,8 @@ from .errors import ConvergenceError, ValidationError
 from .inversions import PointedCorrespondence, crt_equivalent
 from .spaces import ExtendedMetricSpace
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Largest x with cosh(x) finite in double precision, about 710.476.
+_MAX_COSH_ARG = math.acosh(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -34,21 +37,26 @@ class GluedSpaceConfig:
     """Parameters of the glued space and its boundary limits.
 
     ``ell`` is the distance from the seam base point o to the halfplane
-    base point o'; ``t_max`` truncates boundary rays; ``seam_tol`` is the
-    parameter tolerance of the seam minimization.
+    base point o'; ``t_max`` truncates boundary rays.  The limits evaluate
+    cosh of distances up to max(2 t_max, ell + t_max) (two rays at t_max,
+    or o' to a ray point), so that bound must not exceed acosh of the
+    largest double.
     """
 
     ell: float
     t_max: float = 40.0
-    seam_tol: float = 1e-12
 
     def __post_init__(self):
         if not (self.ell > 0.0 and math.isfinite(self.ell)):
             raise ValidationError("ell must be positive and finite")
-        if self.t_max < 20.0:
-            raise ValidationError("t_max must be at least 20")
-        if not 0.0 < self.seam_tol < 1.0:
-            raise ValidationError("seam_tol must lie in (0, 1)")
+        if not (self.t_max >= 20.0 and math.isfinite(self.t_max)):
+            raise ValidationError("t_max must be finite and at least 20")
+        reach = max(2.0 * self.t_max, self.ell + self.t_max)
+        if reach > _MAX_COSH_ARG:
+            raise ValidationError(
+                f"max(2*t_max, ell + t_max) = {reach!r} exceeds acosh(DBL_MAX) = "
+                f"{_MAX_COSH_ARG!r}: cosh of the ray distances would overflow"
+            )
 
     def base_point(self, which: str):
         if which == "o":
@@ -97,48 +105,17 @@ def _h3_gamma_dist(tau: float, y) -> float:
     return math.acosh(max(1.0, ch))
 
 
-def _golden_min(f, lo: float, hi: float, tol: float):
-    """Golden-section minimum of a unimodal function on [lo, hi].
-
-    Function-value comparisons go blind within sqrt(eps) of a smooth
-    minimum, so the bracket search is finished off with one parabolic fit,
-    which recovers the minimizer to roughly 1e-10.
-    """
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = f(x2)
-    xm = 0.5 * (lo + hi)
-    h = 1e-5 * max(1.0, abs(xm))
-    fm, fp, fq = f(xm), f(xm + h), f(xm - h)
-    curv = fp - 2.0 * fm + fq
-    if curv > 0.0:
-        shift = 0.5 * h * (fq - fp) / curv
-        if abs(shift) <= 2.0 * h:
-            xm = xm + shift
-    return xm, f(xm)
-
-
-def _seam_objective(h2pt, h3vec):
-    rho, tau0 = h2pt
-
-    def f(tau):
-        return (math.acosh(max(1.0, math.cosh(rho) * math.cosh(tau - tau0)))
-                + _h3_gamma_dist(tau, h3vec))
-
-    return f
-
-
 def seam_minimizer(cfg: GluedSpaceConfig, x, y):
-    """Seam parameter and distance for a halfplane-to-bulk pair."""
+    """Seam parameter and distance for a halfplane-to-bulk pair.
+
+    Rotating the bulk point y about the seam into the plane opposite the
+    halfplane unfolds the crossing into one hyperbolic-plane geodesic.
+    With sinh r = hypot(y1, y2) the distance from y to the seam,
+    cosh d = cosh rho cosh d(gamma(tau0), y) + sinh rho sinh r, and the
+    geodesic meets the seam at
+    tau* = log((A e^tau0 + sinh rho (y3 + y0)) / (A e^-tau0 + sinh rho (y3 - y0))) / 2
+    with A = sinh r cosh rho.
+    """
     (cx, px), (cy, py) = x, y
     if cx == "H3" and cy == "H2":
         return seam_minimizer(cfg, y, x)
@@ -147,14 +124,17 @@ def seam_minimizer(cfg: GluedSpaceConfig, x, y):
     rho, tau0 = px
     if rho == 0.0:
         return tau0, _h3_gamma_dist(tau0, py)
-    tau_foot = math.atanh(py[0] / py[3])
-    lo = min(tau0, tau_foot) - 1.0
-    hi = max(tau0, tau_foot) + 1.0
-    f = _seam_objective(px, py)
-    tau_star, d = _golden_min(f, lo, hi, cfg.seam_tol)
-    if d > min(f(lo), f(hi)) + 1e-9:
-        profile = [(t, f(t)) for t in np.linspace(lo, hi, 9)]
-        raise ConvergenceError(f"seam minimization failed to bracket: profile {profile}")
+    ch, sh = math.cosh(rho), math.sinh(rho)
+    sinh_r = math.hypot(py[1], py[2])
+    # y3 + y0 = cosh r e^tau1 and y3 - y0 = cosh r e^-tau1; the smaller is
+    # read off their product cosh^2 r, as subtracting cancels far along the seam
+    big = py[3] + abs(py[0])
+    small = (1.0 + sinh_r * sinh_r) / big
+    up, down = (big, small) if py[0] >= 0.0 else (small, big)
+    e = math.exp(tau0)
+    d = math.acosh(max(1.0, ch * 0.5 * (up / e + down * e) + sh * sinh_r))
+    a = sinh_r * ch
+    tau_star = 0.5 * math.log((a * e + sh * up) / (a / e + sh * down))
     return tau_star, d
 
 

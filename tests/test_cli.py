@@ -222,5 +222,12 @@ class TestSphereExotic:
         assert main(["exotic", "--l", "0.0"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_exotic_rejects_unusable_truncation(self, capsys):
+        # inf, nan and overflowing ray lengths are usage errors, not tracebacks
+        for args in (["--tmax", "inf"], ["--tmax", "nan"], ["--tmax", "400"],
+                     ["--l", "800"]):
+            assert main(["exotic", "--l", "1.0", *args]) == 1
+            assert "error:" in capsys.readouterr().err
+
     def test_out_of_range_sphere_args(self):
         assert main(["sphere", "--kind", "sphere", "--n", "9"]) == 1

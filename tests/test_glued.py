@@ -1,6 +1,7 @@
 """Glued hyperbolic space: distances, Gromov products, boundary metrics."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +24,29 @@ class TestConfig:
     def test_truncation_floor(self):
         with pytest.raises(ValidationError):
             mg.GluedSpaceConfig(ell=1.0, t_max=10.0)
+
+    def test_non_finite_rejected(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValidationError):
+                mg.GluedSpaceConfig(ell=bad)
+            with pytest.raises(ValidationError):
+                mg.GluedSpaceConfig(ell=1.0, t_max=bad)
+
+    def test_overflow_bound_on_rays(self):
+        # cosh of max(2 t_max, ell + t_max) must be finite: up to
+        # acosh(DBL_MAX) the report works, one ulp above it is refused
+        bound = math.acosh(sys.float_info.max)
+        ref = mg.exotic_report(mg.GluedSpaceConfig(ell=1.0, t_max=40.0))
+        far = mg.exotic_report(mg.GluedSpaceConfig(ell=1.0, t_max=bound / 2.0))
+        assert abs(far.equator_ratio - ref.equator_ratio) <= 1e-9
+        assert abs(far.ns_ratio - ref.ns_ratio) <= 1e-9
+        with pytest.raises(ValidationError):
+            mg.GluedSpaceConfig(ell=1.0, t_max=math.nextafter(bound / 2.0, math.inf))
+        wide = mg.GluedSpaceConfig(ell=bound - 20.0, t_max=20.0)
+        rho = mg.bourdon_metric(wide, "oprime", BP.equator(0.0), BP.equator(math.pi))
+        assert abs(rho / math.exp(-wide.ell) - 1.0) <= 1e-9
+        with pytest.raises(ValidationError):
+            mg.GluedSpaceConfig(ell=math.nextafter(bound - 20.0, math.inf), t_max=20.0)
 
     def test_base_points(self):
         assert mg.GluedSpaceConfig(ell=2.0).base_point("o") == ("H2", (0.0, 0.0))
@@ -72,6 +96,49 @@ class TestDistances:
         vals = np.array([objective(t) for t in ts])
         assert d <= vals.min() + 1e-12
         assert abs(ts[int(np.argmin(vals))] - tau) <= 2e-5
+
+    def test_seam_crossing_property(self):
+        # random halfplane points against random bulk points, a quarter of
+        # them within sinh r ~ 1e-3 of the seam and a few on the seam or
+        # with x on the seam; the oracle is a dense scan of the objective,
+        # each leg in Fermi coordinates as 2 asinh(sqrt(sinh^2(a/2) cosh b
+        # + sinh^2(b/2))), which keeps full precision near the seam
+        rng = np.random.default_rng(20261018)
+
+        def leg(off, along):
+            return 2.0 * np.arcsinh(np.sqrt(np.sinh(off / 2.0) ** 2 * np.cosh(along)
+                                            + np.sinh(along / 2.0) ** 2))
+
+        for k in range(240):
+            rho = 0.0 if k % 40 == 0 else rng.uniform(0.0, 5.0)
+            tau0 = rng.uniform(-5.0, 5.0)
+            tau1, theta = rng.uniform(-5.0, 5.0), rng.uniform(0.0, 2.0 * math.pi)
+            if k % 40 == 1:
+                r = 0.0
+            elif k % 4 == 3:
+                r = math.asinh(1e-3 * rng.uniform(0.5, 1.5))
+            else:
+                r = rng.uniform(0.0, 5.0)
+            x = mg.halfplane_point(rho, tau0)
+            y = mg.bulk_point([math.cosh(r) * math.sinh(tau1), math.sinh(r) * math.cos(theta),
+                               math.sinh(r) * math.sin(theta), math.cosh(r) * math.cosh(tau1)])
+            tau, d = mg.seam_minimizer(CFG, x, y)
+            assert mg.seam_minimizer(CFG, y, x) == (tau, d)
+
+            def objective(ts):
+                return leg(rho, ts - tau0) + leg(r, ts - tau1)
+
+            coarse = np.linspace(min(tau0, tau1) - 0.5, max(tau0, tau1) + 0.5, 12001)
+            t0 = coarse[np.argmin(objective(coarse))]
+            step = coarse[1] - coarse[0]
+            fine = np.linspace(t0 - 2.0 * step, t0 + 2.0 * step, 4001)
+            vals = objective(fine)
+            assert d <= vals.min() + 1e-12
+            # the scan resolves tau* to the grid points it cannot tell
+            # apart from its minimum by more than rounding, plus one step
+            flat = fine[vals <= vals.min() * (1.0 + 16.0 * np.finfo(float).eps)]
+            h = fine[1] - fine[0]
+            assert flat.min() - h <= tau <= flat.max() + h
 
     def test_gamma_point_reachable_from_both_sides(self):
         y = mg.ray_point(BP.equator(0.2), 1.0)
