@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPtolemyError, ValidationError
-from .spaces import DEFAULT_EPS, ExtendedMetricSpace, max_crt_deviation
-from .segments import DEFAULT_EPS_ARG, _anchor_products, _signed_matrix
-
-SECTOR_SCAN_STEP = 1e-3
+from .errors import ValidationError
+from .spaces import DEFAULT_EPS, ExtendedMetricSpace
+from .segments import (_anchor_simplex, _check_area_form, _check_convex, _curve_from_json,
+                       _curve_params, _curve_samples, _curve_space, _curve_to_json,
+                       _map_deviation, _ordered)
 
 
 @dataclass
@@ -63,14 +63,12 @@ def sector_contains(sector: SectorRegion, v, eps: float = DEFAULT_EPS) -> Sector
 
 
 def _find_sector_witness(samples: np.ndarray, R: float, eps: float) -> np.ndarray:
-    """Scan upward unit directions for one whose sector contains the curve.
+    """An upward unit direction whose sector contains the curve.
 
-    Directions are scanned on a fixed 1e-3 radian grid; when the feasible
-    interval of slopes is narrower than the grid, its midpoint is used as a
-    fallback candidate before giving up.
+    Each sample off the base axis bounds the cotangent of the direction
+    from both sides; the midpoint of the feasible interval is returned.
     """
-    b = samples[:, 1]
-    a = samples[:, 0]
+    a, b = samples.T
     interior = b > eps * R
     slack = R * (1.0 + eps)
     if not interior.any():
@@ -79,14 +77,7 @@ def _find_sector_witness(samples: np.ndarray, R: float, eps: float) -> np.ndarra
     upper = ((a[interior] + slack) / b[interior]).min()
     if lower > upper:
         raise ValidationError("no sector direction contains the curve")
-    thetas = np.arange(SECTOR_SCAN_STEP, math.pi, SECTOR_SCAN_STEP)
-    cots = np.cos(thetas) / np.sin(thetas)
-    hits = np.flatnonzero((cots >= lower) & (cots <= upper))
-    if len(hits):
-        theta = thetas[hits[len(hits) // 2]]
-        return np.array([math.cos(theta), math.sin(theta)])
-    mid = 0.5 * (lower + upper)
-    theta = math.atan2(1.0, mid)
+    theta = math.atan2(1.0, 0.5 * (lower + upper))
     return np.array([math.cos(theta), math.sin(theta)])
 
 
@@ -104,44 +95,13 @@ class HalfplaneCurve:
     samples: np.ndarray
     params: np.ndarray | None = None
     eps: float = DEFAULT_EPS
-    eps_arg: float = DEFAULT_EPS_ARG
 
     def __post_init__(self):
-        if not (self.R > 0.0 and math.isfinite(self.R)):
-            raise ValidationError("R must be positive and finite")
-        S = np.array(self.samples, dtype=float)
-        if S.ndim != 2 or S.shape[1] != 2 or S.shape[0] < 3:
-            raise ValidationError("samples must be an (n >= 3, 2) array")
-        if not np.isfinite(S).all():
-            raise ValidationError("samples must be finite")
-        tol = self.eps * self.R
-        if S[:, 1].min() < -tol:
-            k = int(np.argmin(S[:, 1]))
-            raise ValidationError(f"sample {k} leaves the closed upper halfplane")
-        S[:, 1] = np.clip(S[:, 1], 0.0, None)
-        if np.linalg.norm(S[0] - (self.R, 0.0)) > tol:
-            raise ValidationError("first sample must be (R, 0)")
-        if np.linalg.norm(S[-1] - (-self.R, 0.0)) > tol:
-            raise ValidationError("last sample must be (-R, 0)")
-        args = np.arctan2(S[:, 1], S[:, 0])
-        bad = np.argwhere(np.diff(args) <= self.eps_arg)
-        if len(bad):
-            raise ValidationError(
-                f"argument is not strictly increasing at sample {int(bad[0, 0]) + 1}"
-            )
-        edges = np.diff(S, axis=0)
-        turns = edges[:-1, 0] * edges[1:, 1] - edges[:-1, 1] * edges[1:, 0]
-        if len(turns) and turns.min() < -self.eps * self.R ** 2:
-            k = int(np.argmin(turns)) + 1
-            raise ValidationError(f"polyline is not convex at sample {k}")
+        S = _curve_samples(self.R, self.samples, self.eps, 3, slice(1, 2),
+                           "upper halfplane", (-self.R, 0.0), "(-R, 0)")
+        _check_convex(S, self.R, self.eps)
         self.sector_witness = _find_sector_witness(S, self.R, self.eps)
-        n = S.shape[0]
-        if self.params is None:
-            self.params = np.linspace(0.0, 2.0, n)
-        else:
-            self.params = np.asarray(self.params, dtype=float)
-            if self.params.shape != (n,) or (np.diff(self.params) <= 0).any():
-                raise ValidationError("params must be strictly increasing, one per sample")
+        self.params = _curve_params(self.params, len(S), 2.0)
         self.samples = S
 
     @property
@@ -177,12 +137,7 @@ def circle_from_curve(curve: HalfplaneCurve, labels=None) -> ExtendedMetricSpace
     The final sample duplicates the first point and is dropped; adjacency
     in the returned space is the cyclic sample order.
     """
-    S = curve.samples[:-1]
-    D = np.abs(_signed_matrix(S)) / curve.R
-    np.fill_diagonal(D, 0.0)
-    if labels is None:
-        labels = [f"t{i}" for i in range(len(S))]
-    return ExtendedMetricSpace(tuple(labels), D, None, eps=curve.eps)
+    return _curve_space(curve.samples[:-1], curve.R, labels, curve.eps)
 
 
 def curve_from_circle(space: ExtendedMetricSpace, order=None, minus_one=None,
@@ -195,15 +150,8 @@ def curve_from_circle(space: ExtendedMetricSpace, order=None, minus_one=None,
     lowest position.  Raises :class:`NotPtolemyError` when the cyclic
     Ptolemy equality fails.
     """
-    if space.omega is not None:
-        raise ValueError("circle classification requires a finite space")
-    idx = [space.index(x) for x in (order if order is not None else space.labels)]
-    if len(idx) != space.n or len(set(idx)) != space.n:
-        raise ValueError("order must list every point exactly once")
+    idx, D = _ordered(space, order, "circle", "three", 3)
     n = len(idx)
-    if n < 3:
-        raise ValueError("a circle needs at least three points")
-    D = space.dist[np.ix_(idx, idx)]
     if minus_one is None:
         k = int(np.argmax(D[0]))
     else:
@@ -217,32 +165,15 @@ def curve_from_circle(space: ExtendedMetricSpace, order=None, minus_one=None,
     sign = np.where(np.arange(n) <= k, 1.0, -1.0)
     a = sign * D[:, k]
     samples = np.vstack([np.column_stack([a, b]), [-R, 0.0]])
-    sd = _signed_matrix(samples[:-1])
-    resid = np.abs(D * R - sd)
-    scale = np.maximum(np.abs(D) * R, np.abs(sd))
-    iu = np.triu_indices(n, k=1)
-    rel = resid[iu] / np.maximum(scale[iu], 1e-300)
-    worst = int(np.argmax(rel))
-    if rel[worst] > eps:
-        i, j = iu[0][worst], iu[1][worst]
-        witness = (space.labels[idx[0]], space.labels[idx[i]],
-                   space.labels[idx[j]], space.labels[idx[k]])
-        raise NotPtolemyError(
-            f"cyclic Ptolemy equality fails around {witness} "
-            f"(relative residual {rel[worst]:.3e})",
-            witness=witness, residual=float(rel[worst]),
-        )
+    _check_area_form(D, R, samples[:-1], [space.labels[i] for i in idx], k, eps,
+                     "cyclic Ptolemy equality fails around")
     return HalfplaneCurve(R, samples, None, eps=eps)
 
 
 def _loop_positions(D: np.ndarray, i1: int, i2: int, i3: int) -> np.ndarray:
     """Position in [0, 1.5) along the full boundary loop through the three
     corner triples, starting at the image of the first anchor."""
-    P = _anchor_products(D, i1, i2, i3)
-    T = P.sum(axis=1)
-    if (T <= 0).any():
-        raise ValidationError("degenerate anchors: cross-ratio products vanish")
-    N = P / T[:, None]
+    N = _anchor_simplex(D, i1, i2, i3)
     imax = np.argmax(N, axis=1)
     s = np.where(imax == 2, N[:, 0], np.where(imax == 0, 0.5 + N[:, 1], 1.0 + N[:, 2]))
     s[i1] = 0.0
@@ -271,15 +202,15 @@ class CircleMap:
 def circle_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
                        dst_space: ExtendedMetricSpace, dst_anchors, *,
                        src_order=None, dst_order=None,
-                       eps: float = DEFAULT_EPS, verify: bool = True) -> CircleMap:
+                       eps: float = DEFAULT_EPS) -> CircleMap:
     """The unique Moebius map between two circles matching anchor triples.
 
     Each point's position along the boundary loop of its own anchor triple
     is matched by monotone piecewise-linear inversion on the destination
     cycle, which is reoriented so the destination anchors follow the same
     rotational direction.  Mapped points are interpolated on the
-    destination curve; with ``verify`` all mapped 4-subset cross-ratio
-    triples are compared against the source.
+    destination curve, and all mapped 4-subset cross-ratio triples are
+    compared against the source.
     """
     src_labels = list(src_order if src_order is not None else src_space.labels)
     dst_labels = list(dst_order if dst_order is not None else dst_space.labels)
@@ -289,17 +220,16 @@ def circle_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
     da = [dst_idx.index(dst_space.index(x)) for x in dst_anchors]
     if len(set(sa)) != 3 or len(set(da)) != 3:
         raise ValueError("anchor triples must consist of three distinct points")
-    n_src, n_dst = len(src_idx), len(dst_idx)
+    n_dst = len(dst_idx)
 
-    curve_from_circle(src_space, order=src_labels, eps=eps)
+    curve_from_circle(src_space, order=src_idx, eps=eps)
 
     # reorient the destination cycle to start at x1' running toward x2'
     fwd2 = (da[1] - da[0]) % n_dst
     fwd3 = (da[2] - da[0]) % n_dst
     reverse = not fwd2 < fwd3
-    dst_cycle = _rotated(dst_labels, da[0], reverse)
-    dst_curve = curve_from_circle(dst_space, order=dst_cycle, eps=eps)
-    dst_cycle_idx = [dst_space.index(x) for x in dst_cycle]
+    dst_cycle_idx = _rotated(dst_idx, da[0], reverse)
+    dst_curve = curve_from_circle(dst_space, order=dst_cycle_idx, eps=eps)
 
     Dd = dst_space.dist[np.ix_(dst_cycle_idx, dst_cycle_idx)]
     d1, d2, d3 = (dst_cycle_idx.index(dst_space.index(x)) for x in dst_anchors)
@@ -318,26 +248,15 @@ def circle_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
     Sd = dst_curve.samples
     mapped_points = (1.0 - frac[:, None]) * Sd[base] + frac[:, None] * Sd[base + 1]
 
-    dev = None
-    witness = None
-    if verify and n_src >= 4:
-        Dm = np.abs(_signed_matrix(mapped_points)) / dst_curve.R
-        np.fill_diagonal(Dm, 0.0)
-        dev, quad = max_crt_deviation(Ds, None, Dm, None, np.arange(n_src))
-        witness = tuple(src_space.labels[src_idx[i]] for i in quad)
+    dev, witness = _map_deviation(Ds, mapped_points, dst_curve.R,
+                                  [src_space.labels[i] for i in src_idx])
     return CircleMap(tuple(src_labels), positions, mapped_params, mapped_points,
                      dev, witness)
 
 
 def curve_to_json_dict(curve: HalfplaneCurve) -> dict:
-    return {"kind": "circle", "R": float(curve.R),
-            "samples": [[float(a), float(b)] for a, b in curve.samples]}
+    return _curve_to_json(curve, kind="circle")
 
 
 def curve_from_json_dict(data: dict, eps: float = DEFAULT_EPS) -> HalfplaneCurve:
-    try:
-        R = float(data["R"])
-        samples = np.asarray(data["samples"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed curve JSON: {exc}") from exc
-    return HalfplaneCurve(R, samples, None, eps=eps)
+    return _curve_from_json(HalfplaneCurve, data, eps)

@@ -104,17 +104,12 @@ def cmd_segment(args) -> int:
         space = _load_space(args.input, args.eps)
         curve = segments.curve_from_segment(space, _order_list(args.order), eps=args.eps)
         if args.csv:
-            alphas = segments.angle_parameterize(curve)
             _write_csv(args.csv, ["t", "a", "b", "alpha"],
-                       [curve.params, curve.samples[:, 0], curve.samples[:, 1], alphas])
+                       [curve.params, *curve.samples.T, segments.angle_parameterize(curve)])
         _emit(segments.curve_to_json_dict(curve), args.output)
         return EXIT_OK
-    data = _load_json(args.input)
-    if data.get("kind") == "circle":
-        raise ValidationError("this is a circle curve; use 'circle synth'")
-    curve = segments.curve_from_json_dict(data, eps=args.eps)
-    space = segments.segment_from_curve(curve)
-    _emit(spaces.space_to_json_dict(space), args.output)
+    curve = segments.curve_from_json_dict(_load_json(args.input), eps=args.eps)
+    _emit(spaces.space_to_json_dict(segments.segment_from_curve(curve)), args.output)
     return EXIT_OK
 
 
@@ -129,8 +124,7 @@ def cmd_circle(args) -> int:
         _emit(circles.curve_to_json_dict(curve), args.output)
         return EXIT_OK
     curve = circles.curve_from_json_dict(_load_json(args.input), eps=args.eps)
-    space = circles.circle_from_curve(curve)
-    _emit(spaces.space_to_json_dict(space), args.output)
+    _emit(spaces.space_to_json_dict(circles.circle_from_curve(curve)), args.output)
     return EXIT_OK
 
 
@@ -139,15 +133,11 @@ def cmd_map(args) -> int:
     dst = _load_space(args.dst, args.eps)
     src_anchors = _order_list(args.src_anchors)
     dst_anchors = _order_list(args.dst_anchors)
-    if args.kind == "segment":
-        result = segments.segment_moebius_map(src, src_anchors, dst, dst_anchors, eps=args.eps)
-        positions = result.dst_params
-    else:
-        result = circles.circle_moebius_map(src, src_anchors, dst, dst_anchors, eps=args.eps)
-        positions = result.dst_params
+    build = segments.segment_moebius_map if args.kind == "segment" else circles.circle_moebius_map
+    result = build(src, src_anchors, dst, dst_anchors, eps=args.eps)
     pairs = [
         {"src": lab, "position": float(pos), "point": [float(p[0]), float(p[1])]}
-        for lab, pos, p in zip(result.src_labels, positions, result.dst_points)
+        for lab, pos, p in zip(result.src_labels, result.dst_params, result.dst_points)
     ]
     _emit(
         {

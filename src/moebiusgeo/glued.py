@@ -31,6 +31,11 @@ from .spaces import ExtendedMetricSpace
 # Largest x with cosh(x) finite in double precision, about 710.476.
 _MAX_COSH_ARG = math.acosh(sys.float_info.max)
 
+# Tolerance of the cross-ratio comparison between the two boundary metrics,
+# and of the homothety test relative to the largest distance ratio.
+_CRT_EPS = 1e-5
+_HOMOTHETY_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class GluedSpaceConfig:
@@ -100,9 +105,26 @@ def _h3_dist(x, y) -> float:
     return math.acosh(max(1.0, ch))
 
 
+def _seam_cosh(tau: float, y):
+    """cosh d(gamma(tau), y) for a bulk point y, and the terms it is made of.
+
+    With r the distance from y to the seam and tau1 the foot of y on it,
+    y3 + y0 = cosh r e^tau1 and y3 - y0 = cosh r e^-tau1, so
+    cosh d(gamma(tau), y) = ((y3 + y0) e^-tau + (y3 - y0) e^tau) / 2.  The
+    smaller of y3 +- y0 is read off their product cosh^2 r, as subtracting
+    cancels far along the seam.  Returns the cosh, y3 + y0, y3 - y0,
+    sinh r and e^tau.
+    """
+    sinh_r = math.hypot(y[1], y[2])
+    big = y[3] + abs(y[0])
+    small = (1.0 + sinh_r * sinh_r) / big
+    up, down = (big, small) if y[0] >= 0.0 else (small, big)
+    e = math.exp(tau)
+    return 0.5 * (up / e + down * e), up, down, sinh_r, e
+
+
 def _h3_gamma_dist(tau: float, y) -> float:
-    ch = math.cosh(tau) * y[3] - math.sinh(tau) * y[0]
-    return math.acosh(max(1.0, ch))
+    return math.acosh(max(1.0, _seam_cosh(tau, y)[0]))
 
 
 def seam_minimizer(cfg: GluedSpaceConfig, x, y):
@@ -125,14 +147,8 @@ def seam_minimizer(cfg: GluedSpaceConfig, x, y):
     if rho == 0.0:
         return tau0, _h3_gamma_dist(tau0, py)
     ch, sh = math.cosh(rho), math.sinh(rho)
-    sinh_r = math.hypot(py[1], py[2])
-    # y3 + y0 = cosh r e^tau1 and y3 - y0 = cosh r e^-tau1; the smaller is
-    # read off their product cosh^2 r, as subtracting cancels far along the seam
-    big = py[3] + abs(py[0])
-    small = (1.0 + sinh_r * sinh_r) / big
-    up, down = (big, small) if py[0] >= 0.0 else (small, big)
-    e = math.exp(tau0)
-    d = math.acosh(max(1.0, ch * 0.5 * (up / e + down * e) + sh * sinh_r))
+    cosh_gamma, up, down, sinh_r, e = _seam_cosh(tau0, py)
+    d = math.acosh(max(1.0, ch * cosh_gamma + sh * sinh_r))
     a = sinh_r * ch
     tau_star = 0.5 * math.log((a * e + sh * up) / (a / e + sh * down))
     return tau_star, d
@@ -283,8 +299,7 @@ class ExoticReport:
 DEFAULT_EQUATOR_ANGLES = tuple(k * math.pi / 3.0 for k in range(6))
 
 
-def exotic_report(cfg: GluedSpaceConfig, equator_angles=None,
-                  crt_eps: float = 1e-5, homothety_tol: float = 1e-6) -> ExoticReport:
+def exotic_report(cfg: GluedSpaceConfig, equator_angles=None) -> ExoticReport:
     """Compare the boundary metrics based at o and at o'.
 
     Builds both metrics on the seam endpoints N, S together with equator
@@ -292,7 +307,8 @@ def exotic_report(cfg: GluedSpaceConfig, equator_angles=None,
     Moebius equivalent, so it should vanish up to numerics), and the
     homothety ratios: distances between equator points scale by one factor
     while d(N, S) scales by another, so for ell > 0 the two metrics are not
-    homothetic.
+    homothetic.  The ratios shrink like exp(-ell), so the homothety test
+    compares their spread with the largest ratio.
     """
     angles = DEFAULT_EQUATOR_ANGLES if equator_angles is None else tuple(equator_angles)
     if len(angles) < 2:
@@ -308,7 +324,7 @@ def exotic_report(cfg: GluedSpaceConfig, equator_angles=None,
         rho_op[i, j] = rho_op[j, i] = bourdon_metric(cfg, "oprime", points[i], points[j])
     space_o = ExtendedMetricSpace(labels, rho_o, None)
     space_op = ExtendedMetricSpace(labels, rho_op, None)
-    report = crt_equivalent(PointedCorrespondence.identity(space_o, space_op), eps=crt_eps)
+    report = crt_equivalent(PointedCorrespondence.identity(space_o, space_op), eps=_CRT_EPS)
 
     ns_ratio = rho_op[0, 1] / rho_o[0, 1]
     eq_pairs = list(itertools.combinations(range(2, m), 2))
@@ -326,5 +342,5 @@ def exotic_report(cfg: GluedSpaceConfig, equator_angles=None,
         equator_ratio=float(eq_ratios.mean()),
         equator_ratio_spread=float(eq_ratios.max() - eq_ratios.min()),
         ratio_gap=gap,
-        homothetic=gap <= homothety_tol,
+        homothetic=gap <= _HOMOTHETY_TOL * float(all_ratios.max()),
     )

@@ -5,7 +5,8 @@ t -> (d(t, far end), d(t, near end)) in the closed first quadrant, running
 from (R, 0) to (0, R).  Distances are recovered from the signed area form
 <Jp, q> = a_p b_q - b_p a_q divided by R; curves that are convex, sweep a
 strictly increasing argument, and stay inside the wedge spanned by the two
-endpoint images correspond exactly to valid segment metrics.
+endpoint images correspond exactly to valid segment metrics.  The curve
+checks, recovery, anchor positions, map check and JSON here serve circles too.
 """
 
 from __future__ import annotations
@@ -80,6 +81,58 @@ def wedge_contains(wedge: WedgeRegion, v, eps: float = DEFAULT_EPS) -> WedgeLoca
     return WedgeLocation("inside", lam, mu)
 
 
+def _curve_samples(R: float, samples, eps: float, min_n: int, clipped: slice,
+                   region: str, last: tuple[float, float], last_text: str) -> np.ndarray:
+    """Checks shared by quadrant and halfplane curves; returns the samples.
+
+    Coordinates in ``clipped`` must be nonnegative up to eps * R (the closed
+    ``region``) and are clipped to zero; the first sample must be (R, 0),
+    the last ``last``, and the argument must increase strictly.
+    """
+    if not (R > 0.0 and math.isfinite(R)):
+        raise ValidationError("R must be positive and finite")
+    S = np.array(samples, dtype=float)
+    if S.ndim != 2 or S.shape[1] != 2 or S.shape[0] < min_n:
+        raise ValidationError(f"samples must be an (n >= {min_n}, 2) array")
+    if not np.isfinite(S).all():
+        raise ValidationError("samples must be finite")
+    tol = eps * R
+    below = (S[:, clipped] < -tol).any(axis=1)
+    if below.any():
+        raise ValidationError(f"sample {int(np.argmax(below))} leaves the closed {region}")
+    np.clip(S[:, clipped], 0.0, None, out=S[:, clipped])
+    if np.linalg.norm(S[0] - (R, 0.0)) > tol:
+        raise ValidationError("first sample must be (R, 0)")
+    if np.linalg.norm(S[-1] - last) > tol:
+        raise ValidationError(f"last sample must be {last_text}")
+    args = np.arctan2(S[:, 1], S[:, 0])
+    bad = np.argwhere(np.diff(args) <= DEFAULT_EPS_ARG)
+    if len(bad):
+        raise ValidationError(
+            f"argument is not strictly increasing at sample {int(bad[0, 0]) + 1}"
+        )
+    return S
+
+
+def _check_convex(S: np.ndarray, R: float, eps: float) -> None:
+    """Discrete convexity: consecutive edges never turn clockwise."""
+    edges = np.diff(S, axis=0)
+    turns = edges[:-1, 0] * edges[1:, 1] - edges[:-1, 1] * edges[1:, 0]
+    if len(turns) and turns.min() < -eps * R ** 2:
+        k = int(np.argmin(turns)) + 1
+        raise ValidationError(f"polyline is not convex at sample {k}")
+
+
+def _curve_params(params, n: int, end: float) -> np.ndarray:
+    """Sample parameters: evenly spaced on [0, end] by default."""
+    if params is None:
+        return np.linspace(0.0, end, n)
+    params = np.asarray(params, dtype=float)
+    if params.shape != (n,) or (np.diff(params) <= 0).any():
+        raise ValidationError("params must be strictly increasing, one per sample")
+    return params
+
+
 @dataclass
 class QuadrantCurve:
     """An ordered sample sequence of a segment parameterization.
@@ -93,49 +146,17 @@ class QuadrantCurve:
     samples: np.ndarray
     params: np.ndarray | None = None
     eps: float = DEFAULT_EPS
-    eps_arg: float = DEFAULT_EPS_ARG
 
     def __post_init__(self):
-        if not (self.R > 0.0 and math.isfinite(self.R)):
-            raise ValidationError("R must be positive and finite")
-        S = np.array(self.samples, dtype=float)
-        if S.ndim != 2 or S.shape[1] != 2 or S.shape[0] < 2:
-            raise ValidationError("samples must be an (n >= 2, 2) array")
-        if not np.isfinite(S).all():
-            raise ValidationError("samples must be finite")
-        n = S.shape[0]
-        tol = self.eps * self.R
-        if S.min() < -tol:
-            k = int(np.argwhere((S < -tol).any(axis=1))[0, 0])
-            raise ValidationError(f"sample {k} leaves the closed first quadrant")
-        np.clip(S, 0.0, None, out=S)
-        if np.linalg.norm(S[0] - (self.R, 0.0)) > tol:
-            raise ValidationError("first sample must be (R, 0)")
-        if np.linalg.norm(S[-1] - (0.0, self.R)) > tol:
-            raise ValidationError("last sample must be (0, R)")
-        args = np.arctan2(S[:, 1], S[:, 0])
-        bad = np.argwhere(np.diff(args) <= self.eps_arg)
-        if len(bad):
-            raise ValidationError(
-                f"argument is not strictly increasing at sample {int(bad[0, 0]) + 1}"
-            )
-        lam = S[:, 0] / self.R
-        mu = S[:, 1] / self.R
+        S = _curve_samples(self.R, self.samples, self.eps, 2, slice(None),
+                           "first quadrant", (0.0, self.R), "(0, R)")
+        lam, mu = S.T / self.R
         wedge_ok = (lam + mu >= 1.0 - self.eps) & (np.abs(lam - mu) <= 1.0 + self.eps)
         if not wedge_ok.all():
             k = int(np.argwhere(~wedge_ok)[0, 0])
             raise ValidationError(f"sample {k} leaves the endpoint wedge")
-        edges = np.diff(S, axis=0)
-        turns = edges[:-1, 0] * edges[1:, 1] - edges[:-1, 1] * edges[1:, 0]
-        if len(turns) and turns.min() < -self.eps * self.R ** 2:
-            k = int(np.argmin(turns)) + 1
-            raise ValidationError(f"polyline is not convex at sample {k}")
-        if self.params is None:
-            self.params = np.linspace(0.0, 1.0, n)
-        else:
-            self.params = np.asarray(self.params, dtype=float)
-            if self.params.shape != (n,) or (np.diff(self.params) <= 0).any():
-                raise ValidationError("params must be strictly increasing, one per sample")
+        _check_convex(S, self.R, self.eps)
+        self.params = _curve_params(self.params, len(S), 1.0)
         self.samples = S
 
     @property
@@ -144,8 +165,7 @@ class QuadrantCurve:
 
     def reflected(self) -> "QuadrantCurve":
         """Reflection across the quadrant bisector; an isometric segment."""
-        return QuadrantCurve(self.R, self.samples[::-1, ::-1].copy(),
-                             None, eps=self.eps, eps_arg=self.eps_arg)
+        return QuadrantCurve(self.R, self.samples[::-1, ::-1].copy(), None, eps=self.eps)
 
 
 def _signed_matrix(samples: np.ndarray) -> np.ndarray:
@@ -154,16 +174,58 @@ def _signed_matrix(samples: np.ndarray) -> np.ndarray:
     return np.outer(a, b) - np.outer(b, a)
 
 
+def _area_metric(points: np.ndarray, R: float) -> np.ndarray:
+    """The matrix |<Jp, q>| / R over all pairs of points, with a zero diagonal."""
+    D = np.abs(_signed_matrix(points)) / R
+    np.fill_diagonal(D, 0.0)
+    return D
+
+
+def _curve_space(points: np.ndarray, R: float, labels, eps: float) -> ExtendedMetricSpace:
+    if labels is None:
+        labels = [f"t{i}" for i in range(len(points))]
+    return ExtendedMetricSpace(tuple(labels), _area_metric(points, R), None, eps=eps)
+
+
 def segment_from_curve(curve: QuadrantCurve, labels=None) -> ExtendedMetricSpace:
     """The segment metric of a curve: d(s, t) = |<Jp_s, p_t>| / R.
 
     The result satisfies the Ptolemy equality for every ordered quadruple.
     """
-    D = np.abs(_signed_matrix(curve.samples)) / curve.R
-    np.fill_diagonal(D, 0.0)
-    if labels is None:
-        labels = [f"t{i}" for i in range(curve.n)]
-    return ExtendedMetricSpace(tuple(labels), D, None, eps=curve.eps)
+    return _curve_space(curve.samples, curve.R, labels, curve.eps)
+
+
+def _ordered(space: ExtendedMetricSpace, order, shape: str, least: str, min_n: int):
+    """Point indices in ``order`` (default: label order) and the reordered matrix."""
+    if space.omega is not None:
+        raise ValueError(f"{shape} classification requires a finite space")
+    idx = [space.index(x) for x in (order if order is not None else space.labels)]
+    if len(idx) != space.n or len(set(idx)) != space.n:
+        raise ValueError("order must list every point exactly once")
+    if len(idx) < min_n:
+        raise ValueError(f"a {shape} needs at least {least} points")
+    return idx, space.dist[np.ix_(idx, idx)]
+
+
+def _check_area_form(D: np.ndarray, R: float, samples: np.ndarray, labels: list,
+                     k: int, eps: float, failure: str) -> None:
+    """Raise :class:`NotPtolemyError` unless R * D matches the area form of the samples.
+
+    The witness is the worst pair with the base points labels[0] and labels[k].
+    """
+    sd = _signed_matrix(samples)
+    resid = np.abs(D * R - sd)
+    scale = np.maximum(np.abs(D) * R, np.abs(sd))
+    iu = np.triu_indices(len(D), k=1)
+    rel = resid[iu] / np.maximum(scale[iu], 1e-300)
+    worst = int(np.argmax(rel))
+    if rel[worst] > eps:
+        i, j = iu[0][worst], iu[1][worst]
+        witness = (labels[0], labels[i], labels[j], labels[k])
+        raise NotPtolemyError(
+            f"{failure} {witness} (relative residual {rel[worst]:.3e})",
+            witness=witness, residual=float(rel[worst]),
+        )
 
 
 def curve_from_segment(space: ExtendedMetricSpace, order=None,
@@ -174,35 +236,13 @@ def curve_from_segment(space: ExtendedMetricSpace, order=None,
     label order).  Raises :class:`NotPtolemyError` with the worst offending
     quadruple when the ordered Ptolemy equality fails.
     """
-    if space.omega is not None:
-        raise ValueError("segment classification requires a finite space")
-    idx = [space.index(x) for x in (order if order is not None else space.labels)]
-    if len(idx) != space.n or len(set(idx)) != space.n:
-        raise ValueError("order must list every point exactly once")
-    if len(idx) < 2:
-        raise ValueError("a segment needs at least two points")
-    D = space.dist[np.ix_(idx, idx)]
+    idx, D = _ordered(space, order, "segment", "two", 2)
     R = D[0, -1]
     if R <= eps * max(space.scale, 1.0):
         raise ValidationError("endpoints coincide: d(first, last) is zero")
-    a = D[:, -1]
-    b = D[:, 0]
-    samples = np.column_stack([a, b])
-    sd = _signed_matrix(samples)
-    resid = np.abs(D * R - sd)
-    scale = np.maximum(np.abs(D) * R, np.abs(sd))
-    iu = np.triu_indices(len(idx), k=1)
-    rel = resid[iu] / np.maximum(scale[iu], 1e-300)
-    worst = int(np.argmax(rel))
-    if rel[worst] > eps:
-        i, j = iu[0][worst], iu[1][worst]
-        witness = (space.labels[idx[0]], space.labels[idx[i]],
-                   space.labels[idx[j]], space.labels[idx[-1]])
-        raise NotPtolemyError(
-            f"ordered Ptolemy equality fails for {witness} "
-            f"(relative residual {rel[worst]:.3e})",
-            witness=witness, residual=float(rel[worst]),
-        )
+    samples = np.column_stack([D[:, -1], D[:, 0]])
+    _check_area_form(D, R, samples, [space.labels[i] for i in idx], -1, eps,
+                     "ordered Ptolemy equality fails for")
     return QuadrantCurve(R, samples, None, eps=eps)
 
 
@@ -242,12 +282,13 @@ def angle_parameterize(curve: QuadrantCurve) -> np.ndarray:
     return np.arctan2(s[:, 1], s[:, 0])
 
 
-def _anchor_products(D: np.ndarray, i1: int, i2: int, i3: int) -> np.ndarray:
-    """Cross-ratio products of every point against the anchor triple."""
-    a = D[:, i1] * D[i2, i3]
-    b = D[:, i2] * D[i1, i3]
-    c = D[:, i3] * D[i1, i2]
-    return np.column_stack([a, b, c])
+def _anchor_simplex(D: np.ndarray, i1: int, i2: int, i3: int) -> np.ndarray:
+    """Normalized cross-ratio products of every point against the anchor triple."""
+    P = np.column_stack([D[:, i1] * D[i2, i3], D[:, i2] * D[i1, i3], D[:, i3] * D[i1, i2]])
+    T = P.sum(axis=1)
+    if (T <= 0).any():
+        raise ValidationError("degenerate anchors: cross-ratio products vanish")
+    return P / T[:, None]
 
 
 def _segment_path_positions(D: np.ndarray, i1: int, i2: int, i3: int) -> np.ndarray:
@@ -258,12 +299,21 @@ def _segment_path_positions(D: np.ndarray, i1: int, i2: int, i3: int) -> np.ndar
     plus the second.  Both edges have equal length, so this coordinate is
     proportional to arc length.
     """
-    P = _anchor_products(D, i1, i2, i3)
-    T = P.sum(axis=1)
-    if (T <= 0).any():
-        raise ValidationError("degenerate anchors: cross-ratio products vanish")
-    N = P / T[:, None]
+    N = _anchor_simplex(D, i1, i2, i3)
     return np.where(N[:, 2] >= N[:, 0], N[:, 0], 0.5 + N[:, 1])
+
+
+def _map_deviation(D: np.ndarray, points: np.ndarray, R: float, labels: list):
+    """Worst cross-ratio deviation of mapped points from the source matrix.
+
+    The mapped points carry the curve metric |<Jp, q>| / R.  Returns the
+    deviation and the labels of the witness 4-subset, or (None, None) for
+    fewer than four points.
+    """
+    if len(D) < 4:
+        return None, None
+    dev, quad = max_crt_deviation(D, None, _area_metric(points, R), None, np.arange(len(D)))
+    return dev, tuple(labels[i] for i in quad)
 
 
 @dataclass
@@ -281,20 +331,20 @@ class SegmentMap:
 def segment_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
                         dst_space: ExtendedMetricSpace, dst_anchors, *,
                         src_order=None, dst_order=None,
-                        eps: float = DEFAULT_EPS, verify: bool = True) -> SegmentMap:
+                        eps: float = DEFAULT_EPS) -> SegmentMap:
     """The unique anchor-matching Moebius map between two segments.
 
     Anchors are triples (x1, x2, x3): x1 and x3 the two boundary points in
     either orientation, x2 interior.  Every source sample is sent to the
     destination parameter whose boundary-path position matches, by monotone
     piecewise-linear inversion; destination points are interpolated along
-    the destination curve.  With ``verify`` the cross-ratio triples of all
-    mapped 4-subsets are compared against the source.
+    the destination curve.  The cross-ratio triples of all mapped 4-subsets
+    are compared against the source.
     """
-    src_curve = curve_from_segment(src_space, src_order, eps)
-    dst_curve = curve_from_segment(dst_space, dst_order, eps)
-    src_idx = [src_space.index(x) for x in (src_order if src_order is not None else src_space.labels)]
-    dst_idx = [dst_space.index(x) for x in (dst_order if dst_order is not None else dst_space.labels)]
+    src_idx, Ds = _ordered(src_space, src_order, "segment", "two", 2)
+    src_curve = curve_from_segment(src_space, src_idx, eps)
+    dst_idx, Dd = _ordered(dst_space, dst_order, "segment", "two", 2)
+    dst_curve = curve_from_segment(dst_space, dst_idx, eps)
 
     def anchor_positions(space, idx, anchors):
         pos = [idx.index(space.index(x)) for x in anchors]
@@ -307,9 +357,6 @@ def segment_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
 
     sp = anchor_positions(src_space, src_idx, src_anchors)
     dp = anchor_positions(dst_space, dst_idx, dst_anchors)
-
-    Ds = src_space.dist[np.ix_(src_idx, src_idx)]
-    Dd = dst_space.dist[np.ix_(dst_idx, dst_idx)]
     s_src = _segment_path_positions(Ds, *sp)
     s_dst = _segment_path_positions(Dd, *dp)
 
@@ -332,28 +379,31 @@ def segment_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
         np.interp(s_clip, xp, f_points[:, 0]),
         np.interp(s_clip, xp, f_points[:, 1]),
     ])
-
-    dev = None
-    witness = None
-    if verify and len(src_idx) >= 4:
-        Dm = np.abs(_signed_matrix(mapped_points)) / dst_curve.R
-        np.fill_diagonal(Dm, 0.0)
-        dev, quad = max_crt_deviation(Ds, None, Dm, None, np.arange(len(src_idx)))
-        witness = tuple(src_space.labels[src_idx[i]] for i in quad)
-    return SegmentMap(
-        tuple(src_space.labels[i] for i in src_idx),
-        src_curve.params, mapped_params, mapped_points, dev, witness,
-    )
+    labels = tuple(src_space.labels[i] for i in src_idx)
+    dev, witness = _map_deviation(Ds, mapped_points, dst_curve.R, labels)
+    return SegmentMap(labels, src_curve.params, mapped_params, mapped_points, dev, witness)
 
 
-def curve_to_json_dict(curve: QuadrantCurve) -> dict:
-    return {"R": float(curve.R), "samples": [[float(a), float(b)] for a, b in curve.samples]}
+def _curve_to_json(curve, **kind) -> dict:
+    return {**kind, "R": float(curve.R),
+            "samples": [[float(a), float(b)] for a, b in curve.samples]}
 
 
-def curve_from_json_dict(data: dict, eps: float = DEFAULT_EPS) -> QuadrantCurve:
+def _curve_from_json(cls, data: dict, eps: float):
     try:
         R = float(data["R"])
         samples = np.asarray(data["samples"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed curve JSON: {exc}") from exc
-    return QuadrantCurve(R, samples, None, eps=eps)
+    return cls(R, samples, None, eps=eps)
+
+
+def curve_to_json_dict(curve: QuadrantCurve) -> dict:
+    return _curve_to_json(curve)
+
+
+def curve_from_json_dict(data: dict, eps: float = DEFAULT_EPS) -> QuadrantCurve:
+    """A segment curve from JSON; circle curves (``"kind": "circle"``) are refused."""
+    if isinstance(data, dict) and data.get("kind") == "circle":
+        raise ValidationError("this is a circle curve; use 'circle synth'")
+    return _curve_from_json(QuadrantCurve, data, eps)

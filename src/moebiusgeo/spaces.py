@@ -289,16 +289,18 @@ _BLOCK_ELEMENTS = 1 << 16
 
 
 def _unit_remote(D: np.ndarray, omega: int | None) -> np.ndarray:
-    """``D`` with the remote row and column set to 1.
+    """``D`` scaled by a power of two, with the remote row and column set to 1.
 
     A product over distinct points drops the remote point's infinite
-    factor, which is the same as a factor of 1.
+    factor, which is the same as a factor of 1.  The scale brings the
+    largest finite entry into [1/2, 1), so products of a small-scale metric
+    do not underflow; cross-ratios do not see it, and multiplying by a
+    power of two is exact.
     """
-    if omega is None:
-        return D
-    M = D.copy()
-    M[omega, :] = 1.0
-    M[:, omega] = 1.0
+    M = np.ldexp(D, -math.frexp(D[np.isfinite(D)].max(initial=0.0))[1])
+    if omega is not None:
+        M[omega, :] = 1.0
+        M[:, omega] = 1.0
     return M
 
 

@@ -65,6 +65,15 @@ class TestHalfplaneCurveValidation:
             mg.HalfplaneCurve(1.0, samples)
 
 
+    def test_sector_witness_on_narrow_feasible_interval(self):
+        # the feasible cot interval of the sector direction is 1e-9 wide
+        curve = mg.HalfplaneCurve(1.0, [(1, 0), (3, 2), (1, 2), (-1, 0)])
+        regions = [mg.sector_contains(curve.sector(), p).region for p in curve.samples]
+        assert "outside" not in regions
+        with pytest.raises(ValidationError, match="no sector direction"):
+            mg.HalfplaneCurve(1.0, [(1, 0), (3, 2), (0.9, 2), (-1, 0)])
+
+
 class TestChordalCircle:
     def test_distance_formula_exact(self):
         curve = mg.chordal_circle_curve(2.0, 24)

@@ -146,6 +146,14 @@ class TestDistances:
         d2 = mg.glued_distance(CFG, ("H3", np.array([math.sinh(0.5), 0, 0, math.cosh(0.5)])), y)
         assert abs(d1 - d2) <= 1e-12
 
+    @pytest.mark.parametrize("tau", [-5.0, 0.0, 5.0])
+    def test_bulk_point_near_the_seam_far_along_it(self, tau):
+        # a bulk point 1e-3 from the seam with foot gamma(tau)
+        r = 1e-3
+        y = mg.bulk_point([math.cosh(r) * math.sinh(tau), math.sinh(r), 0.0,
+                           math.cosh(r) * math.cosh(tau)])
+        assert abs(mg.glued_distance(CFG, mg.gamma_point(tau), y) - r) <= 1e-12
+
     def test_bulk_point_validation(self):
         with pytest.raises(ValidationError):
             mg.bulk_point([1.0, 0.0, 0.0, 1.0])
@@ -259,6 +267,18 @@ class TestExoticReport:
         assert set(data["homothety"]) >= {"NS_ratio", "equator_ratio"}
         m = len(rep.labels)
         assert len(data["rho_o"]) == m and len(data["rho_o"][0]) == m
+
+    @pytest.mark.parametrize("ell", [14.0, 20.0])
+    def test_not_homothetic_far_apart(self, ell):
+        # the ratios shrink like exp(-ell); NS_ratio stays twice equator_ratio
+        rep = mg.exotic_report(mg.GluedSpaceConfig(ell=ell))
+        assert abs(rep.ns_ratio / rep.equator_ratio - 2.0) <= 1e-6
+        assert rep.homothetic is False
+
+    def test_crt_equivalence_far_apart(self):
+        # boundary distances at o' are about exp(-400): their products underflow
+        rep = mg.exotic_report(mg.GluedSpaceConfig(ell=400.0))
+        assert rep.max_crt_deviation <= 1e-12
 
     def test_needs_two_angles(self):
         with pytest.raises(ValueError):

@@ -116,6 +116,62 @@ class TestCurveValidation:
         straight_curve()
 
 
+# (curve class, R, samples, params, message fragment): one row per check of
+# the shared curve core, in each class's check order
+Q, H = mg.QuadrantCurve, mg.HalfplaneCurve
+QUARTER = [(1, 0), (0.6, 0.6), (0, 1)]
+HALF = [(1, 0), (0, 1), (-1, 0)]
+CURVE_REJECTIONS = [
+    (Q, 0.0, QUARTER, None, "R must be positive and finite"),
+    (H, float("inf"), HALF, None, "R must be positive and finite"),
+    (Q, 1.0, [(1, 0)], None, r"samples must be an \(n >= 2, 2\) array"),
+    (H, 1.0, [(1, 0), (-1, 0)], None, r"samples must be an \(n >= 3, 2\) array"),
+    (Q, 1.0, [(1, 0), (np.nan, 0.5), (0, 1)], None, "samples must be finite"),
+    (H, 1.0, [(1, 0), (0, np.inf), (-1, 0)], None, "samples must be finite"),
+    (Q, 1.0, [(1, 0), (0.5, -0.2), (0, 1)], None, "sample 1 leaves the closed first quadrant"),
+    (H, 1.0, [(1, 0), (0.5, -0.3), (0, 1), (-1, 0)], None,
+     "sample 1 leaves the closed upper halfplane"),
+    (Q, 1.0, [(0.9, 0), (0, 1)], None, r"first sample must be \(R, 0\)"),
+    (H, 1.0, [(0.5, 0), (0, 1), (-1, 0)], None, r"first sample must be \(R, 0\)"),
+    (Q, 1.0, [(1, 0), (0, 0.9)], None, r"last sample must be \(0, R\)"),
+    (H, 1.0, [(1, 0), (0, 1), (-0.5, 0)], None, r"last sample must be \(-R, 0\)"),
+    (Q, 1.0, [(1, 0), (0.8, 0.4), (0.9, 0.45), (0, 1)], None,
+     "argument is not strictly increasing at sample 2"),
+    (H, 1.0, [(1, 0), (0.5, 0.5), (0, 1), (0.4, 0.4), (-1, 0)], None,
+     "argument is not strictly increasing at sample 3"),
+    (Q, 1.0, [(1, 0), (0.4, 0.45), (0, 1)], None, "sample 1 leaves the endpoint wedge"),
+    (Q, 1.0, [(1, 0), (0.9, 0.6), (0.62, 0.66), (0.6, 1.1), (0, 1)], None,
+     "polyline is not convex at sample 2"),
+    (H, 1.0, [(1, 0), (0.5, 0.2), (0, 1), (-1, 0)], None, "polyline is not convex at sample 1"),
+    # breaks both convexity and the sector: convexity is checked first
+    (H, 1.0, [(1, 0), (3, 2), (2, 1.95), (0.9, 2), (-1, 0)], None,
+     "polyline is not convex at sample 2"),
+    (H, 1.0, [(1, 0), (3, 2), (0.9, 2), (-1, 0)], None, "no sector direction contains the curve"),
+    (Q, 1.0, QUARTER, [0.0, 0.5], "params must be strictly increasing, one per sample"),
+    (Q, 1.0, QUARTER, [0.0, 0.5, 0.5], "params must be strictly increasing, one per sample"),
+    (H, 1.0, HALF, [0.0, 2.0, 1.0], "params must be strictly increasing, one per sample"),
+]
+
+
+class TestSharedCurveChecks:
+    @pytest.mark.parametrize("cls, R, samples, params, message", CURVE_REJECTIONS)
+    def test_rejection_message(self, cls, R, samples, params, message):
+        with pytest.raises(ValidationError, match=message):
+            cls(R, samples, params)
+
+    @pytest.mark.parametrize("cls, samples, end", [(Q, QUARTER, 1.0), (H, HALF, 2.0)])
+    def test_params_default_and_explicit(self, cls, samples, end):
+        assert np.array_equal(cls(1.0, samples).params, np.linspace(0.0, end, 3))
+        assert np.array_equal(cls(1.0, samples, [0, 1, 5]).params, [0.0, 1.0, 5.0])
+
+    @pytest.mark.parametrize("cls, samples, clipped", [
+        (Q, [(1, -1e-12), (0.6, 0.6), (-1e-12, 1)], slice(None)),
+        (H, [(1, -1e-12), (0, 1), (-1, -1e-12)], slice(1, None)),
+    ])
+    def test_samples_within_tolerance_are_clipped(self, cls, samples, clipped):
+        assert (cls(1.0, samples).samples[:, clipped] >= 0.0).all()
+
+
 class TestSegmentFromCurve:
     def test_straight_is_interval(self):
         curve = straight_curve(11)
@@ -301,3 +357,9 @@ class TestCurveJson:
         assert set(data) == {"R", "samples"}
         back = curve_from_json_dict(data)
         assert np.abs(back.samples - curve.samples).max() <= 1e-15
+
+    def test_circle_file_rejected(self):
+        from moebiusgeo.segments import curve_from_json_dict
+        data = {"kind": "circle", "R": 1.0, "samples": [[1, 0], [0, 1], [-1, 0]]}
+        with pytest.raises(ValidationError, match="use 'circle synth'"):
+            curve_from_json_dict(data)

@@ -282,6 +282,25 @@ class TestScanTiling:
             assert mg.circle_quadruple_census(sp) == (report.n_boundary, report.n_checked)
 
 
+class TestSmallScale:
+    """Cross-ratio products of a metric scaled by 2^-560 underflow unless the
+    scans rescale the matrix first."""
+
+    @pytest.mark.parametrize("kind, holds", [("l1", False), ("halfspace", True)])
+    def test_scaled_space_keeps_its_report(self, kind, holds):
+        sp = mg.sample_space(kind, n=2, count=12, seed=3)
+        small = mg.ExtendedMetricSpace(sp.labels, np.ldexp(sp.dist, -560), sp.omega)
+        report = mg.is_ptolemy(small)
+        assert report == mg.is_ptolemy(sp) and report.holds is holds
+        assert mg.circle_quadruple_census(small) == mg.circle_quadruple_census(sp)
+
+    def test_scaled_copy_is_crt_equivalent(self):
+        sp = mg.sample_space("sphere", n=2, count=12, seed=3)
+        small = mg.ExtendedMetricSpace(sp.labels, np.ldexp(sp.dist, -560))
+        report = mg.crt_equivalent(mg.PointedCorrespondence.identity(sp, small))
+        assert report.equivalent and report.max_deviation == 0.0
+
+
 class TestJson:
     def test_roundtrip_with_omega(self):
         sp = line_space_with_omega([0.0, 1.0, 3.0])
