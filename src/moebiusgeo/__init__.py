@@ -15,6 +15,7 @@ from .spaces import (
     line_embed,
     space_from_json_dict,
     space_from_points,
+    space_to_json_chunks,
     space_to_json_dict,
 )
 from .inversions import (

@@ -22,13 +22,15 @@ EXIT_USAGE = 1
 EXIT_PROPERTY = 2
 
 
-def _emit(data: dict, path: str | None) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+def _emit(data, path: str | None) -> None:
+    """Write a report dict as JSON, or the text chunks of a distance matrix."""
+    if isinstance(data, dict):
+        data = [json.dumps(data, indent=2, sort_keys=True) + "\n"]
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(data)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(data)
 
 
 def _load_json(path: str) -> dict:
@@ -81,7 +83,7 @@ def cmd_invert(args) -> int:
         out = inversions.invert_at(out, args.at, eps=args.eps)
     if args.bound_at is not None:
         out = inversions.bound_at(out, args.bound_at, eps=args.eps)
-    _emit(spaces.space_to_json_dict(out), args.output)
+    _emit(spaces.space_to_json_chunks(out), args.output)
     if not args.no_verify and space.n >= 4:
         corr = inversions.PointedCorrespondence.identity(space, out)
         report = inversions.crt_equivalent(corr, eps=max(args.eps, 1e-9))
@@ -109,7 +111,7 @@ def cmd_segment(args) -> int:
         _emit(segments.curve_to_json_dict(curve), args.output)
         return EXIT_OK
     curve = segments.curve_from_json_dict(_load_json(args.input), eps=args.eps)
-    _emit(spaces.space_to_json_dict(segments.segment_from_curve(curve)), args.output)
+    _emit(spaces.space_to_json_chunks(segments.segment_from_curve(curve)), args.output)
     return EXIT_OK
 
 
@@ -124,7 +126,7 @@ def cmd_circle(args) -> int:
         _emit(circles.curve_to_json_dict(curve), args.output)
         return EXIT_OK
     curve = circles.curve_from_json_dict(_load_json(args.input), eps=args.eps)
-    _emit(spaces.space_to_json_dict(circles.circle_from_curve(curve)), args.output)
+    _emit(spaces.space_to_json_chunks(circles.circle_from_curve(curve)), args.output)
     return EXIT_OK
 
 
@@ -156,7 +158,7 @@ def cmd_sphere(args) -> int:
                                  eps=args.eps)
     report = spaces.is_ptolemy(space, eps=args.eps)
     if args.matrix_out:
-        _emit(spaces.space_to_json_dict(space), args.matrix_out)
+        _emit(spaces.space_to_json_chunks(space), args.matrix_out)
     _emit(
         {
             "kind": args.kind,

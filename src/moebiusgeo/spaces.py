@@ -19,6 +19,7 @@ metric circle.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,9 @@ DEFAULT_EPS = 1e-9
 _FULL_TRIANGLE_LIMIT = 256
 _SAMPLED_TRIANGLES = 2_000_000
 _TRIANGLE_SAMPLE_SEED = 24251
+# Sampled triples are drawn and checked this many at a time; the draws of
+# consecutive chunks equal one draw of all of them.
+_TRIANGLE_CHUNK = 1 << 16
 
 
 @dataclass
@@ -56,7 +60,8 @@ class ExtendedMetricSpace:
         n = len(self.labels)
         if n == 0:
             raise ValidationError("a space needs at least one point")
-        if len(set(self.labels)) != n:
+        self._positions = {label: i for i, label in enumerate(self.labels)}
+        if len(self._positions) != n:
             raise ValidationError("point labels must be unique")
         D = np.array(self.dist, dtype=float)
         if D.shape != (n, n):
@@ -125,8 +130,8 @@ class ExtendedMetricSpace:
         """Resolve a label or integer index to an index."""
         if isinstance(point, str):
             try:
-                return self.labels.index(point)
-            except ValueError:
+                return self._positions[point]
+            except KeyError:
                 raise KeyError(f"unknown point label {point!r}") from None
         i = int(point)
         if not 0 <= i < self.n:
@@ -158,15 +163,17 @@ def _check_triangle(sub: np.ndarray, labels: list[str], tol: float) -> None:
                 )
         return
     rng = np.random.default_rng(_TRIANGLE_SAMPLE_SEED)
-    idx = rng.integers(0, m, size=(_SAMPLED_TRIANGLES, 3))
-    i, j, k = idx.T
-    bad = sub[i, j] > sub[i, k] + sub[k, j] + tol
-    if bad.any():
-        b = int(np.argmax(bad))
-        raise ValidationError(
-            "triangle inequality fails: "
-            f"d({labels[i[b]]},{labels[j[b]]}) > via {labels[k[b]]}"
-        )
+    flat = sub.ravel()
+    for start in range(0, _SAMPLED_TRIANGLES, _TRIANGLE_CHUNK):
+        size = min(_TRIANGLE_CHUNK, _SAMPLED_TRIANGLES - start)
+        i, j, k = rng.integers(0, m, size=(size, 3)).T
+        bad = flat[i * m + j] > flat[i * m + k] + flat[k * m + j] + tol
+        if bad.any():
+            b = int(np.argmax(bad))
+            raise ValidationError(
+                "triangle inequality fails: "
+                f"d({labels[i[b]]},{labels[j[b]]}) > via {labels[k[b]]}"
+            )
 
 
 def space_from_points(points, labels=None, *, p: float = 2.0, add_omega: bool = False,
@@ -498,14 +505,49 @@ def space_to_json_dict(space: ExtendedMetricSpace) -> dict:
     return {"points": list(space.labels), "omega": space.omega_label(), "matrix": matrix}
 
 
+def space_to_json_chunks(space: ExtendedMetricSpace):
+    r"""The text of ``json.dumps(space_to_json_dict(space), indent=2,
+    sort_keys=True) + "\n"``, yielded one matrix row at a time.
+
+    JSON writes a float as its ``repr``; the only non-finite distances of a
+    space are the remote point's infinities, whose ``repr`` is ``inf``.
+    """
+    yield '{\n  "matrix": [\n'
+    sep = "    [\n      "
+    for row in space.dist:
+        text = ",\n      ".join(map(float.__repr__, row.tolist()))
+        yield sep + (text if space.omega is None else text.replace("inf", '"inf"'))
+        sep = "\n    ],\n    [\n      "
+    points = ",\n    ".join(map(json.dumps, space.labels))
+    yield (f'\n    ]\n  ],\n  "omega": {json.dumps(space.omega_label())},\n'
+           f'  "points": [\n    {points}\n  ]\n}}\n')
+
+
+_PLAIN_NUMBERS = frozenset({float, int})
+
+
 def _parse_cell(v) -> float:
     if isinstance(v, str):
         if v.strip().lower() in ("inf", "infinity"):
             return math.inf
-        raise ValidationError(f"matrix cell {v!r} is not a number or 'inf'")
-    if isinstance(v, (int, float)):
-        return float(v)
+    elif isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            return float(v)
+        except OverflowError:
+            raise ValidationError(
+                f"matrix cell is an integer of {v.bit_length()} bits, "
+                "too large for a float") from None
     raise ValidationError(f"matrix cell {v!r} is not a number or 'inf'")
+
+
+def _parse_row(row):
+    """One matrix row as floats; a list of plain numbers is converted at once."""
+    if type(row) is list and set(map(type, row)) <= _PLAIN_NUMBERS:
+        try:
+            return np.array(row, dtype=float)
+        except OverflowError:
+            pass  # _parse_cell names the cell
+    return [_parse_cell(v) for v in row]
 
 
 def space_from_json_dict(data: dict, eps: float = DEFAULT_EPS) -> ExtendedMetricSpace:
@@ -513,10 +555,14 @@ def space_from_json_dict(data: dict, eps: float = DEFAULT_EPS) -> ExtendedMetric
     try:
         labels = [str(x) for x in data["points"]]
         omega_label = data.get("omega")
-        matrix = data["matrix"]
-        D = np.array([[_parse_cell(v) for v in row] for row in matrix], dtype=float)
+        rows = [_parse_row(row) for row in data["matrix"]]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed distance-matrix JSON: {exc}") from exc
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ValidationError(
+                f"matrix row {i} has {len(row)} cells, row 0 has {len(rows[0])}")
+    D = np.array(rows, dtype=float)
     omega = None
     if omega_label is not None:
         try:

@@ -231,3 +231,39 @@ class TestSphereExotic:
 
     def test_out_of_range_sphere_args(self):
         assert main(["sphere", "--kind", "sphere", "--n", "9"]) == 1
+
+
+class TestMatrixOutput:
+    """Matrix files are written row by row with the text of json.dumps."""
+
+    @staticmethod
+    def reference(space) -> str:
+        return json.dumps(mg.space_to_json_dict(space), indent=2, sort_keys=True) + "\n"
+
+    def test_synth_files(self, tmp_path):
+        from moebiusgeo import circles, segments
+        t = np.linspace(0, 1, 9)
+        for kind, module, curve, synth in (
+                ("segment", segments, mg.QuadrantCurve(1.0, np.column_stack([1 - t, t])),
+                 mg.segment_from_curve),
+                ("circle", circles, mg.chordal_circle_curve(2.0, 12), mg.circle_from_curve)):
+            cf, mf = tmp_path / f"{kind}.json", tmp_path / f"{kind}_matrix.json"
+            cf.write_text(json.dumps(module.curve_to_json_dict(curve)))
+            assert main([kind, "synth", str(cf), "--output", str(mf)]) == 0
+            assert mf.read_text() == self.reference(synth(curve))
+
+    def test_invert_file_and_stdout(self, sphere_file, tmp_path, capsys):
+        sp = mg.space_from_json_dict(json.loads(open(sphere_file).read()))
+        expected = self.reference(mg.bound_at(mg.invert_at(sp, "p2"), "p5"))
+        out = tmp_path / "inverted.json"
+        args = ["invert", sphere_file, "--at", "p2", "--bound-at", "p5"]
+        assert main(args + ["--output", str(out)]) == 0
+        assert out.read_text() == expected
+        assert main(args) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_sphere_matrix_out(self, tmp_path):
+        mf = tmp_path / "matrix.json"
+        assert main(["sphere", "--kind", "halfspace", "--count", "9", "--seed", "4",
+                     "--matrix-out", str(mf), "--output", str(tmp_path / "r.json")]) == 0
+        assert mf.read_text() == self.reference(mg.sample_space("halfspace", count=9, seed=4))

@@ -1,5 +1,6 @@
 """Core spaces: validation, cross-ratio triples, Ptolemy scans, line embedding."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moebiusgeo as mg
+from moebiusgeo import spaces
 from moebiusgeo.errors import ValidationError
 
 from helpers import brute_force_line_embedding
@@ -323,3 +325,107 @@ class TestJson:
         with pytest.raises(ValidationError):
             mg.space_from_json_dict({"points": ["a", "b"], "omega": "zz",
                                      "matrix": [[0, 1], [1, 0]]})
+
+    def test_boolean_cell_rejected(self):
+        data = json.loads('{"points": ["a", "b"], "matrix": [[0, true], [true, 0]]}')
+        with pytest.raises(ValidationError, match="matrix cell True is not a number or 'inf'"):
+            mg.space_from_json_dict(data)
+
+    def test_huge_integer_cell_rejected(self):
+        big = 10 ** 400
+        with pytest.raises(ValidationError, match="integer of 1329 bits") as exc:
+            mg.space_from_json_dict({"points": ["a", "b"], "matrix": [[0, big], [big, 0]]})
+        assert len(str(exc.value)) < 80
+
+    def test_ragged_rows_named(self):
+        with pytest.raises(ValidationError, match="matrix row 1 has 1 cells, row 0 has 2"):
+            mg.space_from_json_dict({"points": ["a", "b"], "matrix": [[0, 1], [1]]})
+
+
+def reference_text(space) -> str:
+    return json.dumps(mg.space_to_json_dict(space), indent=2, sort_keys=True) + "\n"
+
+
+# Labels that JSON escapes, and distances whose repr is not plain
+LABELS = st.one_of(st.sampled_from(['"', "\\", "\u00e9", "\u2028", "\U0001d11e", 'a"b\\c']),
+                   st.text(max_size=3))
+DISTANCES = st.one_of(st.sampled_from([1e-300, 5e-324, 1e16, 0.1]),
+                      st.floats(min_value=0.0, max_value=1e300))
+
+
+def max_metric_space(labels, x, omega=None):
+    """d(i, j) = max(x_i, x_j) off the diagonal is a metric for any x >= 0."""
+    D = np.maximum.outer(x, x)
+    np.fill_diagonal(D, 0.0)
+    if omega is not None:
+        D[omega, :] = D[:, omega] = INF
+        D[omega, omega] = 0.0
+    return mg.ExtendedMetricSpace(tuple(labels), D, omega)
+
+
+@st.composite
+def json_spaces(draw):
+    labels = draw(st.lists(LABELS, min_size=1, max_size=6, unique=True))
+    n = len(labels)
+    x = np.array(draw(st.lists(DISTANCES, min_size=n, max_size=n)))
+    return max_metric_space(labels, x, draw(st.none() | st.integers(0, n - 1)))
+
+
+class TestJsonChunks:
+    @settings(max_examples=150, deadline=None)
+    @given(json_spaces())
+    def test_equals_json_dumps(self, space):
+        assert "".join(mg.space_to_json_chunks(space)) == reference_text(space)
+
+    @pytest.mark.parametrize("labels, x, omega", [
+        (["a"], [0.0], None),
+        (["omega"], [0.0], 0),
+        (["omega", '"q"', "b\\", "\u00e9"], [0.0, 1e-300, 5e-324, 1e16], 0),
+        (["a", "b", "c"], [0.1, 1e16, 5e-324], 2),
+        (["a", "b", "c"], [0.1, 1e-300, 1.0], None),
+    ])
+    def test_edge_cases(self, labels, x, omega):
+        space = max_metric_space(labels, np.array(x), omega)
+        assert "".join(mg.space_to_json_chunks(space)) == reference_text(space)
+
+
+class TestLabelIndex:
+    def test_labels_resolve_to_their_position(self):
+        labels = tuple(f"q{(7 * i) % 300}" for i in range(300))
+        sp = mg.space_from_points(np.arange(300.0)[:, None], labels)
+        assert [sp.index(lab) for lab in labels] == [labels.index(lab) for lab in labels]
+        assert sp.index(17) == 17
+
+    def test_unknown_label(self):
+        sp = line_space_with_omega([0.0, 1.0])
+        with pytest.raises(KeyError) as exc:
+            sp.index("zz")
+        assert exc.value.args == ("unknown point label 'zz'",)
+
+
+class TestSampledTriangleCheck:
+    def test_chunks_draw_the_one_shot_triples(self, monkeypatch):
+        # d = 1 off the diagonal except d(a, b) = 2.5: a sampled triple fails
+        # exactly when its first two points are a and b and its third is not
+        m = 300
+        rng = np.random.default_rng(spaces._TRIANGLE_SAMPLE_SEED)
+        i, j, k = rng.integers(0, m, size=(spaces._SAMPLED_TRIANGLES, 3)).T
+        fails = (i != j) & (k != i) & (k != j)
+        pairs, first = np.unique((np.minimum(i, j) * m + np.maximum(i, j))[fails],
+                                 return_index=True)
+        first = np.flatnonzero(fails)[first]
+        late = first >= spaces._TRIANGLE_CHUNK
+        a, b = divmod(int(pairs[late][np.argmin(first[late])]), m)
+        D = np.ones((m, m)) - np.eye(m)
+        D[a, b] = D[b, a] = 2.5
+        labels = [f"p{x}" for x in range(m)]
+        bad = D[i, j] > D[i, k] + D[k, j] + 1e-9
+        r = int(np.argmax(bad))
+        assert r >= spaces._TRIANGLE_CHUNK
+        expected = (f"triangle inequality fails: "
+                    f"d({labels[i[r]]},{labels[j[r]]}) > via {labels[k[r]]}")
+        for chunk in (spaces._TRIANGLE_CHUNK, 7):
+            monkeypatch.setattr(spaces, "_TRIANGLE_CHUNK", chunk)
+            with pytest.raises(ValidationError) as exc:
+                mg.ExtendedMetricSpace(tuple(labels), D)
+            assert str(exc.value) == expected
