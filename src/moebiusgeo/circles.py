@@ -140,8 +140,7 @@ def circle_from_curve(curve: HalfplaneCurve, labels=None) -> ExtendedMetricSpace
     return _curve_space(curve.samples[:-1], curve.R, labels, curve.eps)
 
 
-def curve_from_circle(space: ExtendedMetricSpace, order=None, minus_one=None,
-                      eps: float = DEFAULT_EPS) -> HalfplaneCurve:
+def curve_from_circle(space: ExtendedMetricSpace, order=None, minus_one=None) -> HalfplaneCurve:
     """Recover the halfplane curve of a circle metric.
 
     ``order`` lists the points cyclically (defaults to label order); the
@@ -159,15 +158,15 @@ def curve_from_circle(space: ExtendedMetricSpace, order=None, minus_one=None,
     if k == 0:
         raise ValueError("the second base point must differ from the first")
     R = D[0, k]
-    if R <= eps * max(space.scale, 1.0):
+    if R <= space.tol:
         raise ValidationError("base points coincide")
     b = D[:, 0]
     sign = np.where(np.arange(n) <= k, 1.0, -1.0)
     a = sign * D[:, k]
     samples = np.vstack([np.column_stack([a, b]), [-R, 0.0]])
-    _check_area_form(D, R, samples[:-1], [space.labels[i] for i in idx], k, eps,
+    _check_area_form(D, R, samples[:-1], [space.labels[i] for i in idx], k, space.eps,
                      "cyclic Ptolemy equality fails around")
-    return HalfplaneCurve(R, samples, None, eps=eps)
+    return HalfplaneCurve(R, samples, None, eps=space.eps)
 
 
 def _loop_positions(D: np.ndarray, i1: int, i2: int, i3: int) -> np.ndarray:
@@ -201,8 +200,7 @@ class CircleMap:
 
 def circle_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
                        dst_space: ExtendedMetricSpace, dst_anchors, *,
-                       src_order=None, dst_order=None,
-                       eps: float = DEFAULT_EPS) -> CircleMap:
+                       src_order=None, dst_order=None) -> CircleMap:
     """The unique Moebius map between two circles matching anchor triples.
 
     Each point's position along the boundary loop of its own anchor triple
@@ -222,14 +220,14 @@ def circle_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
         raise ValueError("anchor triples must consist of three distinct points")
     n_dst = len(dst_idx)
 
-    curve_from_circle(src_space, order=src_idx, eps=eps)
+    curve_from_circle(src_space, order=src_idx)
 
     # reorient the destination cycle to start at x1' running toward x2'
     fwd2 = (da[1] - da[0]) % n_dst
     fwd3 = (da[2] - da[0]) % n_dst
     reverse = not fwd2 < fwd3
     dst_cycle_idx = _rotated(dst_idx, da[0], reverse)
-    dst_curve = curve_from_circle(dst_space, order=dst_cycle_idx, eps=eps)
+    dst_curve = curve_from_circle(dst_space, order=dst_cycle_idx)
 
     Dd = dst_space.dist[np.ix_(dst_cycle_idx, dst_cycle_idx)]
     d1, d2, d3 = (dst_cycle_idx.index(dst_space.index(x)) for x in dst_anchors)

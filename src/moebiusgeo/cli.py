@@ -52,10 +52,10 @@ def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
 
 def cmd_check(args) -> int:
     space = _load_space(args.matrix, args.eps)
-    report = spaces.is_ptolemy(space, eps=args.eps)
+    report = spaces.is_ptolemy(space)
     embedding = None
     if space.omega is None:
-        coords = spaces.line_embed(space, eps=args.eps)
+        coords = spaces.line_embed(space)
         embedding = {
             "embeddable": coords is not None,
             "coordinates": None if coords is None else [float(c) for c in coords],
@@ -80,9 +80,9 @@ def cmd_invert(args) -> int:
     space = _load_space(args.matrix, args.eps)
     out = space
     if args.at is not None:
-        out = inversions.invert_at(out, args.at, eps=args.eps)
+        out = inversions.invert_at(out, args.at)
     if args.bound_at is not None:
-        out = inversions.bound_at(out, args.bound_at, eps=args.eps)
+        out = inversions.bound_at(out, args.bound_at)
     _emit(spaces.space_to_json_chunks(out), args.output)
     if not args.no_verify and space.n >= 4:
         corr = inversions.PointedCorrespondence.identity(space, out)
@@ -104,7 +104,7 @@ def _order_list(arg: str | None) -> list[str] | None:
 def cmd_segment(args) -> int:
     if args.action == "classify":
         space = _load_space(args.input, args.eps)
-        curve = segments.curve_from_segment(space, _order_list(args.order), eps=args.eps)
+        curve = segments.curve_from_segment(space, _order_list(args.order))
         if args.csv:
             _write_csv(args.csv, ["t", "a", "b", "alpha"],
                        [curve.params, *curve.samples.T, segments.angle_parameterize(curve)])
@@ -119,7 +119,7 @@ def cmd_circle(args) -> int:
     if args.action == "classify":
         space = _load_space(args.input, args.eps)
         curve = circles.curve_from_circle(space, _order_list(args.order),
-                                          minus_one=args.minus_one, eps=args.eps)
+                                          minus_one=args.minus_one)
         if args.csv:
             _write_csv(args.csv, ["t", "a", "b"],
                        [curve.params, curve.samples[:, 0], curve.samples[:, 1]])
@@ -136,7 +136,7 @@ def cmd_map(args) -> int:
     src_anchors = _order_list(args.src_anchors)
     dst_anchors = _order_list(args.dst_anchors)
     build = segments.segment_moebius_map if args.kind == "segment" else circles.circle_moebius_map
-    result = build(src, src_anchors, dst, dst_anchors, eps=args.eps)
+    result = build(src, src_anchors, dst, dst_anchors)
     pairs = [
         {"src": lab, "position": float(pos), "point": [float(p[0]), float(p[1])]}
         for lab, pos, p in zip(result.src_labels, result.dst_params, result.dst_points)
@@ -156,7 +156,7 @@ def cmd_map(args) -> int:
 def cmd_sphere(args) -> int:
     space = spheres.sample_space(args.kind, n=args.n, count=args.count, seed=args.seed,
                                  eps=args.eps)
-    report = spaces.is_ptolemy(space, eps=args.eps)
+    report = spaces.is_ptolemy(space)
     if args.matrix_out:
         _emit(spaces.space_to_json_chunks(space), args.matrix_out)
     _emit(

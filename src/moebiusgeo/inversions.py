@@ -17,68 +17,68 @@ from .errors import NotPtolemyError, ValidationError
 from .spaces import DEFAULT_EPS, ExtendedMetricSpace, max_crt_deviation
 
 
-def invert_at(space: ExtendedMetricSpace, z, eps: float | None = None) -> ExtendedMetricSpace:
+def _rescaled(space: ExtendedMetricSpace, keep: list[int], fac: np.ndarray,
+              remote: int | None, failure: str) -> ExtendedMetricSpace:
+    """The space d(x,y) / (fac(x) fac(y)) on the finite points ``keep``.
+
+    A former remote point becomes finite at distance 1 / fac(x) from each
+    kept x, and ``remote`` (if any) becomes the new remote point.  The
+    output is validated; a triangle violation means the input was not
+    Ptolemy and raises :class:`NotPtolemyError` naming ``failure``.
+    """
+    D = space.dist
+    n = space.n
+    out = np.zeros((n, n))
+    out[np.ix_(keep, keep)] = D[np.ix_(keep, keep)] / np.outer(fac, fac)
+    if space.omega is not None:
+        out[keep, space.omega] = out[space.omega, keep] = 1.0 / fac
+    if remote is not None:
+        out[remote, :] = np.inf
+        out[:, remote] = np.inf
+        out[remote, remote] = 0.0
+    try:
+        return ExtendedMetricSpace(space.labels, out, remote, eps=space.eps)
+    except ValidationError as exc:
+        raise NotPtolemyError(
+            f"{failure} violates the triangle inequality; "
+            f"the input space is not Ptolemy ({exc})"
+        ) from exc
+
+
+def invert_at(space: ExtendedMetricSpace, z) -> ExtendedMetricSpace:
     """Invert the metric at point z, which becomes the remote point.
 
     For finite x, y the new distance is d(x,y) / (d(z,x) d(z,y)); a former
     remote point becomes finite at distance 1 / d(z,x) from each x.  The
     output is validated; a triangle violation means the input was not
-    Ptolemy and raises :class:`NotPtolemyError`.
+    Ptolemy and raises :class:`NotPtolemyError`.  Inverting at the remote
+    point returns the space itself.
     """
-    eps = space.eps if eps is None else eps
     zi = space.index(z)
     if zi == space.omega:
-        return ExtendedMetricSpace(space.labels, space.dist.copy(), space.omega, eps=eps)
-    D = space.dist
-    n = space.n
-    dz = D[zi]
-    others = [i for i in range(n) if i != zi and i != space.omega]
+        return space
+    dz = space.dist[zi]
+    others = [i for i in range(space.n) if i != zi and i != space.omega]
     coincident = [i for i in others if dz[i] <= 0.0]
     if coincident:
         raise ValueError(
             f"cannot invert at {space.labels[zi]!r}: distance 0 to {space.labels[coincident[0]]!r}"
         )
-    out = np.zeros((n, n))
-    out[np.ix_(others, others)] = D[np.ix_(others, others)] / np.outer(dz[others], dz[others])
-    if space.omega is not None:
-        out[others, space.omega] = out[space.omega, others] = 1.0 / dz[others]
-    out[zi, :] = np.inf
-    out[:, zi] = np.inf
-    out[zi, zi] = 0.0
-    try:
-        return ExtendedMetricSpace(space.labels, out, zi, eps=eps)
-    except ValidationError as exc:
-        raise NotPtolemyError(
-            f"inversion at {space.labels[zi]!r} violates the triangle inequality; "
-            f"the input space is not Ptolemy ({exc})"
-        ) from exc
+    return _rescaled(space, others, dz[others], zi, f"inversion at {space.labels[zi]!r}")
 
 
-def bound_at(space: ExtendedMetricSpace, o, eps: float | None = None) -> ExtendedMetricSpace:
+def bound_at(space: ExtendedMetricSpace, o) -> ExtendedMetricSpace:
     """Moebius-equivalent bounded metric d(x,y) / ((d(x,o)+1)(d(y,o)+1)).
 
     A remote point becomes finite at distance 1 / (d(x,o)+1) from each x;
     the output has no remote point and diameter at most one.
     """
-    eps = space.eps if eps is None else eps
     oi = space.index(o)
     if oi == space.omega:
         raise ValueError("cannot bound at the remote point")
-    D = space.dist
-    n = space.n
-    fin = [i for i in range(n) if i != space.omega]
-    fac = D[oi, fin] + 1.0
-    out = np.zeros((n, n))
-    out[np.ix_(fin, fin)] = D[np.ix_(fin, fin)] / np.outer(fac, fac)
-    if space.omega is not None:
-        out[fin, space.omega] = out[space.omega, fin] = 1.0 / fac
-    try:
-        return ExtendedMetricSpace(space.labels, out, None, eps=eps)
-    except ValidationError as exc:
-        raise NotPtolemyError(
-            f"bounded metric at {space.labels[oi]!r} violates the triangle inequality; "
-            f"the input space is not Ptolemy ({exc})"
-        ) from exc
+    fin = space.finite_indices
+    return _rescaled(space, fin, space.dist[oi, fin] + 1.0, None,
+                     f"bounded metric at {space.labels[oi]!r}")
 
 
 @dataclass

@@ -228,8 +228,7 @@ def _check_area_form(D: np.ndarray, R: float, samples: np.ndarray, labels: list,
         )
 
 
-def curve_from_segment(space: ExtendedMetricSpace, order=None,
-                       eps: float = DEFAULT_EPS) -> QuadrantCurve:
+def curve_from_segment(space: ExtendedMetricSpace, order=None) -> QuadrantCurve:
     """Recover the quadrant curve of a segment metric.
 
     ``order`` lists the points from one endpoint to the other (defaults to
@@ -238,12 +237,22 @@ def curve_from_segment(space: ExtendedMetricSpace, order=None,
     """
     idx, D = _ordered(space, order, "segment", "two", 2)
     R = D[0, -1]
-    if R <= eps * max(space.scale, 1.0):
+    if R <= space.tol:
         raise ValidationError("endpoints coincide: d(first, last) is zero")
     samples = np.column_stack([D[:, -1], D[:, 0]])
-    _check_area_form(D, R, samples, [space.labels[i] for i in idx], -1, eps,
+    _check_area_form(D, R, samples, [space.labels[i] for i in idx], -1, space.eps,
                      "ordered Ptolemy equality fails for")
-    return QuadrantCurve(R, samples, None, eps=eps)
+    return QuadrantCurve(R, samples, None, eps=space.eps)
+
+
+def _half_angle(R: float, r: float, branch: str) -> float:
+    """Half the angle a chord of length R subtends at the centre of a circle
+    of radius r >= R/2; ``branch`` names the minor or major arc."""
+    if r < R / 2.0 * (1.0 - 1e-12):
+        raise ValueError("arc radius must be at least R/2")
+    if branch not in ("minor", "major"):
+        raise ValueError("branch must be 'minor' or 'major'")
+    return math.asin(min(1.0, R / (2.0 * r)))
 
 
 def euclidean_segment_curve(R: float, r: float, branch: str = "minor",
@@ -255,11 +264,7 @@ def euclidean_segment_curve(R: float, r: float, branch: str = "minor",
     a^2 + b^2 - 2 a b cos(beta) = R^2, where beta is the (constant)
     inscribed angle of the chord seen from the chosen arc.
     """
-    if r < R / 2.0 * (1.0 - 1e-12):
-        raise ValueError("arc radius must be at least R/2")
-    if branch not in ("minor", "major"):
-        raise ValueError("branch must be 'minor' or 'major'")
-    half = math.asin(min(1.0, R / (2.0 * r)))
+    half = _half_angle(R, r, branch)
     span = 2.0 * half if branch == "minor" else 2.0 * half - 2.0 * math.pi
     phi = np.linspace(-half, -half + span, n_samples)
     pts = r * np.column_stack([np.cos(phi), np.sin(phi)])
@@ -272,7 +277,7 @@ def euclidean_segment_curve(R: float, r: float, branch: str = "minor",
 
 def ellipse_cos_beta(R: float, r: float, branch: str = "minor") -> float:
     """cos(beta) of the ellipse carrying the arc's quadrant image."""
-    half = math.asin(min(1.0, R / (2.0 * r)))
+    half = _half_angle(R, r, branch)
     return -math.cos(half) if branch == "minor" else math.cos(half)
 
 
@@ -330,8 +335,7 @@ class SegmentMap:
 
 def segment_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
                         dst_space: ExtendedMetricSpace, dst_anchors, *,
-                        src_order=None, dst_order=None,
-                        eps: float = DEFAULT_EPS) -> SegmentMap:
+                        src_order=None, dst_order=None) -> SegmentMap:
     """The unique anchor-matching Moebius map between two segments.
 
     Anchors are triples (x1, x2, x3): x1 and x3 the two boundary points in
@@ -342,9 +346,9 @@ def segment_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
     are compared against the source.
     """
     src_idx, Ds = _ordered(src_space, src_order, "segment", "two", 2)
-    src_curve = curve_from_segment(src_space, src_idx, eps)
+    src_curve = curve_from_segment(src_space, src_idx)
     dst_idx, Dd = _ordered(dst_space, dst_order, "segment", "two", 2)
-    dst_curve = curve_from_segment(dst_space, dst_idx, eps)
+    dst_curve = curve_from_segment(dst_space, dst_idx)
 
     def anchor_positions(space, idx, anchors):
         pos = [idx.index(space.index(x)) for x in anchors]

@@ -46,8 +46,11 @@ class ExtendedMetricSpace:
     ``dist[i, j]`` is infinite exactly when one of ``i, j`` is the remote
     point ``omega`` and the other is not.  Validation runs eagerly on
     construction: symmetry, zero diagonal, nonnegativity, the infinity
-    pattern, and the triangle inequality on the finite part.  Instances
-    should be treated as immutable.
+    pattern, and the triangle inequality on the finite part.  The stored
+    ``dist`` is read-only.  ``scale`` is its largest finite entry, and
+    ``tol = eps * max(scale, 1)`` is the absolute tolerance of every
+    distance comparison on the space; predicates on cross-ratio triples
+    compare against ``eps`` itself.
     """
 
     labels: tuple[str, ...]
@@ -111,7 +114,11 @@ class ExtendedMetricSpace:
                 f"({self.labels[fin[bad[0]]]}, {self.labels[fin[bad[1]]]})"
             )
         _check_triangle(sub, [self.labels[i] for i in fin], tol)
+        D.flags.writeable = False
         self.dist = D
+        # taken on the stored, symmetrized matrix; finite_mask is unchanged
+        self.scale = float(D[finite_mask].max(initial=0.0))
+        self.tol = self.eps * max(self.scale, 1.0)
 
     @property
     def n(self) -> int:
@@ -120,11 +127,6 @@ class ExtendedMetricSpace:
     @property
     def finite_indices(self) -> list[int]:
         return [i for i in range(self.n) if i != self.omega]
-
-    @property
-    def scale(self) -> float:
-        mask = np.isfinite(self.dist)
-        return float(self.dist[mask].max(initial=0.0))
 
     def index(self, point) -> int:
         """Resolve a label or integer index to an index."""
@@ -255,11 +257,7 @@ def check_admissible(quad) -> tuple[int, int, int, int]:
     return q
 
 
-# For each product slot, the index pairs multiplied together.
-_PRODUCT_PAIRS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
-
-
-def crt(space: ExtendedMetricSpace, quad, eps: float | None = None) -> CrossRatioTriple:
+def crt(space: ExtendedMetricSpace, quad) -> CrossRatioTriple:
     """Cross-ratio triple of a quadruple of point indices or labels.
 
     The remote point may occur at most twice.  When it occurs once, each
@@ -267,21 +265,9 @@ def crt(space: ExtendedMetricSpace, quad, eps: float | None = None) -> CrossRati
     two occurrences vanishes and the other two entries are equal.
     """
     q = check_admissible([space.index(x) for x in quad])
-    om = space.omega
-    D = space.dist
-    if om is not None and q.count(om) == 2:
-        pos = frozenset(i for i, x in enumerate(q) if x == om)
-        prods = [0.0 if frozenset(p1) == pos or frozenset(p2) == pos else 1.0
-                 for p1, p2 in _PRODUCT_PAIRS]
-        return CrossRatioTriple.from_products(*prods)
-
-    def factor(i, j):
-        if q[i] == om or q[j] == om:
-            return 1.0
-        return D[q[i], q[j]]
-
-    prods = [factor(*p1) * factor(*p2) for p1, p2 in _PRODUCT_PAIRS]
-    return CrossRatioTriple.from_products(*prods)
+    M = _unit_remote(space.dist[np.ix_(q, q)])
+    return CrossRatioTriple.from_products(M[0, 1] * M[2, 3], M[0, 2] * M[1, 3],
+                                          M[0, 3] * M[1, 2])
 
 
 def classify_simplex(triple: CrossRatioTriple, eps: float = DEFAULT_EPS) -> str:
@@ -295,19 +281,18 @@ def classify_simplex(triple: CrossRatioTriple, eps: float = DEFAULT_EPS) -> str:
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _unit_remote(D: np.ndarray, omega: int | None) -> np.ndarray:
-    """``D`` scaled by a power of two, with the remote row and column set to 1.
+def _unit_remote(D: np.ndarray) -> np.ndarray:
+    """``D`` scaled by a power of two, with its infinite entries set to 1.
 
-    A product over distinct points drops the remote point's infinite
-    factor, which is the same as a factor of 1.  The scale brings the
-    largest finite entry into [1/2, 1), so products of a small-scale metric
-    do not underflow; cross-ratios do not see it, and multiplying by a
-    power of two is exact.
+    A product drops the remote point's infinite factor, which is the same
+    as a factor of 1; the remote point's zero distance to itself stays.  The
+    scale brings the largest finite entry into [1/2, 1), so products of a
+    small-scale metric do not underflow; cross-ratios do not see it, and
+    multiplying by a power of two is exact.
     """
-    M = np.ldexp(D, -math.frexp(D[np.isfinite(D)].max(initial=0.0))[1])
-    if omega is not None:
-        M[omega, :] = 1.0
-        M[:, omega] = 1.0
+    finite = np.isfinite(D)
+    M = np.ldexp(D, -math.frexp(D[finite].max(initial=0.0))[1])
+    M[~finite] = 1.0
     return M
 
 
@@ -360,10 +345,15 @@ def max_crt_deviation(D1, omega1, D2, omega2, perm) -> tuple[float, tuple[int, .
     and the lexicographically first subset attaining it (None for fewer
     than four points).  Subsets degenerate on both sides count as
     deviation 0; subsets degenerate on one side only count as deviation 1.
+
+    The remote points ``omega1`` and ``omega2`` are not read, since every
+    infinite entry counts as a factor of 1; they keep ``perm`` the fifth
+    positional argument, which the span probe of ``perfbench/tracing.py``
+    counts.
     """
     perm = np.asarray(perm)
-    A = _unit_remote(np.asarray(D1, dtype=float), omega1)
-    B = _unit_remote(np.asarray(D2, dtype=float), omega2)[np.ix_(perm, perm)]
+    A = _unit_remote(np.asarray(D1, dtype=float))
+    B = _unit_remote(np.asarray(D2, dtype=float))[np.ix_(perm, perm)]
     worst, quad = -math.inf, None
     for lo, valid, (P, Q) in _quad_blocks(A, B):
         (N1, g1), (N2, g2) = _normalized(*P), _normalized(*Q)
@@ -391,7 +381,7 @@ class PtolemyReport:
     n_boundary: int
 
 
-def _ptolemy_scan(space: ExtendedMetricSpace, eps: float) -> PtolemyReport:
+def _ptolemy_scan(space: ExtendedMetricSpace) -> PtolemyReport:
     """One pass over all distinct 4-subsets for :func:`is_ptolemy` and the census.
 
     The margin of a subset is max(P) / sum(P) - 1/2 over its products P
@@ -403,7 +393,8 @@ def _ptolemy_scan(space: ExtendedMetricSpace, eps: float) -> PtolemyReport:
     fin = space.finite_indices
     remote = space.omega is not None
     order = fin + [space.omega] if remote else fin
-    M = _unit_remote(space.dist[np.ix_(order, order)], len(fin) if remote else None)
+    M = _unit_remote(space.dist[np.ix_(order, order)])
+    eps = space.eps
     worst = [(-math.inf, None), (-math.inf, None)]  # finite subsets, remote subsets
     boundary = 0
     for lo, valid, ((p1, p2, p3),) in _quad_blocks(M):
@@ -433,28 +424,28 @@ def _ptolemy_scan(space: ExtendedMetricSpace, eps: float) -> PtolemyReport:
                          margin, checked, boundary)
 
 
-def is_ptolemy(space: ExtendedMetricSpace, eps: float = DEFAULT_EPS) -> PtolemyReport:
+def is_ptolemy(space: ExtendedMetricSpace) -> PtolemyReport:
     """Scan all distinct four-point subsets for the Ptolemy inequality.
 
     Quadruples with a repeated entry always satisfy the inequality, so only
     distinct subsets are scanned.  Subsets containing the remote point
     reduce to a triangle-inequality check of the remaining triple.
     """
-    return _ptolemy_scan(space, eps)
+    return _ptolemy_scan(space)
 
 
-def is_circle_quadruple(space: ExtendedMetricSpace, quad, eps: float = DEFAULT_EPS) -> bool:
+def is_circle_quadruple(space: ExtendedMetricSpace, quad) -> bool:
     """True when the quadruple's cross-ratio triple lies on the boundary region."""
-    return crt(space, quad).region(eps) == "boundary"
+    return crt(space, quad).region(space.eps) == "boundary"
 
 
-def circle_quadruple_census(space: ExtendedMetricSpace, eps: float = DEFAULT_EPS) -> tuple[int, int]:
+def circle_quadruple_census(space: ExtendedMetricSpace) -> tuple[int, int]:
     """Count distinct 4-subsets on the boundary region; returns (boundary, total)."""
-    report = _ptolemy_scan(space, eps)
+    report = _ptolemy_scan(space)
     return report.n_boundary, report.n_checked
 
 
-def line_embed(space: ExtendedMetricSpace, eps: float = DEFAULT_EPS) -> np.ndarray | None:
+def line_embed(space: ExtendedMetricSpace) -> np.ndarray | None:
     """Coordinates on the real line realizing all distances, if they exist.
 
     The first point is anchored at 0 and the farthest point from it fixes
@@ -469,7 +460,7 @@ def line_embed(space: ExtendedMetricSpace, eps: float = DEFAULT_EPS) -> np.ndarr
     coords = np.zeros(n)
     if n == 1:
         return coords
-    tol = eps * max(space.scale, 1.0)
+    tol = space.tol
     anchor = int(np.argmax(D[0]))
     if D[0, anchor] <= tol:
         return coords if D.max() <= tol else None
@@ -487,14 +478,13 @@ def line_embed(space: ExtendedMetricSpace, eps: float = DEFAULT_EPS) -> np.ndarr
     return coords
 
 
-def all_triples_collinear(space: ExtendedMetricSpace, eps: float = DEFAULT_EPS) -> bool:
+def all_triples_collinear(space: ExtendedMetricSpace) -> bool:
     """True when every triple of finite points attains triangle equality."""
     fin = space.finite_indices
     D = space.dist[np.ix_(fin, fin)]
-    tol = eps * max(space.scale, 1.0)
     for i, j, k in itertools.combinations(range(len(fin)), 3):
         a, b, c = sorted((D[i, j], D[i, k], D[j, k]))
-        if abs(a + b - c) > tol:
+        if abs(a + b - c) > space.tol:
             return False
     return True
 

@@ -276,6 +276,13 @@ class TestEuclideanFamily:
         with pytest.raises(ValueError):
             mg.euclidean_segment_curve(1.0, 0.49)
 
+    @pytest.mark.parametrize("args, message", [((1.0, 0.1), "at least R/2"),
+                                               ((1.0, 1.0, "bogus"), "branch")])
+    def test_cos_beta_rejects_what_the_curve_rejects(self, args, message):
+        for build in (mg.euclidean_segment_curve, mg.ellipse_cos_beta):
+            with pytest.raises(ValueError, match=message):
+                build(*args)
+
     def test_embedded_arc_matches_its_own_metric(self):
         # the synthesized metric equals the ambient chord metric of the arc
         curve = mg.euclidean_segment_curve(1.0, 0.8, "minor", 21)

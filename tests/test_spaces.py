@@ -1,5 +1,6 @@
 """Core spaces: validation, cross-ratio triples, Ptolemy scans, line embedding."""
 
+import itertools
 import json
 import math
 
@@ -296,11 +297,66 @@ class TestSmallScale:
         assert report == mg.is_ptolemy(sp) and report.holds is holds
         assert mg.circle_quadruple_census(small) == mg.circle_quadruple_census(sp)
 
+    @pytest.mark.parametrize("shift", [-530, -560])
+    def test_scaled_crt_keeps_its_triple(self, shift):
+        sp = mg.sample_space("sphere", n=2, count=12, seed=3)
+        small = mg.ExtendedMetricSpace(sp.labels, np.ldexp(sp.dist, shift))
+        assert mg.is_ptolemy(small).holds
+        for quad in itertools.combinations(range(8), 4):
+            assert mg.crt(small, quad) == mg.crt(sp, quad)
+            assert mg.is_circle_quadruple(small, quad) == mg.is_circle_quadruple(sp, quad)
+
     def test_scaled_copy_is_crt_equivalent(self):
         sp = mg.sample_space("sphere", n=2, count=12, seed=3)
         small = mg.ExtendedMetricSpace(sp.labels, np.ldexp(sp.dist, -560))
         report = mg.crt_equivalent(mg.PointedCorrespondence.identity(sp, small))
         assert report.equivalent and report.max_deviation == 0.0
+
+
+def _loose_line():
+    """Six points on a line with d(p0, p5) 1e-7 short: a segment within eps = 1e-6."""
+    D = np.abs(np.arange(6.0)[:, None] - np.arange(6.0))
+    D[0, 5] = D[5, 0] = 5.0 - 1e-7
+    return mg.ExtendedMetricSpace(tuple(f"p{i}" for i in range(6)), D, eps=1e-6)
+
+
+class TestSpaceTolerance:
+    """Every predicate on a space reads the tolerance the space was built with."""
+
+    def test_loose_line_passes_every_predicate(self):
+        sp = _loose_line()
+        assert mg.is_ptolemy(sp).holds
+        assert mg.circle_quadruple_census(sp) == (15, 15)
+        assert mg.line_embed(sp) is not None
+        assert mg.all_triples_collinear(sp)
+        assert mg.curve_from_segment(sp).eps == 1e-6
+        assert sp.tol == 1e-6 * sp.scale
+
+    def test_dist_is_read_only(self):
+        sp = _loose_line()
+        with pytest.raises(ValueError):
+            sp.dist[0, 1] = 1.0
+        assert sp.dist[0, 1] == 1.0
+
+    @pytest.mark.parametrize("name, args", [
+        ("is_ptolemy", ()),
+        ("circle_quadruple_census", ()),
+        ("is_circle_quadruple", ((0, 1, 2, 3),)),
+        ("line_embed", ()),
+        ("all_triples_collinear", ()),
+        ("crt", ((0, 1, 2, 3),)),
+        ("invert_at", (0,)),
+        ("bound_at", (0,)),
+        ("curve_from_segment", ()),
+        ("curve_from_circle", ()),
+        ("segment_moebius_map", ((0, 1, 5), None, (0, 1, 5))),
+        ("circle_moebius_map", ((0, 1, 2), None, (0, 1, 2))),
+    ])
+    def test_no_per_call_eps(self, name, args):
+        sp = _loose_line()
+        args = tuple(sp if a is None else a for a in args)
+        with pytest.raises(TypeError, match="eps"):
+            getattr(mg, name)(sp, *args, eps=1e-6)
 
 
 class TestJson:
