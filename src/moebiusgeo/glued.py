@@ -17,7 +17,6 @@ exp(-2t); the boundary metric is exp(-product).
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .inversions import PointedCorrespondence, crt_equivalent
+from .inversions import PointedCorrespondence, _log_factor, crt_equivalent
 from .spaces import ExtendedMetricSpace
 
 # Largest x with cosh(x) finite in double precision, about 710.476.
@@ -94,19 +93,8 @@ def bulk_point(vec):
     return ("H3", v)
 
 
-def _h2_dist(p, q) -> float:
-    (r1, t1), (r2, t2) = p, q
-    ch = math.cosh(r1) * math.cosh(r2) * math.cosh(t1 - t2) - math.sinh(r1) * math.sinh(r2)
-    return math.acosh(max(1.0, ch))
-
-
-def _h3_dist(x, y) -> float:
-    ch = x[3] * y[3] - x[0] * y[0] - x[1] * y[1] - x[2] * y[2]
-    return math.acosh(max(1.0, ch))
-
-
-def _seam_cosh(tau: float, y):
-    """cosh d(gamma(tau), y) for a bulk point y, and the terms it is made of.
+def _seam_cosh(tau, y):
+    """cosh d(gamma(tau), y) for bulk points y, and the terms it is made of.
 
     With r the distance from y to the seam and tau1 the foot of y on it,
     y3 + y0 = cosh r e^tau1 and y3 - y0 = cosh r e^-tau1, so
@@ -115,26 +103,42 @@ def _seam_cosh(tau: float, y):
     cancels far along the seam.  Returns the cosh, y3 + y0, y3 - y0,
     sinh r and e^tau.
     """
-    sinh_r = math.hypot(y[1], y[2])
-    big = y[3] + abs(y[0])
+    sinh_r = np.hypot(y[..., 1], y[..., 2])
+    big = y[..., 3] + np.abs(y[..., 0])
     small = (1.0 + sinh_r * sinh_r) / big
-    up, down = (big, small) if y[0] >= 0.0 else (small, big)
-    e = math.exp(tau)
+    ahead = y[..., 0] >= 0.0
+    up, down = np.where(ahead, big, small), np.where(ahead, small, big)
+    e = np.exp(tau)
     return 0.5 * (up / e + down * e), up, down, sinh_r, e
 
 
-def _h3_gamma_dist(tau: float, y) -> float:
-    return math.acosh(max(1.0, _seam_cosh(tau, y)[0]))
+def _dist_matrix(points) -> np.ndarray:
+    """Glued distances between all pairs of a list of interior points.
+
+    Rotating a bulk point y about the seam into the plane opposite the
+    halfplane unfolds a crossing into one hyperbolic-plane geodesic: with
+    sinh r the distance from y to the seam, the halfplane point (rho, tau) has
+    cosh d = cosh rho cosh d(gamma(tau), y) + sinh rho sinh r.  Coordinates a
+    point lacks read as those of o.  The diagonal may be nan, as cosh d(x, x)
+    overflows for rho(x) > 355.
+    """
+    bulk = np.array([c == "H3" for c, _ in points])[:, None]
+    r, t = np.array([(0.0, 0.0) if c == "H3" else p for c, p in points]).T
+    Y = np.array([p if c == "H3" else (0.0, 0.0, 0.0, 1.0) for c, p in points])
+    rc, tc, P = r[:, None], t[:, None], Y[:, None]
+    cosh_gamma, _, _, sinh_r, _ = _seam_cosh(tc, Y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = np.cosh(rc) * cosh_gamma + np.sinh(rc) * sinh_r  # halfplane row, bulk column
+        h2 = np.cosh(rc) * np.cosh(r) * np.cosh(tc - t) - np.sinh(rc) * np.sinh(r)
+    h3 = P[..., 3] * Y[:, 3] - P[..., 0] * Y[:, 0] - P[..., 1] * Y[:, 1] - P[..., 2] * Y[:, 2]
+    ch = np.where(bulk == bulk.T, np.where(bulk, h3, h2), np.where(bulk, cross.T, cross))
+    return np.arccosh(np.maximum(1.0, ch))
 
 
 def seam_minimizer(cfg: GluedSpaceConfig, x, y):
     """Seam parameter and distance for a halfplane-to-bulk pair.
 
-    Rotating the bulk point y about the seam into the plane opposite the
-    halfplane unfolds the crossing into one hyperbolic-plane geodesic.
-    With sinh r = hypot(y1, y2) the distance from y to the seam,
-    cosh d = cosh rho cosh d(gamma(tau0), y) + sinh rho sinh r, and the
-    geodesic meets the seam at
+    The unfolded geodesic of :func:`_dist_matrix` meets the seam at
     tau* = log((A e^tau0 + sinh rho (y3 + y0)) / (A e^-tau0 + sinh rho (y3 - y0))) / 2
     with A = sinh r cosh rho.
     """
@@ -144,28 +148,17 @@ def seam_minimizer(cfg: GluedSpaceConfig, x, y):
     if not (cx == "H2" and cy == "H3"):
         raise ValueError("seam crossings join a halfplane point and a bulk point")
     rho, tau0 = px
+    d = glued_distance(cfg, x, y)
     if rho == 0.0:
-        return tau0, _h3_gamma_dist(tau0, py)
-    ch, sh = math.cosh(rho), math.sinh(rho)
-    cosh_gamma, up, down, sinh_r, e = _seam_cosh(tau0, py)
-    d = math.acosh(max(1.0, ch * cosh_gamma + sh * sinh_r))
-    a = sinh_r * ch
-    tau_star = 0.5 * math.log((a * e + sh * up) / (a / e + sh * down))
-    return tau_star, d
+        return tau0, d
+    _, up, down, sinh_r, e = _seam_cosh(tau0, py)
+    a, sh = sinh_r * math.cosh(rho), math.sinh(rho)
+    return 0.5 * math.log((a * e + sh * up) / (a / e + sh * down)), d
 
 
 def glued_distance(cfg: GluedSpaceConfig, x, y) -> float:
     """Distance between two interior points of the glued space."""
-    (cx, px), (cy, py) = x, y
-    if cx == "H2" and cy == "H2":
-        return _h2_dist(px, py)
-    if cx == "H3" and cy == "H3":
-        return _h3_dist(px, py)
-    if cx == "H2" and px[0] == 0.0:
-        return _h3_gamma_dist(px[1], py)
-    if cy == "H2" and py[0] == 0.0:
-        return _h3_gamma_dist(py[1], px)
-    return seam_minimizer(cfg, x, y)[1]
+    return float(_dist_matrix([x, y])[0, 1])
 
 
 @dataclass(frozen=True)
@@ -227,35 +220,36 @@ def ray_point(xi: BoundaryPoint, t: float):
     return halfplane_point(rho, tau)
 
 
-def gromov_product(cfg: GluedSpaceConfig, base: str, xi1: BoundaryPoint,
-                   xi2: BoundaryPoint) -> float:
-    """(xi1 . xi2)_base as a truncated-ray limit with extrapolation.
+def _gromov_products(cfg: GluedSpaceConfig, bases, points) -> np.ndarray:
+    """(xi_i . xi_j)_b for each base b and every pair of boundary points.
 
-    Evaluates (d(b, x_t) + d(b, y_t) - d(x_t, y_t)) / 2 at t_max/2 and
-    t_max, then extrapolates linearly in exp(-2t).  Raises
-    :class:`ConvergenceError` when the two values differ by more than 1e-7.
+    Evaluates (d(b, x_t) + d(b, y_t) - d(x_t, y_t)) / 2 at t_max/2 and t_max
+    for all pairs at once, then extrapolates linearly in exp(-2t).  Raises
+    :class:`ConvergenceError` when the two values of a pair differ by more
+    than 1e-7.  Returns shape (bases, points, points), diagonal unused.
     """
-    if xi1 == xi2:
+    if len(set(points)) < len(points):
         raise ValueError("the Gromov product needs two distinct boundary points")
-    b = cfg.base_point(base)
-
-    def g(t):
-        x = ray_point(xi1, t)
-        y = ray_point(xi2, t)
-        return 0.5 * (glued_distance(cfg, b, x) + glued_distance(cfg, b, y)
-                      - glued_distance(cfg, x, y))
-
-    t2 = cfg.t_max
-    t1 = cfg.t_max / 2.0
-    g1, g2 = g(t1), g(t2)
-    if abs(g2 - g1) > 1e-7:
+    k = len(bases)
+    t1, t2 = cfg.t_max / 2.0, cfg.t_max
+    g = []
+    for t in (t1, t2):
+        D = _dist_matrix([cfg.base_point(b) for b in bases] + [ray_point(xi, t) for xi in points])
+        g.append(0.5 * (D[:k, k:, None] + D[:k, None, k:] - D[k:, k:]))
+    bad = np.argwhere(np.triu(np.abs(g[1] - g[0]) > 1e-7, 1).transpose(1, 2, 0))
+    if len(bad):
+        i, j, b = bad[0]
         raise ConvergenceError(
             f"Gromov product not converged at t_max={cfg.t_max}: "
-            f"values {g1!r} and {g2!r}; raise t_max"
-        )
+            f"values {float(g[0][b, i, j])!r} and {float(g[1][b, i, j])!r}; raise t_max")
     e1, e2 = math.exp(-2.0 * t1), math.exp(-2.0 * t2)
-    slope = (g1 - g2) / (e1 - e2)
-    return g2 - slope * e2
+    return g[1] - (g[0] - g[1]) / (e1 - e2) * e2
+
+
+def gromov_product(cfg: GluedSpaceConfig, base: str, xi1: BoundaryPoint,
+                   xi2: BoundaryPoint) -> float:
+    """(xi1 . xi2)_base as a truncated-ray limit with extrapolation."""
+    return float(_gromov_products(cfg, (base,), [xi1, xi2])[0, 0, 1])
 
 
 def bourdon_metric(cfg: GluedSpaceConfig, base: str, xi1: BoundaryPoint,
@@ -266,7 +260,12 @@ def bourdon_metric(cfg: GluedSpaceConfig, base: str, xi1: BoundaryPoint,
 
 @dataclass
 class ExoticReport:
-    """Both boundary metrics on the seam endpoints and equator samples."""
+    """Both boundary metrics on the seam endpoints and equator samples.
+
+    ``conformal_factor`` maps each label x to lambda(x), fitted to
+    rho_oprime(x, y) = lambda(x) lambda(y) rho_o(x, y); the metrics are
+    homothetic exactly when lambda is constant.
+    """
 
     ell: float
     labels: tuple[str, ...]
@@ -278,6 +277,7 @@ class ExoticReport:
     equator_ratio_spread: float
     ratio_gap: float
     homothetic: bool
+    conformal_factor: dict[str, float] | None
 
     def to_json_dict(self) -> dict:
         return {
@@ -316,31 +316,26 @@ def exotic_report(cfg: GluedSpaceConfig, equator_angles=None) -> ExoticReport:
     points = [BoundaryPoint.north(), BoundaryPoint.south()]
     points += [BoundaryPoint.equator(a) for a in angles]
     labels = ("N", "S") + tuple(f"a{k}" for k in range(len(angles)))
-    m = len(points)
-    rho_o = np.zeros((m, m))
-    rho_op = np.zeros((m, m))
-    for i, j in itertools.combinations(range(m), 2):
-        rho_o[i, j] = rho_o[j, i] = bourdon_metric(cfg, "o", points[i], points[j])
-        rho_op[i, j] = rho_op[j, i] = bourdon_metric(cfg, "oprime", points[i], points[j])
-    space_o = ExtendedMetricSpace(labels, rho_o, None)
-    space_op = ExtendedMetricSpace(labels, rho_op, None)
-    report = crt_equivalent(PointedCorrespondence.identity(space_o, space_op), eps=_CRT_EPS)
+    G = _gromov_products(cfg, ("o", "oprime"), points)
+    rho_o, rho_op = np.where(np.eye(len(points), dtype=bool), 0.0, np.exp(-G))
+    report = crt_equivalent(PointedCorrespondence.identity(
+        ExtendedMetricSpace(labels, rho_o), ExtendedMetricSpace(labels, rho_op)), eps=_CRT_EPS)
 
-    ns_ratio = rho_op[0, 1] / rho_o[0, 1]
-    eq_pairs = list(itertools.combinations(range(2, m), 2))
-    eq_ratios = np.array([rho_op[i, j] / rho_o[i, j] for i, j in eq_pairs])
-    all_pairs = list(itertools.combinations(range(m), 2))
-    all_ratios = np.array([rho_op[i, j] / rho_o[i, j] for i, j in all_pairs])
-    gap = float(all_ratios.max() - all_ratios.min())
+    fit = _log_factor(rho_o, rho_op)
+    i, j = np.triu_indices(len(labels), 1)
+    ratios = rho_op[i, j] / rho_o[i, j]  # pair (N, S) first, equator pairs last
+    eq_ratios = ratios[i >= 2]
+    gap = float(ratios.max() - ratios.min())
     return ExoticReport(
         ell=cfg.ell,
         labels=labels,
         rho_o=rho_o,
         rho_oprime=rho_op,
         max_crt_deviation=report.max_deviation,
-        ns_ratio=float(ns_ratio),
+        ns_ratio=float(ratios[0]),
         equator_ratio=float(eq_ratios.mean()),
         equator_ratio_spread=float(eq_ratios.max() - eq_ratios.min()),
         ratio_gap=gap,
-        homothetic=gap <= _HOMOTHETY_TOL * float(all_ratios.max()),
+        homothetic=gap <= _HOMOTHETY_TOL * float(ratios.max()),
+        conformal_factor=None if fit is None else dict(zip(labels, np.exp(fit[0]).tolist())),
     )

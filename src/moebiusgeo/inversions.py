@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPtolemyError, ValidationError
-from .spaces import DEFAULT_EPS, ExtendedMetricSpace, max_crt_deviation
+from .spaces import DEFAULT_EPS, ExtendedMetricSpace, _unit_remote, max_crt_deviation
 
 
 def _rescaled(space: ExtendedMetricSpace, keep: list[int], fac: np.ndarray,
@@ -111,26 +111,60 @@ class PointedCorrespondence:
 
 @dataclass
 class EquivalenceReport:
+    """``method`` is "factor" when a conformal factor certified the verdict
+    (``max_deviation`` is then a bound, ``witness`` None) and "scan" when every
+    4-subset was compared; ``factor_residual`` is None when no fit was made."""
+
     equivalent: bool
     max_deviation: float
     witness: tuple[str, ...] | None
     n_checked: int
+    method: str
+    factor_residual: float | None
+
+
+def _log_factor(A: np.ndarray, B: np.ndarray):
+    """f = log lambda for B(x,y) ~ lambda(x) lambda(y) A(x,y), fitted at three
+    anchors; with the largest residual |log(B/A) - f(x) - f(y)| and the largest
+    |log(B/A)| off the diagonal.  None when such an entry is 0 or subnormal."""
+    off = ~np.eye(len(A), dtype=bool)
+    if not min(A[off].min(), B[off].min()) >= np.finfo(float).tiny:
+        return None
+    ell = np.log(np.where(off, B, 1.0) / np.where(off, A, 1.0))
+    f = ell[0] - 0.5 * (ell[0, 1] + ell[0, 2] - ell[1, 2])  # f(x) = ell(x, 0) - f(0)
+    f[0] = ell[0, 1] - f[1]
+    return f, float(np.abs(ell - f[:, None] - f)[off].max()), float(np.abs(ell).max())
 
 
 def crt_equivalent(corr: PointedCorrespondence, eps: float = DEFAULT_EPS) -> EquivalenceReport:
     """Compare cross-ratio triples of all distinct 4-subsets under the mapping.
 
-    Quadruples with repeated entries have combinatorially fixed triples on
-    both sides and are skipped.
+    The triples agree exactly when d'(x,y) = lambda(x) lambda(y) d(x,y).  If a
+    factor fitted in O(n^2) leaves residuals |log(d'/d) - log lambda(x) lambda(y)|
+    <= r, every normalized triple entry moves by a factor in [e^-4r, e^4r], so
+    the deviation is at most e^4r - 1; that bound, plus a rounding allowance,
+    is reported when it is within ``eps``.  Otherwise every 4-subset is
+    scanned.  Either way the verdict is the scan's.  Quadruples with repeated
+    entries have fixed triples on both sides and are skipped.
     """
-    src = corr.source
-    tgt = corr.target
+    src, tgt = corr.source, corr.target
     if src.n < 4:
         raise ValueError("crt comparison needs at least four points")
-    dev, quad = max_crt_deviation(src.dist, src.omega, tgt.dist, tgt.omega,
-                                  corr.target_indices())
+    perm = corr.target_indices()
+    A, B = _unit_remote(src.dist), _unit_remote(tgt.dist)[np.ix_(perm, perm)]
+    f, resid, log_max = _log_factor(A, B) or (None, None, None)
+    if resid is not None:
+        # With u = 2^-53: B/A, the log (within 4 ulp) and two subtractions move
+        # a residual by less than u (2 + 12 max|log(B/A)| + 4 max|f|); expm1 and
+        # the scan's rounding of its normalized triples add less than 24 u.
+        u = 2.0 ** -53
+        slack = u * (2.0 + 12.0 * log_max + 4.0 * float(np.abs(f).max()))
+        bound = 0.0 if np.array_equal(A, B) else math.expm1(4.0 * (resid + slack)) + 24.0 * u
+        if bound <= eps:
+            return EquivalenceReport(True, bound, None, math.comb(src.n, 4), "factor", resid)
+    dev, quad = max_crt_deviation(src.dist, src.omega, tgt.dist, tgt.omega, perm)
     witness = tuple(src.labels[i] for i in quad)
-    return EquivalenceReport(dev <= eps, dev, witness, math.comb(src.n, 4))
+    return EquivalenceReport(dev <= eps, dev, witness, math.comb(src.n, 4), "scan", resid)
 
 
 def homothety_factor(d1: ExtendedMetricSpace, d2: ExtendedMetricSpace,

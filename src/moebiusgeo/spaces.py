@@ -18,7 +18,6 @@ metric circle.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -482,9 +481,11 @@ def all_triples_collinear(space: ExtendedMetricSpace) -> bool:
     """True when every triple of finite points attains triangle equality."""
     fin = space.finite_indices
     D = space.dist[np.ix_(fin, fin)]
-    for i, j, k in itertools.combinations(range(len(fin)), 3):
-        a, b, c = sorted((D[i, j], D[i, k], D[j, k]))
-        if abs(a + b - c) > space.tol:
+    J, K = np.triu_indices(len(fin), 1)
+    for i in range(len(fin) - 2):
+        j, k = J[J > i], K[J > i]
+        a, b, c = np.sort(np.stack([D[i, j], D[i, k], D[j, k]]), axis=0)
+        if (np.abs(a + b - c) > space.tol).any():
             return False
     return True
 

@@ -2,12 +2,13 @@
 
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import moebiusgeo as mg
-from moebiusgeo.errors import ValidationError
+from moebiusgeo.errors import ConvergenceError, ValidationError
 from moebiusgeo.glued import BoundaryPoint as BP
 
 
@@ -201,6 +202,17 @@ class TestGromovProducts:
             g = mg.gromov_product(CFG, "o", BP.equator(1.1), BP.halfplane_ray(phi))
             assert abs(g + math.log(math.sin(alpha / 2.0))) <= 1e-9
 
+    @pytest.mark.parametrize("base, value", [("o", 0.5715625385833434),
+                                             ("oprime", 0.07442659565818133)])
+    def test_halfplane_ray_pair_reference(self, base, value):
+        # values of the per-pair truncated-ray limit before it was vectorized
+        g = mg.gromov_product(CFG, base, BP.halfplane_ray(0.5), BP.halfplane_ray(1.7))
+        assert abs(g - value) <= 1e-13
+
+    def test_not_converged_raises(self):
+        with pytest.raises(ConvergenceError):
+            mg.gromov_product(CFG, "o", BP.equator(0.0), BP.equator(1e-9))
+
     def test_equal_points_rejected(self):
         with pytest.raises(ValueError):
             mg.gromov_product(CFG, "o", BP.north(), BP.north())
@@ -283,3 +295,37 @@ class TestExoticReport:
     def test_needs_two_angles(self):
         with pytest.raises(ValueError):
             mg.exotic_report(CFG, equator_angles=(0.0,))
+
+    def test_dense_equator_within_budget(self):
+        # criterion 9's 2 s budget holds at 360 equator angles
+        start = time.process_time()
+        rep = mg.exotic_report(CFG, [k * math.pi / 180.0 for k in range(360)])
+        assert time.process_time() - start <= 2.0
+        assert rep.max_crt_deviation <= 1e-12
+
+    def test_equal_boundary_points_rejected(self):
+        with pytest.raises(ValueError):
+            mg.exotic_report(CFG, equator_angles=(0.0, 2.0 * math.pi))
+
+    @pytest.mark.parametrize("ell", [0.5, 1.0, 2.0])
+    def test_conformal_factor_identities(self, ell):
+        # rho_o'(x, y) = lambda(x) lambda(y) rho_o(x, y): lambda(N) lambda(S)
+        # is NS_ratio = 1/cosh l and lambda(a_k)^2 is equator_ratio = e^-l
+        rep = mg.exotic_report(mg.GluedSpaceConfig(ell=ell))
+        lam = rep.conformal_factor
+        assert abs(lam["N"] * lam["S"] - 1.0 / math.cosh(ell)) <= 1e-9
+        for label in rep.labels[2:]:
+            assert abs(lam[label] ** 2 - math.exp(-ell)) <= 1e-9
+
+    @pytest.mark.parametrize("ell", [0.5, 1.0, 2.0])
+    def test_matrices_match_pairwise_metric(self, ell):
+        cfg = mg.GluedSpaceConfig(ell=ell)
+        angles = [k * math.pi / 24.0 for k in range(48)]
+        rep = mg.exotic_report(cfg, angles)
+        points = [BP.north(), BP.south()] + [BP.equator(a) for a in angles]
+        i, j = np.triu_indices(len(points), 1)
+        for base, rho in (("o", rep.rho_o), ("oprime", rep.rho_oprime)):
+            pair = np.array([mg.bourdon_metric(cfg, base, points[a], points[b])
+                             for a, b in zip(i, j)])
+            assert np.all(np.abs(rho[i, j] - pair) <= 1e-13 * pair)
+            assert np.array_equal(rho, rho.T) and not np.diag(rho).any()

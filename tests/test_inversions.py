@@ -1,10 +1,15 @@
 """Inversions, bounded metrics, crt equivalence, homothety detection."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moebiusgeo as mg
 from moebiusgeo.errors import NotPtolemyError
+from moebiusgeo.spaces import max_crt_deviation
 
 from helpers import apex_index, random_halfplane_curve
 
@@ -146,6 +151,35 @@ class TestCrtEquivalence:
         rep = mg.crt_equivalent(mg.PointedCorrespondence(sp, sp2, mapping))
         assert rep.equivalent
 
+    def test_identity_takes_the_factor_path(self):
+        sp = random_ptolemy_space(np.random.default_rng(3), with_omega=True)
+        rep = mg.crt_equivalent(mg.PointedCorrespondence.identity(sp, sp))
+        assert (rep.method, rep.factor_residual, rep.witness) == ("factor", 0.0, None)
+        assert rep.n_checked == math.comb(sp.n, 4)
+
+    def test_zero_distance_takes_the_scan_path(self):
+        # p0 and p1 coincide; inverting the line at -1 is a line metric again
+        xs = np.array([0.0, 0.0, 1.0, 3.0, 7.0, 12.0])
+        D = np.abs(xs[:, None] - xs)
+        sp = mg.ExtendedMetricSpace(tuple(f"p{i}" for i in range(6)), D)
+        inv = mg.ExtendedMetricSpace(sp.labels, D / np.outer(xs + 1.0, xs + 1.0))
+        rep = mg.crt_equivalent(mg.PointedCorrespondence.identity(sp, inv))
+        assert (rep.method, rep.factor_residual, rep.equivalent) == ("scan", None, True)
+        assert rep.witness == ("p0", "p3", "p4", "p5")
+        assert rep.max_deviation == max_crt_deviation(D, None, inv.dist, None, np.arange(6))[0]
+
+    def test_perturbed_circle_takes_the_scan_path(self):
+        curve = mg.chordal_circle_curve(2.0, 8)
+        sp = mg.circle_from_curve(curve)
+        D = sp.dist.copy()
+        D[1, 2] = D[2, 1] = D[1, 2] * 1.01
+        other = mg.ExtendedMetricSpace(sp.labels, D)
+        rep = mg.crt_equivalent(mg.PointedCorrespondence.identity(sp, other))
+        assert (rep.method, rep.equivalent) == ("scan", False)
+        assert rep.factor_residual > 0.0
+        assert rep.witness == ("t0", "t1", "t2", "t3")
+        assert rep.max_deviation == max_crt_deviation(sp.dist, None, D, None, np.arange(8))[0]
+
     def test_cardinality_mismatch(self):
         sp = random_ptolemy_space(np.random.default_rng(7))
         other = mg.space_from_points([(0, 0), (1, 0), (0, 1)])
@@ -193,3 +227,54 @@ class TestCircleInversionInvariant:
                 for a, b, c in zip(order, order[1:], order[2:]):
                     scale = max(D[a, c], 1.0)
                     assert abs(D[a, b] + D[b, c] - D[a, c]) <= 1e-9 * scale
+
+
+def _loose(labels, D, omega):
+    # the spaces only carry the matrices: a loose tolerance admits any
+    # positive symmetric matrix, as the bound is a property of matrices
+    if omega is not None:
+        D[omega, :] = D[:, omega] = np.inf
+        D[omega, omega] = 0.0
+    return mg.ExtendedMetricSpace(labels, D, omega, eps=1.0)
+
+
+class TestConformalFactorBound:
+    """The factor path's bound never falls below the scanned deviation."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(4, 9), seed=st.integers(0, 2 ** 32 - 1),
+           spread=st.sampled_from([0.0, 1e-3, 0.5, 3.0]),
+           omegas=st.sampled_from([(None, None), (0, None), (None, 1), (2, 0)]),
+           noise=st.sampled_from([0.0, 0.0, 1e-15, 1e-9, 1e-6, 1e-2]),
+           eps_at=st.sampled_from([None, -1, 1]))
+    def test_bound_covers_the_scan(self, n, seed, spread, omegas, noise, eps_at):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(n, 3)) * math.exp(rng.normal() * 3.0)
+        U = np.linalg.norm(pts[:, None] - pts, axis=-1)
+        lam = np.exp(rng.normal(size=n) * spread + rng.normal() * 5.0)
+        k, m = omegas
+        # remote points count as 1 in the products; pick the rows of U so
+        # that the source's row k and the target's row m are exactly that
+        if m is not None:
+            if k is not None:
+                lam[k] = 1.0 / lam[m]
+            U[m, :] = U[:, m] = 1.0 / (lam[m] * lam)
+        if k is not None:
+            U[k, :] = U[:, k] = 1.0
+        np.fill_diagonal(U, 0.0)
+        V = np.outer(lam, lam) * U
+        jitter = np.exp(noise * rng.normal(size=(n, n)))
+        V *= np.sqrt(jitter * jitter.T)
+        labels = tuple(f"x{i}" for i in range(n))
+        src, tgt = _loose(labels, U, k), _loose(labels, V, m)
+        dev, quad = max_crt_deviation(src.dist, None, tgt.dist, None, np.arange(n))
+        eps = 1e-9 if eps_at is None else dev * (1.0 + eps_at * 1e-6)
+        rep = mg.crt_equivalent(mg.PointedCorrespondence.identity(src, tgt), eps)
+        assert dev <= rep.max_deviation
+        assert rep.equivalent == (dev <= eps)
+        assert rep.n_checked == math.comb(n, 4)
+        if rep.method == "scan":
+            assert rep.max_deviation == dev
+            assert rep.witness == tuple(labels[i] for i in quad)
+        else:
+            assert rep.witness is None and rep.max_deviation <= eps
