@@ -118,6 +118,7 @@ class ExtendedMetricSpace:
         # taken on the stored, symmetrized matrix; finite_mask is unchanged
         self.scale = float(D[finite_mask].max(initial=0.0))
         self.tol = self.eps * max(self.scale, 1.0)
+        self._ptolemy = None  # the report of the quadruple scan, once run
 
     @property
     def n(self) -> int:
@@ -274,10 +275,11 @@ def classify_simplex(triple: CrossRatioTriple, eps: float = DEFAULT_EPS) -> str:
     return triple.region(eps)
 
 
-# Cells per block of the quadruple kernel: a block holds as many minimum
-# indices a as fit their (n - a - 1)^3 tail cubes into this many cells, and
-# at least one, so a block never exceeds max(budget, (n - 1)^3) cells.
-_BLOCK_ELEMENTS = 1 << 16
+# Cells per pass of the quadruple kernel: a middle index b takes as many rows
+# a < b as fit this many cells, and at least one, so a pass never exceeds
+# max(budget, n^2 / 2) cells.  A small space whose padded block of all b fits
+# is scanned in one masked pass.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def _unit_remote(D: np.ndarray) -> np.ndarray:
@@ -295,45 +297,68 @@ def _unit_remote(D: np.ndarray) -> np.ndarray:
     return M
 
 
-def _quad_blocks(*mats: np.ndarray):
-    """The cross-ratio products of every 4-subset a < b < c < d, by blocks of a.
+def _quad_passes(*mats: np.ndarray):
+    """The cross-ratio products of every 4-subset a < b < c < d, by middle index b.
 
-    A block of minimum indices lo <= a < hi is the cube of cells (a, b, c, d)
-    with b, c, d in the tail lo < b, c, d < n; ``valid`` marks the cells with
-    a < b < c < d.  Yields ``lo``, ``valid`` and, per matrix, the products
-    d(a,b)d(c,d), d(a,c)d(b,d), d(a,d)d(b,c) of the valid cells in C order,
-    which is the lexicographic order of the subsets.
+    A pass takes rows lo <= a < hi and middle indices b0 <= b < b1 against
+    the suffix of the lexicographic list of pairs c < d from the first pair
+    with c > b0; its cells (a, b, pair) in C order are in lexicographic order
+    of the subsets.  One b needs no mask; the one pass of all b is masked to
+    a < b < c.  Yields ``cells`` and, per matrix, the products d(a,b)d(c,d),
+    d(a,c)d(b,d), d(a,d)d(b,c) of the pass's subsets; ``cells(k)`` gives the
+    index arrays a, b, c, d of the subsets at positions ``k``.
     """
     n = len(mats[0])
-    lo = 0
-    while lo < n - 3:
-        t = n - lo - 1
-        hi = min(n - 3, lo + max(1, _BLOCK_ELEMENTS // t ** 3))
-        tail = np.arange(lo + 1, n)
-        b, c, d = tail[:, None, None], tail[:, None], tail
-        valid = (np.arange(lo, hi)[:, None, None, None] < b) & (b < c) & (c < d)
-        products = []
-        for M in mats:
-            A = M[lo:hi, lo + 1:]
-            T = M[lo + 1:, lo + 1:]
-            products.append(((A[:, :, None, None] * T)[valid],
-                             (A[:, None, :, None] * T[:, None, :])[valid],
-                             (A[:, None, None, :] * T[:, :, None])[valid]))
-        yield lo, valid, products
-        lo = hi
+    C, D = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    pairs = [M[C, D] for M in mats]
+    # all b = 1 .. n - 3, padded to the rows a <= n - 4 and the pairs with c >= 2
+    one = n > 4 and (n - 3) ** 3 * (n - 2) // 2 <= _BLOCK_ELEMENTS
+    for b0 in range(1, 2 if one else n - 2):
+        b1 = n - 2 if one else b0 + 1
+        s = (b0 + 1) * (2 * n - 2 - b0) // 2  # the pairs with c <= b0
+        Cs, Ds = C[s:], D[s:]
+        if one:
+            b = np.arange(b0, b1)[:, None]
+            valid = (np.arange(b1 - 1)[:, None, None] < b) & (Cs > b)
+            spans = [(0, b1 - 1)]
+        else:
+            valid = None
+            step = max(1, _BLOCK_ELEMENTS // len(Cs))
+            spans = [(lo, min(lo + step, b0)) for lo in range(0, b0, step)]
+        for lo, hi in spans:
+            def cells(k):  # read before the generator moves on
+                if valid is not None:
+                    k = np.flatnonzero(valid)[k]
+                i, j, p = np.unravel_index(k, (hi - lo, b1 - b0, len(Cs)))
+                return lo + i, b0 + j, Cs[p], Ds[p]
+
+            products = []
+            for M, S in zip(mats, pairs):
+                rows, mid = M[lo:hi, None], M[b0:b1]  # take keeps the gathers C-contiguous
+                P = (M[lo:hi, b0:b1, None] * S[s:],
+                     rows.take(Cs, axis=2) * mid.take(Ds, axis=1),
+                     rows.take(Ds, axis=2) * mid.take(Cs, axis=1))
+                products.append([p.ravel() if valid is None else p[valid] for p in P])
+            yield cells, products
 
 
-def _subset(lo: int, valid: np.ndarray, k: int) -> tuple[int, ...]:
-    """Point indices of the k-th valid cell of a :func:`_quad_blocks` block."""
-    a, b, c, d = np.unravel_index(np.flatnonzero(valid)[k], valid.shape)
-    return int(lo + a), int(lo + 1 + b), int(lo + 1 + c), int(lo + 1 + d)
+def _fold_worst(worst, values, cells, remote=-1):
+    """``worst`` = (value, key) folded with one pass of values.
 
-
-def _normalized(p1, p2, p3):
-    """Normalized triple and the mask of non-degenerate cells."""
-    s = p1 + p2 + p3
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (p1 / s, p2 / s, p3 / s), s > 0
+    The larger value wins, and ties go to the smaller key (d == remote, a,
+    b, c, d): subsets without the index ``remote`` first, each group in
+    lexicographic order.
+    """
+    k = int(np.argmax(values))
+    v = float(values[k])
+    if v < worst[0]:
+        return worst
+    quads = cells([k])
+    if quads[3][0] == remote:  # a subset without it may tie later in the pass
+        quads = cells(np.flatnonzero(values == v))
+    i = int(np.argmax(quads[3] != remote))
+    key = (bool(quads[3][i] == remote),) + tuple(int(x[i]) for x in quads)
+    return (v, key) if v > worst[0] or key < worst[1] else worst
 
 
 def max_crt_deviation(D1, omega1, D2, omega2, perm) -> tuple[float, tuple[int, ...] | None]:
@@ -353,19 +378,21 @@ def max_crt_deviation(D1, omega1, D2, omega2, perm) -> tuple[float, tuple[int, .
     perm = np.asarray(perm)
     A = _unit_remote(np.asarray(D1, dtype=float))
     B = _unit_remote(np.asarray(D2, dtype=float))[np.ix_(perm, perm)]
-    worst, quad = -math.inf, None
-    for lo, valid, (P, Q) in _quad_blocks(A, B):
-        (N1, g1), (N2, g2) = _normalized(*P), _normalized(*Q)
-        dev = np.maximum(np.maximum(np.abs(N1[0] - N2[0]), np.abs(N1[1] - N2[1])),
-                         np.abs(N1[2] - N2[2]))
-        dev = np.where(g1 & g2, dev, np.where(g1 | g2, 1.0, 0.0))
-        k = int(np.argmax(dev))
-        if dev[k] > worst:
-            worst, quad = float(dev[k]), _subset(lo, valid, k)
-    return (0.0, None) if quad is None else (worst, quad)
+    worst = (-math.inf, None)
+    with np.errstate(invalid="ignore"):  # 0 / 0 where all products vanish
+        for cells, (P, Q) in _quad_passes(A, B):
+            s1, s2 = P[0] + P[1] + P[2], Q[0] + Q[1] + Q[2]
+            for p, q in zip(P, Q):  # |p / s1 - q / s2|, in place
+                p /= s1
+                np.abs(np.subtract(p, np.divide(q, s2, out=q), out=p), out=p)
+            dev = np.maximum(np.maximum(P[0], P[1], out=P[0]), P[2], out=P[0])
+            g1, g2 = s1 > 0, s2 > 0
+            np.copyto(dev, g1 ^ g2, where=~(g1 & g2))  # 1 if one side is degenerate
+            worst = _fold_worst(worst, dev, cells)
+    return (0.0, None) if worst[1] is None else (worst[0], worst[1][1:])
 
 
-@dataclass
+@dataclass(frozen=True)
 class PtolemyReport:
     """Outcome of a full quadruple scan.
 
@@ -387,40 +414,36 @@ def _ptolemy_scan(space: ExtendedMetricSpace) -> PtolemyReport:
     (-1/2 when they all vanish), positive exactly when the Ptolemy
     inequality fails.  Subsets of finite points come first and subsets with
     the remote point after them, each in lexicographic order; the first
-    worst subset is the witness.
+    worst subset is the witness.  The report is kept on the space, whose
+    ``dist`` is read-only, so a second call returns it without a scan.
     """
+    if space._ptolemy is not None:
+        return space._ptolemy
     fin = space.finite_indices
     remote = space.omega is not None
     order = fin + [space.omega] if remote else fin
-    M = _unit_remote(space.dist[np.ix_(order, order)])
+    M = _unit_remote(space.dist[np.ix_(order, order)] if remote else space.dist)
     eps = space.eps
-    worst = [(-math.inf, None), (-math.inf, None)]  # finite subsets, remote subsets
+    worst = (-math.inf, None)
     boundary = 0
-    for lo, valid, ((p1, p2, p3),) in _quad_blocks(M):
-        s = p1 + p2 + p3
-        pos = s > 0
-        margin = np.maximum(np.maximum(p1, p2), p3)
-        np.divide(margin, s, out=margin, where=pos)
-        margin -= 0.5
-        margin[~pos] = -0.5
-        boundary += int(((margin <= eps) & (margin >= -eps)).sum())
-        if remote:
-            # the cells whose last point d is the remote point
-            last = np.broadcast_to(np.arange(valid.shape[-1]) == valid.shape[-1] - 1,
-                                   valid.shape)[valid]
-            groups = (np.where(last, -math.inf, margin), np.where(last, margin, -math.inf))
-        else:
-            groups = (margin,)
-        for g, part in enumerate(groups):
-            k = int(np.argmax(part))
-            if part[k] > worst[g][0]:
-                worst[g] = (float(part[k]), _subset(lo, valid, k))
+    with np.errstate(invalid="ignore"):  # 0 / 0 where all products vanish
+        for cells, ((margin, p2, p3),) in _quad_passes(M):
+            s = margin + p2
+            s += p3
+            np.maximum(np.maximum(margin, p2, out=margin), p3, out=margin)
+            margin /= s
+            margin -= 0.5
+            np.fmax(margin, -0.5, out=margin)  # -0.5 for the NaN of 0 / 0
+            boundary += int(np.count_nonzero(np.abs(margin, out=s) <= eps))
+            worst = _fold_worst(worst, margin, cells, len(order) - 1 if remote else -1)
     checked = math.comb(len(fin), 4) + (math.comb(len(fin), 3) if remote else 0)
     if checked == 0:
-        return PtolemyReport(True, None, -0.5, 0, 0)
-    margin, quad = worst[1] if worst[1][0] > worst[0][0] else worst[0]
-    return PtolemyReport(margin <= eps, tuple(space.labels[order[i]] for i in quad),
-                         margin, checked, boundary)
+        space._ptolemy = PtolemyReport(True, None, -0.5, 0, 0)
+    else:
+        margin, key = worst
+        witness = tuple(space.labels[order[i]] for i in key[1:])
+        space._ptolemy = PtolemyReport(margin <= eps, witness, margin, checked, boundary)
+    return space._ptolemy
 
 
 def is_ptolemy(space: ExtendedMetricSpace) -> PtolemyReport:

@@ -1,8 +1,12 @@
 """Shared generators and independent oracles for the test suite."""
 
+import itertools
+import math
+
 import numpy as np
 
 from moebiusgeo import QuadrantCurve, HalfplaneCurve
+from moebiusgeo.spaces import _unit_remote
 
 
 def convex_hull_ccw(points: np.ndarray) -> np.ndarray:
@@ -116,3 +120,56 @@ def brute_force_line_embedding(D: np.ndarray, tol: float):
         if np.abs(np.abs(coords[:, None] - coords[None, :]) - D).max() <= tol:
             return coords
     return None
+
+
+def _products(M, quad):
+    a, b, c, d = quad
+    return M[a][b] * M[c][d], M[a][c] * M[b][d], M[a][d] * M[b][c]
+
+
+def reference_ptolemy_scan(space):
+    """Brute-force Ptolemy scan over ``itertools.combinations``.
+
+    Uses the scan kernel's matrix (remote point last, ``_unit_remote``) and
+    product order.  Returns the worst margin, the labels of the first worst
+    subset (subsets of finite points before those with the remote point,
+    each in lexicographic order; None below four points) and the number of
+    subsets whose margin lies within ``eps`` of 0.
+    """
+    remote = space.omega is not None
+    order = space.finite_indices + ([space.omega] if remote else [])
+    M = _unit_remote(space.dist[np.ix_(order, order)]).tolist()
+    last = len(order) - 1 if remote else -1
+    worst, witness, boundary = -math.inf, None, 0
+    quads = sorted(itertools.combinations(range(len(order)), 4), key=lambda q: (q[3] == last, q))
+    for quad in quads:
+        p1, p2, p3 = _products(M, quad)
+        s = p1 + p2 + p3
+        margin = max(p1, p2, p3) / s - 0.5 if s > 0 else -0.5
+        boundary += abs(margin) <= space.eps
+        if margin > worst:
+            worst, witness = margin, quad
+    if witness is None:
+        return -0.5, None, 0
+    return worst, tuple(space.labels[order[i]] for i in witness), boundary
+
+
+def reference_crt_deviation(D1, D2, perm):
+    """Brute-force ``max_crt_deviation`` over ``itertools.combinations``: the
+    worst deviation and the lexicographically first subset attaining it."""
+    A = _unit_remote(np.asarray(D1, dtype=float)).tolist()
+    B = _unit_remote(np.asarray(D2, dtype=float))[np.ix_(perm, perm)].tolist()
+    worst, witness = -math.inf, None
+    for quad in itertools.combinations(range(len(A)), 4):
+        triples = []
+        for M in (A, B):
+            P = _products(M, quad)
+            s = P[0] + P[1] + P[2]
+            triples.append([p / s for p in P] if s > 0 else None)
+        if None in triples:
+            dev = 0.0 if triples[0] is triples[1] else 1.0
+        else:
+            dev = max(abs(x - y) for x, y in zip(*triples))
+        if dev > worst:
+            worst, witness = dev, quad
+    return (0.0, None) if witness is None else (worst, witness)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ import moebiusgeo as mg
 from moebiusgeo import spaces
 from moebiusgeo.errors import ValidationError
 
-from helpers import brute_force_line_embedding
+from helpers import (brute_force_line_embedding, reference_crt_deviation,
+                     reference_ptolemy_scan)
 
 INF = math.inf
 
@@ -258,15 +260,20 @@ class TestLineEmbed:
 
 class TestScanTiling:
     def test_results_do_not_depend_on_block_size(self, monkeypatch):
-        # 42 points span blocks of several minimum indices at the default budget
+        # 42 points span several passes at the default budget
         sp = mg.sample_space("sphere", n=3, count=42, seed=9)
-        corr = mg.PointedCorrespondence.identity(sp, mg.invert_at(sp, 0))
-        default = mg.is_ptolemy(sp), mg.crt_equivalent(corr)
-        monkeypatch.setattr("moebiusgeo.spaces._BLOCK_ELEMENTS", 1)  # one index per block
-        single = mg.is_ptolemy(sp), mg.crt_equivalent(corr)
-        assert single[0] == default[0]
-        assert single[1].witness == default[1].witness
-        assert single[1].max_deviation == default[1].max_deviation
+        inv = mg.invert_at(sp, 0)
+        # a perturbed inversion, so the deviation is no longer 0 and has one witness
+        rng = np.random.default_rng(4)
+        noise = rng.uniform(-1e-6, 1e-6, inv.dist.shape)
+        bent = inv.dist * (1.0 + noise + noise.T)
+        perm = np.arange(sp.n)
+        default = mg.is_ptolemy(sp), spaces.max_crt_deviation(sp.dist, None, bent, 0, perm)
+        assert default[1][0] > 0.0 and default[1][1] is not None
+        monkeypatch.setattr("moebiusgeo.spaces._BLOCK_ELEMENTS", 1)  # one row per pass
+        fresh = mg.ExtendedMetricSpace(sp.labels, sp.dist)  # no stored report
+        single = mg.is_ptolemy(fresh), spaces.max_crt_deviation(sp.dist, None, bent, 0, perm)
+        assert single == default
 
     def test_tie_break_prefers_first_finite_subset(self, monkeypatch):
         # omega at index 0 and collinear integer points: every margin is exactly 0
@@ -275,14 +282,120 @@ class TestScanTiling:
         D[0, 0] = 0.0
         D[1:, 1:] = np.abs(xs[:, None] - xs[None, :])
         sp = mg.ExtendedMetricSpace(("omega",) + tuple("abcdef"), D, omega=0)
-        reports = [mg.is_ptolemy(sp)]
-        monkeypatch.setattr("moebiusgeo.spaces._BLOCK_ELEMENTS", 1)  # ties across blocks
-        reports.append(mg.is_ptolemy(sp))
-        for report in reports:
+        reports = [(sp, mg.is_ptolemy(sp))]
+        monkeypatch.setattr("moebiusgeo.spaces._BLOCK_ELEMENTS", 1)  # ties across passes
+        fresh = mg.ExtendedMetricSpace(sp.labels, D, omega=0)  # no stored report
+        reports.append((fresh, mg.is_ptolemy(fresh)))
+        for space, report in reports:
             assert report.holds and report.worst_margin == 0.0
             assert report.worst_quad == ("a", "b", "c", "d")
             assert report.n_checked == math.comb(6, 4) + math.comb(6, 3)
-            assert mg.circle_quadruple_census(sp) == (report.n_boundary, report.n_checked)
+            assert mg.circle_quadruple_census(space) == (report.n_boundary, report.n_checked)
+
+
+class TestOneScan:
+    def test_census_reuses_the_scan(self, monkeypatch):
+        passes = []
+        kernel = spaces._quad_passes
+        monkeypatch.setattr(spaces, "_quad_passes", lambda *m: passes.append(m) or kernel(*m))
+        sp = mg.sample_space("l1", n=2, count=12, seed=3)
+        report = mg.is_ptolemy(sp)
+        assert mg.circle_quadruple_census(sp) == (report.n_boundary, report.n_checked)
+        assert mg.is_ptolemy(sp) is report
+        assert len(passes) == 1
+
+
+@st.composite
+def scan_spaces(draw, n=None):
+    """4-20 points, the remote point at any index or none: Gaussian points,
+    distinct integers on a line (every margin ties at 0), a 2x2 grid with
+    repeated points (a pseudometric: some subsets have all products 0) and
+    integer l1 points (not Ptolemy)."""
+    n = draw(st.integers(4, 20)) if n is None else n
+    omega = draw(st.none() | st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["normal", "line", "grid", "l1"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = n - (omega is not None)
+    P = {"normal": lambda: rng.standard_normal((m, 3)),
+         "line": lambda: rng.permutation(3 * m)[:m, None].astype(float),
+         "grid": lambda: rng.integers(0, 2, (m, 2)).astype(float),
+         "l1": lambda: rng.integers(0, 5, (m, 2)).astype(float)}[kind]()
+    D = np.abs(P[:, None] - P[None]).sum(-1) if kind == "l1" else np.sqrt(
+        ((P[:, None] - P[None]) ** 2).sum(-1))
+    return with_remote(D, omega)
+
+
+def with_remote(D, omega):
+    """The space of the finite matrix ``D`` with a remote point inserted at
+    index ``omega`` (none for None), labeled p0, p1, ..."""
+    if omega is not None:
+        D = np.insert(np.insert(D, omega, INF, axis=0), omega, INF, axis=1)
+        D[omega, omega] = 0.0
+    return mg.ExtendedMetricSpace(tuple(f"p{i}" for i in range(len(D))), D, omega)
+
+
+@st.composite
+def space_pairs(draw):
+    """Two spaces of one size and a permutation between them."""
+    first = draw(scan_spaces())
+    second = draw(scan_spaces(first.n))
+    return first, second, np.asarray(draw(st.permutations(range(first.n))))
+
+
+class TestKernelReference:
+    """The kernel against a brute-force scan over itertools.combinations, at
+    budgets that split every pass, split it oddly, or group all of it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(space_pairs())
+    def test_matches_brute_force(self, pair):
+        self.check(*pair)
+
+    @pytest.mark.parametrize("points, omega", [
+        # (p0, p4, p5, p6) is the first worst subset; a pass before its own
+        # holds the tie (p2, p3, p5, p6)
+        ([(1, 0), (2, 0), (0, 2), (1, 2), (0, 0), (1, 1), (0, 1)], None),
+        # (p1, p2, p3, p0) with the remote point p0 ties the first worst
+        # subset (p1, p2, p4, p5) and comes before it in its pass
+        ([(2, 2), (2, 1), (2, 0), (0, 1), (1, 1)], 0),
+    ])
+    def test_ties_of_l1_points(self, points, omega):
+        P = np.array(points, dtype=float)
+        sp = with_remote(np.abs(P[:, None] - P[None]).sum(-1), omega)
+        self.check(sp, sp, np.arange(sp.n))
+
+    @staticmethod
+    def check(sp, other, perm):
+        margin, witness, boundary = reference_ptolemy_scan(sp)
+        deviation = reference_crt_deviation(sp.dist, other.dist, perm)
+        checked = math.comb(len(sp.finite_indices), 4) + (
+            math.comb(len(sp.finite_indices), 3) if sp.omega is not None else 0)
+        for budget in (1, 7, spaces._BLOCK_ELEMENTS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(spaces, "_BLOCK_ELEMENTS", budget)
+                fresh = mg.ExtendedMetricSpace(sp.labels, sp.dist, sp.omega)
+                assert mg.is_ptolemy(fresh) == mg.PtolemyReport(
+                    margin <= sp.eps, witness, margin, checked, boundary)
+                assert mg.circle_quadruple_census(fresh) == (boundary, checked)
+                assert spaces.max_crt_deviation(
+                    sp.dist, sp.omega, other.dist, other.omega, perm) == deviation
+
+
+class TestScanMemory:
+    def test_peak_is_bounded_at_128_points(self):
+        g = np.random.default_rng(128).standard_normal((128, 3))
+        sp = mg.space_from_points(g / np.linalg.norm(g, axis=1)[:, None])
+        tracemalloc.start()
+        try:
+            mg.is_ptolemy(sp)
+            scan_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            spaces.max_crt_deviation(sp.dist, None, sp.dist, None, np.arange(sp.n))
+            deviation_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scan_peak <= 8 * 2 ** 20
+        assert deviation_peak <= 8 * 2 ** 20
 
 
 class TestSmallScale:
