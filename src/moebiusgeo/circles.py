@@ -20,7 +20,7 @@ from .errors import ValidationError
 from .spaces import DEFAULT_EPS, ExtendedMetricSpace
 from .segments import (_anchor_simplex, _check_area_form, _check_convex, _curve_from_json,
                        _curve_params, _curve_samples, _curve_space, _curve_to_json,
-                       _map_deviation, _ordered)
+                       _map_deviation, _ordered, _settle_by_curve)
 
 
 @dataclass
@@ -137,7 +137,7 @@ def circle_from_curve(curve: HalfplaneCurve, labels=None) -> ExtendedMetricSpace
     The final sample duplicates the first point and is dropped; adjacency
     in the returned space is the cyclic sample order.
     """
-    return _curve_space(curve.samples[:-1], curve.R, labels, curve.eps)
+    return _curve_space(curve, curve.samples[:-1], labels)
 
 
 def curve_from_circle(space: ExtendedMetricSpace, order=None, minus_one=None) -> HalfplaneCurve:
@@ -164,9 +164,11 @@ def curve_from_circle(space: ExtendedMetricSpace, order=None, minus_one=None) ->
     sign = np.where(np.arange(n) <= k, 1.0, -1.0)
     a = sign * D[:, k]
     samples = np.vstack([np.column_stack([a, b]), [-R, 0.0]])
-    _check_area_form(D, R, samples[:-1], [space.labels[i] for i in idx], k, space.eps,
-                     "cyclic Ptolemy equality fails around")
-    return HalfplaneCurve(R, samples, None, eps=space.eps)
+    residual = _check_area_form(D, R, samples[:-1], [space.labels[i] for i in idx], k,
+                                space.eps, "cyclic Ptolemy equality fails around")
+    curve = HalfplaneCurve(R, samples, None, eps=space.eps)
+    _settle_by_curve(space, curve, residual)
+    return curve
 
 
 def _loop_positions(D: np.ndarray, i1: int, i2: int, i3: int) -> np.ndarray:

@@ -103,8 +103,9 @@ def _order_list(arg: str | None) -> list[str] | None:
 
 def cmd_segment(args) -> int:
     if args.action == "classify":
-        space = _load_space(args.input, args.eps)
-        curve = segments.curve_from_segment(space, _order_list(args.order))
+        with spaces._triangle_deferred():  # the recovered curve may prove the input a metric
+            space = _load_space(args.input, args.eps)
+            curve = segments.curve_from_segment(space, _order_list(args.order))
         if args.csv:
             _write_csv(args.csv, ["t", "a", "b", "alpha"],
                        [curve.params, *curve.samples.T, segments.angle_parameterize(curve)])
@@ -117,9 +118,10 @@ def cmd_segment(args) -> int:
 
 def cmd_circle(args) -> int:
     if args.action == "classify":
-        space = _load_space(args.input, args.eps)
-        curve = circles.curve_from_circle(space, _order_list(args.order),
-                                          minus_one=args.minus_one)
+        with spaces._triangle_deferred():
+            space = _load_space(args.input, args.eps)
+            curve = circles.curve_from_circle(space, _order_list(args.order),
+                                              minus_one=args.minus_one)
         if args.csv:
             _write_csv(args.csv, ["t", "a", "b"],
                        [curve.params, curve.samples[:, 0], curve.samples[:, 1]])
@@ -131,12 +133,11 @@ def cmd_circle(args) -> int:
 
 
 def cmd_map(args) -> int:
-    src = _load_space(args.src, args.eps)
-    dst = _load_space(args.dst, args.eps)
-    src_anchors = _order_list(args.src_anchors)
-    dst_anchors = _order_list(args.dst_anchors)
     build = segments.segment_moebius_map if args.kind == "segment" else circles.circle_moebius_map
-    result = build(src, src_anchors, dst, dst_anchors)
+    with spaces._triangle_deferred():  # both curves may prove their inputs metrics
+        src = _load_space(args.src, args.eps)
+        dst = _load_space(args.dst, args.eps)
+        result = build(src, _order_list(args.src_anchors), dst, _order_list(args.dst_anchors))
     pairs = [
         {"src": lab, "position": float(pos), "point": [float(p[0]), float(p[1])]}
         for lab, pos, p in zip(result.src_labels, result.dst_params, result.dst_points)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPtolemyError, ValidationError
-from .spaces import DEFAULT_EPS, ExtendedMetricSpace, max_crt_deviation
+from .spaces import DEFAULT_EPS, ExtendedMetricSpace, _triangle_deferred, max_crt_deviation
 
 DEFAULT_EPS_ARG = 1e-10
 
@@ -181,10 +181,78 @@ def _area_metric(points: np.ndarray, R: float) -> np.ndarray:
     return D
 
 
-def _curve_space(points: np.ndarray, R: float, labels, eps: float) -> ExtendedMetricSpace:
+def _convex_gap(curve, M: float) -> float:
+    """How far the samples of ``curve`` are from a strict curve, or inf.
+
+    A strict curve passes the curve's checks with zero tolerance, and its
+    area form is a metric by the classification theorem.  The chain here
+    runs through the samples, with the first and last snapped onto their
+    exact values, and keeps a sample only where it turns left by more than
+    moving each point by 16 u M could undo (u the unit roundoff, M the
+    largest coordinate), so a chain that passes the checks is strict.
+    Returns the largest distance of a sample from the chain, plus 16 u M.
+    """
+    u = 2.0 ** -53
+    S = curve.samples
+    P = S.copy()
+    P[[0, -1]] = np.round(P[[0, -1]] / curve.R) * curve.R
+    pts = P.tolist()
+    chain = [0]
+    for c in range(1, len(pts)):  # a Graham scan
+        while len(chain) > 1:
+            (ax, ay), (bx, by), (cx, cy) = pts[chain[-2]], pts[chain[-1]], pts[c]
+            e1x, e1y, e2x, e2y = bx - ax, by - ay, cx - bx, cy - by
+            if e1x * e2y - e1y * e2x > 64 * u * M * (abs(e1x) + abs(e1y) + abs(e2x) + abs(e2y)):
+                break
+            chain.pop()
+        chain.append(c)
+    try:
+        type(curve)(curve.R, P[chain], None, eps=0.0)
+    except ValidationError:
+        return math.inf
+    chain = np.array(chain)
+    hi = np.maximum(np.searchsorted(chain, np.arange(len(P))), 1)  # the chain edge over each sample
+    A, d = P[chain[hi - 1]], P[chain[hi]] - P[chain[hi - 1]]
+    t = np.clip(((S - A) * d).sum(axis=1) / (d * d).sum(axis=1), 0.0, 1.0)
+    return float(np.hypot(*(S - A - t[:, None] * d).T).max()) + 16 * u * M
+
+
+def _settle_by_curve(space: ExtendedMetricSpace, curve, residual: float) -> None:
+    """Settle the pending triangle pass of a space whose distances are, pair by
+    pair, within relative ``residual`` of the area form of ``curve``.
+
+    The samples lie within distance g of a strict curve (``_convex_gap``),
+    whose area form is a metric; that moves each distance of the samples'
+    area form by at most (2 M g + g^2) / R, M the largest coordinate.  The
+    residual moves each distance of the space by at most residual * scale
+    more.  A triangle moves by three such amounts, so every triangle holds
+    within tol when their sum, plus an allowance for the rounding of the
+    area form (products of coordinates up to M, divided by R) and of the
+    pass's sums, is at most tol.  For a convex curve g is at the rounding
+    level and, with tol = eps * scale, this reads residual <= eps/3 less a
+    few units of roundoff times 1 + M^2 / (R * scale).  Otherwise the exact
+    pass runs.
+    """
+    if space._triangle is None:
+        return
+    u = 2.0 ** -53
+    M = float(np.abs(curve.samples).max())
+    g = _convex_gap(curve, M)
+    slack = (3 * residual * (1 + residual) * space.scale + 3 * (2 * M + g) * g / curve.R
+             + 24 * u * (space.scale + M * M / curve.R) + 2 * u * space.tol)
+    space._settle_triangle(proven=slack <= space.tol)
+
+
+def _curve_space(curve, points: np.ndarray, labels) -> ExtendedMetricSpace:
+    """The space of ``points`` on ``curve`` under the area form, which the
+    curve proves a metric when it is strict."""
     if labels is None:
         labels = [f"t{i}" for i in range(len(points))]
-    return ExtendedMetricSpace(tuple(labels), _area_metric(points, R), None, eps=eps)
+    with _triangle_deferred():
+        space = ExtendedMetricSpace(tuple(labels), _area_metric(points, curve.R), None,
+                                    eps=curve.eps)
+        _settle_by_curve(space, curve, 0.0)
+    return space
 
 
 def segment_from_curve(curve: QuadrantCurve, labels=None) -> ExtendedMetricSpace:
@@ -192,7 +260,7 @@ def segment_from_curve(curve: QuadrantCurve, labels=None) -> ExtendedMetricSpace
 
     The result satisfies the Ptolemy equality for every ordered quadruple.
     """
-    return _curve_space(curve.samples, curve.R, labels, curve.eps)
+    return _curve_space(curve, curve.samples, labels)
 
 
 def _ordered(space: ExtendedMetricSpace, order, shape: str, least: str, min_n: int):
@@ -208,10 +276,11 @@ def _ordered(space: ExtendedMetricSpace, order, shape: str, least: str, min_n: i
 
 
 def _check_area_form(D: np.ndarray, R: float, samples: np.ndarray, labels: list,
-                     k: int, eps: float, failure: str) -> None:
+                     k: int, eps: float, failure: str) -> float:
     """Raise :class:`NotPtolemyError` unless R * D matches the area form of the samples.
 
     The witness is the worst pair with the base points labels[0] and labels[k].
+    Returns the worst relative residual.
     """
     sd = _signed_matrix(samples)
     resid = np.abs(D * R - sd)
@@ -226,6 +295,7 @@ def _check_area_form(D: np.ndarray, R: float, samples: np.ndarray, labels: list,
             f"{failure} {witness} (relative residual {rel[worst]:.3e})",
             witness=witness, residual=float(rel[worst]),
         )
+    return float(rel[worst])
 
 
 def curve_from_segment(space: ExtendedMetricSpace, order=None) -> QuadrantCurve:
@@ -240,9 +310,11 @@ def curve_from_segment(space: ExtendedMetricSpace, order=None) -> QuadrantCurve:
     if R <= space.tol:
         raise ValidationError("endpoints coincide: d(first, last) is zero")
     samples = np.column_stack([D[:, -1], D[:, 0]])
-    _check_area_form(D, R, samples, [space.labels[i] for i in idx], -1, space.eps,
-                     "ordered Ptolemy equality fails for")
-    return QuadrantCurve(R, samples, None, eps=space.eps)
+    residual = _check_area_form(D, R, samples, [space.labels[i] for i in idx], -1,
+                                space.eps, "ordered Ptolemy equality fails for")
+    curve = QuadrantCurve(R, samples, None, eps=space.eps)
+    _settle_by_curve(space, curve, residual)
+    return curve
 
 
 def _half_angle(R: float, r: float, branch: str) -> float:

@@ -18,6 +18,9 @@ metric circle.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -28,28 +31,28 @@ from .errors import ValidationError
 
 DEFAULT_EPS = 1e-9
 
-# Exhaustive triangle-inequality validation is cubic in the point count;
-# above this size a large seeded sample of triples is checked instead.
-_FULL_TRIANGLE_LIMIT = 256
-_SAMPLED_TRIANGLES = 2_000_000
-_TRIANGLE_SAMPLE_SEED = 24251
-# Sampled triples are drawn and checked this many at a time; the draws of
-# consecutive chunks equal one draw of all of them.
-_TRIANGLE_CHUNK = 1 << 16
+# Cells per pass of the triangle check: a space of at most this many triples
+# is compared in one broadcast, a larger one in blocks of rows that take at
+# least one row, so a pass never exceeds max(budget, m^2) cells.
+_TRIANGLE_CELLS = 1 << 17
+
+# The spaces built inside _triangle_deferred(), whose triangle pass is pending
+_deferred: contextvars.ContextVar[list | None] = contextvars.ContextVar("_deferred", default=None)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtendedMetricSpace:
     """A finite labeled point set with a symmetric extended distance matrix.
 
     ``dist[i, j]`` is infinite exactly when one of ``i, j`` is the remote
     point ``omega`` and the other is not.  Validation runs eagerly on
     construction: symmetry, zero diagonal, nonnegativity, the infinity
-    pattern, and the triangle inequality on the finite part.  The stored
-    ``dist`` is read-only.  ``scale`` is its largest finite entry, and
-    ``tol = eps * max(scale, 1)`` is the absolute tolerance of every
-    distance comparison on the space; predicates on cross-ratio triples
-    compare against ``eps`` itself.
+    pattern, and the exact triangle inequality on the finite part.  The
+    space is immutable (``dataclasses.replace`` builds a copy with another
+    ``eps``) and its ``dist`` is read-only.  ``scale`` is the
+    largest finite entry, and ``tol = eps * max(scale, 1)`` is the absolute
+    tolerance of every distance comparison on the space; predicates on
+    cross-ratio triples compare against ``eps`` itself.
     """
 
     labels: tuple[str, ...]
@@ -58,12 +61,12 @@ class ExtendedMetricSpace:
     eps: float = DEFAULT_EPS
 
     def __post_init__(self):
-        self.labels = tuple(str(x) for x in self.labels)
-        n = len(self.labels)
+        labels = tuple(str(x) for x in self.labels)
+        n = len(labels)
         if n == 0:
             raise ValidationError("a space needs at least one point")
-        self._positions = {label: i for i, label in enumerate(self.labels)}
-        if len(self._positions) != n:
+        positions = {label: i for i, label in enumerate(labels)}
+        if len(positions) != n:
             raise ValidationError("point labels must be unique")
         D = np.array(self.dist, dtype=float)
         if D.shape != (n, n):
@@ -79,7 +82,7 @@ class ExtendedMetricSpace:
 
         if (D < -tol).any():
             i, j = np.argwhere(D < -tol)[0]
-            raise ValidationError(f"negative distance at ({self.labels[i]}, {self.labels[j]})")
+            raise ValidationError(f"negative distance at ({labels[i]}, {labels[j]})")
         if (np.isfinite(D) != np.isfinite(D.T)).any():
             raise ValidationError("infinity pattern is not symmetric")
         with np.errstate(invalid="ignore"):
@@ -94,31 +97,39 @@ class ExtendedMetricSpace:
             raise ValidationError("diagonal entries must vanish")
         np.fill_diagonal(D, 0.0)
 
-        if self.omega is not None:
-            om = int(self.omega)
-            if not 0 <= om < n:
-                raise ValidationError(f"omega index {om} out of range")
-            self.omega = om
-            others = [i for i in range(n) if i != om]
-            if others and not np.isinf(D[om, others]).all():
+        omega = self.omega
+        fin = list(range(n))
+        if omega is not None:
+            omega = int(omega)
+            if not 0 <= omega < n:
+                raise ValidationError(f"omega index {omega} out of range")
+            del fin[omega]
+            if fin and not np.isinf(D[omega, fin]).all():
                 raise ValidationError("omega must be at infinite distance from every other point")
-            fin = others
-        else:
-            fin = list(range(n))
-        sub = D[np.ix_(fin, fin)]
+        sub = D if omega is None else D[np.ix_(fin, fin)]
         if not np.isfinite(sub).all():
             bad = np.argwhere(~np.isfinite(sub))[0]
             raise ValidationError(
                 "infinite distance between finite points "
-                f"({self.labels[fin[bad[0]]]}, {self.labels[fin[bad[1]]]})"
+                f"({labels[fin[bad[0]]]}, {labels[fin[bad[1]]]})"
             )
-        _check_triangle(sub, [self.labels[i] for i in fin], tol)
         D.flags.writeable = False
-        self.dist = D
-        # taken on the stored, symmetrized matrix; finite_mask is unchanged
-        self.scale = float(D[finite_mask].max(initial=0.0))
-        self.tol = self.eps * max(self.scale, 1.0)
-        self._ptolemy = None  # the report of the quadruple scan, once run
+        scale = float(D[finite_mask].max(initial=0.0))  # of the symmetrized matrix
+        vars(self).update(labels=labels, dist=D, omega=omega, scale=scale,
+                          tol=self.eps * max(scale, 1.0), _positions=positions,
+                          _ptolemy=None,  # the report of the quadruple scan, once run
+                          _triangle=(sub, [labels[i] for i in fin], tol))  # the pending pass
+        built = _deferred.get()
+        if built is None:
+            self._settle_triangle()
+        else:
+            built.append(self)
+
+    def _settle_triangle(self, proven: bool = False) -> None:
+        """Run the pending triangle pass, unless ``proven`` shows that it passes."""
+        pending, vars(self)["_triangle"] = self._triangle, None
+        if pending is not None and not proven:
+            _check_triangle(*pending)
 
     @property
     def n(self) -> int:
@@ -144,38 +155,61 @@ class ExtendedMetricSpace:
         return None if self.omega is None else self.labels[self.omega]
 
 
+@contextlib.contextmanager
+def _triangle_deferred():
+    """Build the spaces of the block with their triangle pass pending.
+
+    Inside, a proof that a space's matrix is a metric may clear its pass
+    (``_settle_triangle(proven=True)``).  On leaving the block, by return or
+    by exception, every pass still pending runs, in construction order, so
+    no pending space outlives the block and a triangle failure takes the
+    place of any later error, as if the pass had run on construction.
+    """
+    built = []
+    token = _deferred.set(built)
+    try:
+        yield
+    finally:
+        _deferred.reset(token)
+        for space in built:
+            space._settle_triangle()
+
+
 def _check_triangle(sub: np.ndarray, labels: list[str], tol: float) -> None:
-    """Triangle inequality on a finite symmetric matrix, chunked over rows."""
+    """The exact triangle inequality on a finite, exactly symmetric matrix.
+
+    Raises on the first violation d(i, j) > d(i, k) + d(k, j) + tol in the
+    order (i, j, k); by symmetry its j exceeds i.  A small matrix is compared
+    in one broadcast.  A larger one goes in blocks of rows i against the
+    columns j > first row of the block: d(i, k) + d(k, j) is reduced to its
+    minimum over k (rounding is monotone, so the minimum fails exactly when
+    some k does), and k is looked up for the first failing pair only.
+    """
     m = len(labels)
-    if m <= 2:
-        return
-    if m <= _FULL_TRIANGLE_LIMIT:
-        block = max(1, (2 ** 22) // (m * m))
-        for start in range(0, m, block):
-            rows = slice(start, min(start + block, m))
-            # through[i, j, k] = d(i, k) + d(k, j)
-            through = sub[rows, None, :] + sub.T[None, :, :]
-            direct = sub[rows, :, None]
-            if (direct > through + tol).any():
-                i_, j_, k_ = np.argwhere(direct > through + tol)[0]
-                i = start + i_
-                raise ValidationError(
-                    "triangle inequality fails: "
-                    f"d({labels[i]},{labels[j_]}) > d({labels[i]},{labels[k_]}) + d({labels[k_]},{labels[j_]})"
-                )
-        return
-    rng = np.random.default_rng(_TRIANGLE_SAMPLE_SEED)
-    flat = sub.ravel()
-    for start in range(0, _SAMPLED_TRIANGLES, _TRIANGLE_CHUNK):
-        size = min(_TRIANGLE_CHUNK, _SAMPLED_TRIANGLES - start)
-        i, j, k = rng.integers(0, m, size=(size, 3)).T
-        bad = flat[i * m + j] > flat[i * m + k] + flat[k * m + j] + tol
-        if bad.any():
-            b = int(np.argmax(bad))
-            raise ValidationError(
-                "triangle inequality fails: "
-                f"d({labels[i[b]]},{labels[j[b]]}) > via {labels[k[b]]}"
-            )
+    if m ** 3 <= _TRIANGLE_CELLS:
+        bad = sub[:, :, None] > sub[:, None, :] + sub + tol
+        if not bad.any():
+            return
+        i, j, k = np.argwhere(bad)[0]
+    else:
+        lo = 0
+        while lo < m - 1:
+            width = m - 1 - lo
+            hi = min(m - 1, lo + max(1, _TRIANGLE_CELLS // (m * width)))
+            best = (sub[lo:hi, None, :] + sub[lo + 1:]).min(axis=2)  # d(k, j) = d(j, k)
+            best += tol
+            bad = sub[lo:hi, lo + 1:] > best
+            if bad.any():  # its first failing cell has j > i, by symmetry
+                i, j = np.argwhere(bad)[0] + (lo, lo + 1)
+                k = np.argmax(sub[i, j] > sub[i] + sub[j] + tol)
+                break
+            lo = hi
+        else:
+            return
+    raise ValidationError(
+        "triangle inequality fails: "
+        f"d({labels[i]},{labels[j]}) > d({labels[i]},{labels[k]}) + d({labels[k]},{labels[j]})"
+    )
 
 
 def space_from_points(points, labels=None, *, p: float = 2.0, add_omega: bool = False,
@@ -438,12 +472,13 @@ def _ptolemy_scan(space: ExtendedMetricSpace) -> PtolemyReport:
             worst = _fold_worst(worst, margin, cells, len(order) - 1 if remote else -1)
     checked = math.comb(len(fin), 4) + (math.comb(len(fin), 3) if remote else 0)
     if checked == 0:
-        space._ptolemy = PtolemyReport(True, None, -0.5, 0, 0)
+        report = PtolemyReport(True, None, -0.5, 0, 0)
     else:
         margin, key = worst
         witness = tuple(space.labels[order[i]] for i in key[1:])
-        space._ptolemy = PtolemyReport(margin <= eps, witness, margin, checked, boundary)
-    return space._ptolemy
+        report = PtolemyReport(margin <= eps, witness, margin, checked, boundary)
+    vars(space)["_ptolemy"] = report  # the space is frozen; the report is a cache
+    return report
 
 
 def is_ptolemy(space: ExtendedMetricSpace) -> PtolemyReport:
@@ -525,11 +560,20 @@ def space_to_json_chunks(space: ExtendedMetricSpace):
 
     JSON writes a float as its ``repr``; the only non-finite distances of a
     space are the remote point's infinities, whose ``repr`` is ``inf``.
+    ``dist`` is exactly symmetric, so each distance is formatted once, in
+    its row on or above the diagonal, and waits in its column's list until
+    that column's row is written.
     """
     yield '{\n  "matrix": [\n'
     sep = "    [\n      "
-    for row in space.dist:
-        text = ",\n      ".join(map(float.__repr__, row.tolist()))
+    below = [[] for _ in space.labels]  # below[j]: the texts of d(i, j), i <= j, so far
+    for i, row in enumerate(space.dist):
+        texts = list(map(float.__repr__, row[i:].tolist()))  # d(i, j), j >= i
+        for column, text in zip(below[i:], texts):
+            column.append(text)
+        cells, below[i] = below[i], None  # d(i, j), j <= i
+        cells.extend(itertools.islice(texts, 1, None))
+        text = ",\n      ".join(cells)
         yield sep + (text if space.omega is None else text.replace("inf", '"inf"'))
         sep = "\n    ],\n    [\n      "
     points = ",\n    ".join(map(json.dumps, space.labels))

@@ -173,3 +173,14 @@ def reference_crt_deviation(D1, D2, perm):
         if dev > worst:
             worst, witness = dev, quad
     return (0.0, None) if witness is None else (worst, witness)
+
+
+def reference_first_violation(D: np.ndarray, tol: float):
+    """The first (i, j, k) in row-major order, over every j, with
+    d(i, j) > d(i, k) + d(k, j) + tol, or None; one row i at a time."""
+    for i in range(len(D)):
+        bad = D[i][:, None] > D[i][None, :] + D.T + tol  # [j, k]
+        if bad.any():
+            j, k = np.argwhere(bad)[0]
+            return i, int(j), int(k)
+    return None

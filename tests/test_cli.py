@@ -1,12 +1,21 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
+import contextlib
+import io
 import json
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moebiusgeo as mg
+from moebiusgeo import spaces
 from moebiusgeo.cli import main
+from moebiusgeo.errors import NotPtolemyError, ValidationError
 
 
 @pytest.fixture()
@@ -185,6 +194,132 @@ class TestMap:
         assert data["max_crt_deviation"] <= 1e-9
         positions = [p["position"] for p in data["pairs"]]
         assert np.abs(np.asarray(positions) - np.linspace(0, 2, 13)[:-1]).max() <= 1e-9
+
+
+def dented_curve() -> np.ndarray:
+    """A quarter of the unit circle with a shallow inward dent of 25 samples.
+
+    Every turn is above -eps R^2, so the curve passes its checks at the
+    default eps, but its area form misses the triangle inequality by 1e-6.
+    """
+    th = np.linspace(0.0, np.pi / 2, 12)
+    a, b = np.array([math.cos(0.7), math.sin(0.7)]), np.array([math.cos(0.72), math.sin(0.72)])
+    out = (a + b) / np.linalg.norm(a + b)
+    s = np.linspace(0.0, 1.0, 25)[:, None]
+    dent = a + s * (b - a) - 2e-4 * s * (1 - s) * out
+    arc = np.column_stack([np.cos(th), np.sin(th)])
+    S = np.vstack([arc[th < 0.7], dent, arc[th > 0.72]])
+    S[0], S[-1] = (1.0, 0.0), (0.0, 1.0)
+    return S
+
+
+def run(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def eager_verdict(kind: str, data: dict) -> tuple[int, str]:
+    """Exit code and message of classify with every check run on construction."""
+    try:
+        space = mg.space_from_json_dict(data)
+        (mg.curve_from_segment if kind == "segment" else mg.curve_from_circle)(space)
+    except NotPtolemyError as exc:
+        return 2, f"property failed: {exc}"
+    except ValueError as exc:  # ValidationError included
+        return 1, f"error: {exc}"
+    return 0, ""
+
+
+def write_space(path, D, labels=None) -> str:
+    labels = labels or [f"t{i}" for i in range(len(D))]
+    sp = {"points": labels, "omega": None, "matrix": D.tolist()}
+    with open(path, "w") as fh:
+        json.dump(sp, fh)
+    return str(path)
+
+
+class TestTriangleCertificate:
+    """classify and map defer the input's triangle pass to the recovered curve."""
+
+    def test_collinear_300_points_rejected(self, tmp_path):
+        D = np.abs(np.arange(300.0)[:, None] - np.arange(300.0))
+        D[5, 7] = D[7, 5] = 2.5
+        path = write_space(tmp_path / "line.json", D, [f"p{i}" for i in range(300)])
+        message = "error: triangle inequality fails: d(p5,p7) > d(p5,p6) + d(p6,p7)\n"
+        for argv in (["check", path], ["segment", "classify", path],
+                     ["circle", "classify", path]):
+            assert run(argv) == (1, message)
+
+    def test_straight_and_round_inputs_skip_the_pass(self, tmp_path, monkeypatch):
+        t = np.linspace(0.0, 1.0, 300)
+        line = mg.segment_from_curve(mg.QuadrantCurve(1.0, np.column_stack([1 - t, t])))
+        ring = mg.circle_from_curve(mg.chordal_circle_curve(2.0, 300))
+        fl, fr = write_space(tmp_path / "l.json", line.dist), write_space(tmp_path / "r.json", ring.dist)
+        u = np.linspace(0.0, 1.0, 20)
+        short = mg.segment_from_curve(mg.QuadrantCurve(1.0, np.column_stack([1 - u, u])))
+        fs = write_space(tmp_path / "s.json", short.dist)
+
+        def forbidden(*args):
+            raise AssertionError("the triangle pass ran")
+
+        monkeypatch.setattr(spaces, "_check_triangle", forbidden)
+        assert run(["segment", "classify", fl])[0] == 0
+        assert run(["circle", "classify", fr])[0] == 0
+        assert run(["map", "segment", "--src", fs, "--dst", fl, "--src-anchors", "t0,t9,t19",
+                    "--dst-anchors", "t0,t9,t299", "--output", str(tmp_path / "m.json")])[0] == 0
+
+    def test_dented_curve_is_not_trusted(self, tmp_path):
+        from moebiusgeo.segments import curve_to_json_dict
+        curve = mg.QuadrantCurve(1.0, dented_curve())
+        with pytest.raises(ValidationError, match="triangle inequality fails"):
+            mg.segment_from_curve(curve)
+        cf = tmp_path / "dent.json"
+        cf.write_text(json.dumps(curve_to_json_dict(curve)))
+        code, err = run(["segment", "synth", str(cf), "--output", str(tmp_path / "m.json")])
+        assert code == 1 and "triangle inequality fails" in err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_dented_matrix_is_not_certified(self, tmp_path):
+        from moebiusgeo.segments import _area_metric
+        path = write_space(tmp_path / "dent.json", _area_metric(dented_curve(), 1.0))
+        message = eager_verdict("segment", json.load(open(path)))
+        assert message[0] == 1 and "triangle inequality fails" in message[1]
+        assert run(["segment", "classify", path]) == (message[0], message[1] + "\n")
+
+    def test_source_triangle_failure_precedes_later_errors(self, tmp_path):
+        D = np.abs(np.arange(6.0)[:, None] - np.arange(6.0))
+        D[0, 2] = D[2, 0] = 2.5
+        src = write_space(tmp_path / "src.json", D)
+        code, err = run(["map", "segment", "--src", src, "--dst", str(tmp_path / "missing.json"),
+                         "--src-anchors", "t0,t1,t5", "--dst-anchors", "t0,t1,t5"])
+        assert (code, err) == (1, "error: triangle inequality fails: d(t0,t2) > d(t0,t1) + d(t1,t2)\n")
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["segment", "circle"]), n=st.integers(20, 60),
+           bend=st.sampled_from([0.0, 1e-6, 1e-3, 1.0]), seed=st.integers(0, 2 ** 32 - 1),
+           edge=st.sampled_from(["eps/3", "eps", "slack"]), factor=st.floats(0.5, 2.0),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_verdict_equals_the_eager_checks(self, kind, n, bend, seed, edge, factor, sign):
+        rng = np.random.default_rng(seed)
+        if kind == "segment":  # an arc of curvature bend and length about 1
+            s = np.sort(rng.uniform(-0.5, 0.5, n))
+            P = (np.column_stack([s, np.zeros(n)]) if bend == 0.0 else np.column_stack(
+                [np.sin(bend * s) / bend, -2.0 * np.sin(bend * s / 2) ** 2 / bend]))
+        else:
+            phi = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+            P = np.column_stack([np.cos(phi), np.sin(phi)])
+        D = np.sqrt(((P[:, None] - P[None]) ** 2).sum(axis=-1))
+        i, j = sorted(rng.choice(n, 2, replace=False))
+        through = np.delete(D[i] + D[j], [i, j]).min()
+        delta = {"eps/3": 1e-9 / 3, "eps": 1e-9, "slack": (through - D[i, j]) / max(D[i, j], 1e-300)}[edge]
+        D[i, j] = D[j, i] = D[i, j] * (1.0 + sign * factor * delta)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_space(os.path.join(tmp, "in.json"), D)
+            expected = eager_verdict(kind, json.load(open(path)))
+            code, err = run([kind, "classify", path, "--output", os.path.join(tmp, "out.json")])
+        assert (code, err.rstrip("\n")) == expected
 
 
 class TestSphereExotic:

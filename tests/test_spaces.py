@@ -1,5 +1,6 @@
 """Core spaces: validation, cross-ratio triples, Ptolemy scans, line embedding."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -15,7 +16,7 @@ from moebiusgeo import spaces
 from moebiusgeo.errors import ValidationError
 
 from helpers import (brute_force_line_embedding, reference_crt_deviation,
-                     reference_ptolemy_scan)
+                     reference_first_violation, reference_ptolemy_scan)
 
 INF = math.inf
 
@@ -557,6 +558,13 @@ class TestJsonChunks:
         space = max_metric_space(labels, np.array(x), omega)
         assert "".join(mg.space_to_json_chunks(space)) == reference_text(space)
 
+    @pytest.mark.parametrize("omega", [None, 0, 17, 39])
+    def test_forty_points(self, omega):
+        x = np.random.default_rng(40).uniform(0.0, 3.0, 40)
+        x[5] = 1e16
+        space = max_metric_space([f"p{i}" for i in range(40)], x, omega)
+        assert "".join(mg.space_to_json_chunks(space)) == reference_text(space)
+
 
 class TestLabelIndex:
     def test_labels_resolve_to_their_position(self):
@@ -572,29 +580,111 @@ class TestLabelIndex:
         assert exc.value.args == ("unknown point label 'zz'",)
 
 
-class TestSampledTriangleCheck:
-    def test_chunks_draw_the_one_shot_triples(self, monkeypatch):
-        # d = 1 off the diagonal except d(a, b) = 2.5: a sampled triple fails
-        # exactly when its first two points are a and b and its third is not
+def triangle_message(labels, i, j, k) -> str:
+    return (f"triangle inequality fails: "
+            f"d({labels[i]},{labels[j]}) > d({labels[i]},{labels[k]}) + d({labels[k]},{labels[j]})")
+
+
+class TestExactTriangleCheck:
+    def test_collinear_300_points_with_one_long_pair(self):
+        # the seeded sampler of earlier versions accepted this space
+        D = np.abs(np.arange(300.0)[:, None] - np.arange(300.0))
+        D[5, 7] = D[7, 5] = 2.5
+        with pytest.raises(ValidationError) as exc:
+            mg.ExtendedMetricSpace(tuple(f"p{i}" for i in range(300)), D)
+        assert str(exc.value) == "triangle inequality fails: d(p5,p7) > d(p5,p6) + d(p6,p7)"
+
+    @pytest.mark.parametrize("cells", [1, 7, 4096, None])
+    def test_single_violating_triple_near_the_end(self, monkeypatch, cells):
+        # d = 2 off the diagonal, d(296, 298) = d(298, 299) = 1 and
+        # d(296, 299) = 2.5: only the triple {296, 298, 299} fails
         m = 300
-        rng = np.random.default_rng(spaces._TRIANGLE_SAMPLE_SEED)
-        i, j, k = rng.integers(0, m, size=(spaces._SAMPLED_TRIANGLES, 3)).T
-        fails = (i != j) & (k != i) & (k != j)
-        pairs, first = np.unique((np.minimum(i, j) * m + np.maximum(i, j))[fails],
-                                 return_index=True)
-        first = np.flatnonzero(fails)[first]
-        late = first >= spaces._TRIANGLE_CHUNK
-        a, b = divmod(int(pairs[late][np.argmin(first[late])]), m)
-        D = np.ones((m, m)) - np.eye(m)
-        D[a, b] = D[b, a] = 2.5
-        labels = [f"p{x}" for x in range(m)]
-        bad = D[i, j] > D[i, k] + D[k, j] + 1e-9
-        r = int(np.argmax(bad))
-        assert r >= spaces._TRIANGLE_CHUNK
-        expected = (f"triangle inequality fails: "
-                    f"d({labels[i[r]]},{labels[j[r]]}) > via {labels[k[r]]}")
-        for chunk in (spaces._TRIANGLE_CHUNK, 7):
-            monkeypatch.setattr(spaces, "_TRIANGLE_CHUNK", chunk)
-            with pytest.raises(ValidationError) as exc:
+        D = np.full((m, m), 2.0) - 2.0 * np.eye(m)
+        D[296, 298] = D[298, 296] = D[298, 299] = D[299, 298] = 1.0
+        D[296, 299] = D[299, 296] = 2.5
+        labels = [f"p{i}" for i in range(m)]
+        assert reference_first_violation(D, 2e-9) == (296, 299, 298)
+        if cells is not None:
+            monkeypatch.setattr(spaces, "_TRIANGLE_CELLS", cells)
+        with pytest.raises(ValidationError) as exc:
+            mg.ExtendedMetricSpace(tuple(labels), D)
+        assert str(exc.value) == triangle_message(labels, 296, 299, 298)
+
+    @settings(max_examples=120, deadline=None)
+    @given(m=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+           bumps=st.integers(0, 3), cells=st.sampled_from([1, 7, 500, None]))
+    def test_matches_brute_force(self, m, seed, bumps, cells):
+        # collinear integers have many exact equalities; a bump breaks a few
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 6, m).astype(float)
+        D = np.abs(x[:, None] - x)
+        for _ in range(bumps if m > 1 else 0):
+            i, j = rng.choice(m, 2, replace=False)
+            D[i, j] = D[j, i] = D[i, j] + rng.choice([1e-10, 1e-8, 0.5])
+        labels = [f"q{i}" for i in range(m)]
+        expected = reference_first_violation(D, 1e-9 * max(D.max(), 1.0))
+        patch = pytest.MonkeyPatch()
+        if cells is not None:
+            patch.setattr(spaces, "_TRIANGLE_CELLS", cells)
+        try:
+            if expected is None:
                 mg.ExtendedMetricSpace(tuple(labels), D)
-            assert str(exc.value) == expected
+            else:
+                with pytest.raises(ValidationError) as exc:
+                    mg.ExtendedMetricSpace(tuple(labels), D)
+                assert str(exc.value) == triangle_message(labels, *expected)
+        finally:
+            patch.undo()
+
+    def test_remote_point_rows_are_not_checked(self):
+        D = np.abs(np.arange(300.0)[:, None] - np.arange(300.0))
+        D[0, :] = D[:, 0] = INF
+        D[0, 0] = 0.0
+        sp = mg.ExtendedMetricSpace(tuple(f"p{i}" for i in range(300)), D, 0)
+        assert sp.omega == 0
+        D[5, 7] = D[7, 5] = 2.5
+        with pytest.raises(ValidationError, match=r"d\(p5,p7\) > d\(p5,p6\) \+ d\(p6,p7\)"):
+            mg.ExtendedMetricSpace(tuple(f"p{i}" for i in range(300)), D, 0)
+
+
+class TestDeferredTriangle:
+    def test_pending_pass_runs_on_leaving_the_block(self):
+        D = np.abs(np.arange(5.0)[:, None] - np.arange(5.0))
+        D[0, 2] = D[2, 0] = 2.5
+        with pytest.raises(ValidationError, match="triangle inequality fails"):
+            with spaces._triangle_deferred():
+                sp = mg.ExtendedMetricSpace(tuple("abcde"), D)
+                assert sp._triangle is not None
+        assert sp._triangle is None
+
+    def test_triangle_failure_replaces_a_later_error(self):
+        D = np.abs(np.arange(5.0)[:, None] - np.arange(5.0))
+        D[0, 2] = D[2, 0] = 2.5
+        with pytest.raises(ValidationError, match="triangle inequality fails"):
+            with spaces._triangle_deferred():
+                mg.ExtendedMetricSpace(tuple("abcde"), D)
+                raise KeyError("later")
+
+    def test_a_proof_clears_the_pass(self):
+        D = np.abs(np.arange(5.0)[:, None] - np.arange(5.0))
+        D[0, 2] = D[2, 0] = 2.5
+        with spaces._triangle_deferred():
+            sp = mg.ExtendedMetricSpace(tuple("abcde"), D)
+            sp._settle_triangle(proven=True)
+        assert sp._triangle is None
+
+
+class TestFrozenSpace:
+    def test_tolerance_cannot_go_stale(self):
+        # assigning eps after construction used to leave tol and the stored
+        # Ptolemy report of the old eps in place
+        sp = mg.sample_space("sphere", n=2, count=12, seed=0)
+        before = mg.is_ptolemy(sp)
+        for name, value in (("eps", 0.4), ("labels", tuple("abcdefghijkl")), ("omega", 0)):
+            with pytest.raises(AttributeError):
+                setattr(sp, name, value)
+        assert sp.eps == 1e-9 and sp.tol == 1e-9 * max(sp.scale, 1.0)
+        assert mg.is_ptolemy(sp) == before and mg.circle_quadruple_census(sp) == (0, 495)
+        loose = dataclasses.replace(sp, eps=0.4)
+        assert mg.circle_quadruple_census(loose) == (495, 495)
+        assert loose.tol == 0.4 * max(loose.scale, 1.0)
