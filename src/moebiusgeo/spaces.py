@@ -31,9 +31,9 @@ from .errors import ValidationError
 
 DEFAULT_EPS = 1e-9
 
-# Cells per pass of the triangle check: a space of at most this many triples
-# is compared in one broadcast, a larger one in blocks of rows that take at
-# least one row, so a pass never exceeds max(budget, m^2) cells.
+# Cells per pass of the triangle check: blocks of rows take at least one row,
+# so a pass never exceeds max(budget, m^2) cells, and a space of up to 50
+# points is checked in a single pass.
 _TRIANGLE_CELLS = 1 << 17
 
 # The spaces built inside _triangle_deferred(), whose triangle pass is pending
@@ -162,8 +162,9 @@ def _triangle_deferred():
     Inside, a proof that a space's matrix is a metric may clear its pass
     (``_settle_triangle(proven=True)``).  On leaving the block, by return or
     by exception, every pass still pending runs, in construction order, so
-    no pending space outlives the block and a triangle failure takes the
-    place of any later error, as if the pass had run on construction.
+    no pending space outlives the block.  The first triangle failure takes
+    the place of any later error, as if the pass had run on construction;
+    the passes after it still run.
     """
     built = []
     token = _deferred.set(built)
@@ -171,41 +172,41 @@ def _triangle_deferred():
         yield
     finally:
         _deferred.reset(token)
+        failure = None
         for space in built:
-            space._settle_triangle()
+            try:
+                space._settle_triangle()
+            except Exception as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
 
 
 def _check_triangle(sub: np.ndarray, labels: list[str], tol: float) -> None:
     """The exact triangle inequality on a finite, exactly symmetric matrix.
 
     Raises on the first violation d(i, j) > d(i, k) + d(k, j) + tol in the
-    order (i, j, k); by symmetry its j exceeds i.  A small matrix is compared
-    in one broadcast.  A larger one goes in blocks of rows i against the
-    columns j > first row of the block: d(i, k) + d(k, j) is reduced to its
-    minimum over k (rounding is monotone, so the minimum fails exactly when
-    some k does), and k is looked up for the first failing pair only.
+    order (i, j, k); by symmetry its j exceeds i.  Blocks of rows i go
+    against the columns j > first row of the block: d(i, k) + d(k, j) is
+    reduced to its minimum over k (rounding is monotone, so the minimum fails
+    exactly when some k does), and k is looked up for the first failing pair
+    only.
     """
     m = len(labels)
-    if m ** 3 <= _TRIANGLE_CELLS:
-        bad = sub[:, :, None] > sub[:, None, :] + sub + tol
-        if not bad.any():
-            return
-        i, j, k = np.argwhere(bad)[0]
+    lo = 0
+    while lo < m - 1:
+        width = m - 1 - lo
+        hi = min(m - 1, lo + max(1, _TRIANGLE_CELLS // (m * width)))
+        best = (sub[lo:hi, None, :] + sub[lo + 1:]).min(axis=2)  # d(k, j) = d(j, k)
+        best += tol
+        bad = sub[lo:hi, lo + 1:] > best
+        if bad.any():  # its first failing cell has j > i, by symmetry
+            i, j = np.argwhere(bad)[0] + (lo, lo + 1)
+            k = np.argmax(sub[i, j] > sub[i] + sub[j] + tol)
+            break
+        lo = hi
     else:
-        lo = 0
-        while lo < m - 1:
-            width = m - 1 - lo
-            hi = min(m - 1, lo + max(1, _TRIANGLE_CELLS // (m * width)))
-            best = (sub[lo:hi, None, :] + sub[lo + 1:]).min(axis=2)  # d(k, j) = d(j, k)
-            best += tol
-            bad = sub[lo:hi, lo + 1:] > best
-            if bad.any():  # its first failing cell has j > i, by symmetry
-                i, j = np.argwhere(bad)[0] + (lo, lo + 1)
-                k = np.argmax(sub[i, j] > sub[i] + sub[j] + tol)
-                break
-            lo = hi
-        else:
-            return
+        return
     raise ValidationError(
         "triangle inequality fails: "
         f"d({labels[i]},{labels[j]}) > d({labels[i]},{labels[k]}) + d({labels[k]},{labels[j]})"

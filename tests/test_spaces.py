@@ -665,6 +665,20 @@ class TestDeferredTriangle:
                 mg.ExtendedMetricSpace(tuple("abcde"), D)
                 raise KeyError("later")
 
+    def test_passes_after_a_failure_still_run(self):
+        D = np.abs(np.arange(5.0)[:, None] - np.arange(5.0))
+        bent = D.copy()
+        bent[0, 2] = bent[2, 0] = 2.5
+        later = D.copy()
+        later[1, 3] = later[3, 1] = 2.5
+        with pytest.raises(ValidationError) as exc:
+            with spaces._triangle_deferred():
+                first = mg.ExtendedMetricSpace(tuple("abcde"), bent)
+                metric = mg.ExtendedMetricSpace(tuple("abcde"), D)
+                second = mg.ExtendedMetricSpace(tuple("vwxyz"), later)
+        assert str(exc.value) == triangle_message("abcde", 0, 2, 1)
+        assert first._triangle is None and metric._triangle is None and second._triangle is None
+
     def test_a_proof_clears_the_pass(self):
         D = np.abs(np.arange(5.0)[:, None] - np.arange(5.0))
         D[0, 2] = D[2, 0] = 2.5
