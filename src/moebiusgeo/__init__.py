@@ -1,7 +1,7 @@
 """Metric Moebius geometry: cross-ratio triples, Ptolemy spaces, metric
 inversions, and the classification of metric segments and circles."""
 
-from .errors import ConvergenceError, NotPtolemyError, ValidationError
+from .errors import NotPtolemyError, ValidationError
 from .spaces import (
     CrossRatioTriple,
     ExtendedMetricSpace,

@@ -176,7 +176,7 @@ def cmd_sphere(args) -> int:
 
 
 def cmd_exotic(args) -> int:
-    cfg = glued.GluedSpaceConfig(ell=args.l, t_max=args.tmax)
+    cfg = glued.GluedSpaceConfig(ell=args.l)
     angles = tuple(k * 2.0 * np.pi / args.angles for k in range(args.angles))
     report = glued.exotic_report(cfg, angles)
     _emit(report.to_json_dict(), args.output)
@@ -243,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exotic", help="glued-space boundary metrics report")
     p.add_argument("--l", type=float, required=True, help="distance between the base points")
-    p.add_argument("--tmax", type=float, default=40.0)
     p.add_argument("--angles", type=int, default=6, help="number of equator samples")
     p.add_argument("--output")
     p.set_defaults(func=cmd_exotic)

@@ -16,7 +16,3 @@ class NotPtolemyError(ValidationError):
         super().__init__(message)
         self.witness = witness
         self.residual = residual
-
-
-class ConvergenceError(RuntimeError):
-    """A numerical limit or minimization failed at the configured truncation."""

@@ -11,8 +11,9 @@ Distances within a component are closed-form, and so are distances across
 the seam: the minimum of d(x, gamma(tau)) + d(gamma(tau), y) over tau is
 one hyperbolic-plane distance once the bulk point is rotated about the
 seam into the plane opposite the halfplane.  Gromov products of boundary
-points are limits along rays truncated at t_max, extrapolated linearly in
-exp(-2t); the boundary metric is exp(-product).
+points are closed-form: at o, -log sin(theta/2) of the angle theta between
+the rays; at o', that plus half the Busemann values of the two points
+(Bourdon 1995).  The boundary metric is exp(-product).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
-from .inversions import PointedCorrespondence, _log_factor, crt_equivalent
+from .errors import ValidationError
+from .inversions import PointedCorrespondence, crt_equivalent
 from .spaces import ExtendedMetricSpace
 
 # Largest x with cosh(x) finite in double precision, about 710.476.
@@ -38,29 +39,19 @@ _HOMOTHETY_TOL = 1e-6
 
 @dataclass(frozen=True)
 class GluedSpaceConfig:
-    """Parameters of the glued space and its boundary limits.
+    """The glued space whose base points o and o' lie ``ell`` apart.
 
-    ``ell`` is the distance from the seam base point o to the halfplane
-    base point o'; ``t_max`` truncates boundary rays.  The limits evaluate
-    cosh of distances up to max(2 t_max, ell + t_max) (two rays at t_max,
-    or o' to a ray point), so that bound must not exceed acosh of the
-    largest double.
+    Distances from o' and its Busemann values take cosh and sinh of ``ell``,
+    so ``ell`` must not exceed acosh of the largest double.
     """
 
     ell: float
-    t_max: float = 40.0
 
     def __post_init__(self):
-        if not (self.ell > 0.0 and math.isfinite(self.ell)):
-            raise ValidationError("ell must be positive and finite")
-        if not (self.t_max >= 20.0 and math.isfinite(self.t_max)):
-            raise ValidationError("t_max must be finite and at least 20")
-        reach = max(2.0 * self.t_max, self.ell + self.t_max)
-        if reach > _MAX_COSH_ARG:
+        if not 0.0 < self.ell <= _MAX_COSH_ARG:
             raise ValidationError(
-                f"max(2*t_max, ell + t_max) = {reach!r} exceeds acosh(DBL_MAX) = "
-                f"{_MAX_COSH_ARG!r}: cosh of the ray distances would overflow"
-            )
+                f"ell = {self.ell!r} must be positive and at most acosh(DBL_MAX) = "
+                f"{_MAX_COSH_ARG!r}, where cosh ell overflows")
 
     def base_point(self, which: str):
         if which == "o":
@@ -220,51 +211,61 @@ def ray_point(xi: BoundaryPoint, t: float):
     return halfplane_point(rho, tau)
 
 
-def _gromov_products(cfg: GluedSpaceConfig, bases, points) -> np.ndarray:
-    """(xi_i . xi_j)_b for each base b and every pair of boundary points.
+def _boundary_metrics(cfg: GluedSpaceConfig, points):
+    """The metrics exp(-(xi_i . xi_j)_o) and exp(-(xi_i . xi_j)_o'), and
+    lambda = exp(-B/2) for the Busemann values B(xi) = lim d(o', x_t) - d(o, x_t).
 
-    Evaluates (d(b, x_t) + d(b, y_t) - d(x_t, y_t)) / 2 at t_max/2 and t_max
-    for all pairs at once, then extrapolates linearly in exp(-2t).  Raises
-    :class:`ConvergenceError` when the two values of a pair differ by more
-    than 1e-7.  Returns shape (bases, points, points), diagonal unused.
+    The bulk and the plane of the halfplane with any bulk halfplane are convex,
+    so at o the product is -log sin(theta/2) of the angle theta between the rays.
+    With psi the angle from the north end of the seam, sin(theta/2) is
+    |sin((alpha1 - alpha2)/2)| for equator points at azimuths alpha,
+    sin((psi1 + psi2)/2) for a ray and an equator point, and
+    |sin((psi1 - psi2)/2)| otherwise.  At o' the product gains (B1 + B2)/2, so
+    rho_o' = lambda1 lambda2 rho_o: B is ell on the equator (its geodesics from
+    o' pass through o), and otherwise log(cosh ell - sinh ell sin psi), the
+    Busemann function of that plane.
     """
     if len(set(points)) < len(points):
         raise ValueError("the Gromov product needs two distinct boundary points")
-    k = len(bases)
-    t1, t2 = cfg.t_max / 2.0, cfg.t_max
-    g = []
-    for t in (t1, t2):
-        D = _dist_matrix([cfg.base_point(b) for b in bases] + [ray_point(xi, t) for xi in points])
-        g.append(0.5 * (D[:k, k:, None] + D[:k, None, k:] - D[k:, k:]))
-    bad = np.argwhere(np.triu(np.abs(g[1] - g[0]) > 1e-7, 1).transpose(1, 2, 0))
-    if len(bad):
-        i, j, b = bad[0]
-        raise ConvergenceError(
-            f"Gromov product not converged at t_max={cfg.t_max}: "
-            f"values {float(g[0][b, i, j])!r} and {float(g[1][b, i, j])!r}; raise t_max")
-    e1, e2 = math.exp(-2.0 * t1), math.exp(-2.0 * t2)
-    return g[1] - (g[0] - g[1]) / (e1 - e2) * e2
+    kind = np.array([xi.kind for xi in points])
+    alpha = np.array([xi.angle for xi in points])
+    eq, ray = kind == "equator", kind == "halfplane"
+    psi = np.select([ray, eq, kind == "south"], [alpha, math.pi / 2.0, math.pi], 0.0)
+    rho = np.where(eq[:, None] & eq, np.abs(np.sin((alpha[:, None] - alpha) / 2.0)),
+                   np.where(eq[:, None] & ray | ray[:, None] & eq,
+                            np.sin((psi[:, None] + psi) / 2.0),
+                            np.abs(np.sin((psi[:, None] - psi) / 2.0))))
+    # cosh ell - sinh ell sin psi, without cancellation
+    ell = cfg.ell
+    lam = np.where(eq, math.exp(-ell / 2.0), 1.0 / np.sqrt(
+        math.exp(-ell) + math.sinh(ell) * (2.0 * np.sin((math.pi / 2.0 - psi) / 2.0) ** 2)))
+    return rho, rho * (lam[:, None] * lam), lam
 
 
 def gromov_product(cfg: GluedSpaceConfig, base: str, xi1: BoundaryPoint,
                    xi2: BoundaryPoint) -> float:
-    """(xi1 . xi2)_base as a truncated-ray limit with extrapolation."""
-    return float(_gromov_products(cfg, (base,), [xi1, xi2])[0, 0, 1])
+    """(xi1 . xi2)_base in closed form: -log sin(theta/2) of the angle theta
+    at o, plus half the Busemann values of xi1 and xi2 at o'."""
+    _, (off_seam, _) = cfg.base_point(base)
+    rho_o, _, lam = _boundary_metrics(cfg, [xi1, xi2])
+    return -math.log(rho_o[0, 1]) - (math.log(lam[0] * lam[1]) if off_seam else 0.0)
 
 
 def bourdon_metric(cfg: GluedSpaceConfig, base: str, xi1: BoundaryPoint,
                    xi2: BoundaryPoint) -> float:
     """exp(-(xi1 . xi2)_base); the boundary metric at curvature -1."""
-    return math.exp(-gromov_product(cfg, base, xi1, xi2))
+    _, (off_seam, _) = cfg.base_point(base)
+    rho_o, rho_op, _ = _boundary_metrics(cfg, [xi1, xi2])
+    return float((rho_op if off_seam else rho_o)[0, 1])
 
 
 @dataclass
 class ExoticReport:
     """Both boundary metrics on the seam endpoints and equator samples.
 
-    ``conformal_factor`` maps each label x to lambda(x), fitted to
-    rho_oprime(x, y) = lambda(x) lambda(y) rho_o(x, y); the metrics are
-    homothetic exactly when lambda is constant.
+    ``conformal_factor`` maps each label x to lambda(x) = exp(-B(x)/2), B
+    the Busemann value, so rho_oprime(x, y) = lambda(x) lambda(y) rho_o(x, y);
+    the metrics are homothetic exactly when lambda is constant.
     """
 
     ell: float
@@ -277,7 +278,7 @@ class ExoticReport:
     equator_ratio_spread: float
     ratio_gap: float
     homothetic: bool
-    conformal_factor: dict[str, float] | None
+    conformal_factor: dict[str, float]
 
     def to_json_dict(self) -> dict:
         return {
@@ -316,12 +317,10 @@ def exotic_report(cfg: GluedSpaceConfig, equator_angles=None) -> ExoticReport:
     points = [BoundaryPoint.north(), BoundaryPoint.south()]
     points += [BoundaryPoint.equator(a) for a in angles]
     labels = ("N", "S") + tuple(f"a{k}" for k in range(len(angles)))
-    G = _gromov_products(cfg, ("o", "oprime"), points)
-    rho_o, rho_op = np.where(np.eye(len(points), dtype=bool), 0.0, np.exp(-G))
+    rho_o, rho_op, lam = _boundary_metrics(cfg, points)
     report = crt_equivalent(PointedCorrespondence.identity(
         ExtendedMetricSpace(labels, rho_o), ExtendedMetricSpace(labels, rho_op)), eps=_CRT_EPS)
 
-    fit = _log_factor(rho_o, rho_op)
     i, j = np.triu_indices(len(labels), 1)
     ratios = rho_op[i, j] / rho_o[i, j]  # pair (N, S) first, equator pairs last
     eq_ratios = ratios[i >= 2]
@@ -337,5 +336,5 @@ def exotic_report(cfg: GluedSpaceConfig, equator_angles=None) -> ExoticReport:
         equator_ratio_spread=float(eq_ratios.max() - eq_ratios.min()),
         ratio_gap=gap,
         homothetic=gap <= _HOMOTHETY_TOL * float(ratios.max()),
-        conformal_factor=None if fit is None else dict(zip(labels, np.exp(fit[0]).tolist())),
+        conformal_factor=dict(zip(labels, lam.tolist())),
     )

@@ -280,11 +280,15 @@ def _check_area_form(D: np.ndarray, R: float, samples: np.ndarray, labels: list,
     """Raise :class:`NotPtolemyError` unless R * D matches the area form of the samples.
 
     The witness is the worst pair with the base points labels[0] and labels[k].
-    Returns the worst relative residual.
+    Returns the worst relative residual.  A power of two scales the largest
+    distance into [1/2, 1), as ``spaces._unit_remote`` does: no product can
+    overflow, and the exact scaling leaves the residuals as they are.
     """
-    sd = _signed_matrix(samples)
-    resid = np.abs(D * R - sd)
-    scale = np.maximum(np.abs(D) * R, np.abs(sd))
+    e = -math.frexp(float(D.max()))[1]
+    DR = np.ldexp(D, e) * math.ldexp(R, e)
+    sd = _signed_matrix(np.ldexp(samples, e))
+    resid = np.abs(DR - sd)
+    scale = np.maximum(np.abs(DR), np.abs(sd))
     iu = np.triu_indices(len(D), k=1)
     rel = resid[iu] / np.maximum(scale[iu], 1e-300)
     worst = int(np.argmax(rel))

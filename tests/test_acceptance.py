@@ -195,7 +195,7 @@ def test_criterion_09_glued_space():
     ok = True
     details = []
     for ell in (0.5, 1.0, 2.0):
-        cfg = mg.GluedSpaceConfig(ell=ell, t_max=40.0)
+        cfg = mg.GluedSpaceConfig(ell=ell)
         g = mg.gromov_product(cfg, "oprime", BP.north(), BP.south())
         ns_err = abs(g - math.log(math.cosh(ell)))
         ok &= ns_err <= 1e-6

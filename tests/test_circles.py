@@ -1,5 +1,7 @@
 """Circle classification: sectors, halfplane curves, Moebius maps."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,23 @@ class TestCurveFromCircle:
         with pytest.raises(NotPtolemyError) as err:
             mg.curve_from_circle(sp2)
         assert err.value.witness is not None
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_witness_at_large_scale(self, scale):
+        # the area-form products of unscaled distances would overflow above
+        # about 1e154, and the NaN residuals would pass the check
+        D = mg.circle_from_curve(mg.chordal_circle_curve(2.0, 10)).dist.copy()
+        D[2, 5] *= 1.02
+        D[5, 2] = D[2, 5]
+        errs = []
+        for s in (1.0, scale):
+            sp = mg.ExtendedMetricSpace(tuple(f"t{i}" for i in range(len(D))), D * s)
+            with warnings.catch_warnings(), pytest.raises(NotPtolemyError) as err:
+                warnings.simplefilter("error")
+                mg.curve_from_circle(sp)
+            errs.append(err.value)
+        assert errs[1].witness == errs[0].witness
+        assert abs(errs[1].residual / errs[0].residual - 1.0) <= 1e-12
 
     def test_too_few_points(self):
         sp = mg.space_from_points([(0, 0), (1, 0)])

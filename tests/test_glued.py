@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import moebiusgeo as mg
-from moebiusgeo.errors import ConvergenceError, ValidationError
+from moebiusgeo.errors import ValidationError
 from moebiusgeo.glued import BoundaryPoint as BP
 
 
@@ -22,32 +22,22 @@ class TestConfig:
         with pytest.raises(ValidationError):
             mg.GluedSpaceConfig(ell=-1.0)
 
-    def test_truncation_floor(self):
-        with pytest.raises(ValidationError):
-            mg.GluedSpaceConfig(ell=1.0, t_max=10.0)
-
     def test_non_finite_rejected(self):
         for bad in (math.inf, math.nan):
             with pytest.raises(ValidationError):
                 mg.GluedSpaceConfig(ell=bad)
-            with pytest.raises(ValidationError):
-                mg.GluedSpaceConfig(ell=1.0, t_max=bad)
 
-    def test_overflow_bound_on_rays(self):
-        # cosh of max(2 t_max, ell + t_max) must be finite: up to
-        # acosh(DBL_MAX) the report works, one ulp above it is refused
+    def test_overflow_bound(self):
+        # cosh ell must be finite: at acosh(DBL_MAX) the report works and
+        # still certifies its metrics, one ulp above it is refused
         bound = math.acosh(sys.float_info.max)
-        ref = mg.exotic_report(mg.GluedSpaceConfig(ell=1.0, t_max=40.0))
-        far = mg.exotic_report(mg.GluedSpaceConfig(ell=1.0, t_max=bound / 2.0))
-        assert abs(far.equator_ratio - ref.equator_ratio) <= 1e-9
-        assert abs(far.ns_ratio - ref.ns_ratio) <= 1e-9
+        angles = [k * math.pi / 24.0 for k in range(48)]
+        rep = mg.exotic_report(mg.GluedSpaceConfig(ell=bound), angles)
+        assert rep.max_crt_deviation <= 1e-12
+        assert abs(rep.equator_ratio / math.exp(-bound) - 1.0) <= 1e-12
+        assert abs(rep.ns_ratio * math.cosh(bound) - 1.0) <= 1e-12
         with pytest.raises(ValidationError):
-            mg.GluedSpaceConfig(ell=1.0, t_max=math.nextafter(bound / 2.0, math.inf))
-        wide = mg.GluedSpaceConfig(ell=bound - 20.0, t_max=20.0)
-        rho = mg.bourdon_metric(wide, "oprime", BP.equator(0.0), BP.equator(math.pi))
-        assert abs(rho / math.exp(-wide.ell) - 1.0) <= 1e-9
-        with pytest.raises(ValidationError):
-            mg.GluedSpaceConfig(ell=math.nextafter(bound - 20.0, math.inf), t_max=20.0)
+            mg.GluedSpaceConfig(ell=math.nextafter(bound, math.inf))
 
     def test_base_points(self):
         assert mg.GluedSpaceConfig(ell=2.0).base_point("o") == ("H2", (0.0, 0.0))
@@ -209,9 +199,42 @@ class TestGromovProducts:
         g = mg.gromov_product(CFG, base, BP.halfplane_ray(0.5), BP.halfplane_ray(1.7))
         assert abs(g - value) <= 1e-13
 
-    def test_not_converged_raises(self):
-        with pytest.raises(ConvergenceError):
-            mg.gromov_product(CFG, "o", BP.equator(0.0), BP.equator(1e-9))
+    @pytest.mark.parametrize("ell", [0.5, 1.0, 2.0])
+    def test_matches_truncated_ray_limit(self, ell):
+        # reference: (d(b, x_t) + d(b, y_t) - d(x_t, y_t)) / 2 along the
+        # canonical rays at t = 20 and 40, extrapolated linearly in exp(-2t)
+        cfg = mg.GluedSpaceConfig(ell=ell)
+        points = [BP.north(), BP.south(), BP.equator(0.3), BP.equator(2.0),
+                  BP.equator(4.0), BP.halfplane_ray(0.2), BP.halfplane_ray(math.pi / 2),
+                  BP.halfplane_ray(2.9)]
+
+        def product(b, xi, eta, t):
+            x, y = mg.ray_point(xi, t), mg.ray_point(eta, t)
+            return 0.5 * (mg.glued_distance(cfg, b, x) + mg.glued_distance(cfg, b, y)
+                          - mg.glued_distance(cfg, x, y))
+
+        e1, e2 = math.exp(-40.0), math.exp(-80.0)
+        for base in ("o", "oprime"):
+            b = cfg.base_point(base)
+            for a, xi in enumerate(points):
+                for eta in points[a + 1:]:
+                    g1, g2 = product(b, xi, eta, 20.0), product(b, xi, eta, 40.0)
+                    ref = math.exp(-(g2 - (g1 - g2) / (e1 - e2) * e2))
+                    rho = mg.bourdon_metric(cfg, base, xi, eta)
+                    assert abs(rho / ref - 1.0) <= 1e-12, (base, xi, eta)
+                    assert abs(mg.gromov_product(cfg, base, xi, eta) + math.log(rho)) <= 1e-12
+
+    @pytest.mark.parametrize("ell", [14.0, 20.0])
+    def test_ray_through_oprime(self, ell):
+        # o' lies on the geodesic from the ray at pi/2 to an equator point,
+        # so the product is 0 however far o' is from o
+        g = mg.gromov_product(mg.GluedSpaceConfig(ell=ell), "oprime",
+                              BP.halfplane_ray(math.pi / 2), BP.equator(0.3))
+        assert abs(g) <= 1e-12
+
+    def test_unknown_base_rejected(self):
+        with pytest.raises(ValueError):
+            mg.gromov_product(CFG, "p", BP.north(), BP.south())
 
     def test_equal_points_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Segment classification: signed distances, wedges, curves, Moebius maps."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -240,6 +242,22 @@ class TestCurveFromSegment:
         with pytest.raises(NotPtolemyError) as err:
             mg.curve_from_segment(sp)
         assert err.value.witness is not None
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_witness_at_large_scale(self, scale):
+        # the area-form products of unscaled distances would overflow above
+        # about 1e154, and the NaN residuals would pass the check
+        D = np.abs(np.subtract.outer(np.linspace(0, 1, 6), np.linspace(0, 1, 6)))
+        D[2, 3] = D[3, 2] = 0.3
+        errs = []
+        for s in (1.0, scale):
+            sp = mg.ExtendedMetricSpace(tuple(f"q{i}" for i in range(6)), D * s)
+            with warnings.catch_warnings(), pytest.raises(NotPtolemyError) as err:
+                warnings.simplefilter("error")
+                mg.curve_from_segment(sp)
+            errs.append(err.value)
+        assert errs[1].witness == errs[0].witness
+        assert abs(errs[1].residual / errs[0].residual - 1.0) <= 1e-12
 
     def test_omega_rejected(self):
         sp = mg.space_from_points([[0.0], [1.0]], add_omega=True)
