@@ -231,13 +231,13 @@ def circle_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
     dst_cycle_idx = _rotated(dst_idx, da[0], reverse)
     dst_curve = curve_from_circle(dst_space, order=dst_cycle_idx)
 
-    Dd = dst_space.dist[np.ix_(dst_cycle_idx, dst_cycle_idx)]
+    Dd = dst_space.dist.take(dst_cycle_idx, 0).take(dst_cycle_idx, 1)
     d1, d2, d3 = (dst_cycle_idx.index(dst_space.index(x)) for x in dst_anchors)
     s_dst = _loop_positions(Dd, d1, d2, d3)
     if (np.diff(s_dst) <= 0).any():
         raise ValidationError("destination loop positions are not monotone")
 
-    Ds = src_space.dist[np.ix_(src_idx, src_idx)]
+    Ds = src_space.dist.take(src_idx, 0).take(src_idx, 1)
     s_src = _loop_positions(Ds, *sa)
 
     xp = np.append(s_dst, 1.5)

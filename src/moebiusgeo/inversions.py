@@ -17,21 +17,26 @@ from .errors import NotPtolemyError, ValidationError
 from .spaces import DEFAULT_EPS, ExtendedMetricSpace, _unit_remote, max_crt_deviation
 
 
-def _rescaled(space: ExtendedMetricSpace, keep: list[int], fac: np.ndarray,
-              remote: int | None, failure: str) -> ExtendedMetricSpace:
-    """The space d(x,y) / (fac(x) fac(y)) on the finite points ``keep``.
+def _rescaled(space: ExtendedMetricSpace, fac: np.ndarray, remote: int | None,
+              failure: str) -> ExtendedMetricSpace:
+    """The space d(x,y) / (fac(x) fac(y)) on the finite points other than ``remote``.
 
-    A former remote point becomes finite at distance 1 / fac(x) from each
-    kept x, and ``remote`` (if any) becomes the new remote point.  The
-    output is validated; a triangle violation means the input was not
-    Ptolemy and raises :class:`NotPtolemyError` naming ``failure``.
+    ``fac`` has one positive entry per point; those of the remote point and
+    of ``remote`` are not read.  A former remote point becomes finite at
+    distance 1 / fac(x) from each such x, and ``remote`` (if any) becomes the
+    new remote point.  The output is validated; a triangle violation means
+    the input was not Ptolemy and raises :class:`NotPtolemyError` naming
+    ``failure``.
     """
-    D = space.dist
-    n = space.n
-    out = np.zeros((n, n))
-    out[np.ix_(keep, keep)] = D[np.ix_(keep, keep)] / np.outer(fac, fac)
-    if space.omega is not None:
-        out[keep, space.omega] = out[space.omega, keep] = 1.0 / fac
+    omega = space.omega
+    fac = np.array(fac, dtype=float)
+    for i in (omega, remote):
+        if i is not None:
+            fac[i] = 1.0  # a finite stand-in; the rows are set below
+    out = space.dist / (fac[:, None] * fac)
+    if omega is not None:
+        out[omega] = out[:, omega] = 1.0 / fac
+        out[omega, omega] = 0.0
     if remote is not None:
         out[remote, :] = np.inf
         out[:, remote] = np.inf
@@ -58,13 +63,12 @@ def invert_at(space: ExtendedMetricSpace, z) -> ExtendedMetricSpace:
     if zi == space.omega:
         return space
     dz = space.dist[zi]
-    others = [i for i in range(space.n) if i != zi and i != space.omega]
-    coincident = [i for i in others if dz[i] <= 0.0]
-    if coincident:
-        raise ValueError(
-            f"cannot invert at {space.labels[zi]!r}: distance 0 to {space.labels[coincident[0]]!r}"
-        )
-    return _rescaled(space, others, dz[others], zi, f"inversion at {space.labels[zi]!r}")
+    coincident = dz <= 0.0  # the remote point's inf is not
+    coincident[zi] = False
+    if coincident.any():
+        raise ValueError(f"cannot invert at {space.labels[zi]!r}: "
+                         f"distance 0 to {space.labels[int(coincident.argmax())]!r}")
+    return _rescaled(space, dz, zi, f"inversion at {space.labels[zi]!r}")
 
 
 def bound_at(space: ExtendedMetricSpace, o) -> ExtendedMetricSpace:
@@ -76,9 +80,7 @@ def bound_at(space: ExtendedMetricSpace, o) -> ExtendedMetricSpace:
     oi = space.index(o)
     if oi == space.omega:
         raise ValueError("cannot bound at the remote point")
-    fin = space.finite_indices
-    return _rescaled(space, fin, space.dist[oi, fin] + 1.0, None,
-                     f"bounded metric at {space.labels[oi]!r}")
+    return _rescaled(space, space.dist[oi] + 1.0, None, f"bounded metric at {space.labels[oi]!r}")
 
 
 @dataclass
@@ -126,14 +128,22 @@ class EquivalenceReport:
 def _log_factor(A: np.ndarray, B: np.ndarray):
     """f = log lambda for B(x,y) ~ lambda(x) lambda(y) A(x,y), fitted at three
     anchors; with the largest residual |log(B/A) - f(x) - f(y)| and the largest
-    |log(B/A)| off the diagonal.  None when such an entry is 0 or subnormal."""
-    off = ~np.eye(len(A), dtype=bool)
-    if not min(A[off].min(), B[off].min()) >= np.finfo(float).tiny:
+    |log(B/A)| off the diagonal.  None when such an entry is 0 or subnormal.
+
+    Off the diagonal, A and B hold entries of at most 1 (as from
+    ``_unit_remote``); their diagonals are overwritten with ones, which
+    neither minimum sees and whose log is 0.
+    """
+    n = len(A)
+    A.flat[:: n + 1] = B.flat[:: n + 1] = 1.0
+    if not min(A.min(), B.min()) >= np.finfo(float).tiny:
         return None
-    ell = np.log(np.where(off, B, 1.0) / np.where(off, A, 1.0))
+    ell = np.log(B / A)
     f = ell[0] - 0.5 * (ell[0, 1] + ell[0, 2] - ell[1, 2])  # f(x) = ell(x, 0) - f(0)
     f[0] = ell[0, 1] - f[1]
-    return f, float(np.abs(ell - f[:, None] - f)[off].max()), float(np.abs(ell).max())
+    resid = np.abs(ell - f[:, None] - f)
+    resid.flat[:: n + 1] = 0.0  # a point is no pair
+    return f, float(resid.max()), float(np.abs(ell).max())
 
 
 def crt_equivalent(corr: PointedCorrespondence, eps: float = DEFAULT_EPS) -> EquivalenceReport:
@@ -151,7 +161,7 @@ def crt_equivalent(corr: PointedCorrespondence, eps: float = DEFAULT_EPS) -> Equ
     if src.n < 4:
         raise ValueError("crt comparison needs at least four points")
     perm = corr.target_indices()
-    A, B = _unit_remote(src.dist), _unit_remote(tgt.dist)[np.ix_(perm, perm)]
+    A, B = _unit_remote(src.dist), _unit_remote(tgt.dist).take(perm, 0).take(perm, 1)
     f, resid, log_max = _log_factor(A, B) or (None, None, None)
     if resid is not None:
         # With u = 2^-53: B/A, the log (within 4 ulp) and two subtractions move
@@ -186,8 +196,8 @@ def homothety_factor(d1: ExtendedMetricSpace, d2: ExtendedMetricSpace,
         report = crt_equivalent(PointedCorrespondence.identity(d1, d2), eps)
         if not report.equivalent:
             return None
-    A = d1.dist[np.ix_(fin, fin)]
-    B = d2.dist[np.ix_(fin, fin)]
+    A = d1.dist.take(fin, 0).take(fin, 1)
+    B = d2.dist.take(fin, 0).take(fin, 1)
     k = np.unravel_index(np.argmax(A), A.shape)
     if A[k] <= 0.0:
         return None

@@ -272,7 +272,7 @@ def _ordered(space: ExtendedMetricSpace, order, shape: str, least: str, min_n: i
         raise ValueError("order must list every point exactly once")
     if len(idx) < min_n:
         raise ValueError(f"a {shape} needs at least {least} points")
-    return idx, space.dist[np.ix_(idx, idx)]
+    return idx, space.dist.take(idx, 0).take(idx, 1)
 
 
 def _check_area_form(D: np.ndarray, R: float, samples: np.ndarray, labels: list,

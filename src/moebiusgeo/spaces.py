@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import itertools
 import json
 import math
@@ -61,64 +62,72 @@ class ExtendedMetricSpace:
     eps: float = DEFAULT_EPS
 
     def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
+        labels = tuple(map(str, self.labels))
         n = len(labels)
         if n == 0:
             raise ValidationError("a space needs at least one point")
-        positions = {label: i for i, label in enumerate(labels)}
+        positions = dict(zip(labels, range(n)))
         if len(positions) != n:
             raise ValidationError("point labels must be unique")
-        D = np.array(self.dist, dtype=float)
+        D = np.asarray(self.dist, dtype=float)  # read only; the checked matrix is a new one
         if D.shape != (n, n):
             raise ValidationError(
                 f"distance matrix shape {D.shape} does not match {n} labels"
             )
-        if np.isnan(D).any():
+        # Whole-matrix passes only; np.argwhere locates a fault once one is found
+        finite = np.isfinite(D)
+        bounded = np.count_nonzero(finite) == n * n
+        if not bounded and np.isnan(D).any():
             raise ValidationError("distance matrix contains NaN")
-
-        finite_mask = np.isfinite(D)
-        scale = float(D[finite_mask].max(initial=0.0))
+        scale = float(D.max(initial=0.0) if bounded else D[finite].max(initial=0.0))
         tol = self.eps * max(scale, 1.0)
 
-        if (D < -tol).any():
+        if D.min() < -tol:
             i, j = np.argwhere(D < -tol)[0]
             raise ValidationError(f"negative distance at ({labels[i]}, {labels[j]})")
-        if (np.isfinite(D) != np.isfinite(D.T)).any():
-            raise ValidationError("infinity pattern is not symmetric")
         with np.errstate(invalid="ignore"):
-            asym = np.abs(D - D.T)
-        asym[~(finite_mask & finite_mask.T)] = 0.0
-        if asym.max(initial=0.0) > tol:
-            raise ValidationError("distance matrix is not symmetric")
-        D = np.where(finite_mask, (D + np.where(finite_mask.T, D.T, D)) / 2.0, D)
-        np.clip(D, 0.0, None, out=D)
+            # inf - inf is NaN, which fmax skips; a finite entry facing an
+            # infinite one differs from it by inf
+            asym = np.fmax.reduce(np.abs(D - D.T), axis=None)
+            if asym == math.inf and (finite != finite.T).any():
+                raise ValidationError("infinity pattern is not symmetric")
+            if asym > tol:
+                raise ValidationError("distance matrix is not symmetric")
+            S = D + D.T
+        S *= 0.5
+        np.copyto(S, D, where=~finite)  # non-finite entries stay as they are
+        np.maximum(S, 0.0, out=S)
 
-        if np.abs(np.diag(D)).max(initial=0.0) > tol:
+        if S.diagonal().max() > tol:
             raise ValidationError("diagonal entries must vanish")
-        np.fill_diagonal(D, 0.0)
+        S.flat[:: n + 1] = 0.0
 
         omega = self.omega
-        fin = list(range(n))
+        sub, finite_labels = S, list(labels)
         if omega is not None:
             omega = int(omega)
             if not 0 <= omega < n:
                 raise ValidationError(f"omega index {omega} out of range")
-            del fin[omega]
-            if fin and not np.isinf(D[omega, fin]).all():
+            if np.count_nonzero(np.isinf(S[omega])) != n - 1:  # d(omega, omega) is 0
                 raise ValidationError("omega must be at infinite distance from every other point")
-        sub = D if omega is None else D[np.ix_(fin, fin)]
-        if not np.isfinite(sub).all():
-            bad = np.argwhere(~np.isfinite(sub))[0]
+            keep = np.arange(n - 1)
+            keep[omega:] += 1
+            sub = S.take(keep, 0).take(keep, 1)
+            del finite_labels[omega]
+        if np.count_nonzero(np.isfinite(sub)) != sub.size:
+            i, j = np.argwhere(~np.isfinite(sub))[0]
             raise ValidationError(
                 "infinite distance between finite points "
-                f"({labels[fin[bad[0]]]}, {labels[fin[bad[1]]]})"
+                f"({finite_labels[i]}, {finite_labels[j]})"
             )
-        D.flags.writeable = False
-        scale = float(D[finite_mask].max(initial=0.0))  # of the symmetrized matrix
-        vars(self).update(labels=labels, dist=D, omega=omega, scale=scale,
+        S.flags.writeable = False
+        # of the symmetrized matrix: averaging, clipping or clearing the
+        # diagonal may have moved the largest entry
+        scale = float(S.max(initial=0.0) if bounded else S[finite].max(initial=0.0))
+        vars(self).update(labels=labels, dist=S, omega=omega, scale=scale,
                           tol=self.eps * max(scale, 1.0), _positions=positions,
                           _ptolemy=None,  # the report of the quadruple scan, once run
-                          _triangle=(sub, [labels[i] for i in fin], tol))  # the pending pass
+                          _triangle=(sub, finite_labels, tol))  # the pending pass
         built = _deferred.get()
         if built is None:
             self._settle_triangle()
@@ -300,7 +309,7 @@ def crt(space: ExtendedMetricSpace, quad) -> CrossRatioTriple:
     two occurrences vanishes and the other two entries are equal.
     """
     q = check_admissible([space.index(x) for x in quad])
-    M = _unit_remote(space.dist[np.ix_(q, q)])
+    M = _unit_remote(space.dist.take(q, 0).take(q, 1))
     return CrossRatioTriple.from_products(M[0, 1] * M[2, 3], M[0, 2] * M[1, 3],
                                           M[0, 3] * M[1, 2])
 
@@ -327,53 +336,74 @@ def _unit_remote(D: np.ndarray) -> np.ndarray:
     multiplying by a power of two is exact.
     """
     finite = np.isfinite(D)
+    if np.count_nonzero(finite) == D.size:
+        return np.ldexp(D, -math.frexp(D.max(initial=0.0))[1])
     M = np.ldexp(D, -math.frexp(D[finite].max(initial=0.0))[1])
     M[~finite] = 1.0
     return M
 
 
+@functools.lru_cache(maxsize=32)
+def _one_pass_layout(n: int):
+    """The layout of the single pass over all 4-subsets of ``n`` points.
+
+    The layout is the 6 x C(n, 4) array of the indices into a flattened
+    n x n matrix of the pairs ab, cd, ac, bd, ad, bc of the subsets
+    a < b < c < d, in lexicographic order.  It depends on ``n`` alone, and
+    :func:`_quad_passes` asks for it only when (n - 3)^3 (n - 2) / 2 cells
+    fit one pass of ``_BLOCK_ELEMENTS``, up to 18 points at the default
+    budget, so only small layouts are cached and the cache holds O(1) memory.
+    """
+    a, b, c, d = np.array(list(itertools.combinations(range(n), 4)), dtype=np.intp).reshape(-1, 4).T
+    flat = np.stack([a * n + b, c * n + d, a * n + c, b * n + d, a * n + d, b * n + c])
+    flat.flags.writeable = False
+    return flat
+
+
 def _quad_passes(*mats: np.ndarray):
     """The cross-ratio products of every 4-subset a < b < c < d, by middle index b.
 
-    A pass takes rows lo <= a < hi and middle indices b0 <= b < b1 against
-    the suffix of the lexicographic list of pairs c < d from the first pair
-    with c > b0; its cells (a, b, pair) in C order are in lexicographic order
-    of the subsets.  One b needs no mask; the one pass of all b is masked to
-    a < b < c.  Yields ``cells`` and, per matrix, the products d(a,b)d(c,d),
+    A space small enough for one pass gathers the products of all subsets
+    at once through the cached :func:`_one_pass_layout`.  Otherwise a pass
+    takes rows lo <= a < hi and one middle index b against the suffix of the
+    lexicographic list of pairs c < d from the first pair with c > b; its
+    cells (a, pair) in C order are in lexicographic order of the subsets.
+    Yields ``cells`` and, per matrix, the products d(a,b)d(c,d),
     d(a,c)d(b,d), d(a,d)d(b,c) of the pass's subsets; ``cells(k)`` gives the
     index arrays a, b, c, d of the subsets at positions ``k``.
     """
     n = len(mats[0])
+    if n >= 4 and (n - 3) ** 3 * (n - 2) // 2 <= _BLOCK_ELEMENTS:
+        flat = _one_pass_layout(n)
+        def cells(k):
+            (a, c), (b, d) = np.divmod(flat[:2, k], n)  # from the pairs ab and cd
+            return a, b, c, d
+
+        products = []
+        for M in mats:
+            pairs = M.take(flat)
+            products.append(pairs[0::2] * pairs[1::2])
+        yield cells, products
+        return
     C, D = np.nonzero(np.arange(n)[:, None] < np.arange(n))
     pairs = [M[C, D] for M in mats]
-    # all b = 1 .. n - 3, padded to the rows a <= n - 4 and the pairs with c >= 2
-    one = n > 4 and (n - 3) ** 3 * (n - 2) // 2 <= _BLOCK_ELEMENTS
-    for b0 in range(1, 2 if one else n - 2):
-        b1 = n - 2 if one else b0 + 1
-        s = (b0 + 1) * (2 * n - 2 - b0) // 2  # the pairs with c <= b0
+    for b in range(1, n - 2):
+        s = (b + 1) * (2 * n - 2 - b) // 2  # the pairs with c <= b
         Cs, Ds = C[s:], D[s:]
-        if one:
-            b = np.arange(b0, b1)[:, None]
-            valid = (np.arange(b1 - 1)[:, None, None] < b) & (Cs > b)
-            spans = [(0, b1 - 1)]
-        else:
-            valid = None
-            step = max(1, _BLOCK_ELEMENTS // len(Cs))
-            spans = [(lo, min(lo + step, b0)) for lo in range(0, b0, step)]
-        for lo, hi in spans:
+        step = max(1, _BLOCK_ELEMENTS // len(Cs))
+        for lo in range(0, b, step):
+            hi = min(lo + step, b)
+
             def cells(k):  # read before the generator moves on
-                if valid is not None:
-                    k = np.flatnonzero(valid)[k]
-                i, j, p = np.unravel_index(k, (hi - lo, b1 - b0, len(Cs)))
-                return lo + i, b0 + j, Cs[p], Ds[p]
+                i, p = np.divmod(k, len(Cs))
+                return lo + i, np.full_like(i, b), Cs[p], Ds[p]
 
             products = []
             for M, S in zip(mats, pairs):
-                rows, mid = M[lo:hi, None], M[b0:b1]  # take keeps the gathers C-contiguous
-                P = (M[lo:hi, b0:b1, None] * S[s:],
-                     rows.take(Cs, axis=2) * mid.take(Ds, axis=1),
-                     rows.take(Ds, axis=2) * mid.take(Cs, axis=1))
-                products.append([p.ravel() if valid is None else p[valid] for p in P])
+                rows, mid = M[lo:hi], M[b]  # take keeps the gathers C-contiguous
+                products.append([(M[lo:hi, b, None] * S[s:]).ravel(),
+                                 (rows.take(Cs, axis=1) * mid.take(Ds)).ravel(),
+                                 (rows.take(Ds, axis=1) * mid.take(Cs)).ravel()])
             yield cells, products
 
 
@@ -412,7 +442,7 @@ def max_crt_deviation(D1, omega1, D2, omega2, perm) -> tuple[float, tuple[int, .
     """
     perm = np.asarray(perm)
     A = _unit_remote(np.asarray(D1, dtype=float))
-    B = _unit_remote(np.asarray(D2, dtype=float))[np.ix_(perm, perm)]
+    B = _unit_remote(np.asarray(D2, dtype=float)).take(perm, 0).take(perm, 1)
     worst = (-math.inf, None)
     with np.errstate(invalid="ignore"):  # 0 / 0 where all products vanish
         for cells, (P, Q) in _quad_passes(A, B):
@@ -457,7 +487,7 @@ def _ptolemy_scan(space: ExtendedMetricSpace) -> PtolemyReport:
     fin = space.finite_indices
     remote = space.omega is not None
     order = fin + [space.omega] if remote else fin
-    M = _unit_remote(space.dist[np.ix_(order, order)] if remote else space.dist)
+    M = _unit_remote(space.dist.take(order, 0).take(order, 1) if remote else space.dist)
     eps = space.eps
     worst = (-math.inf, None)
     boundary = 0
@@ -539,7 +569,7 @@ def line_embed(space: ExtendedMetricSpace) -> np.ndarray | None:
 def all_triples_collinear(space: ExtendedMetricSpace) -> bool:
     """True when every triple of finite points attains triangle equality."""
     fin = space.finite_indices
-    D = space.dist[np.ix_(fin, fin)]
+    D = space.dist.take(fin, 0).take(fin, 1)
     J, K = np.triu_indices(len(fin), 1)
     for i in range(len(fin) - 2):
         j, k = J[J > i], K[J > i]

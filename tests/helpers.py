@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from moebiusgeo import QuadrantCurve, HalfplaneCurve
+from moebiusgeo.errors import ValidationError
 from moebiusgeo.spaces import _unit_remote
 
 
@@ -184,3 +185,57 @@ def reference_first_violation(D: np.ndarray, tol: float):
             j, k = np.argwhere(bad)[0]
             return i, int(j), int(k)
     return None
+
+
+def reference_validation(labels, dist, omega=None, eps=1e-9):
+    """The checks of ``ExtendedMetricSpace`` written out one mask at a time,
+    as the constructor made them before it validated in whole-matrix passes.
+
+    Returns the stored ``dist``, ``scale`` and ``tol`` and the pending
+    triangle pass (finite submatrix, its labels, the tolerance of the
+    checks), or raises the constructor's ``ValidationError``.
+    """
+    labels = tuple(str(x) for x in labels)
+    n = len(labels)
+    if n == 0:
+        raise ValidationError("a space needs at least one point")
+    if len(set(labels)) != n:
+        raise ValidationError("point labels must be unique")
+    D = np.array(dist, dtype=float)
+    if D.shape != (n, n):
+        raise ValidationError(f"distance matrix shape {D.shape} does not match {n} labels")
+    if np.isnan(D).any():
+        raise ValidationError("distance matrix contains NaN")
+    finite_mask = np.isfinite(D)
+    scale = float(D[finite_mask].max(initial=0.0))
+    tol = eps * max(scale, 1.0)
+    if (D < -tol).any():
+        i, j = np.argwhere(D < -tol)[0]
+        raise ValidationError(f"negative distance at ({labels[i]}, {labels[j]})")
+    if (np.isfinite(D) != np.isfinite(D.T)).any():
+        raise ValidationError("infinity pattern is not symmetric")
+    with np.errstate(invalid="ignore"):
+        asym = np.abs(D - D.T)
+    asym[~(finite_mask & finite_mask.T)] = 0.0
+    if asym.max(initial=0.0) > tol:
+        raise ValidationError("distance matrix is not symmetric")
+    D = np.where(finite_mask, (D + np.where(finite_mask.T, D.T, D)) / 2.0, D)
+    np.clip(D, 0.0, None, out=D)
+    if np.abs(np.diag(D)).max(initial=0.0) > tol:
+        raise ValidationError("diagonal entries must vanish")
+    np.fill_diagonal(D, 0.0)
+    fin = list(range(n))
+    if omega is not None:
+        omega = int(omega)
+        if not 0 <= omega < n:
+            raise ValidationError(f"omega index {omega} out of range")
+        del fin[omega]
+        if fin and not np.isinf(D[omega, fin]).all():
+            raise ValidationError("omega must be at infinite distance from every other point")
+    sub = D if omega is None else D[np.ix_(fin, fin)]
+    if not np.isfinite(sub).all():
+        bad = np.argwhere(~np.isfinite(sub))[0]
+        raise ValidationError("infinite distance between finite points "
+                              f"({labels[fin[bad[0]]]}, {labels[fin[bad[1]]]})")
+    scale = float(D[finite_mask].max(initial=0.0))
+    return D, scale, eps * max(scale, 1.0), (sub, [labels[i] for i in fin], tol)

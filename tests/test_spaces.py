@@ -16,7 +16,8 @@ from moebiusgeo import spaces
 from moebiusgeo.errors import ValidationError
 
 from helpers import (brute_force_line_embedding, reference_crt_deviation,
-                     reference_first_violation, reference_ptolemy_scan)
+                     reference_first_violation, reference_ptolemy_scan,
+                     reference_validation)
 
 INF = math.inf
 
@@ -60,6 +61,189 @@ class TestValidation:
         assert sp.omega == 3
         assert sp.labels[sp.omega] == "omega"
         assert np.isinf(sp.dist[0, 3])
+
+
+def _triple(**cells):
+    """The equilateral space on a, b, c with the given cells changed, e.g.
+    ``ab=2.0`` sets d(a, b) only and ``ab_ba=2.0`` both d(a, b) and d(b, a)."""
+    D = np.ones((3, 3)) - np.eye(3)
+    for name, value in cells.items():
+        for pair in name.split("_"):
+            D["abc".index(pair[0]), "abc".index(pair[1])] = value
+    return D
+
+
+class TestValidationMessages:
+    """Each fault with its exact message, and which of two faults is named."""
+
+    @pytest.mark.parametrize("labels, D, omega, message", [
+        ((), np.zeros((0, 0)), None, "a space needs at least one point"),
+        ("aa", np.zeros((2, 2)), None, "point labels must be unique"),
+        ("ab", np.zeros((2, 3)), None, "distance matrix shape (2, 3) does not match 2 labels"),
+        ("abc", _triple(ab=np.nan), None, "distance matrix contains NaN"),
+        ("abc", _triple(bc_cb=-0.5), None, "negative distance at (b, c)"),
+        ("abc", _triple(ab=INF), None, "infinity pattern is not symmetric"),
+        ("abc", _triple(ab=1.5), None, "distance matrix is not symmetric"),
+        ("abc", _triple(bb=0.5), None, "diagonal entries must vanish"),
+        ("abc", _triple(), 3, "omega index 3 out of range"),
+        ("abc", _triple(), -1, "omega index -1 out of range"),
+        ("abc", _triple(), 2, "omega must be at infinite distance from every other point"),
+        ("abc", _triple(ac_ca=INF), None, "infinite distance between finite points (a, c)"),
+        ("abcd", np.array([[0.0, 1.0, INF, INF], [1.0, 0.0, 1.0, INF],
+                           [INF, 1.0, 0.0, INF], [INF, INF, INF, 0.0]]), 3,
+         "infinite distance between finite points (a, c)"),
+        ("abc", _triple(ab_ba=3.0), None, "triangle inequality fails: d(a,b) > d(a,c) + d(c,b)"),
+    ])
+    def test_single_fault(self, labels, D, omega, message):
+        with pytest.raises(ValidationError) as exc:
+            mg.ExtendedMetricSpace(tuple(labels), D, omega)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("labels, D, omega, message", [
+        ("aa", np.zeros((2, 3)), None, "point labels must be unique"),
+        ("ab", np.full((2, 3), np.nan), None, "distance matrix shape (2, 3) does not match 2 labels"),
+        ("abc", _triple(ab=np.nan, bc_cb=-0.5), None, "distance matrix contains NaN"),
+        ("abc", _triple(ab=INF, bc_cb=-0.5), None, "negative distance at (b, c)"),
+        ("abc", _triple(ab=-INF), None, "negative distance at (a, b)"),
+        ("abc", _triple(ab=INF, bc=1.5), None, "infinity pattern is not symmetric"),
+        ("abc", _triple(ab=1.5, cc=0.5), None, "distance matrix is not symmetric"),
+        ("abc", _triple(cc=0.5), 7, "diagonal entries must vanish"),
+        ("abc", _triple(ab_ba=INF), 2, "omega must be at infinite distance from every other point"),
+        ("abc", _triple(ab_ba=INF, bc_cb=3.0), None, "infinite distance between finite points (a, b)"),
+        ("abc", _triple(ab_ba=-0.5, bc_cb=3.0), None, "negative distance at (a, b)"),
+        ("abc", _triple(ab=1.5, bc_cb=3.0), None, "distance matrix is not symmetric"),
+    ])
+    def test_first_fault_is_named(self, labels, D, omega, message):
+        with pytest.raises(ValidationError) as exc:
+            mg.ExtendedMetricSpace(tuple(labels), D, omega)
+        assert str(exc.value) == message
+
+    def test_slack_within_tolerance_is_absorbed(self):
+        # a negative entry, an asymmetry and a diagonal entry, each within tol
+        sp = mg.ExtendedMetricSpace(tuple("abc"), _triple(ab=1.0 + 1e-10, bc_cb=-0.0, cc=1e-10,
+                                                          ac_ca=1.0 - 1e-10))
+        assert sp.dist[0, 1] == sp.dist[1, 0] == (2.0 + 1e-10) / 2.0
+        assert sp.dist[2, 2] == 0.0 and np.signbit(sp.dist).sum() == 0
+        sp = mg.ExtendedMetricSpace(("a", "b"), np.array([[0.0, -1e-10], [-1e-10, 0.0]]))
+        assert sp.dist.tolist() == [[0.0, 0.0], [0.0, 0.0]] and sp.scale == 0.0
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.shape, x.tobytes()
+
+
+@st.composite
+def raw_matrices(draw):
+    """A labelled matrix that is a metric (or, with a remote point anywhere, an
+    extended metric) at one of several scales, with up to three faults: an
+    asymmetry, a negative entry or a diagonal entry just below, at or just
+    above the tolerance, a -0.0, an inf, -inf or NaN cell, a pair beyond half
+    the largest float, or an omega index out of range.  An eps of inf or NaN
+    lets every fault but NaN through to the stored matrix."""
+    n = draw(st.integers(1, 6))
+    eps = draw(st.sampled_from([1e-9, 1e-3, 0.25, 0.0, INF, math.nan]))  # the last two check nothing
+    scale = draw(st.sampled_from([1.0, 3.0, 2.0 ** -40, 1e-300, 1e300, 1.2e308]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    P = rng.standard_normal((n, 2))
+    D = np.sqrt(((P[:, None] - P) ** 2).sum(-1))
+    D *= scale / max(D.max(), 1.0)
+    omega = draw(st.none() | st.integers(-1, n))
+    if omega is not None and 0 <= omega < n and draw(st.booleans()):
+        D[omega, :] = D[:, omega] = INF
+        D[omega, omega] = 0.0
+    with np.errstate(over="ignore"):  # a fault at 1.2e308 may overflow
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            finite = D[np.isfinite(D)]
+            tol = min(eps, 1.0) * max(finite.max(initial=0.0), 1.0)
+            near = tol * draw(st.sampled_from([1.0, 1.0 - 2.0 ** -30, 1.0 + 2.0 ** -30, 0.5, 2.0]))
+            fault = draw(st.sampled_from(["asym", "neg", "negpair", "diag", "zero", "inf",
+                                          "infpair", "neginf", "nan", "huge"]))
+            if fault == "asym":
+                D[i, j] = D[j, i] + near
+            elif fault == "neg":
+                D[i, j] = -near
+            elif fault == "negpair":
+                D[i, j] = D[j, i] = -near
+            elif fault == "diag":
+                D[i, i] = near
+            elif fault == "zero":
+                D[i, j] = -0.0
+            elif fault == "inf":
+                D[i, j] = INF
+            elif fault == "infpair":
+                D[i, j] = D[j, i] = INF
+            elif fault == "neginf":
+                D[i, j] = -INF
+            elif fault == "nan":
+                D[i, j] = np.nan
+            else:
+                D[i, j] = D[j, i] = 1.7e308
+    return tuple(f"p{i}" for i in range(n)), D, omega, eps
+
+
+def assert_matches_reference(labels, D, omega=None, eps=1e-9):
+    """The constructor raises the reference's message, or stores its
+    bit-identical dist, scale and tol and leaves its triangle pass pending
+    on the same submatrix, labels and tolerance; neither writes to ``D``."""
+    given_bits = _bits(D)
+    with np.errstate(over="ignore"):
+        try:
+            expected = reference_validation(labels, D, omega, eps)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                mg.ExtendedMetricSpace(labels, D, omega, eps=eps)
+            assert str(got.value) == str(exc)
+            assert _bits(D) == given_bits
+            return
+        with spaces._triangle_deferred():
+            sp = mg.ExtendedMetricSpace(labels, D, omega, eps=eps)
+            pending = sp._triangle
+            sp._settle_triangle(proven=True)
+    dist, scale, tol, (sub, finite_labels, check_tol) = expected
+    assert _bits(sp.dist) == _bits(dist) and not sp.dist.flags.writeable
+    assert sp.scale.hex() == scale.hex() and sp.tol.hex() == tol.hex()
+    assert _bits(pending[0]) == _bits(sub) and pending[1] == finite_labels
+    assert pending[2].hex() == check_tol.hex()
+    assert _bits(D) == given_bits
+
+
+class TestValidationReference:
+    """The constructor against the checks written out one mask at a time."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(raw_matrices())
+    def test_matches_reference(self, case):
+        assert_matches_reference(*case)
+
+    @pytest.mark.parametrize("D, omega", [
+        # exactly symmetric beyond half the largest float: d + d overflows
+        (np.array([[0.0, 1.7e308], [1.7e308, 0.0]]), None),
+        (np.array([[0.0, 1.0, 1.7e308], [1.0, 0.0, 1.7e308], [1.7e308, 1.7e308, 0.0]]), 2),
+        # the largest entry on the diagonal, within tolerance
+        (np.array([[1e-10, 1e-11], [1e-11, 0.0]]), None),
+        # the largest entry moves when the pair is averaged
+        (np.array([[0.0, 2.0 + 1e-9], [2.0, 0.0]]), None),
+        (np.array([[-0.0, -0.0], [-0.0, -0.0]]), None),
+        (np.array([[0.0, INF], [INF, 0.0]]), 1),
+    ])
+    def test_stored_scale_edges(self, D, omega):
+        assert_matches_reference(tuple("abc"[:len(D)]), D, omega)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="eps is not validated: an eps of inf or NaN turns every check off")
+    @pytest.mark.parametrize("eps", [INF, math.nan])
+    @pytest.mark.parametrize("D, omega", [
+        (np.array([[0.0, 1.0, -INF], [1.0, 0.0, INF], [INF, INF, 0.0]]), 2),
+        (np.array([[0.0, 3.0, 1.0], [3.0, 0.0, 1.0], [1.0, 1.0, 0.0]]), None),
+    ])
+    def test_non_finite_eps_rejected(self, D, omega, eps):
+        try:
+            mg.ExtendedMetricSpace(tuple("abc"[:len(D)]), D, omega, eps=eps)
+        except ValidationError:
+            return
+        raise AssertionError(f"a space with eps={eps} was accepted")
 
 
 class TestCrt:
@@ -259,6 +443,21 @@ class TestLineEmbed:
         assert np.allclose(mg.line_embed(sp), [0.0])
 
 
+def count_passes(monkeypatch) -> list[int]:
+    """The number of passes of each kernel scan run from now on."""
+    passes = []
+    kernel = spaces._quad_passes
+
+    def counted(*mats):
+        passes.append(0)
+        for item in kernel(*mats):
+            passes[-1] += 1
+            yield item
+
+    monkeypatch.setattr(spaces, "_quad_passes", counted)
+    return passes
+
+
 class TestScanTiling:
     def test_results_do_not_depend_on_block_size(self, monkeypatch):
         # 42 points span several passes at the default budget
@@ -269,12 +468,15 @@ class TestScanTiling:
         noise = rng.uniform(-1e-6, 1e-6, inv.dist.shape)
         bent = inv.dist * (1.0 + noise + noise.T)
         perm = np.arange(sp.n)
+        passes = count_passes(monkeypatch)
         default = mg.is_ptolemy(sp), spaces.max_crt_deviation(sp.dist, None, bent, 0, perm)
         assert default[1][0] > 0.0 and default[1][1] is not None
         monkeypatch.setattr("moebiusgeo.spaces._BLOCK_ELEMENTS", 1)  # one row per pass
         fresh = mg.ExtendedMetricSpace(sp.labels, sp.dist)  # no stored report
         single = mg.is_ptolemy(fresh), spaces.max_crt_deviation(sp.dist, None, bent, 0, perm)
         assert single == default
+        rows = sum(range(1, sp.n - 2))  # one pass per row a of each middle index b
+        assert passes[0] == passes[1] > 1 and passes[2:] == [rows, rows]
 
     def test_tie_break_prefers_first_finite_subset(self, monkeypatch):
         # omega at index 0 and collinear integer points: every margin is exactly 0
@@ -283,10 +485,12 @@ class TestScanTiling:
         D[0, 0] = 0.0
         D[1:, 1:] = np.abs(xs[:, None] - xs[None, :])
         sp = mg.ExtendedMetricSpace(("omega",) + tuple("abcdef"), D, omega=0)
+        passes = count_passes(monkeypatch)
         reports = [(sp, mg.is_ptolemy(sp))]
         monkeypatch.setattr("moebiusgeo.spaces._BLOCK_ELEMENTS", 1)  # ties across passes
         fresh = mg.ExtendedMetricSpace(sp.labels, D, omega=0)  # no stored report
         reports.append((fresh, mg.is_ptolemy(fresh)))
+        assert passes == [1, sum(range(1, sp.n - 2))]  # all subsets at once, then a row a time
         for space, report in reports:
             assert report.holds and report.worst_margin == 0.0
             assert report.worst_quad == ("a", "b", "c", "d")
