@@ -8,7 +8,6 @@ from .spaces import (
     PtolemyReport,
     all_triples_collinear,
     circle_quadruple_census,
-    classify_simplex,
     crt,
     is_circle_quadruple,
     is_ptolemy,

@@ -18,9 +18,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .spaces import DEFAULT_EPS, ExtendedMetricSpace
-from .segments import (_anchor_simplex, _check_area_form, _check_convex, _curve_from_json,
-                       _curve_params, _curve_samples, _curve_space, _curve_to_json,
-                       _map_deviation, _ordered, _settle_by_curve)
+from .segments import (_PlanarCurve, _anchor_simplex, _check_convex, _curve_from_json,
+                       _curve_space, _curve_to_json, _map_deviation, _ordered, _recover)
 
 
 @dataclass
@@ -82,7 +81,7 @@ def _find_sector_witness(samples: np.ndarray, R: float, eps: float) -> np.ndarra
 
 
 @dataclass
-class HalfplaneCurve:
+class HalfplaneCurve(_PlanarCurve):
     """An ordered sample sequence of a circle parameterization.
 
     The first and last samples represent the same circle point approached
@@ -91,22 +90,14 @@ class HalfplaneCurve:
     for a sector witness direction.
     """
 
-    R: float
-    samples: np.ndarray
-    params: np.ndarray | None = None
-    eps: float = DEFAULT_EPS
+    _end = 2.0
+    _closed = True
 
     def __post_init__(self):
-        S = _curve_samples(self.R, self.samples, self.eps, 3, slice(1, 2),
-                           "upper halfplane", (-self.R, 0.0), "(-R, 0)")
+        S = self._checked_samples(3, slice(1, 2), "upper halfplane", (-self.R, 0.0), "(-R, 0)")
         _check_convex(S, self.R, self.eps)
         self.sector_witness = _find_sector_witness(S, self.R, self.eps)
-        self.params = _curve_params(self.params, len(S), 2.0)
         self.samples = S
-
-    @property
-    def n(self) -> int:
-        return len(self.samples)
 
     @property
     def n_points(self) -> int:
@@ -128,16 +119,16 @@ def chordal_circle_curve(R: float, n_samples: int = 64,
         raise ValueError("R must be positive")
     t = np.linspace(0.0, 2.0, n_samples + 1)
     samples = np.column_stack([R * np.cos(np.pi * t / 2), R * np.sin(np.pi * t / 2)])
-    return HalfplaneCurve(R, samples, t, eps=eps)
+    return HalfplaneCurve(R, samples, eps=eps)
 
 
-def circle_from_curve(curve: HalfplaneCurve, labels=None) -> ExtendedMetricSpace:
+def circle_from_curve(curve: HalfplaneCurve) -> ExtendedMetricSpace:
     """The circle metric of a curve on its sampled points.
 
     The final sample duplicates the first point and is dropped; adjacency
     in the returned space is the cyclic sample order.
     """
-    return _curve_space(curve, curve.samples[:-1], labels)
+    return _curve_space(curve, curve.samples[:-1])
 
 
 def curve_from_circle(space: ExtendedMetricSpace, order=None, minus_one=None) -> HalfplaneCurve:
@@ -150,25 +141,14 @@ def curve_from_circle(space: ExtendedMetricSpace, order=None, minus_one=None) ->
     Ptolemy equality fails.
     """
     idx, D = _ordered(space, order, "circle", "three", 3)
-    n = len(idx)
     if minus_one is None:
         k = int(np.argmax(D[0]))
     else:
         k = idx.index(space.index(minus_one))
     if k == 0:
         raise ValueError("the second base point must differ from the first")
-    R = D[0, k]
-    if R <= space.tol:
-        raise ValidationError("base points coincide")
-    b = D[:, 0]
-    sign = np.where(np.arange(n) <= k, 1.0, -1.0)
-    a = sign * D[:, k]
-    samples = np.vstack([np.column_stack([a, b]), [-R, 0.0]])
-    residual = _check_area_form(D, R, samples[:-1], [space.labels[i] for i in idx], k,
-                                space.eps, "cyclic Ptolemy equality fails around")
-    curve = HalfplaneCurve(R, samples, None, eps=space.eps)
-    _settle_by_curve(space, curve, residual)
-    return curve
+    return _recover(HalfplaneCurve, space, idx, D, k, "base points coincide",
+                    "cyclic Ptolemy equality fails around")
 
 
 def _loop_positions(D: np.ndarray, i1: int, i2: int, i3: int) -> np.ndarray:
@@ -179,13 +159,6 @@ def _loop_positions(D: np.ndarray, i1: int, i2: int, i3: int) -> np.ndarray:
     s = np.where(imax == 2, N[:, 0], np.where(imax == 0, 0.5 + N[:, 1], 1.0 + N[:, 2]))
     s[i1] = 0.0
     return s
-
-
-def _rotated(order: list, start: int, reverse: bool) -> list:
-    out = order[start:] + order[:start]
-    if reverse:
-        out = [out[0]] + out[1:][::-1]
-    return out
 
 
 @dataclass
@@ -201,44 +174,39 @@ class CircleMap:
 
 
 def circle_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
-                       dst_space: ExtendedMetricSpace, dst_anchors, *,
-                       src_order=None, dst_order=None) -> CircleMap:
+                       dst_space: ExtendedMetricSpace, dst_anchors) -> CircleMap:
     """The unique Moebius map between two circles matching anchor triples.
 
-    Each point's position along the boundary loop of its own anchor triple
-    is matched by monotone piecewise-linear inversion on the destination
-    cycle, which is reoriented so the destination anchors follow the same
-    rotational direction.  Mapped points are interpolated on the
-    destination curve, and all mapped 4-subset cross-ratio triples are
-    compared against the source.
+    Both circles run cyclically in label order.  Each point's position
+    along the boundary loop of its own anchor triple is matched by monotone
+    piecewise-linear inversion on the destination cycle, which is
+    reoriented so the destination anchors follow the same rotational
+    direction.  Mapped points are interpolated on the destination curve,
+    and all mapped 4-subset cross-ratio triples are compared against the
+    source.
     """
-    src_labels = list(src_order if src_order is not None else src_space.labels)
-    dst_labels = list(dst_order if dst_order is not None else dst_space.labels)
-    src_idx = [src_space.index(x) for x in src_labels]
-    dst_idx = [dst_space.index(x) for x in dst_labels]
-    sa = [src_idx.index(src_space.index(x)) for x in src_anchors]
-    da = [dst_idx.index(dst_space.index(x)) for x in dst_anchors]
+    sa = [src_space.index(x) for x in src_anchors]
+    da = [dst_space.index(x) for x in dst_anchors]
     if len(set(sa)) != 3 or len(set(da)) != 3:
         raise ValueError("anchor triples must consist of three distinct points")
-    n_dst = len(dst_idx)
+    n_dst = dst_space.n
 
-    curve_from_circle(src_space, order=src_idx)
+    curve_from_circle(src_space)
 
     # reorient the destination cycle to start at x1' running toward x2'
     fwd2 = (da[1] - da[0]) % n_dst
     fwd3 = (da[2] - da[0]) % n_dst
-    reverse = not fwd2 < fwd3
-    dst_cycle_idx = _rotated(dst_idx, da[0], reverse)
+    step = 1 if fwd2 < fwd3 else -1
+    dst_cycle_idx = [(da[0] + step * i) % n_dst for i in range(n_dst)]
     dst_curve = curve_from_circle(dst_space, order=dst_cycle_idx)
 
     Dd = dst_space.dist.take(dst_cycle_idx, 0).take(dst_cycle_idx, 1)
-    d1, d2, d3 = (dst_cycle_idx.index(dst_space.index(x)) for x in dst_anchors)
+    d1, d2, d3 = (dst_cycle_idx.index(i) for i in da)
     s_dst = _loop_positions(Dd, d1, d2, d3)
     if (np.diff(s_dst) <= 0).any():
         raise ValidationError("destination loop positions are not monotone")
 
-    Ds = src_space.dist.take(src_idx, 0).take(src_idx, 1)
-    s_src = _loop_positions(Ds, *sa)
+    s_src = _loop_positions(src_space.dist, *sa)
 
     xp = np.append(s_dst, 1.5)
     positions = np.interp(s_src, xp, np.arange(n_dst + 1, dtype=float))
@@ -248,10 +216,8 @@ def circle_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
     Sd = dst_curve.samples
     mapped_points = (1.0 - frac[:, None]) * Sd[base] + frac[:, None] * Sd[base + 1]
 
-    dev, witness = _map_deviation(Ds, mapped_points, dst_curve.R,
-                                  [src_space.labels[i] for i in src_idx])
-    return CircleMap(tuple(src_labels), positions, mapped_params, mapped_points,
-                     dev, witness)
+    dev, witness = _map_deviation(src_space.dist, mapped_points, dst_curve.R, src_space.labels)
+    return CircleMap(src_space.labels, positions, mapped_params, mapped_points, dev, witness)
 
 
 def curve_to_json_dict(curve: HalfplaneCurve) -> dict:

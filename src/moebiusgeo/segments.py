@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPtolemyError, ValidationError
-from .spaces import DEFAULT_EPS, ExtendedMetricSpace, _triangle_deferred, max_crt_deviation
+from .spaces import (DEFAULT_EPS, ExtendedMetricSpace, _check_eps, _triangle_deferred,
+                     max_crt_deviation)
 
 DEFAULT_EPS_ARG = 1e-10
 
@@ -81,37 +82,62 @@ def wedge_contains(wedge: WedgeRegion, v, eps: float = DEFAULT_EPS) -> WedgeLoca
     return WedgeLocation("inside", lam, mu)
 
 
-def _curve_samples(R: float, samples, eps: float, min_n: int, clipped: slice,
-                   region: str, last: tuple[float, float], last_text: str) -> np.ndarray:
-    """Checks shared by quadrant and halfplane curves; returns the samples.
+@dataclass
+class _PlanarCurve:
+    """The fields and checks that quadrant and halfplane curves share.  The
+    sample parameters are not stored: they are evenly spaced on [0, 1] for a
+    quadrant curve and on [0, 2] for a halfplane curve."""
 
-    Coordinates in ``clipped`` must be nonnegative up to eps * R (the closed
-    ``region``) and are clipped to zero; the first sample must be (R, 0),
-    the last ``last``, and the argument must increase strictly.
-    """
-    if not (R > 0.0 and math.isfinite(R)):
-        raise ValidationError("R must be positive and finite")
-    S = np.array(samples, dtype=float)
-    if S.ndim != 2 or S.shape[1] != 2 or S.shape[0] < min_n:
-        raise ValidationError(f"samples must be an (n >= {min_n}, 2) array")
-    if not np.isfinite(S).all():
-        raise ValidationError("samples must be finite")
-    tol = eps * R
-    below = (S[:, clipped] < -tol).any(axis=1)
-    if below.any():
-        raise ValidationError(f"sample {int(np.argmax(below))} leaves the closed {region}")
-    np.clip(S[:, clipped], 0.0, None, out=S[:, clipped])
-    if np.linalg.norm(S[0] - (R, 0.0)) > tol:
-        raise ValidationError("first sample must be (R, 0)")
-    if np.linalg.norm(S[-1] - last) > tol:
-        raise ValidationError(f"last sample must be {last_text}")
-    args = np.arctan2(S[:, 1], S[:, 0])
-    bad = np.argwhere(np.diff(args) <= DEFAULT_EPS_ARG)
-    if len(bad):
-        raise ValidationError(
-            f"argument is not strictly increasing at sample {int(bad[0, 0]) + 1}"
-        )
-    return S
+    R: float
+    samples: np.ndarray
+    eps: float = DEFAULT_EPS
+
+    _end = 1.0  # the parameter of the last sample
+    _closed = False  # whether the last sample returns to the first point
+
+    def _checked_samples(self, min_n: int, clipped: slice, region: str,
+                         last: tuple[float, float], last_text: str) -> np.ndarray:
+        """Checks shared by quadrant and halfplane curves; returns the samples.
+
+        R must be positive and finite, and eps finite and nonnegative.
+        Coordinates in ``clipped`` must be nonnegative up to eps * R (the
+        closed ``region``) and are clipped to zero; the first sample must be
+        (R, 0), the last ``last``, and the argument must increase strictly.
+        """
+        R = self.R
+        if not (R > 0.0 and math.isfinite(R)):
+            raise ValidationError("R must be positive and finite")
+        _check_eps(self.eps)
+        S = np.array(self.samples, dtype=float)
+        if S.ndim != 2 or S.shape[1] != 2 or S.shape[0] < min_n:
+            raise ValidationError(f"samples must be an (n >= {min_n}, 2) array")
+        if not np.isfinite(S).all():
+            raise ValidationError("samples must be finite")
+        tol = self.eps * R
+        below = (S[:, clipped] < -tol).any(axis=1)
+        if below.any():
+            raise ValidationError(f"sample {int(np.argmax(below))} leaves the closed {region}")
+        np.clip(S[:, clipped], 0.0, None, out=S[:, clipped])
+        if np.linalg.norm(S[0] - (R, 0.0)) > tol:
+            raise ValidationError("first sample must be (R, 0)")
+        if np.linalg.norm(S[-1] - last) > tol:
+            raise ValidationError(f"last sample must be {last_text}")
+        args = np.arctan2(S[:, 1], S[:, 0])
+        bad = np.argwhere(np.diff(args) <= DEFAULT_EPS_ARG)
+        if len(bad):
+            raise ValidationError(
+                f"argument is not strictly increasing at sample {int(bad[0, 0]) + 1}"
+            )
+        return S
+
+    @property
+    def n(self) -> int:
+        return len(self.samples)
+
+    @property
+    def params(self) -> np.ndarray:
+        """Evenly spaced sample parameters from 0 to 1 (quadrant) or 2 (halfplane)."""
+        return np.linspace(0.0, self._end, self.n)
 
 
 def _check_convex(S: np.ndarray, R: float, eps: float) -> None:
@@ -123,18 +149,8 @@ def _check_convex(S: np.ndarray, R: float, eps: float) -> None:
         raise ValidationError(f"polyline is not convex at sample {k}")
 
 
-def _curve_params(params, n: int, end: float) -> np.ndarray:
-    """Sample parameters: evenly spaced on [0, end] by default."""
-    if params is None:
-        return np.linspace(0.0, end, n)
-    params = np.asarray(params, dtype=float)
-    if params.shape != (n,) or (np.diff(params) <= 0).any():
-        raise ValidationError("params must be strictly increasing, one per sample")
-    return params
-
-
 @dataclass
-class QuadrantCurve:
+class QuadrantCurve(_PlanarCurve):
     """An ordered sample sequence of a segment parameterization.
 
     Samples run from (R, 0) to (0, R) in the closed first quadrant with
@@ -142,30 +158,19 @@ class QuadrantCurve:
     consistently (discrete convexity).  Validated on construction.
     """
 
-    R: float
-    samples: np.ndarray
-    params: np.ndarray | None = None
-    eps: float = DEFAULT_EPS
-
     def __post_init__(self):
-        S = _curve_samples(self.R, self.samples, self.eps, 2, slice(None),
-                           "first quadrant", (0.0, self.R), "(0, R)")
+        S = self._checked_samples(2, slice(None), "first quadrant", (0.0, self.R), "(0, R)")
         lam, mu = S.T / self.R
         wedge_ok = (lam + mu >= 1.0 - self.eps) & (np.abs(lam - mu) <= 1.0 + self.eps)
         if not wedge_ok.all():
             k = int(np.argwhere(~wedge_ok)[0, 0])
             raise ValidationError(f"sample {k} leaves the endpoint wedge")
         _check_convex(S, self.R, self.eps)
-        self.params = _curve_params(self.params, len(S), 1.0)
         self.samples = S
-
-    @property
-    def n(self) -> int:
-        return len(self.samples)
 
     def reflected(self) -> "QuadrantCurve":
         """Reflection across the quadrant bisector; an isometric segment."""
-        return QuadrantCurve(self.R, self.samples[::-1, ::-1].copy(), None, eps=self.eps)
+        return QuadrantCurve(self.R, self.samples[::-1, ::-1].copy(), self.eps)
 
 
 def _signed_matrix(samples: np.ndarray) -> np.ndarray:
@@ -207,13 +212,15 @@ def _convex_gap(curve, M: float) -> float:
             chain.pop()
         chain.append(c)
     try:
-        type(curve)(curve.R, P[chain], None, eps=0.0)
+        type(curve)(curve.R, P[chain], eps=0.0)
     except ValidationError:
         return math.inf
     chain = np.array(chain)
     hi = np.maximum(np.searchsorted(chain, np.arange(len(P))), 1)  # the chain edge over each sample
     A, d = P[chain[hi - 1]], P[chain[hi]] - P[chain[hi - 1]]
-    t = np.clip(((S - A) * d).sum(axis=1) / (d * d).sum(axis=1), 0.0, 1.0)
+    # an edge whose squared length underflows gives NaN, which proves nothing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(((S - A) * d).sum(axis=1) / (d * d).sum(axis=1), 0.0, 1.0)
     return float(np.hypot(*(S - A - t[:, None] * d).T).max()) + 16 * u * M
 
 
@@ -243,24 +250,22 @@ def _settle_by_curve(space: ExtendedMetricSpace, curve, residual: float) -> None
     space._settle_triangle(proven=slack <= space.tol)
 
 
-def _curve_space(curve, points: np.ndarray, labels) -> ExtendedMetricSpace:
-    """The space of ``points`` on ``curve`` under the area form, which the
-    curve proves a metric when it is strict."""
-    if labels is None:
-        labels = [f"t{i}" for i in range(len(points))]
+def _curve_space(curve, points: np.ndarray) -> ExtendedMetricSpace:
+    """The space of ``points`` on ``curve`` under the area form, labelled t0,
+    t1, ..., which the curve proves a metric when it is strict."""
+    labels = tuple(f"t{i}" for i in range(len(points)))
     with _triangle_deferred():
-        space = ExtendedMetricSpace(tuple(labels), _area_metric(points, curve.R), None,
-                                    eps=curve.eps)
+        space = ExtendedMetricSpace(labels, _area_metric(points, curve.R), None, eps=curve.eps)
         _settle_by_curve(space, curve, 0.0)
     return space
 
 
-def segment_from_curve(curve: QuadrantCurve, labels=None) -> ExtendedMetricSpace:
+def segment_from_curve(curve: QuadrantCurve) -> ExtendedMetricSpace:
     """The segment metric of a curve: d(s, t) = |<Jp_s, p_t>| / R.
 
     The result satisfies the Ptolemy equality for every ordered quadruple.
     """
-    return _curve_space(curve, curve.samples, labels)
+    return _curve_space(curve, curve.samples)
 
 
 def _ordered(space: ExtendedMetricSpace, order, shape: str, least: str, min_n: int):
@@ -302,23 +307,39 @@ def _check_area_form(D: np.ndarray, R: float, samples: np.ndarray, labels: list,
     return float(rel[worst])
 
 
+def _recover(cls, space: ExtendedMetricSpace, idx: list, D: np.ndarray, k: int,
+             coincide: str, failure: str):
+    """The curve of class ``cls`` through the points of ``space`` in the order
+    ``idx`` (``D`` their matrix): sample t is (+-d(t, x_k), d(t, x_0)), negative
+    after x_k, and a closed curve ends in (-R, 0), R = d(x_0, x_k).  The errors
+    say ``coincide`` when R is zero at the space's scale, and ``failure`` when
+    the distances are not the area form of the samples."""
+    R = D[0, k]
+    if R <= space.eps * space.scale:
+        raise ValidationError(coincide)
+    a = np.where(np.arange(len(D)) <= k, 1.0, -1.0) * D[:, k]
+    samples = np.column_stack([a, D[:, 0]])
+    residual = _check_area_form(D, R, samples, [space.labels[i] for i in idx], k,
+                                space.eps, failure)
+    if cls._closed:
+        samples = np.vstack([samples, [-R, 0.0]])
+    curve = cls(R, samples, eps=space.eps)
+    _settle_by_curve(space, curve, residual)
+    return curve
+
+
 def curve_from_segment(space: ExtendedMetricSpace, order=None) -> QuadrantCurve:
     """Recover the quadrant curve of a segment metric.
 
     ``order`` lists the points from one endpoint to the other (defaults to
-    label order).  Raises :class:`NotPtolemyError` with the worst offending
-    quadruple when the ordered Ptolemy equality fails.
+    label order); the endpoints are the base points, with no closing sample.
+    Raises :class:`NotPtolemyError` with the worst offending quadruple when
+    the ordered Ptolemy equality fails.
     """
     idx, D = _ordered(space, order, "segment", "two", 2)
-    R = D[0, -1]
-    if R <= space.tol:
-        raise ValidationError("endpoints coincide: d(first, last) is zero")
-    samples = np.column_stack([D[:, -1], D[:, 0]])
-    residual = _check_area_form(D, R, samples, [space.labels[i] for i in idx], -1,
-                                space.eps, "ordered Ptolemy equality fails for")
-    curve = QuadrantCurve(R, samples, None, eps=space.eps)
-    _settle_by_curve(space, curve, residual)
-    return curve
+    return _recover(QuadrantCurve, space, idx, D, len(idx) - 1,
+                    "endpoints coincide: d(first, last) is zero",
+                    "ordered Ptolemy equality fails for")
 
 
 def _half_angle(R: float, r: float, branch: str) -> float:
@@ -348,7 +369,7 @@ def euclidean_segment_curve(R: float, r: float, branch: str = "minor",
     B = r * np.array([math.cos(half), math.sin(half)])
     a = np.linalg.norm(pts - B, axis=1)
     b = np.linalg.norm(pts - A, axis=1)
-    return QuadrantCurve(R, np.column_stack([a, b]), None, eps=eps)
+    return QuadrantCurve(R, np.column_stack([a, b]), eps=eps)
 
 
 def ellipse_cos_beta(R: float, r: float, branch: str = "minor") -> float:
@@ -410,35 +431,30 @@ class SegmentMap:
 
 
 def segment_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
-                        dst_space: ExtendedMetricSpace, dst_anchors, *,
-                        src_order=None, dst_order=None) -> SegmentMap:
+                        dst_space: ExtendedMetricSpace, dst_anchors) -> SegmentMap:
     """The unique anchor-matching Moebius map between two segments.
 
-    Anchors are triples (x1, x2, x3): x1 and x3 the two boundary points in
-    either orientation, x2 interior.  Every source sample is sent to the
-    destination parameter whose boundary-path position matches, by monotone
-    piecewise-linear inversion; destination points are interpolated along
-    the destination curve.  The cross-ratio triples of all mapped 4-subsets
-    are compared against the source.
+    Both segments run in label order.  Anchors are triples (x1, x2, x3): x1
+    and x3 the two boundary points in either orientation, x2 interior.
+    Every source sample is sent to the destination parameter whose
+    boundary-path position matches, by monotone piecewise-linear inversion;
+    destination points are interpolated along the destination curve.  The
+    cross-ratio triples of all mapped 4-subsets are compared against the
+    source.
     """
-    src_idx, Ds = _ordered(src_space, src_order, "segment", "two", 2)
-    src_curve = curve_from_segment(src_space, src_idx)
-    dst_idx, Dd = _ordered(dst_space, dst_order, "segment", "two", 2)
-    dst_curve = curve_from_segment(dst_space, dst_idx)
+    src_curve = curve_from_segment(src_space)
+    dst_curve = curve_from_segment(dst_space)
 
-    def anchor_positions(space, idx, anchors):
-        pos = [idx.index(space.index(x)) for x in anchors]
-        n = len(idx)
-        if {pos[0], pos[2]} != {0, n - 1}:
+    def anchor_positions(space, anchors):
+        pos = [space.index(x) for x in anchors]
+        if {pos[0], pos[2]} != {0, space.n - 1}:
             raise ValueError("x1 and x3 must be the two boundary points")
-        if not 0 < pos[1] < n - 1:
+        if not 0 < pos[1] < space.n - 1:
             raise ValueError("x2 must be an interior point")
         return pos
 
-    sp = anchor_positions(src_space, src_idx, src_anchors)
-    dp = anchor_positions(dst_space, dst_idx, dst_anchors)
-    s_src = _segment_path_positions(Ds, *sp)
-    s_dst = _segment_path_positions(Dd, *dp)
+    s_src = _segment_path_positions(src_space.dist, *anchor_positions(src_space, src_anchors))
+    s_dst = _segment_path_positions(dst_space.dist, *anchor_positions(dst_space, dst_anchors))
 
     diffs = np.diff(s_dst)
     if (diffs > 0).all():
@@ -459,9 +475,9 @@ def segment_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
         np.interp(s_clip, xp, f_points[:, 0]),
         np.interp(s_clip, xp, f_points[:, 1]),
     ])
-    labels = tuple(src_space.labels[i] for i in src_idx)
-    dev, witness = _map_deviation(Ds, mapped_points, dst_curve.R, labels)
-    return SegmentMap(labels, src_curve.params, mapped_params, mapped_points, dev, witness)
+    dev, witness = _map_deviation(src_space.dist, mapped_points, dst_curve.R, src_space.labels)
+    return SegmentMap(src_space.labels, src_curve.params, mapped_params, mapped_points,
+                      dev, witness)
 
 
 def _curve_to_json(curve, **kind) -> dict:
@@ -475,7 +491,7 @@ def _curve_from_json(cls, data: dict, eps: float):
         samples = np.asarray(data["samples"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed curve JSON: {exc}") from exc
-    return cls(R, samples, None, eps=eps)
+    return cls(R, samples, eps=eps)
 
 
 def curve_to_json_dict(curve: QuadrantCurve) -> dict:

@@ -24,6 +24,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +49,13 @@ class ExtendedMetricSpace:
     ``dist[i, j]`` is infinite exactly when one of ``i, j`` is the remote
     point ``omega`` and the other is not.  Validation runs eagerly on
     construction: symmetry, zero diagonal, nonnegativity, the infinity
-    pattern, and the exact triangle inequality on the finite part.  The
-    space is immutable (``dataclasses.replace`` builds a copy with another
-    ``eps``) and its ``dist`` is read-only.  ``scale`` is the
-    largest finite entry, and ``tol = eps * max(scale, 1)`` is the absolute
-    tolerance of every distance comparison on the space; predicates on
-    cross-ratio triples compare against ``eps`` itself.
+    pattern, and the exact triangle inequality on the finite part; ``eps``
+    must be finite and nonnegative.  The space is immutable
+    (``dataclasses.replace`` builds a copy with another ``eps``) and its
+    ``dist`` is read-only.  ``scale`` is the largest finite entry, and
+    ``tol = eps * max(scale, 1)`` is the absolute tolerance of every
+    distance comparison on the space; predicates on cross-ratio triples
+    compare against ``eps`` itself.
     """
 
     labels: tuple[str, ...]
@@ -62,6 +64,7 @@ class ExtendedMetricSpace:
     eps: float = DEFAULT_EPS
 
     def __post_init__(self):
+        _check_eps(self.eps)
         labels = tuple(map(str, self.labels))
         n = len(labels)
         if n == 0:
@@ -93,8 +96,11 @@ class ExtendedMetricSpace:
                 raise ValidationError("infinity pattern is not symmetric")
             if asym > tol:
                 raise ValidationError("distance matrix is not symmetric")
-            S = D + D.T
-        S *= 0.5
+            if scale > sys.float_info.max / 2:  # d + d would overflow: halve first
+                S = 0.5 * D + 0.5 * D.T
+            else:
+                S = D + D.T
+                S *= 0.5
         np.copyto(S, D, where=~finite)  # non-finite entries stay as they are
         np.maximum(S, 0.0, out=S)
 
@@ -162,6 +168,12 @@ class ExtendedMetricSpace:
 
     def omega_label(self) -> str | None:
         return None if self.omega is None else self.labels[self.omega]
+
+
+def _check_eps(eps: float) -> None:
+    """The tolerance of a space or curve must be finite and nonnegative."""
+    if not 0.0 <= eps < math.inf:  # false for NaN too
+        raise ValidationError(f"eps must be finite and nonnegative, not {eps}")
 
 
 @contextlib.contextmanager
@@ -312,11 +324,6 @@ def crt(space: ExtendedMetricSpace, quad) -> CrossRatioTriple:
     M = _unit_remote(space.dist.take(q, 0).take(q, 1))
     return CrossRatioTriple.from_products(M[0, 1] * M[2, 3], M[0, 2] * M[1, 3],
                                           M[0, 3] * M[1, 2])
-
-
-def classify_simplex(triple: CrossRatioTriple, eps: float = DEFAULT_EPS) -> str:
-    """Region of a normalized triple: "interior", "boundary", or "outside"."""
-    return triple.region(eps)
 
 
 # Cells per pass of the quadruple kernel: a middle index b takes as many rows

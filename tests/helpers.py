@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -195,6 +196,8 @@ def reference_validation(labels, dist, omega=None, eps=1e-9):
     triangle pass (finite submatrix, its labels, the tolerance of the
     checks), or raises the constructor's ``ValidationError``.
     """
+    if math.isnan(eps) or eps < 0.0 or eps == math.inf:
+        raise ValidationError(f"eps must be finite and nonnegative, not {eps}")
     labels = tuple(str(x) for x in labels)
     n = len(labels)
     if n == 0:
@@ -219,7 +222,11 @@ def reference_validation(labels, dist, omega=None, eps=1e-9):
     asym[~(finite_mask & finite_mask.T)] = 0.0
     if asym.max(initial=0.0) > tol:
         raise ValidationError("distance matrix is not symmetric")
-    D = np.where(finite_mask, (D + np.where(finite_mask.T, D.T, D)) / 2.0, D)
+    other = np.where(finite_mask.T, D.T, D)
+    if scale > sys.float_info.max / 2:  # d + d would overflow: halve first
+        D = np.where(finite_mask, D / 2.0 + other / 2.0, D)
+    else:
+        D = np.where(finite_mask, (D + other) / 2.0, D)
     np.clip(D, 0.0, None, out=D)
     if np.abs(np.diag(D)).max(initial=0.0) > tol:
         raise ValidationError("diagonal entries must vanish")

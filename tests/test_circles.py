@@ -140,6 +140,18 @@ class TestCurveFromCircle:
         back = mg.curve_from_circle(sp)
         assert np.isclose(back.R, 2.0)
 
+    @pytest.mark.parametrize("R", [2.0, 2e-10])
+    def test_small_circle_classifies(self, R):
+        # coincidence is judged against the space's scale, not an absolute floor
+        curve = mg.chordal_circle_curve(R, 10)
+        back = mg.curve_from_circle(mg.circle_from_curve(curve))
+        assert back.R == R and np.abs(back.samples - curve.samples).max() <= 1e-15 * R
+
+    def test_coincident_base_points_rejected(self):
+        D = np.array([[0.0, 1.0, 1e-10], [1.0, 0.0, 1.0], [1e-10, 1.0, 0.0]]) * 1e-150
+        with pytest.raises(ValidationError, match="base points coincide"):
+            mg.curve_from_circle(mg.ExtendedMetricSpace(tuple("abc"), D), minus_one="c")
+
     def test_explicit_minus_one(self):
         rng = np.random.default_rng(2)
         curve = random_halfplane_curve(rng, R=1.5, n_interior=8)

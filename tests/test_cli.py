@@ -75,6 +75,25 @@ class TestCheck:
         assert len(coords) == 3
 
 
+    @pytest.mark.parametrize("eps, shown", [("inf", "inf"), ("nan", "nan"), ("-1", "-1.0")])
+    def test_bad_eps_is_named(self, eps, shown, tmp_path):
+        # d(a, b) = 3 > d(a, c) + d(c, b) = 2, which an eps of inf or NaN let through
+        D = np.array([[0.0, 3.0, 1.0], [3.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        path = write_space(tmp_path / "bad.json", D)
+        assert run([f"--eps={eps}", "check", path]) == (
+            1, f"error: eps must be finite and nonnegative, not {shown}\n")
+
+    def test_bad_eps_refuses_a_curve(self, tmp_path):
+        cf = tmp_path / "curve.json"
+        cf.write_text(json.dumps({"R": 1.0, "samples": [[1, 0], [0.4, 0.45], [0, 1]]}))
+        out = tmp_path / "matrix.json"
+        assert run(["segment", "synth", str(cf), "--output", str(out)]) == (
+            1, "error: sample 1 leaves the endpoint wedge\n")
+        assert run(["--eps", "inf", "segment", "synth", str(cf), "--output", str(out)]) == (
+            1, "error: eps must be finite and nonnegative, not inf\n")
+        assert not out.exists()
+
+
 class TestInvert:
     def test_line_inversion_values(self, line_file, tmp_path):
         out = tmp_path / "inv.json"

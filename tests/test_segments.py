@@ -1,5 +1,6 @@
 """Segment classification: signed distances, wedges, curves, Moebius maps."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moebiusgeo as mg
+from moebiusgeo import spaces
 from moebiusgeo.errors import NotPtolemyError, ValidationError
 
 from helpers import (chord_metric_oracle, ordered_quads,
@@ -118,8 +120,8 @@ class TestCurveValidation:
         straight_curve()
 
 
-# (curve class, R, samples, params, message fragment): one row per check of
-# the shared curve core, in each class's check order
+# (curve class, R, samples, eps or None for the default, message fragment):
+# one row per check of the shared curve core, in each class's check order
 Q, H = mg.QuadrantCurve, mg.HalfplaneCurve
 QUARTER = [(1, 0), (0.6, 0.6), (0, 1)]
 HALF = [(1, 0), (0, 1), (-1, 0)]
@@ -149,22 +151,28 @@ CURVE_REJECTIONS = [
     (H, 1.0, [(1, 0), (3, 2), (2, 1.95), (0.9, 2), (-1, 0)], None,
      "polyline is not convex at sample 2"),
     (H, 1.0, [(1, 0), (3, 2), (0.9, 2), (-1, 0)], None, "no sector direction contains the curve"),
-    (Q, 1.0, QUARTER, [0.0, 0.5], "params must be strictly increasing, one per sample"),
-    (Q, 1.0, QUARTER, [0.0, 0.5, 0.5], "params must be strictly increasing, one per sample"),
-    (H, 1.0, HALF, [0.0, 2.0, 1.0], "params must be strictly increasing, one per sample"),
+    (Q, 1.0, QUARTER, float("inf"), "eps must be finite and nonnegative, not inf"),
+    (H, 1.0, HALF, float("nan"), "eps must be finite and nonnegative, not nan"),
+    (Q, 1.0, QUARTER, -1e-9, "eps must be finite and nonnegative, not -1e-09"),
+    (H, 1.0, HALF, -1.0, "eps must be finite and nonnegative, not -1.0"),
+    # R is checked before eps
+    (Q, -1.0, QUARTER, float("nan"), "R must be positive and finite"),
 ]
 
 
 class TestSharedCurveChecks:
-    @pytest.mark.parametrize("cls, R, samples, params, message", CURVE_REJECTIONS)
-    def test_rejection_message(self, cls, R, samples, params, message):
+    @pytest.mark.parametrize("cls, R, samples, eps, message", CURVE_REJECTIONS)
+    def test_rejection_message(self, cls, R, samples, eps, message):
         with pytest.raises(ValidationError, match=message):
-            cls(R, samples, params)
+            cls(R, samples) if eps is None else cls(R, samples, eps)
 
     @pytest.mark.parametrize("cls, samples, end", [(Q, QUARTER, 1.0), (H, HALF, 2.0)])
     def test_params_default_and_explicit(self, cls, samples, end):
+        # the parameters are derived, evenly spaced; explicit ones are refused
         assert np.array_equal(cls(1.0, samples).params, np.linspace(0.0, end, 3))
-        assert np.array_equal(cls(1.0, samples, [0, 1, 5]).params, [0.0, 1.0, 5.0])
+        with pytest.raises(TypeError):
+            cls(1.0, samples, params=[0, 1, 5])
+        assert [f.name for f in dataclasses.fields(cls)] == ["R", "samples", "eps"]
 
     @pytest.mark.parametrize("cls, samples, clipped", [
         (Q, [(1, -1e-12), (0.6, 0.6), (-1e-12, 1)], slice(None)),
@@ -258,6 +266,38 @@ class TestCurveFromSegment:
             errs.append(err.value)
         assert errs[1].witness == errs[0].witness
         assert abs(errs[1].residual / errs[0].residual - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-10, 1e-150])
+    def test_small_scale_round_trip(self, scale):
+        # coincidence is judged against the space's scale, not an absolute floor
+        x = np.array([0.0, 0.1, 0.35, 0.5, 0.8, 1.0])
+        sp = mg.ExtendedMetricSpace(tuple(f"p{i}" for i in range(6)),
+                                    np.abs(np.subtract.outer(x, x)) * scale)
+        curve = mg.curve_from_segment(sp)
+        assert curve.R == sp.scale
+        back = mg.segment_from_curve(curve)
+        assert np.abs(back.dist - sp.dist).max() <= 2.0 ** -52 * sp.scale
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150])
+    def test_coincident_endpoints_rejected(self, scale):
+        D = np.array([[0.0, 1.0, 1e-10], [1.0, 0.0, 1.0], [1e-10, 1.0, 0.0]]) * scale
+        sp = mg.ExtendedMetricSpace(tuple("abc"), D)
+        with pytest.raises(ValidationError, match="endpoints coincide"):
+            mg.curve_from_segment(sp)
+
+    def test_underflowing_gap_falls_back_to_the_exact_pass(self, monkeypatch):
+        # at 1e-300 the squared chain edges underflow: no proof, and no warning
+        x = np.array([0.0, 0.1, 0.35, 0.5, 0.8, 1.0])
+        D = np.abs(np.subtract.outer(x, x)) * 1e-300
+        passes = []
+        check = spaces._check_triangle
+        monkeypatch.setattr(spaces, "_check_triangle", lambda *a: passes.append(check(*a)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with spaces._triangle_deferred():
+                sp = mg.ExtendedMetricSpace(tuple(f"p{i}" for i in range(6)), D)
+                curve = mg.curve_from_segment(sp)
+        assert curve.R == sp.scale and len(passes) == 1
 
     def test_omega_rejected(self):
         sp = mg.space_from_points([[0.0], [1.0]], add_omega=True)

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -140,9 +141,9 @@ def raw_matrices(draw):
     asymmetry, a negative entry or a diagonal entry just below, at or just
     above the tolerance, a -0.0, an inf, -inf or NaN cell, a pair beyond half
     the largest float, or an omega index out of range.  An eps of inf or NaN
-    lets every fault but NaN through to the stored matrix."""
+    is rejected, as is a negative one."""
     n = draw(st.integers(1, 6))
-    eps = draw(st.sampled_from([1e-9, 1e-3, 0.25, 0.0, INF, math.nan]))  # the last two check nothing
+    eps = draw(st.sampled_from([1e-9, 1e-3, 0.25, 0.0, INF, math.nan, -1e-9]))
     scale = draw(st.sampled_from([1.0, 3.0, 2.0 ** -40, 1e-300, 1e300, 1.2e308]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     P = rng.standard_normal((n, 2))
@@ -231,19 +232,25 @@ class TestValidationReference:
     def test_stored_scale_edges(self, D, omega):
         assert_matches_reference(tuple("abc"[:len(D)]), D, omega)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="eps is not validated: an eps of inf or NaN turns every check off")
-    @pytest.mark.parametrize("eps", [INF, math.nan])
+    # an eps of inf or NaN would turn every check off, and a negative one
+    # would reject every matrix as a negative distance
+    @pytest.mark.parametrize("eps", [INF, math.nan, -1.0])
     @pytest.mark.parametrize("D, omega", [
         (np.array([[0.0, 1.0, -INF], [1.0, 0.0, INF], [INF, INF, 0.0]]), 2),
         (np.array([[0.0, 3.0, 1.0], [3.0, 0.0, 1.0], [1.0, 1.0, 0.0]]), None),
     ])
     def test_non_finite_eps_rejected(self, D, omega, eps):
-        try:
+        with pytest.raises(ValidationError, match=f"^eps must be finite and nonnegative, not {eps}$"):
             mg.ExtendedMetricSpace(tuple("abc"[:len(D)]), D, omega, eps=eps)
-        except ValidationError:
-            return
-        raise AssertionError(f"a space with eps={eps} was accepted")
+
+    def test_symmetrizing_beyond_half_the_largest_float_does_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            sp = mg.ExtendedMetricSpace(("a", "b"), np.array([[0.0, 1.7e308], [1.7e308, 0.0]]))
+            assert sp.scale == 1.7e308 and sp.dist[0, 1] == 1.7e308 and sp.tol == 1e-9 * 1.7e308
+            D = np.array([[0.0, 1.0, 1.7e308], [1.0, 0.0, 1.7e308], [1.7e308, 1.7e308, 0.0]])
+            with pytest.raises(ValidationError, match="^omega must be at infinite distance"):
+                mg.ExtendedMetricSpace(tuple("abc"), D, 2)
 
 
 class TestCrt:
@@ -328,16 +335,16 @@ class TestCrt:
 class TestClassify:
     def test_center_interior(self):
         t = mg.CrossRatioTriple(1 / 3, 1 / 3, 1 / 3)
-        assert mg.classify_simplex(t) == "interior"
+        assert t.region() == "interior"
 
     def test_corner_boundary(self):
-        assert mg.classify_simplex(mg.CrossRatioTriple(0.0, 0.5, 0.5)) == "boundary"
+        assert mg.CrossRatioTriple(0.0, 0.5, 0.5).region() == "boundary"
 
     def test_outside(self):
-        assert mg.classify_simplex(mg.CrossRatioTriple(0.6, 0.2, 0.2)) == "outside"
+        assert mg.CrossRatioTriple(0.6, 0.2, 0.2).region() == "outside"
 
     def test_equality_case_is_boundary(self):
-        assert mg.classify_simplex(mg.CrossRatioTriple(0.5, 0.25, 0.25)) == "boundary"
+        assert mg.CrossRatioTriple(0.5, 0.25, 0.25).region() == "boundary"
 
 
 class TestIsPtolemy:
