@@ -24,9 +24,10 @@ def _rescaled(space: ExtendedMetricSpace, fac: np.ndarray, remote: int | None,
     ``fac`` has one positive entry per point; those of the remote point and
     of ``remote`` are not read.  A former remote point becomes finite at
     distance 1 / fac(x) from each such x, and ``remote`` (if any) becomes the
-    new remote point.  The output is validated; a triangle violation means
-    the input was not Ptolemy and raises :class:`NotPtolemyError` naming
-    ``failure``.
+    new remote point.  The output is checked for what the rescaling can
+    break (NaN or inf where the factors overflow or underflow, and the
+    triangle inequality); a failure means the input was not Ptolemy and
+    raises :class:`NotPtolemyError` naming ``failure``.
     """
     omega = space.omega
     fac = np.array(fac, dtype=float)
@@ -42,7 +43,9 @@ def _rescaled(space: ExtendedMetricSpace, fac: np.ndarray, remote: int | None,
         out[:, remote] = np.inf
         out[remote, remote] = 0.0
     try:
-        return ExtendedMetricSpace(space.labels, out, remote, eps=space.eps)
+        # exactly symmetric, as dist is: f_i * f_j = f_j * f_i; the diagonal
+        # is 0 / (f_i * f_i) = 0 (or NaN, which is refused)
+        return ExtendedMetricSpace._derived(space.labels, out, remote, space.eps, space._positions)
     except ValidationError as exc:
         raise NotPtolemyError(
             f"{failure} violates the triangle inequality; "

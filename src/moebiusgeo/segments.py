@@ -180,10 +180,17 @@ def _signed_matrix(samples: np.ndarray) -> np.ndarray:
 
 
 def _area_metric(points: np.ndarray, R: float) -> np.ndarray:
-    """The matrix |<Jp, q>| / R over all pairs of points, with a zero diagonal."""
-    D = np.abs(_signed_matrix(points)) / R
+    """The matrix |<Jp, q>| / R over all pairs of points, with a zero diagonal.
+
+    A power of two scales the largest coordinate into [1/2, 1), and R with
+    it, as in :func:`_check_area_form`, so the products neither overflow nor
+    underflow at the curve's own scale; the scaling and its undoing are exact.
+    """
+    e = -math.frexp(float(np.abs(points).max()))[1]
+    D = np.abs(_signed_matrix(np.ldexp(points, e)))
+    D /= math.ldexp(R, e)
     np.fill_diagonal(D, 0.0)
-    return D
+    return np.ldexp(D, -e, out=D)
 
 
 def _convex_gap(curve, M: float) -> float:
@@ -255,7 +262,8 @@ def _curve_space(curve, points: np.ndarray) -> ExtendedMetricSpace:
     t1, ..., which the curve proves a metric when it is strict."""
     labels = tuple(f"t{i}" for i in range(len(points)))
     with _triangle_deferred():
-        space = ExtendedMetricSpace(labels, _area_metric(points, curve.R), None, eps=curve.eps)
+        # exactly symmetric: fl(a_s b_t) = fl(b_t a_s), so <Jp_t, p_s> = -<Jp_s, p_t>
+        space = ExtendedMetricSpace._derived(labels, _area_metric(points, curve.R), None, curve.eps)
         _settle_by_curve(space, curve, 0.0)
     return space
 

@@ -50,7 +50,14 @@ class ExtendedMetricSpace:
     point ``omega`` and the other is not.  Validation runs eagerly on
     construction: symmetry, zero diagonal, nonnegativity, the infinity
     pattern, and the exact triangle inequality on the finite part; ``eps``
-    must be finite and nonnegative.  The space is immutable
+    must be finite and nonnegative.  These are the input checks of the
+    constructor, of ``dataclasses.replace`` and of
+    :func:`space_from_json_dict`.  The spaces the library derives itself
+    (:func:`space_from_points`, ``invert_at``, ``bound_at``,
+    ``segment_from_curve``, ``circle_from_curve``) build a matrix that
+    satisfies the other checks by its arithmetic, so they go through
+    ``_derived``, which checks only what a derivation can break: NaN and
+    inf from overflow, and the triangle inequality.  The space is immutable
     (``dataclasses.replace`` builds a copy with another ``eps``) and its
     ``dist`` is read-only.  ``scale`` is the largest finite entry, and
     ``tol = eps * max(scale, 1)`` is the absolute tolerance of every
@@ -64,14 +71,8 @@ class ExtendedMetricSpace:
     eps: float = DEFAULT_EPS
 
     def __post_init__(self):
-        _check_eps(self.eps)
-        labels = tuple(map(str, self.labels))
+        labels, positions = _checked_labels(self.labels, self.eps)
         n = len(labels)
-        if n == 0:
-            raise ValidationError("a space needs at least one point")
-        positions = dict(zip(labels, range(n)))
-        if len(positions) != n:
-            raise ValidationError("point labels must be unique")
         D = np.asarray(self.dist, dtype=float)  # read only; the checked matrix is a new one
         if D.shape != (n, n):
             raise ValidationError(
@@ -126,14 +127,62 @@ class ExtendedMetricSpace:
                 "infinite distance between finite points "
                 f"({finite_labels[i]}, {finite_labels[j]})"
             )
-        S.flags.writeable = False
         # of the symmetrized matrix: averaging, clipping or clearing the
         # diagonal may have moved the largest entry
         scale = float(S.max(initial=0.0) if bounded else S[finite].max(initial=0.0))
-        vars(self).update(labels=labels, dist=S, omega=omega, scale=scale,
+        self._finish(labels, S, omega, scale, positions, (sub, finite_labels, tol))
+
+    @classmethod
+    def _derived(cls, labels: tuple[str, ...], dist: np.ndarray, omega: int | None,
+                 eps: float, positions: dict | None = None) -> "ExtendedMetricSpace":
+        """A space of a matrix the library built, with only the checks it can fail.
+
+        The caller guarantees what the constructor would otherwise check:
+        unique string ``labels``, a valid ``eps``, and a new float (n, n)
+        ``dist`` that is exactly symmetric, with a zero diagonal, no
+        negative entry (nor -0.0), and inf on the row and column of
+        ``omega`` off the diagonal.  Inf or NaN that an overflow or a 0 / 0
+        put into the finite part is refused with the constructor's messages,
+        NaN first, and the exact triangle pass runs (or is left pending) as
+        on construction.  ``dist``, ``scale`` and ``tol`` are stored
+        bit-identical to the constructor's.
+        """
+        n = len(labels)
+        sub, finite_labels = dist, list(labels)
+        if omega is not None:
+            keep = np.arange(n - 1)
+            keep[omega:] += 1
+            sub = dist.take(keep, 0).take(keep, 1)
+            del finite_labels[omega]
+        if np.count_nonzero(np.isfinite(sub)) != sub.size:
+            if np.isnan(sub).any():
+                raise ValidationError("distance matrix contains NaN")
+            i, j = np.argwhere(~np.isfinite(sub))[0]
+            raise ValidationError(
+                "infinite distance between finite points "
+                f"({finite_labels[i]}, {finite_labels[j]})"
+            )
+        scale = float(sub.max(initial=0.0))
+        if scale > sys.float_info.max / 2:
+            # the constructor halves each entry before it averages, which
+            # rounds an odd subnormal entry: keep its bits
+            return cls(labels, dist, omega, eps)
+        space = cls.__new__(cls)
+        vars(space)["eps"] = eps
+        if positions is None:
+            positions = dict(zip(labels, range(n)))
+        space._finish(labels, dist, omega, scale, positions, (sub, finite_labels, eps * max(scale, 1.0)))
+        return space
+
+    def _finish(self, labels, dist, omega, scale, positions, triangle) -> None:
+        """Store the checked fields, and run the triangle pass ``triangle``
+        (finite submatrix, its labels, tolerance) or leave it pending inside
+        :func:`_triangle_deferred`."""
+        dist.flags.writeable = False
+        vars(self).update(labels=labels, dist=dist, omega=omega, scale=scale,
                           tol=self.eps * max(scale, 1.0), _positions=positions,
                           _ptolemy=None,  # the report of the quadruple scan, once run
-                          _triangle=(sub, finite_labels, tol))  # the pending pass
+                          _triangle=triangle)  # the pending pass
         built = _deferred.get()
         if built is None:
             self._settle_triangle()
@@ -174,6 +223,20 @@ def _check_eps(eps: float) -> None:
     """The tolerance of a space or curve must be finite and nonnegative."""
     if not 0.0 <= eps < math.inf:  # false for NaN too
         raise ValidationError(f"eps must be finite and nonnegative, not {eps}")
+
+
+def _checked_labels(labels, eps: float) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The labels of a space as strings, and the index of each; with ``eps``,
+    they are the first checks of a construction."""
+    _check_eps(eps)
+    labels = tuple(map(str, labels))
+    n = len(labels)
+    if n == 0:
+        raise ValidationError("a space needs at least one point")
+    positions = dict(zip(labels, range(n)))
+    if len(positions) != n:
+        raise ValidationError("point labels must be unique")
+    return labels, positions
 
 
 @contextlib.contextmanager
@@ -239,12 +302,23 @@ def space_from_points(points, labels=None, *, p: float = 2.0, add_omega: bool = 
     """Build a space from coordinate rows under an l^p metric (p=2 or p=1).
 
     With ``add_omega`` a remote point labeled ``omega`` is appended.
+    Euclidean distances keep their precision at every scale: when the
+    largest coordinate difference lies outside [2^-480, 2^480], where a
+    square would overflow or an underflow could cost more than a unit of
+    roundoff of the largest distance, the differences are scaled by a power
+    of two into [1/2, 1) before squaring, and back after the root.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     count = P.shape[0]
     diff = P[:, None, :] - P[None, :, :]
     if p == 2.0:
-        D = np.sqrt((diff ** 2).sum(axis=-1))
+        m = float(diff.max(initial=0.0))  # max |a - b|: fl(b - a) = -fl(a - b)
+        if 2.0 ** -480 <= m <= 2.0 ** 480 or not 0.0 < m < math.inf:
+            D = np.sqrt((diff ** 2).sum(axis=-1))
+        else:
+            e = math.frexp(m)[1]
+            with np.errstate(over="ignore"):  # a distance beyond the largest float is inf
+                D = np.ldexp(np.sqrt((np.ldexp(diff, -e) ** 2).sum(axis=-1)), e)
     elif p == 1.0:
         D = np.abs(diff).sum(axis=-1)
     else:
@@ -260,7 +334,14 @@ def space_from_points(points, labels=None, *, p: float = 2.0, add_omega: bool = 
         D = full
         labels.append("omega")
         omega = count
-    return ExtendedMetricSpace(tuple(labels), D, omega, eps=eps)
+    labels, positions = _checked_labels(labels, eps)
+    n = len(labels)
+    if D.shape != (n, n):
+        raise ValidationError(f"distance matrix shape {D.shape} does not match {n} labels")
+    # D is exactly symmetric with a zero diagonal and no -0.0:
+    # fl(a - b)^2 = fl(b - a)^2 and |fl(a - b)| = |fl(b - a)|, summed over
+    # the coordinates in the same order, and a - a = +0
+    return ExtendedMetricSpace._derived(labels, D, omega, eps, positions)
 
 
 @dataclass(frozen=True)

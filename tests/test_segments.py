@@ -1,6 +1,7 @@
 """Segment classification: signed distances, wedges, curves, Moebius maps."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -12,8 +13,8 @@ import moebiusgeo as mg
 from moebiusgeo import spaces
 from moebiusgeo.errors import NotPtolemyError, ValidationError
 
-from helpers import (chord_metric_oracle, ordered_quads,
-                     ptolemy_equality_residuals, random_quadrant_curve)
+from helpers import (chord_metric_oracle, ordered_quads, ptolemy_equality_residuals,
+                     random_halfplane_curve, random_quadrant_curve)
 
 coord = st.floats(min_value=-10.0, max_value=10.0)
 point = st.tuples(coord, coord)
@@ -224,6 +225,29 @@ class TestSegmentFromCurve:
                 for k in range(j + 1, n, 2):
                     w = mg.WedgeRegion(S[i], S[k])
                     assert mg.wedge_contains(w, S[j]).region != "outside"
+
+
+class TestAreaFormAtEveryScale:
+    """The products of coordinates of the area form used to underflow below
+    about 1e-160: the straight 6-sample curve read as an all-zero matrix at
+    R = 1e-300, and d(t0, t1) as 0.2001 R at 1e-160."""
+
+    @pytest.mark.parametrize("R", [1e-300, 1e-160])
+    def test_straight_curve(self, R):
+        curve = straight_curve(6, R)
+        t = curve.params
+        sp = mg.segment_from_curve(curve)
+        assert np.allclose(sp.dist, R * np.abs(t[:, None] - t), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("shift", [-1000, -600, -300, 300])
+    @pytest.mark.parametrize("circle", [False, True])
+    def test_power_of_two_scaling_is_exact(self, shift, circle):
+        rng = np.random.default_rng(3)
+        make, build = ((random_halfplane_curve, mg.circle_from_curve) if circle
+                       else (random_quadrant_curve, mg.segment_from_curve))
+        curve = make(rng, n_interior=8, per_edge=1)
+        scaled = type(curve)(math.ldexp(curve.R, shift), np.ldexp(curve.samples, shift))
+        assert build(scaled).dist.tobytes() == np.ldexp(build(curve).dist, shift).tobytes()
 
 
 class TestCurveFromSegment:

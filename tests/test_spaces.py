@@ -638,6 +638,30 @@ class TestSmallScale:
         assert report.equivalent and report.max_deviation == 0.0
 
 
+class TestPointsAtEveryScale:
+    """Squared coordinate differences used to underflow below about 1e-154
+    and overflow above about 1e154: six points 1e-300 apart read as one
+    point, and at 1e200 the build failed with an overflow warning."""
+
+    @pytest.mark.parametrize("spacing", [1e-300, 1e-160, 1e200])
+    def test_collinear_distances_are_exact(self, spacing):
+        x = np.array([0.0, 0.1, 0.35, 0.5, 0.8, 1.0]) * spacing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sp = mg.space_from_points(x[:, None], add_omega=True)
+        # sqrt(fl(d * d)) = |d| whenever d * d neither overflows nor underflows
+        assert sp.dist[:6, :6].tobytes() == np.abs(np.subtract.outer(x, x)).tobytes()
+        assert sp.scale == spacing
+
+    @pytest.mark.parametrize("shift", [-1000, -600, -481, 481, 600, 900])
+    def test_power_of_two_scaling_is_exact(self, shift):
+        P = np.random.default_rng(4).standard_normal((7, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = mg.space_from_points(np.ldexp(P, shift))
+        assert scaled.dist.tobytes() == np.ldexp(mg.space_from_points(P).dist, shift).tobytes()
+
+
 def _loose_line():
     """Six points on a line with d(p0, p5) 1e-7 short: a segment within eps = 1e-6."""
     D = np.abs(np.arange(6.0)[:, None] - np.arange(6.0))

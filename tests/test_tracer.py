@@ -43,11 +43,17 @@ def test_every_target_is_patched_and_restored():
                  if name == "moebiusgeo" or name.startswith("moebiusgeo.")
                  for key, value in vars(module).items()
                  if any(value is before[k] for k in keys if "." not in k[1])]
-        mg.circle_from_curve(mg.chordal_circle_curve(1.0, 8))
+        space = mg.circle_from_curve(mg.chordal_circle_curve(1.0, 8))
+        mg.space_from_json_dict(mg.space_to_json_dict(space))
     finally:
         tracer.uninstall()
     assert unpatched == [] and stale == []
     assert all(_current(*key) is before[key] for key in keys)
-    assert tracer.names[:3] == ["circles.HalfplaneCurve.__post_init__",
-                                "circles.circle_from_curve",
-                                "spaces.ExtendedMetricSpace.__post_init__"]
+    # a derived space skips the input checks, so only the JSON input shows
+    # them; the second curve is the strict chain of the curve proof
+    assert tracer.names == ["circles.HalfplaneCurve.__post_init__",
+                            "circles.circle_from_curve",
+                            "circles.HalfplaneCurve.__post_init__",
+                            "spaces.space_to_json_dict",
+                            "spaces.space_from_json_dict",
+                            "spaces.ExtendedMetricSpace.__post_init__"]
