@@ -33,13 +33,8 @@ def _emit(data, path: str | None) -> None:
             fh.writelines(data)
 
 
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _load_space(path: str, eps: float) -> spaces.ExtendedMetricSpace:
-    return spaces.space_from_json_dict(_load_json(path), eps=eps)
+    return spaces.space_from_json_dict(spaces._read_json(path), eps=eps)
 
 
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
@@ -111,7 +106,7 @@ def cmd_segment(args) -> int:
                        [curve.params, *curve.samples.T, segments.angle_parameterize(curve)])
         _emit(segments.curve_to_json_dict(curve), args.output)
         return EXIT_OK
-    curve = segments.curve_from_json_dict(_load_json(args.input), eps=args.eps)
+    curve = segments.curve_from_json_dict(spaces._read_json(args.input), eps=args.eps)
     _emit(spaces.space_to_json_chunks(segments.segment_from_curve(curve)), args.output)
     return EXIT_OK
 
@@ -127,7 +122,7 @@ def cmd_circle(args) -> int:
                        [curve.params, curve.samples[:, 0], curve.samples[:, 1]])
         _emit(circles.curve_to_json_dict(curve), args.output)
         return EXIT_OK
-    curve = circles.curve_from_json_dict(_load_json(args.input), eps=args.eps)
+    curve = circles.curve_from_json_dict(spaces._read_json(args.input), eps=args.eps)
     _emit(spaces.space_to_json_chunks(circles.circle_from_curve(curve)), args.output)
     return EXIT_OK
 

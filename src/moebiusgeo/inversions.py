@@ -9,6 +9,7 @@ the factors d(., o) + 1, producing a metric of diameter at most one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,17 @@ def _rescaled(space: ExtendedMetricSpace, fac: np.ndarray, remote: int | None,
     for i in (omega, remote):
         if i is not None:
             fac[i] = 1.0  # a finite stand-in; the rows are set below
-    out = space.dist / (fac[:, None] * fac)
+    lo, hi = float(fac.min()), float(fac.max())
+    if sys.float_info.min <= lo * lo and hi * hi < math.inf:
+        out = space.dist / (fac[:, None] * fac)
+    else:
+        # Some product f(x) f(y) leaves the normal range.  The distances and
+        # the factors split exactly into mantissas and powers of two; the
+        # mantissas are divided and the powers applied, so each quotient is
+        # rounded as at unit scale (and once more if it is subnormal).
+        m, k = np.frexp(fac)
+        md, kd = np.frexp(space.dist)
+        out = np.ldexp(md / (m[:, None] * m), kd - k[:, None] - k)
     if omega is not None:
         out[omega] = out[:, omega] = 1.0 / fac
         out[omega, omega] = 0.0

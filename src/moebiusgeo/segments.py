@@ -118,9 +118,12 @@ class _PlanarCurve:
         if below.any():
             raise ValidationError(f"sample {int(np.argmax(below))} leaves the closed {region}")
         np.clip(S[:, clipped], 0.0, None, out=S[:, clipped])
-        if np.linalg.norm(S[0] - (R, 0.0)) > tol:
+        # the endpoint norms at a power-of-two scale (see _check_convex)
+        e = _unit_exponent(S, R)
+        ends = np.ldexp(S[[0, -1]] - ((R, 0.0), last), e)
+        if np.linalg.norm(ends[0]) > math.ldexp(tol, e):
             raise ValidationError("first sample must be (R, 0)")
-        if np.linalg.norm(S[-1] - last) > tol:
+        if np.linalg.norm(ends[1]) > math.ldexp(tol, e):
             raise ValidationError(f"last sample must be {last_text}")
         args = np.arctan2(S[:, 1], S[:, 0])
         bad = np.argwhere(np.diff(args) <= DEFAULT_EPS_ARG)
@@ -140,11 +143,24 @@ class _PlanarCurve:
         return np.linspace(0.0, self._end, self.n)
 
 
+def _unit_exponent(S: np.ndarray, R: float) -> int:
+    """The power of two that scales the largest of R and the coordinates of
+    the samples S into [1/2, 1)."""
+    return -math.frexp(max(R, float(np.abs(S).max())))[1]
+
+
 def _check_convex(S: np.ndarray, R: float, eps: float) -> None:
-    """Discrete convexity: consecutive edges never turn clockwise."""
-    edges = np.diff(S, axis=0)
+    """Discrete convexity: consecutive edges never turn clockwise.
+
+    A power of two scales the samples and R, as in :func:`_area_metric`, so
+    the turns neither overflow nor underflow at the curve's own scale; the
+    scaling is exact where no subnormal number is involved, so it leaves the
+    verdict on a curve of normal scale as it was.
+    """
+    e = _unit_exponent(S, R)
+    edges = np.diff(np.ldexp(S, e), axis=0)
     turns = edges[:-1, 0] * edges[1:, 1] - edges[:-1, 1] * edges[1:, 0]
-    if len(turns) and turns.min() < -eps * R ** 2:
+    if len(turns) and turns.min() < -eps * math.ldexp(R, e) ** 2:
         k = int(np.argmin(turns)) + 1
         raise ValidationError(f"polyline is not convex at sample {k}")
 
@@ -225,8 +241,10 @@ def _convex_gap(curve, M: float) -> float:
     chain = np.array(chain)
     hi = np.maximum(np.searchsorted(chain, np.arange(len(P))), 1)  # the chain edge over each sample
     A, d = P[chain[hi - 1]], P[chain[hi]] - P[chain[hi - 1]]
-    # an edge whose squared length underflows gives NaN, which proves nothing
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # an edge whose squared length underflows gives NaN, which proves nothing;
+    # one whose products overflow gives NaN or the distance to an end of the
+    # edge, which overstates the gap
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = np.clip(((S - A) * d).sum(axis=1) / (d * d).sum(axis=1), 0.0, 1.0)
     return float(np.hypot(*(S - A - t[:, None] * d).T).max()) + 16 * u * M
 

@@ -420,3 +420,91 @@ class TestMatrixOutput:
         assert main(["sphere", "--kind", "halfspace", "--count", "9", "--seed", "4",
                      "--matrix-out", str(mf), "--output", str(tmp_path / "r.json")]) == 0
         assert mf.read_text() == self.reference(mg.sample_space("halfspace", count=9, seed=4))
+
+
+# Matrix files that orjson refuses or reads to other objects than the stdlib
+REREAD_BY_THE_STDLIB = {
+    "nan": '{"points": ["a", "b"], "matrix": [[0, NaN], [NaN, 0]]}',
+    "infinity": '{"points": ["a", "b"], "matrix": [[0, Infinity], [Infinity, 0]]}',
+    "minus_infinity": '{"points": ["a", "b"], "matrix": [[0, -Infinity], [-Infinity, 0]]}',
+    "overflowing_float": '{"points": ["a", "b"], "matrix": [[0, 1e999], [1e999, 0]]}',
+    "400_digit_cell": '{"points": ["a", "b"], "matrix": [[0, %s], [%s, 0]]}' % ("9" * 400, "9" * 400),
+    "30_digit_label": '{"points": [%s, "b", "c", "d"], "matrix": %s}' % (
+        "1" * 30, json.dumps(np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0))).tolist())),
+    "lone_surrogate": '{"points": ["\\ud800", "b"], "matrix": [[0, 1], [1, 0]]}',
+    "bom": '\ufeff{"points": ["a", "b"], "matrix": [[0, 1], [1, 0]]}',
+    "trailing_comma": '{"points": ["a", "b"], "matrix": [[0, 1], [1, 0],]}',
+}
+
+
+def stdlib_read(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+class TestJsonReader:
+    """The CLI reads with orjson where it can, and as the stdlib decoder would."""
+
+    @pytest.mark.parametrize("name", sorted(REREAD_BY_THE_STDLIB))
+    def test_check_answers_as_with_the_stdlib(self, name, tmp_path, capsys, monkeypatch):
+        import orjson
+        text = REREAD_BY_THE_STDLIB[name]
+        try:
+            assert not spaces._decoded_alike(orjson.loads(text))
+        except orjson.JSONDecodeError:
+            pass
+        path = tmp_path / "matrix.json"
+        path.write_text(text, encoding="utf-8")
+        code = main(["check", str(path)])
+        got = (code, *capsys.readouterr())
+        monkeypatch.setattr(spaces, "_read_json", stdlib_read)
+        code = main(["check", str(path)])
+        assert got == (code, *capsys.readouterr())
+
+    def test_check_of_a_label_too_wide_for_orjson(self, tmp_path, capsys):
+        path = tmp_path / "matrix.json"
+        path.write_text(REREAD_BY_THE_STDLIB["30_digit_label"])
+        assert main(["check", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["worst_quadruple"][0] == "1" * 30
+
+
+class TestLargeAndSmallScales:
+    """Curve checks and inversion factors scaled by a power of two where
+    their products would overflow or underflow."""
+
+    def test_segment_synth_at_1e160(self, tmp_path, capsys):
+        R = 1e160
+        samples = [[R, 0.0], [R / 2, R / 2], [0.0, R]]
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({"R": R, "samples": samples}))
+        assert main(["segment", "synth", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        space = mg.segment_from_curve(mg.QuadrantCurve(R, samples))
+        assert out == TestMatrixOutput.reference(space)
+        assert np.allclose(json.loads(out)["matrix"][0], [0.0, R / 2, R], rtol=1e-15)
+
+    @pytest.mark.parametrize("kind, quarters", [("segment", 1), ("circle", 2)])
+    def test_synth_of_a_round_curve_at_1e200(self, kind, quarters, tmp_path, capsys):
+        R = 1e200
+        t = np.linspace(0.0, quarters * np.pi / 2, 9)
+        data = {"R": R, "samples": (R * np.column_stack([np.cos(t), np.sin(t)])).tolist()}
+        if kind == "circle":
+            data["kind"] = "circle"
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(data))
+        assert main([kind, "synth", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        n = 9 if kind == "segment" else 8  # a circle's last sample repeats its first point
+        expected = R * np.abs(np.sin(np.subtract.outer(t[:n], t[:n])))  # |<Jp_s, p_t>| / R
+        assert np.allclose(json.loads(out)["matrix"], expected, rtol=1e-14, atol=1e-14 * R)
+
+    @pytest.mark.parametrize("shift", [-600, 600])
+    def test_invert_far_from_unit_scale(self, shift, tmp_path, capsys):
+        x = np.ldexp([0.0, 1.0, 3.0], shift)
+        path = write_space(tmp_path / "line.json", np.abs(np.subtract.outer(x, x)), ["p0", "p1", "p2"])
+        assert main(["invert", path, "--at", "p0"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["matrix"][1][2] == math.ldexp(2.0 / 3.0, -shift)

@@ -215,12 +215,14 @@ class TestDerivedMatchesConstructor:
         assert len(calls) == 1 and isinstance(space, mg.ExtendedMetricSpace)
 
     def test_overflowing_inversion_factors(self):
-        # d / (f f) is 0 / 0 on the diagonal when f f underflows, and inf off it
-        with recorded_derivations() as calls, np.errstate(divide="ignore", invalid="ignore"):
-            space = mg.space_from_points(np.ldexp([[0.0], [1.0], [3.0]], -600))
+        # the points 0, t and b on a line, inverted at 0: the product of the
+        # factors t and b is in range, but d(t, b) / (t b) = 1 / t = 2^1074 is not
+        with recorded_derivations() as calls, np.errstate(over="ignore"):
+            t, b = 2.0 ** -1074, 2.0 ** 1000
+            space = mg.ExtendedMetricSpace(tuple("abc"), np.array([[0, t, b], [t, 0, b], [b, b, 0]]))
             got = assert_derived_like_constructed(lambda: mg.invert_at(space, 0), calls,
-                                                  not_ptolemy("inversion at 'p0'"))
-        assert str(got.__cause__) == "distance matrix contains NaN"
+                                                  not_ptolemy("inversion at 'a'"))
+        assert str(got.__cause__) == "infinite distance between finite points (b, c)"
 
     def test_odd_subnormal_beyond_half_the_largest_float(self):
         # the constructor halves before it averages above DBL_MAX / 2, which

@@ -78,6 +78,34 @@ class TestInvertAt:
         assert np.array_equal(out.dist[finite], sp.dist[finite])
 
 
+    @pytest.mark.parametrize("shift", [-600, 600])
+    def test_factor_products_out_of_range(self, shift):
+        # f(x) f(y) of the points 0, 1, 3 scaled by 2^shift used to leave the
+        # range of a float: 0 / 0 on the diagonal at 2^-600, and 0 for d(p1, p2)
+        # at 2^600
+        sp = mg.space_from_points(np.ldexp([[0.0], [1.0], [3.0]], shift))
+        assert mg.invert_at(sp, "p0").dist[1, 2] == math.ldexp(2.0 / 3.0, -shift)
+
+    def test_factors_further_apart_than_the_range_of_a_product(self):
+        # the factors 2^-600 and 2^600 of the points 0, x, y: no one power of
+        # two brings the squares of both into range
+        t, b = 2.0 ** -600, 2.0 ** 600
+        sp = mg.ExtendedMetricSpace(("z", "x", "y"), np.array([[0, t, b], [t, 0, b], [b, b, 0]]))
+        assert mg.invert_at(sp, "z").dist[1, 2] == b / (t * b)
+
+    def test_bound_factor_products_out_of_range(self):
+        # the factors d(., p0) + 1 are 2^600 and 3 2^600
+        sp = mg.space_from_points(np.ldexp([[0.0], [1.0], [3.0]], 600))
+        assert mg.bound_at(sp, "p0").dist[1, 2] == math.ldexp(2.0 / 3.0, -600)
+
+    def test_factor_scaling_keeps_every_bit(self):
+        sp = random_ptolemy_space(np.random.default_rng(5), with_omega=True)
+        for shift in (-1000, -300, 300, 1000):
+            scaled = mg.ExtendedMetricSpace(sp.labels, np.ldexp(sp.dist, shift), sp.omega)
+            got = mg.invert_at(scaled, "p1").dist
+            assert got.tobytes() == np.ldexp(mg.invert_at(sp, "p1").dist, -shift).tobytes()
+
+
 class TestBoundAt:
     def test_interval_example(self):
         sp = mg.space_from_points(np.array([0.0, 3.0])[:, None])

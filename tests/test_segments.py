@@ -239,7 +239,7 @@ class TestAreaFormAtEveryScale:
         sp = mg.segment_from_curve(curve)
         assert np.allclose(sp.dist, R * np.abs(t[:, None] - t), rtol=1e-15, atol=0.0)
 
-    @pytest.mark.parametrize("shift", [-1000, -600, -300, 300])
+    @pytest.mark.parametrize("shift", [-1000, -600, -300, 300, 600, 1000])
     @pytest.mark.parametrize("circle", [False, True])
     def test_power_of_two_scaling_is_exact(self, shift, circle):
         rng = np.random.default_rng(3)
@@ -248,6 +248,31 @@ class TestAreaFormAtEveryScale:
         curve = make(rng, n_interior=8, per_edge=1)
         scaled = type(curve)(math.ldexp(curve.R, shift), np.ldexp(curve.samples, shift))
         assert build(scaled).dist.tobytes() == np.ldexp(build(curve).dist, shift).tobytes()
+
+
+class TestCurveChecksAtEveryScale:
+    """The turns and endpoint norms of the curve checks used to overflow above
+    about 1e154: a valid 3-sample curve at 1e160 raised OverflowError, and a
+    round one at 1e200 was refused for its last sample."""
+
+    @pytest.mark.parametrize("R", [1e-300, 1.0, 1e160, 1e300])
+    def test_three_sample_curve(self, R):
+        curve = mg.QuadrantCurve(R, [[R, 0.0], [R / 2, R / 2], [0.0, R]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sp = mg.segment_from_curve(curve)
+        assert np.allclose(sp.dist[0], [0.0, R / 2, R], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("R", [1.0, 1e200])
+    @pytest.mark.parametrize("cls, end", [(mg.QuadrantCurve, 0.5), (mg.HalfplaneCurve, 1.0)])
+    def test_dented_round_curve_is_refused_alike(self, R, cls, end):
+        t = np.linspace(0.0, end * np.pi, 9)
+        S = R * np.column_stack([np.cos(t), np.sin(t)])
+        S[4] *= 0.8  # pulled inward: the curve turns clockwise at sample 4
+        with pytest.raises(ValidationError, match="polyline is not convex at sample 4"):
+            cls(R, S)
+        S[4] /= 0.8
+        assert cls(R, S).n == 9
 
 
 class TestCurveFromSegment:

@@ -751,11 +751,21 @@ def reference_text(space) -> str:
     return json.dumps(mg.space_to_json_dict(space), indent=2, sort_keys=True) + "\n"
 
 
-# Labels that JSON escapes, and distances whose repr is not plain
+# Labels that JSON escapes
 LABELS = st.one_of(st.sampled_from(['"', "\\", "\u00e9", "\u2028", "\U0001d11e", 'a"b\\c']),
                    st.text(max_size=3))
-DISTANCES = st.one_of(st.sampled_from([1e-300, 5e-324, 1e16, 0.1]),
-                      st.floats(min_value=0.0, max_value=1e300))
+# Distances from every binade up to 2^1020 (the triangle pass adds two), 0 and
+# the subnormals included, the floats at and next to the ends of the range that
+# orjson writes like repr, and distances inside that range, so that both
+# writers of space_to_json_chunks are exercised
+LO, HI = spaces._ORJSON_REPR_RANGE
+EDGES = [0.0, 5e-324, 3e-320, 2.2250738585072014e-308, 1e-300, 0.1, 2.0 ** 1020,
+         *(float(np.nextafter(x, toward)) for x in (LO, HI) for toward in (0.0, INF)), LO, HI]
+IN_RANGE = st.one_of(st.sampled_from([0.0, LO, float(np.nextafter(HI, 0.0))]),
+                     st.floats(min_value=LO, max_value=HI, exclude_max=True))
+DISTANCES = st.one_of(st.sampled_from(EDGES), IN_RANGE,
+                      st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
+                                st.integers(-1073, 1020)))
 
 
 def max_metric_space(labels, x, omega=None):
@@ -772,12 +782,13 @@ def max_metric_space(labels, x, omega=None):
 def json_spaces(draw):
     labels = draw(st.lists(LABELS, min_size=1, max_size=6, unique=True))
     n = len(labels)
-    x = np.array(draw(st.lists(DISTANCES, min_size=n, max_size=n)))
+    x = np.array(draw(st.lists(draw(st.sampled_from([IN_RANGE, DISTANCES])),
+                               min_size=n, max_size=n)))
     return max_metric_space(labels, x, draw(st.none() | st.integers(0, n - 1)))
 
 
 class TestJsonChunks:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(json_spaces())
     def test_equals_json_dumps(self, space):
         assert "".join(mg.space_to_json_chunks(space)) == reference_text(space)
@@ -799,6 +810,102 @@ class TestJsonChunks:
         x[5] = 1e16
         space = max_metric_space([f"p{i}" for i in range(40)], x, omega)
         assert "".join(mg.space_to_json_chunks(space)) == reference_text(space)
+
+    @pytest.mark.parametrize("omega", [None, 0, 17, 39])
+    def test_forty_points_inside_the_orjson_range(self, omega):
+        x = np.random.default_rng(40).uniform(1e-4, 3.0, 40)
+        space = max_metric_space([f"p{i}" for i in range(40)], x, omega)
+        assert "".join(mg.space_to_json_chunks(space)) == reference_text(space)
+
+    @pytest.mark.parametrize("x, fast", [
+        ([0.0, LO, 2.0, np.nextafter(HI, 0.0)], True),
+        ([0.0, 0.0, 0.0, 0.0], True),
+        ([0.0, np.nextafter(LO, 0.0), 1.0, 1.0], False),
+        ([0.0, 1.0, HI, 1.0], False),
+        ([0.0, 1.0, 5e-324, 1.0], False),
+    ])
+    def test_orjson_writes_inside_its_range_only(self, x, fast, monkeypatch):
+        import orjson
+        calls = []
+        dumps = orjson.dumps
+        monkeypatch.setattr(orjson, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+        for omega in (None, 3):
+            space = max_metric_space(["a", "b", "c", "d"], np.array(x), omega)
+            assert "".join(mg.space_to_json_chunks(space)) == reference_text(space)
+        assert len(calls) == (2 if fast else 0)
+
+    def test_fortran_ordered_matrix(self):
+        D = np.asfortranarray([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
+        space = mg.ExtendedMetricSpace._derived(("a", "b", "c"), D, None, 1e-9)
+        assert "".join(mg.space_to_json_chunks(space)) == reference_text(space)
+
+
+def same_objects(a, b) -> bool:
+    """Equal JSON values of equal types, floats bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return a.hex() == b.hex()
+    if type(a) is list:
+        return len(a) == len(b) and all(map(same_objects, a, b))
+    if type(a) is dict:
+        return list(a) == list(b) and all(map(same_objects, a.values(), b.values()))
+    return a == b
+
+
+# Documents that both decoders accept: _read_json keeps orjson's objects for
+# the first six and decodes the others again with the stdlib
+STRICT_DOCUMENTS = [
+    '{"points": ["a", "b"], "omega": null, "matrix": [[0, 1.5], [1.5, 0.0]]}',
+    '{"matrix": [[0.1, 0.30000000000000004, 1e-4, 9.999999999999999e-05, 1e16, 1e+16]]}',
+    '{"matrix": [[5e-324, 2.4703282292062328e-324, 2.4703282292062327e-324, 1e-400, '
+    '2.2250738585072011e-308, 1.7976931348623157e308, -0.0, -0]]}',
+    '{"matrix": [[0.1000000000000000055511151231257827021181583404541015625, '
+    '1.00000000000000011102230246251565404236316680908203125, 123456789012345678901e-5]]}',
+    '{"matrix": [[9007199254740993, 18446744073709551615, -9223372036854775808, 1E5, 2.5e+3]]}',
+    '{"points": ["\\u00e9", "\\ud83d\\ude00", "\\"q\\"", "a\\/b", "\\u0000", "\\u2028"], '
+    '"omega": "\\u00e9", "R": 2.0, "kind": "circle", "samples": [[2.0, 0], [0, 2.0]]}',
+    '{"points": ["a", "a"], "points": ["b"], "extra": [true, false, null, 1, "x"], "n": {}}',
+    '{"points": [18446744073709551616], "omega": 1}',
+    '{"omega": 18446744073709551616, "matrix": 18446744073709551616}',
+    '{"matrix": [[0, [18446744073709551616]], [1, {"a": 2}]], "x": [[[[1]]]]}',
+    '[[0.5, 1], {"points": []}]',
+    "18446744073709551616",
+]
+
+
+class TestReadJson:
+    @pytest.mark.parametrize("text", STRICT_DOCUMENTS)
+    def test_values_and_types_equal_the_stdlib(self, text, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert same_objects(spaces._read_json(str(path)), json.loads(text))
+
+    @pytest.mark.parametrize("text, alike", [
+        *((text, True) for text in STRICT_DOCUMENTS[:6]),
+        *((text, False) for text in STRICT_DOCUMENTS[6:]),
+    ])
+    def test_orjson_objects_are_kept_only_where_alike(self, text, alike):
+        import orjson
+        assert spaces._decoded_alike(orjson.loads(text)) is alike
+
+    def test_widened_integers_in_a_matrix_row_are_the_same_numbers(self, tmp_path):
+        big = ["18446744073709551616", "-9223372036854775809", "123456789012345678901234567890"]
+        text = '{"points": ["a", "b", "c", "d"], "matrix": [[0, %s, %s, %s]]}' % tuple(big)
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        row = spaces._read_json(str(path))["matrix"][0]
+        assert type(row[1]) is float  # orjson's object is kept
+        assert [float(v).hex() for v in row] == [float(v).hex() for v in json.loads(text)["matrix"][0]]
+
+    def test_nesting_beyond_the_stdlib_limit_is_refused_as_before(self, tmp_path):
+        text = '{"points": ["a"], "matrix": [[0]], "x": ' + "[" * 5000 + "]" * 5000 + "}"
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        with pytest.raises(RecursionError):
+            json.loads(text)
+        with pytest.raises(RecursionError):
+            spaces._read_json(str(path))
 
 
 class TestLabelIndex:
