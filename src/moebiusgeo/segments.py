@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPtolemyError, ValidationError
-from .spaces import (DEFAULT_EPS, ExtendedMetricSpace, _check_eps, _triangle_deferred,
-                     max_crt_deviation)
+from .spaces import (_PLAIN_NUMBERS, DEFAULT_EPS, ExtendedMetricSpace, _check_eps,
+                     _triangle_deferred, max_crt_deviation)
 
 DEFAULT_EPS_ARG = 1e-10
 
@@ -189,12 +189,6 @@ class QuadrantCurve(_PlanarCurve):
         return QuadrantCurve(self.R, self.samples[::-1, ::-1].copy(), self.eps)
 
 
-def _signed_matrix(samples: np.ndarray) -> np.ndarray:
-    a = samples[:, 0]
-    b = samples[:, 1]
-    return np.outer(a, b) - np.outer(b, a)
-
-
 def _area_metric(points: np.ndarray, R: float) -> np.ndarray:
     """The matrix |<Jp, q>| / R over all pairs of points, with a zero diagonal.
 
@@ -203,7 +197,8 @@ def _area_metric(points: np.ndarray, R: float) -> np.ndarray:
     underflow at the curve's own scale; the scaling and its undoing are exact.
     """
     e = -math.frexp(float(np.abs(points).max()))[1]
-    D = np.abs(_signed_matrix(np.ldexp(points, e)))
+    P = np.ldexp(points, e)
+    D = np.abs(signed_distance(P[:, None], P))
     D /= math.ldexp(R, e)
     np.fill_diagonal(D, 0.0)
     return np.ldexp(D, -e, out=D)
@@ -317,7 +312,8 @@ def _check_area_form(D: np.ndarray, R: float, samples: np.ndarray, labels: list,
     """
     e = -math.frexp(float(D.max()))[1]
     DR = np.ldexp(D, e) * math.ldexp(R, e)
-    sd = _signed_matrix(np.ldexp(samples, e))
+    S = np.ldexp(samples, e)
+    sd = signed_distance(S[:, None], S)
     resid = np.abs(DR - sd)
     scale = np.maximum(np.abs(DR), np.abs(sd))
     iu = np.triu_indices(len(D), k=1)
@@ -512,10 +508,16 @@ def _curve_to_json(curve, **kind) -> dict:
 
 
 def _curve_from_json(cls, data: dict, eps: float):
+    """A curve from its JSON dict, whose ``R`` and sample cells are JSON numbers."""
     try:
-        R = float(data["R"])
-        samples = np.asarray(data["samples"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        R, samples = data["R"], data["samples"]
+        # the cells of a list of lists; any other shape fails the curve's shape check
+        rows = [row for row in samples if type(row) is list] if type(samples) is list else []
+        for name, v in [("R", R), *(("sample cell", v) for row in rows for v in row)]:
+            if type(v) not in _PLAIN_NUMBERS:  # the matrix reader's plain-number test
+                raise TypeError(f"{name} {v!r} is not a number")
+        R, samples = float(R), np.asarray(samples, dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed curve JSON: {exc}") from exc
     return cls(R, samples, eps=eps)
 

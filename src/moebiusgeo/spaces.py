@@ -34,7 +34,7 @@ from .errors import ValidationError
 DEFAULT_EPS = 1e-9
 
 # Cells per pass of the triangle check: blocks of rows take at least one row,
-# so a pass never exceeds max(budget, m^2) cells, and a space of up to 50
+# so a pass never exceeds max(budget, m^2) cells, and a space of up to 51
 # points is checked in a single pass.
 _TRIANGLE_CELLS = 1 << 17
 
@@ -47,21 +47,20 @@ class ExtendedMetricSpace:
     """A finite labeled point set with a symmetric extended distance matrix.
 
     ``dist[i, j]`` is infinite exactly when one of ``i, j`` is the remote
-    point ``omega`` and the other is not.  Validation runs eagerly on
-    construction: symmetry, zero diagonal, nonnegativity, the infinity
-    pattern, and the exact triangle inequality on the finite part; ``eps``
-    must be finite and nonnegative.  These are the input checks of the
-    constructor, of ``dataclasses.replace`` and of
-    :func:`space_from_json_dict`.  The spaces the library derives itself
-    (:func:`space_from_points`, ``invert_at``, ``bound_at``,
-    ``segment_from_curve``, ``circle_from_curve``) build a matrix that
-    satisfies the other checks by its arithmetic, so they go through
-    ``_derived``, which checks only what a derivation can break: NaN and
-    inf from overflow, and the triangle inequality.  The space is immutable
-    (``dataclasses.replace`` builds a copy with another ``eps``) and its
-    ``dist`` is read-only.  ``scale`` is the largest finite entry, and
-    ``tol = eps * max(scale, 1)`` is the absolute tolerance of every
-    distance comparison on the space; predicates on cross-ratio triples
+    point ``omega`` and the other is not.  Every space is built by one path.
+    The constructor (behind ``dataclasses.replace`` and
+    :func:`space_from_json_dict` too) runs the input checks: a finite,
+    nonnegative ``eps``, unique labels, the shape, no NaN, nonnegativity,
+    symmetry, a zero diagonal and the infinity pattern of ``omega``.  It
+    ends in the finishing step ``_finish``: no inf between finite points,
+    then the exact triangle inequality on the finite part.  The spaces the
+    library derives (:func:`space_from_points`, ``invert_at``, ``bound_at``,
+    ``segment_from_curve``, ``circle_from_curve``) pass the input checks by
+    their arithmetic, so ``_derived`` takes the finishing step alone.  The
+    space is immutable (``dataclasses.replace`` builds a copy with another
+    ``eps``) and its ``dist`` is read-only.  ``scale`` is the largest finite
+    entry, and ``tol = eps * max(scale, 1)`` is the absolute tolerance of
+    every distance comparison on the space; predicates on cross-ratio triples
     compare against ``eps`` itself.
     """
 
@@ -71,13 +70,8 @@ class ExtendedMetricSpace:
     eps: float = DEFAULT_EPS
 
     def __post_init__(self):
-        labels, positions = _checked_labels(self.labels, self.eps)
+        labels, positions, D = _checked_input(self.labels, self.dist, self.eps)
         n = len(labels)
-        D = np.asarray(self.dist, dtype=float)  # read only; the checked matrix is a new one
-        if D.shape != (n, n):
-            raise ValidationError(
-                f"distance matrix shape {D.shape} does not match {n} labels"
-            )
         # Whole-matrix passes only; np.argwhere locates a fault once one is found
         finite = np.isfinite(D)
         bounded = np.count_nonzero(finite) == n * n
@@ -110,47 +104,43 @@ class ExtendedMetricSpace:
         S.flat[:: n + 1] = 0.0
 
         omega = self.omega
-        sub, finite_labels = S, list(labels)
         if omega is not None:
             omega = int(omega)
             if not 0 <= omega < n:
                 raise ValidationError(f"omega index {omega} out of range")
             if np.count_nonzero(np.isinf(S[omega])) != n - 1:  # d(omega, omega) is 0
                 raise ValidationError("omega must be at infinite distance from every other point")
-            keep = np.arange(n - 1)
-            keep[omega:] += 1
-            sub = S.take(keep, 0).take(keep, 1)
-            del finite_labels[omega]
-        if np.count_nonzero(np.isfinite(sub)) != sub.size:
-            i, j = np.argwhere(~np.isfinite(sub))[0]
-            raise ValidationError(
-                "infinite distance between finite points "
-                f"({finite_labels[i]}, {finite_labels[j]})"
-            )
-        # of the symmetrized matrix: averaging, clipping or clearing the
-        # diagonal may have moved the largest entry
-        scale = float(S.max(initial=0.0) if bounded else S[finite].max(initial=0.0))
-        self._finish(labels, S, omega, scale, positions, (sub, finite_labels, tol))
+        # the pass takes the checks' tol; the stored scale is the symmetrized matrix's
+        self._finish(labels, S, omega, positions, tol)
 
     @classmethod
     def _derived(cls, labels: tuple[str, ...], dist: np.ndarray, omega: int | None,
                  eps: float, positions: dict | None = None) -> "ExtendedMetricSpace":
         """A space of a matrix the library built, with only the checks it can fail.
 
-        The caller guarantees what the constructor would otherwise check:
-        unique string ``labels``, a valid ``eps``, and a new float (n, n)
-        ``dist`` that is exactly symmetric, with a zero diagonal, no
-        negative entry (nor -0.0), and inf on the row and column of
-        ``omega`` off the diagonal.  Inf or NaN that an overflow or a 0 / 0
-        put into the finite part is refused with the constructor's messages,
-        NaN first, and the exact triangle pass runs (or is left pending) as
-        on construction.  ``dist``, ``scale`` and ``tol`` are stored
-        bit-identical to the constructor's.
+        The caller guarantees what the input checks establish: unique string
+        ``labels``, a valid ``eps``, and a new float (n, n) ``dist`` that is
+        exactly symmetric, with a zero diagonal, no negative entry (nor -0.0),
+        and inf on the row and column of ``omega`` off the diagonal.  Only the
+        finishing step :meth:`_finish` runs, and ``dist``, ``scale`` and
+        ``tol`` are stored bit-identical to the constructor's.
         """
-        n = len(labels)
+        space = cls.__new__(cls)
+        vars(space)["eps"] = eps
+        if space._finish(labels, dist, omega, positions or dict(zip(labels, range(len(labels))))):
+            return space
+        # above DBL_MAX / 2 the constructor halves each entry before it
+        # averages, which rounds an odd subnormal entry: keep its bits
+        return cls(labels, dist, omega, eps)
+
+    def _finish(self, labels, dist, omega, positions, check_tol=None) -> bool:
+        """Refuse NaN, then inf, in the finite block of ``dist``, store the
+        fields, and run the block's triangle pass against ``check_tol``
+        (default ``tol``) or leave it pending inside :func:`_triangle_deferred`.
+        Without ``check_tol``, a scale above DBL_MAX / 2 stores nothing: False."""
         sub, finite_labels = dist, list(labels)
         if omega is not None:
-            keep = np.arange(n - 1)
+            keep = np.arange(len(labels) - 1)
             keep[omega:] += 1
             sub = dist.take(keep, 0).take(keep, 1)
             del finite_labels[omega]
@@ -163,31 +153,21 @@ class ExtendedMetricSpace:
                 f"({finite_labels[i]}, {finite_labels[j]})"
             )
         scale = float(sub.max(initial=0.0))
-        if scale > sys.float_info.max / 2:
-            # the constructor halves each entry before it averages, which
-            # rounds an odd subnormal entry: keep its bits
-            return cls(labels, dist, omega, eps)
-        space = cls.__new__(cls)
-        vars(space)["eps"] = eps
-        if positions is None:
-            positions = dict(zip(labels, range(n)))
-        space._finish(labels, dist, omega, scale, positions, (sub, finite_labels, eps * max(scale, 1.0)))
-        return space
-
-    def _finish(self, labels, dist, omega, scale, positions, triangle) -> None:
-        """Store the checked fields, and run the triangle pass ``triangle``
-        (finite submatrix, its labels, tolerance) or leave it pending inside
-        :func:`_triangle_deferred`."""
+        if check_tol is None and scale > sys.float_info.max / 2:
+            return False
+        tol = self.eps * max(scale, 1.0)
         dist.flags.writeable = False
-        vars(self).update(labels=labels, dist=dist, omega=omega, scale=scale,
-                          tol=self.eps * max(scale, 1.0), _positions=positions,
+        vars(self).update(labels=labels, dist=dist, omega=omega, scale=scale, tol=tol,
+                          _positions=positions,
                           _ptolemy=None,  # the report of the quadruple scan, once run
-                          _triangle=triangle)  # the pending pass
+                          _triangle=(sub, finite_labels,  # the pending pass
+                                     tol if check_tol is None else check_tol))
         built = _deferred.get()
         if built is None:
             self._settle_triangle()
         else:
             built.append(self)
+        return True
 
     def _settle_triangle(self, proven: bool = False) -> None:
         """Run the pending triangle pass, unless ``proven`` shows that it passes."""
@@ -225,9 +205,10 @@ def _check_eps(eps: float) -> None:
         raise ValidationError(f"eps must be finite and nonnegative, not {eps}")
 
 
-def _checked_labels(labels, eps: float) -> tuple[tuple[str, ...], dict[str, int]]:
-    """The labels of a space as strings, and the index of each; with ``eps``,
-    they are the first checks of a construction."""
+def _checked_input(labels, dist, eps: float) -> tuple[tuple[str, ...], dict[str, int], np.ndarray]:
+    """The first checks of a construction: ``eps``, the labels as unique
+    strings, and the shape of ``dist``; returns the labels, the index of
+    each, and ``dist`` as a float array (not copied when it is one)."""
     _check_eps(eps)
     labels = tuple(map(str, labels))
     n = len(labels)
@@ -236,7 +217,10 @@ def _checked_labels(labels, eps: float) -> tuple[tuple[str, ...], dict[str, int]
     positions = dict(zip(labels, range(n)))
     if len(positions) != n:
         raise ValidationError("point labels must be unique")
-    return labels, positions
+    D = np.asarray(dist, dtype=float)
+    if D.shape != (n, n):
+        raise ValidationError(f"distance matrix shape {D.shape} does not match {n} labels")
+    return labels, positions, D
 
 
 @contextlib.contextmanager
@@ -278,19 +262,20 @@ def _check_triangle(sub: np.ndarray, labels: list[str], tol: float) -> None:
     """
     m = len(labels)
     lo = 0
-    while lo < m - 1:
-        width = m - 1 - lo
-        hi = min(m - 1, lo + max(1, _TRIANGLE_CELLS // (m * width)))
-        best = (sub[lo:hi, None, :] + sub[lo + 1:]).min(axis=2)  # d(k, j) = d(j, k)
-        best += tol
-        bad = sub[lo:hi, lo + 1:] > best
-        if bad.any():  # its first failing cell has j > i, by symmetry
-            i, j = np.argwhere(bad)[0] + (lo, lo + 1)
-            k = np.argmax(sub[i, j] > sub[i] + sub[j] + tol)
-            break
-        lo = hi
-    else:
-        return
+    with np.errstate(over="ignore"):  # a detour summed to inf breaks no triangle
+        while lo < m - 1:
+            width = m - 1 - lo
+            hi = min(m - 1, lo + max(1, _TRIANGLE_CELLS // (m * width)))
+            best = (sub[lo:hi, None, :] + sub[lo + 1:]).min(axis=2)  # d(k, j) = d(j, k)
+            best += tol
+            bad = sub[lo:hi, lo + 1:] > best
+            if bad.any():  # its first failing cell has j > i, by symmetry
+                i, j = np.argwhere(bad)[0] + (lo, lo + 1)
+                k = np.argmax(sub[i, j] > sub[i] + sub[j] + tol)
+                break
+            lo = hi
+        else:
+            return
     raise ValidationError(
         "triangle inequality fails: "
         f"d({labels[i]},{labels[j]}) > d({labels[i]},{labels[k]}) + d({labels[k]},{labels[j]})"
@@ -334,10 +319,7 @@ def space_from_points(points, labels=None, *, p: float = 2.0, add_omega: bool = 
         D = full
         labels.append("omega")
         omega = count
-    labels, positions = _checked_labels(labels, eps)
-    n = len(labels)
-    if D.shape != (n, n):
-        raise ValidationError(f"distance matrix shape {D.shape} does not match {n} labels")
+    labels, positions, D = _checked_input(labels, D, eps)
     # D is exactly symmetric with a zero diagonal and no -0.0:
     # fl(a - b)^2 = fl(b - a)^2 and |fl(a - b)| = |fl(b - a)|, summed over
     # the coordinates in the same order, and a - a = +0
@@ -409,8 +391,8 @@ def crt(space: ExtendedMetricSpace, quad) -> CrossRatioTriple:
 
 # Cells per pass of the quadruple kernel: a middle index b takes as many rows
 # a < b as fit this many cells, and at least one, so a pass never exceeds
-# max(budget, n^2 / 2) cells.  A small space whose padded block of all b fits
-# is scanned in one masked pass.
+# max(budget, n^2 / 2) cells.  A small space, up to 18 points at this budget,
+# is gathered in one pass through the cached _one_pass_layout, with no mask.
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -641,14 +623,15 @@ def line_embed(space: ExtendedMetricSpace) -> np.ndarray | None:
     if D[0, anchor] <= tol:
         return coords if D.max() <= tol else None
     coords[anchor] = D[0, anchor]
-    for i in range(1, n):
-        if i == anchor:
-            continue
-        plus, minus = D[0, i], -D[0, i]
-        err_plus = abs(abs(plus - coords[anchor]) - D[i, anchor])
-        err_minus = abs(abs(minus - coords[anchor]) - D[i, anchor])
-        coords[i] = plus if err_plus <= err_minus else minus
-    gaps = np.abs(np.abs(coords[:, None] - coords[None, :]) - D)
+    with np.errstate(over="ignore"):  # a gap that overflows to inf embeds nothing
+        for i in range(1, n):
+            if i == anchor:
+                continue
+            plus, minus = D[0, i], -D[0, i]
+            err_plus = abs(abs(plus - coords[anchor]) - D[i, anchor])
+            err_minus = abs(abs(minus - coords[anchor]) - D[i, anchor])
+            coords[i] = plus if err_plus <= err_minus else minus
+        gaps = np.abs(np.abs(coords[:, None] - coords[None, :]) - D)
     if gaps.max() > tol:
         return None
     return coords

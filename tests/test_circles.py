@@ -108,8 +108,8 @@ class TestCircleFromCurve:
     def test_signed_form_nonnegative_in_sample_order(self):
         rng = np.random.default_rng(7)
         curve = random_halfplane_curve(rng, R=2.0, n_interior=8, per_edge=1)
-        from moebiusgeo.segments import _signed_matrix
-        M = _signed_matrix(curve.samples[:-1])
+        S = curve.samples[:-1]
+        M = mg.signed_distance(S[:, None], S)
         assert M[np.triu_indices(len(M), k=1)].min() >= 0.0
 
     def test_interior_triples_in_wedge(self):

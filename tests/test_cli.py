@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -178,6 +180,38 @@ class TestSegmentCircleCommands:
         mf.write_text(json.dumps(mg.space_to_json_dict(sp)))
         assert main(["segment", "classify", str(mf)]) == 2
         assert "property failed" in capsys.readouterr().err
+
+
+class TestCurveFileCells:
+    """A curve file's R and sample cells must be JSON numbers, as matrix cells must."""
+
+    CASES = {
+        "bool_R": ({"R": True, "samples": [[1, 0], [0, 1]]}, "R True is not a number"),
+        "string_R": ({"R": "1", "samples": [[1, 0], [0, 1]]}, "R '1' is not a number"),
+        "bool_cell": ({"R": 1, "samples": [[1, 0], [0.5, False], [0, 1]]},
+                      "sample cell False is not a number"),
+        "numeric_string_cell": ({"R": 1, "samples": [[1, 0], ["0.5", "0.5"], [0, 1]]},
+                                "sample cell '0.5' is not a number"),
+        "ragged_row": ({"R": 1, "samples": [[1, 0], [0.5], [0, 1]]}, "inhomogeneous"),
+        "integer_beyond_float_R": ({"R": 10 ** 400, "samples": [[1, 0], [0, 1]]},
+                                   "int too large to convert to float"),
+    }
+
+    @pytest.mark.parametrize("kind", ["segment", "circle"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_refused(self, kind, name, tmp_path):
+        data, detail = self.CASES[name]
+        cf, out = tmp_path / "curve.json", tmp_path / "m.json"
+        cf.write_text(json.dumps(data))
+        code, err = run([kind, "synth", str(cf), "--output", str(out)])
+        assert code == 1 and err.startswith("error: malformed curve JSON: ") and detail in err
+        assert not out.exists()
+
+    def test_numbers_are_read(self, tmp_path):
+        cf, out = tmp_path / "curve.json", tmp_path / "m.json"
+        cf.write_text(json.dumps({"R": 1, "samples": [[1, 0], [0.5, 0.5], [0, 1]]}))
+        assert run(["segment", "synth", str(cf), "--output", str(out)]) == (0, "")
+        assert json.loads(out.read_text())["matrix"][0] == [0.0, 0.5, 1.0]
 
 
 class TestMap:
@@ -499,6 +533,19 @@ class TestLargeAndSmallScales:
         n = 9 if kind == "segment" else 8  # a circle's last sample repeats its first point
         expected = R * np.abs(np.sin(np.subtract.outer(t[:n], t[:n])))  # |<Jp_s, p_t>| / R
         assert np.allclose(json.loads(out)["matrix"], expected, rtol=1e-14, atol=1e-14 * R)
+
+    def test_check_beyond_half_the_largest_float_is_silent(self, tmp_path):
+        # the triangle pass and line_embed sum to inf here, which they read correctly
+        path = write_space(tmp_path / "big.json", np.full((3, 3), 1e308) - np.diag([1e308] * 3),
+                           ["a", "b", "c"])
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mg.__file__)))
+        done = subprocess.run([sys.executable, "-m", "moebiusgeo.cli", "check", path],
+                              capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout) == {
+            "circle_quadruples": {"boundary": 0, "total": 0},
+            "line_embedding": {"coordinates": None, "embeddable": False},
+            "n_quadruples": 0, "ptolemy": True, "worst_margin": -0.5, "worst_quadruple": None}
 
     @pytest.mark.parametrize("shift", [-600, 600])
     def test_invert_far_from_unit_scale(self, shift, tmp_path, capsys):
