@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ValidationError
 from .spaces import DEFAULT_EPS, ExtendedMetricSpace
 from .segments import (_PlanarCurve, _anchor_simplex, _check_convex, _curve_from_json,
-                       _curve_space, _curve_to_json, _map_deviation, _ordered, _recover)
+                       _curve_space, _curve_to_json, _map_onto, _ordered, _recover)
 
 
 @dataclass
@@ -181,9 +181,9 @@ def circle_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
     along the boundary loop of its own anchor triple is matched by monotone
     piecewise-linear inversion on the destination cycle, which is
     reoriented so the destination anchors follow the same rotational
-    direction.  Mapped points are interpolated on the destination curve,
-    and all mapped 4-subset cross-ratio triples are compared against the
-    source.
+    direction.  The stage shared with segments (``segments._map_onto``)
+    interpolates the mapped points on the destination curve and compares
+    all mapped 4-subset cross-ratio triples against the source.
     """
     sa = [src_space.index(x) for x in src_anchors]
     da = [dst_space.index(x) for x in dst_anchors]
@@ -194,30 +194,21 @@ def circle_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
     curve_from_circle(src_space)
 
     # reorient the destination cycle to start at x1' running toward x2'
-    fwd2 = (da[1] - da[0]) % n_dst
-    fwd3 = (da[2] - da[0]) % n_dst
-    step = 1 if fwd2 < fwd3 else -1
+    step = 1 if (da[1] - da[0]) % n_dst < (da[2] - da[0]) % n_dst else -1
     dst_cycle_idx = [(da[0] + step * i) % n_dst for i in range(n_dst)]
     dst_curve = curve_from_circle(dst_space, order=dst_cycle_idx)
 
-    Dd = dst_space.dist.take(dst_cycle_idx, 0).take(dst_cycle_idx, 1)
-    d1, d2, d3 = (dst_cycle_idx.index(i) for i in da)
-    s_dst = _loop_positions(Dd, d1, d2, d3)
+    s_dst = _loop_positions(dst_space.dist, *da)[dst_cycle_idx]
     if (np.diff(s_dst) <= 0).any():
         raise ValidationError("destination loop positions are not monotone")
 
     s_src = _loop_positions(src_space.dist, *sa)
 
-    xp = np.append(s_dst, 1.5)
-    positions = np.interp(s_src, xp, np.arange(n_dst + 1, dtype=float))
-    mapped_params = np.interp(positions, np.arange(n_dst + 1, dtype=float), dst_curve.params)
-    base = np.clip(np.floor(positions).astype(int), 0, n_dst - 1)
-    frac = positions - base
-    Sd = dst_curve.samples
-    mapped_points = (1.0 - frac[:, None]) * Sd[base] + frac[:, None] * Sd[base + 1]
-
-    dev, witness = _map_deviation(src_space.dist, mapped_points, dst_curve.R, src_space.labels)
-    return CircleMap(src_space.labels, positions, mapped_params, mapped_points, dev, witness)
+    grid = np.arange(n_dst + 1, dtype=float)  # the cycle positions of the destination samples
+    positions = np.interp(s_src, np.append(s_dst, 1.5), grid)
+    mapped = _map_onto(positions, grid, dst_curve.params, dst_curve.samples, src_space,
+                       dst_curve.R)
+    return CircleMap(src_space.labels, positions, *mapped)
 
 
 def curve_to_json_dict(curve: HalfplaneCurve) -> dict:

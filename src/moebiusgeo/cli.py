@@ -79,7 +79,7 @@ def cmd_invert(args) -> int:
     if args.bound_at is not None:
         out = inversions.bound_at(out, args.bound_at)
     _emit(spaces.space_to_json_chunks(out), args.output)
-    if not args.no_verify and space.n >= 4:
+    if space.n >= 4:
         corr = inversions.PointedCorrespondence.identity(space, out)
         report = inversions.crt_equivalent(corr, eps=max(args.eps, 1e-9))
         if not report.equivalent:
@@ -197,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("--at", help="label of the inversion point")
     p.add_argument("--bound-at", help="label of the bounded-metric base point")
-    p.add_argument("--no-verify", action="store_true")
     p.add_argument("--output")
     p.set_defaults(func=cmd_invert)
 
@@ -245,8 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, the code of a failed property
+        raise SystemExit(EXIT_USAGE if exc.code == 2 else exc.code) from None
     try:
         return args.func(args)
     except NotPtolemyError as exc:

@@ -6,7 +6,7 @@ from (R, 0) to (0, R).  Distances are recovered from the signed area form
 <Jp, q> = a_p b_q - b_p a_q divided by R; curves that are convex, sweep a
 strictly increasing argument, and stay inside the wedge spanned by the two
 endpoint images correspond exactly to valid segment metrics.  The curve
-checks, recovery, anchor positions, map check and JSON here serve circles too.
+checks, recovery, anchor positions, map stage and JSON here serve circles too.
 """
 
 from __future__ import annotations
@@ -427,17 +427,20 @@ def _segment_path_positions(D: np.ndarray, i1: int, i2: int, i3: int) -> np.ndar
     return np.where(N[:, 2] >= N[:, 0], N[:, 0], 0.5 + N[:, 1])
 
 
-def _map_deviation(D: np.ndarray, points: np.ndarray, R: float, labels: list):
-    """Worst cross-ratio deviation of mapped points from the source matrix.
-
-    The mapped points carry the curve metric |<Jp, q>| / R.  Returns the
-    deviation and the labels of the witness 4-subset, or (None, None) for
-    fewer than four points.
-    """
-    if len(D) < 4:
-        return None, None
-    dev, quad = max_crt_deviation(D, None, _area_metric(points, R), None, np.arange(len(D)))
-    return dev, tuple(labels[i] for i in quad)
+def _map_onto(s: np.ndarray, xp: np.ndarray, params: np.ndarray, samples: np.ndarray,
+              src_space: ExtendedMetricSpace, R: float):
+    """The destination parameters and points at the source positions ``s``,
+    interpolated over the increasing destination positions ``xp``, and the
+    worst cross-ratio deviation of the points, under the curve metric
+    |<Jp, q>| / R, from ``src_space`` with the labels of its witness 4-subset
+    (None and None for fewer than four points)."""
+    params = np.interp(s, xp, params)
+    points = np.column_stack([np.interp(s, xp, c) for c in samples.T])
+    if src_space.n < 4:
+        return params, points, None, None
+    dev, quad = max_crt_deviation(src_space.dist, None, _area_metric(points, R), None,
+                                  np.arange(src_space.n))
+    return params, points, dev, tuple(src_space.labels[i] for i in quad)
 
 
 @dataclass
@@ -459,10 +462,9 @@ def segment_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
     Both segments run in label order.  Anchors are triples (x1, x2, x3): x1
     and x3 the two boundary points in either orientation, x2 interior.
     Every source sample is sent to the destination parameter whose
-    boundary-path position matches, by monotone piecewise-linear inversion;
-    destination points are interpolated along the destination curve.  The
-    cross-ratio triples of all mapped 4-subsets are compared against the
-    source.
+    boundary-path position matches, by monotone piecewise-linear inversion
+    (``_map_onto``, shared with circles), which also compares the
+    cross-ratio triples of all mapped 4-subsets against the source.
     """
     src_curve = curve_from_segment(src_space)
     dst_curve = curve_from_segment(dst_space)
@@ -478,28 +480,17 @@ def segment_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
     s_src = _segment_path_positions(src_space.dist, *anchor_positions(src_space, src_anchors))
     s_dst = _segment_path_positions(dst_space.dist, *anchor_positions(dst_space, dst_anchors))
 
-    diffs = np.diff(s_dst)
-    if (diffs > 0).all():
-        xp, f_param = s_dst, dst_curve.params
-        f_points = dst_curve.samples
-    elif (diffs < 0).all():
-        xp, f_param = s_dst[::-1], dst_curve.params[::-1]
-        f_points = dst_curve.samples[::-1]
-    else:
+    o = slice(None, None, 1 if s_dst[-1] > s_dst[0] else -1)  # the destination, increasing
+    xp = s_dst[o]
+    if not (np.diff(xp) > 0).all():
         raise ValidationError("destination path positions are not monotone")
 
-    tol = 1e-9
-    if s_src.min() < xp[0] - tol or s_src.max() > xp[-1] + tol:
+    if s_src.min() < xp[0] - 1e-9 or s_src.max() > xp[-1] + 1e-9:
         raise ValueError("source map value outside the sampled destination range")
-    s_clip = np.clip(s_src, xp[0], xp[-1])
-    mapped_params = np.interp(s_clip, xp, f_param)
-    mapped_points = np.column_stack([
-        np.interp(s_clip, xp, f_points[:, 0]),
-        np.interp(s_clip, xp, f_points[:, 1]),
-    ])
-    dev, witness = _map_deviation(src_space.dist, mapped_points, dst_curve.R, src_space.labels)
-    return SegmentMap(src_space.labels, src_curve.params, mapped_params, mapped_points,
-                      dev, witness)
+    # np.interp holds its end values beyond xp, which clips s_src into range
+    mapped = _map_onto(s_src, xp, dst_curve.params[o], dst_curve.samples[o], src_space,
+                       dst_curve.R)
+    return SegmentMap(src_space.labels, src_curve.params, *mapped)
 
 
 def _curve_to_json(curve, **kind) -> dict:

@@ -502,10 +502,36 @@ class TestJsonReader:
         assert json.loads(capsys.readouterr().out)["worst_quadruple"][0] == "1" * 30
 
 
+class TestUsageErrors:
+    """argparse exits 2 on a usage error, the code of a failed property; the
+    CLI exits 1 instead, with argparse's message."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check"], "moebiusgeo check: error: the following arguments are required: matrix"),
+        (["frob"], "moebiusgeo: error: argument command: invalid choice: 'frob'"),
+        (["sphere", "--n", "x"], "moebiusgeo sphere: error: argument --n: invalid int value: 'x'"),
+    ], ids=["missing-file", "unknown-command", "bad-int"])
+    def test_exit_one_with_the_message(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: moebiusgeo")
+        assert err.splitlines()[-1].startswith(message)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: moebiusgeo")
+
+
 class TestLargeAndSmallScales:
     """Curve checks and inversion factors scaled by a power of two where
     their products would overflow or underflow."""
 
+    @pytest.mark.filterwarnings("error")  # a numpy warning fails the test
     def test_segment_synth_at_1e160(self, tmp_path, capsys):
         R = 1e160
         samples = [[R, 0.0], [R / 2, R / 2], [0.0, R]]
@@ -518,6 +544,7 @@ class TestLargeAndSmallScales:
         assert out == TestMatrixOutput.reference(space)
         assert np.allclose(json.loads(out)["matrix"][0], [0.0, R / 2, R], rtol=1e-15)
 
+    @pytest.mark.filterwarnings("error")  # a numpy warning fails the test
     @pytest.mark.parametrize("kind, quarters", [("segment", 1), ("circle", 2)])
     def test_synth_of_a_round_curve_at_1e200(self, kind, quarters, tmp_path, capsys):
         R = 1e200
@@ -547,6 +574,7 @@ class TestLargeAndSmallScales:
             "line_embedding": {"coordinates": None, "embeddable": False},
             "n_quadruples": 0, "ptolemy": True, "worst_margin": -0.5, "worst_quadruple": None}
 
+    @pytest.mark.filterwarnings("error")  # a numpy warning fails the test
     @pytest.mark.parametrize("shift", [-600, 600])
     def test_invert_far_from_unit_scale(self, shift, tmp_path, capsys):
         x = np.ldexp([0.0, 1.0, 3.0], shift)
