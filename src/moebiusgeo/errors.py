@@ -2,11 +2,7 @@
 
 
 class ValidationError(ValueError):
-    """An input violates a structural invariant (matrix, curve, or config)."""
-
-
-class NotPtolemyError(ValidationError):
-    """A metric fails a Ptolemy requirement.
+    """An input violates a structural invariant (matrix, curve, or config).
 
     Carries the offending point tuple in ``witness`` and the size of the
     violation in ``residual`` when they are known.
@@ -16,3 +12,7 @@ class NotPtolemyError(ValidationError):
         super().__init__(message)
         self.witness = witness
         self.residual = residual
+
+
+class NotPtolemyError(ValidationError):
+    """A metric fails a Ptolemy requirement."""

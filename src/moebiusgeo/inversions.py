@@ -15,11 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPtolemyError, ValidationError
-from .spaces import DEFAULT_EPS, ExtendedMetricSpace, _unit_remote, max_crt_deviation
+from .spaces import _U, DEFAULT_EPS, ExtendedMetricSpace, _unit_remote, max_crt_deviation
+
+
+def _least_off_diagonal(D: np.ndarray) -> float:
+    """The smallest entry of the square matrix ``D`` off its diagonal (inf if none)."""
+    n = len(D)
+    return float(D.ravel()[1:].reshape(n - 1, n + 1)[:, :n].min(initial=math.inf))
 
 
 def _rescaled(space: ExtendedMetricSpace, fac: np.ndarray, remote: int | None,
-              failure: str) -> ExtendedMetricSpace:
+              failure: str, margin: float | None = None) -> ExtendedMetricSpace:
     """The space d(x,y) / (fac(x) fac(y)) on the finite points other than ``remote``.
 
     ``fac`` has one positive entry per point; those of the remote point and
@@ -28,7 +34,21 @@ def _rescaled(space: ExtendedMetricSpace, fac: np.ndarray, remote: int | None,
     new remote point.  The output is checked for what the rescaling can
     break (NaN or inf where the factors overflow or underflow, and the
     triangle inequality); a failure means the input was not Ptolemy and
-    raises :class:`NotPtolemyError` naming ``failure``.
+    raises :class:`NotPtolemyError` naming ``failure``, with the failing
+    triangle, after ``remote`` if any, as its witness and the triangle's
+    excess as its residual.
+
+    ``margin``, the worst margin of a quadruple scan of ``space`` when
+    ``fac`` is the row of ``remote``, proves the triangle pass.  Inverted at
+    z, a triangle x, y, w has sides proportional to the products of the
+    quadruple {z, x, y, w}, so it fails by d'_max - d'_a - d'_b =
+    2 m T <= 6 m scale', with m the quadruple's margin and T its perimeter
+    (a remote point's factor is 1, so quadruples with it agree too).  When
+    every finite input distance is at least 2^-500 scale, the scan's
+    products are normal and its margins are within 8u of exact (u = 2^-53);
+    when every output distance is normal, it is within 2u (1 + u) of
+    d / (f f).  A triangle then fails by at most
+    6 max(margin + 8u, 0) scale' + 16u scale'.  Otherwise the pass runs.
     """
     omega = space.omega
     fac = np.array(fac, dtype=float)
@@ -53,14 +73,24 @@ def _rescaled(space: ExtendedMetricSpace, fac: np.ndarray, remote: int | None,
         out[remote, :] = np.inf
         out[:, remote] = np.inf
         out[remote, remote] = 0.0
+    bound = None
+    if (margin is not None
+            and _least_off_diagonal(space.dist) >= math.ldexp(space.scale, -500)
+            and _least_off_diagonal(out) >= sys.float_info.min):
+        bound = 6.0 * max(margin + 8.0 * _U, 0.0) + 16.0 * _U
     try:
         # exactly symmetric, as dist is: f_i * f_j = f_j * f_i; the diagonal
         # is 0 / (f_i * f_i) = 0 (or NaN, which is refused)
-        return ExtendedMetricSpace._derived(space.labels, out, remote, space.eps, space._positions)
+        return ExtendedMetricSpace._derived(space.labels, out, remote, space.eps,
+                                            space._positions, bound)
     except ValidationError as exc:
+        witness = exc.witness
+        if witness is not None and remote is not None:
+            witness = (space.labels[remote],) + witness
         raise NotPtolemyError(
             f"{failure} violates the triangle inequality; "
-            f"the input space is not Ptolemy ({exc})"
+            f"the input space is not Ptolemy ({exc})",
+            witness=witness, residual=exc.residual,
         ) from exc
 
 
@@ -70,8 +100,11 @@ def invert_at(space: ExtendedMetricSpace, z) -> ExtendedMetricSpace:
     For finite x, y the new distance is d(x,y) / (d(z,x) d(z,y)); a former
     remote point becomes finite at distance 1 / d(z,x) from each x.  The
     output is validated; a triangle violation means the input was not
-    Ptolemy and raises :class:`NotPtolemyError`.  Inverting at the remote
-    point returns the space itself.
+    Ptolemy and raises :class:`NotPtolemyError`, whose witness (z, x, y, w)
+    is a quadruple that fails the Ptolemy inequality.  When the space's
+    quadruple scan has already run (:func:`is_ptolemy`), its worst margin
+    may prove the triangle pass instead; no scan is run for that.
+    Inverting at the remote point returns the space itself.
     """
     zi = space.index(z)
     if zi == space.omega:
@@ -82,7 +115,9 @@ def invert_at(space: ExtendedMetricSpace, z) -> ExtendedMetricSpace:
     if coincident.any():
         raise ValueError(f"cannot invert at {space.labels[zi]!r}: "
                          f"distance 0 to {space.labels[int(coincident.argmax())]!r}")
-    return _rescaled(space, dz, zi, f"inversion at {space.labels[zi]!r}")
+    report = space._ptolemy
+    return _rescaled(space, dz, zi, f"inversion at {space.labels[zi]!r}",
+                     None if report is None else report.worst_margin)
 
 
 def bound_at(space: ExtendedMetricSpace, o) -> ExtendedMetricSpace:

@@ -38,6 +38,13 @@ DEFAULT_EPS = 1e-9
 # points is checked in a single pass.
 _TRIANGLE_CELLS = 1 << 17
 
+# Unit roundoff of a double
+_U = 2.0 ** -53
+
+# What rounding to a subnormal can move the three entries of a triangle by,
+# with room to spare: each such rounding is at most 2^-1075
+_SUBNORMAL_SLACK = 2.0 ** -1060
+
 # The spaces built inside _triangle_deferred(), whose triangle pass is pending
 _deferred: contextvars.ContextVar[list | None] = contextvars.ContextVar("_deferred", default=None)
 
@@ -56,7 +63,8 @@ class ExtendedMetricSpace:
     then the exact triangle inequality on the finite part.  The spaces the
     library derives (:func:`space_from_points`, ``invert_at``, ``bound_at``,
     ``segment_from_curve``, ``circle_from_curve``) pass the input checks by
-    their arithmetic, so ``_derived`` takes the finishing step alone.  The
+    their arithmetic, so ``_derived`` takes the finishing step alone; those
+    whose arithmetic also proves the triangle inequality skip the pass.  The
     space is immutable (``dataclasses.replace`` builds a copy with another
     ``eps``) and its ``dist`` is read-only.  ``scale`` is the largest finite
     entry, and ``tol = eps * max(scale, 1)`` is the absolute tolerance of
@@ -115,7 +123,8 @@ class ExtendedMetricSpace:
 
     @classmethod
     def _derived(cls, labels: tuple[str, ...], dist: np.ndarray, omega: int | None,
-                 eps: float, positions: dict | None = None) -> "ExtendedMetricSpace":
+                 eps: float, positions: dict | None = None,
+                 bound: float | None = None) -> "ExtendedMetricSpace":
         """A space of a matrix the library built, with only the checks it can fail.
 
         The caller guarantees what the input checks establish: unique string
@@ -124,20 +133,30 @@ class ExtendedMetricSpace:
         and inf on the row and column of ``omega`` off the diagonal.  Only the
         finishing step :meth:`_finish` runs, and ``dist``, ``scale`` and
         ``tol`` are stored bit-identical to the constructor's.
+
+        A builder whose arithmetic proves the matrix a metric passes that
+        proof as ``bound``: in exact arithmetic on the stored entries, no
+        triangle of the finite block fails by more than ``bound * scale``,
+        d(i,j) - d(i,k) - d(k,j) <= bound * scale, beside the rounding of
+        subnormal entries.  When that, plus the pass's own rounding, fits in
+        ``tol``, the exact triangle pass would hold and does not run;
+        otherwise it runs as for any other space.
         """
         space = cls.__new__(cls)
         vars(space)["eps"] = eps
-        if space._finish(labels, dist, omega, positions or dict(zip(labels, range(len(labels))))):
+        if space._finish(labels, dist, omega, positions or dict(zip(labels, range(len(labels)))),
+                         bound=bound):
             return space
         # above DBL_MAX / 2 the constructor halves each entry before it
         # averages, which rounds an odd subnormal entry: keep its bits
         return cls(labels, dist, omega, eps)
 
-    def _finish(self, labels, dist, omega, positions, check_tol=None) -> bool:
+    def _finish(self, labels, dist, omega, positions, check_tol=None, bound=None) -> bool:
         """Refuse NaN, then inf, in the finite block of ``dist``, store the
         fields, and run the block's triangle pass against ``check_tol``
-        (default ``tol``) or leave it pending inside :func:`_triangle_deferred`.
-        Without ``check_tol``, a scale above DBL_MAX / 2 stores nothing: False."""
+        (default ``tol``) or leave it pending inside :func:`_triangle_deferred`,
+        unless ``bound`` proves that it holds.  Without ``check_tol``, a scale
+        above DBL_MAX / 2 stores nothing: False."""
         sub, finite_labels = dist, list(labels)
         if omega is not None:
             keep = np.arange(len(labels) - 1)
@@ -156,17 +175,23 @@ class ExtendedMetricSpace:
         if check_tol is None and scale > sys.float_info.max / 2:
             return False
         tol = self.eps * max(scale, 1.0)
+        pending = None
+        # The pass compares d(i,j) with fl(fl(d(i,k) + d(k,j)) + tol), whose two
+        # roundings move it by less than u (4 scale + 2 tol): a proof that fits
+        # with room clears the pass, and with eps = 0 (tol = 0) none does
+        if bound is None or (bound + 6 * _U) * scale + 2 * _U * tol + _SUBNORMAL_SLACK >= tol:
+            pending = (sub, finite_labels, tol if check_tol is None else check_tol)
         dist.flags.writeable = False
         vars(self).update(labels=labels, dist=dist, omega=omega, scale=scale, tol=tol,
                           _positions=positions,
                           _ptolemy=None,  # the report of the quadruple scan, once run
-                          _triangle=(sub, finite_labels,  # the pending pass
-                                     tol if check_tol is None else check_tol))
-        built = _deferred.get()
-        if built is None:
-            self._settle_triangle()
-        else:
-            built.append(self)
+                          _triangle=pending)  # the triangle pass still to run
+        if pending is not None:
+            built = _deferred.get()
+            if built is None:
+                self._settle_triangle()
+            else:
+                built.append(self)
         return True
 
     def _settle_triangle(self, proven: bool = False) -> None:
@@ -258,7 +283,8 @@ def _check_triangle(sub: np.ndarray, labels: list[str], tol: float) -> None:
     against the columns j > first row of the block: d(i, k) + d(k, j) is
     reduced to its minimum over k (rounding is monotone, so the minimum fails
     exactly when some k does), and k is looked up for the first failing pair
-    only.
+    only.  The error's ``witness`` is the labels (i, j, k) and its
+    ``residual`` d(i, j) - (d(i, k) + d(k, j)).
     """
     m = len(labels)
     lo = 0
@@ -278,7 +304,9 @@ def _check_triangle(sub: np.ndarray, labels: list[str], tol: float) -> None:
             return
     raise ValidationError(
         "triangle inequality fails: "
-        f"d({labels[i]},{labels[j]}) > d({labels[i]},{labels[k]}) + d({labels[k]},{labels[j]})"
+        f"d({labels[i]},{labels[j]}) > d({labels[i]},{labels[k]}) + d({labels[k]},{labels[j]})",
+        witness=(labels[i], labels[j], labels[k]),
+        residual=float(sub[i, j] - (sub[i, k] + sub[k, j])),
     )
 
 
@@ -292,6 +320,16 @@ def space_from_points(points, labels=None, *, p: float = 2.0, add_omega: bool = 
     square would overflow or an underflow could cost more than a unit of
     roundoff of the largest distance, the differences are scaled by a power
     of two into [1/2, 1) before squaring, and back after the root.
+
+    The matrix is a metric up to rounding, which proves its triangle pass
+    (``ExtendedMetricSpace._derived``).  With u = 2^-53 and ``dim`` the
+    number of coordinates, each difference, square, sum and root (or
+    absolute difference and sum) leaves a computed distance within
+    (dim + 3) u scale of the exact distance of the float coordinates; the
+    power-of-two scaling is exact, and an underflow in the window costs
+    less than u scale.  The exact distances satisfy the triangle
+    inequality, so a computed triangle fails by at most 3 (dim + 3) u
+    scale, which the bound 2 (2 (dim + 3) + 3) u scale covers with room.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     count = P.shape[0]
@@ -323,7 +361,8 @@ def space_from_points(points, labels=None, *, p: float = 2.0, add_omega: bool = 
     # D is exactly symmetric with a zero diagonal and no -0.0:
     # fl(a - b)^2 = fl(b - a)^2 and |fl(a - b)| = |fl(b - a)|, summed over
     # the coordinates in the same order, and a - a = +0
-    return ExtendedMetricSpace._derived(labels, D, omega, eps, positions)
+    bound = 2 * (2 * (P.shape[1] + 3) + 3) * _U
+    return ExtendedMetricSpace._derived(labels, D, omega, eps, positions, bound)
 
 
 @dataclass(frozen=True)

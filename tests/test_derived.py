@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import moebiusgeo as mg
@@ -37,9 +37,9 @@ def recorded_derivations():
     """Record the arguments of every ``ExtendedMetricSpace._derived`` call."""
     calls = []
 
-    def record(cls, labels, dist, omega, eps, positions=None):
-        calls.append((labels, dist.copy(), omega, eps))
-        return DERIVED(cls, labels, dist, omega, eps, positions)
+    def record(cls, labels, dist, omega, eps, positions=None, bound=None):
+        calls.append((labels, dist.copy(), omega, eps, bound))
+        return DERIVED(cls, labels, dist, omega, eps, positions, bound)
 
     mg.ExtendedMetricSpace._derived = classmethod(record)
     try:
@@ -56,9 +56,10 @@ def outcome(build):
         return exc
 
 
-def constructed(labels, M, omega, eps):
+def constructed(labels, M, omega, eps, bound=None):
     """The full constructor on ``M``, checked against the reference checks;
-    the derived space's pending triangle pass is the reference's."""
+    the derived space's pending triangle pass is the reference's, and where
+    the builder's ``bound`` cleared it, the reference finds no violation."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             ref = reference_validation(labels, M, omega, eps)
@@ -70,11 +71,14 @@ def constructed(labels, M, omega, eps):
         return got
     sub, finite_labels, check_tol = ref[3]
     with np.errstate(over="ignore"), spaces._triangle_deferred():
-        derived = DERIVED(mg.ExtendedMetricSpace, labels, M.copy(), omega, eps)
+        derived = DERIVED(mg.ExtendedMetricSpace, labels, M.copy(), omega, eps, None, bound)
         pending = derived._triangle
         derived._settle_triangle(proven=True)
-    assert pending[0].tobytes() == sub.tobytes() and pending[0].shape == sub.shape
-    assert pending[1] == finite_labels and pending[2].hex() == check_tol.hex()
+        if pending is None:  # a proof cleared the pass: the exact pass holds
+            assert bound is not None and reference_first_violation(sub, check_tol) is None
+        else:
+            assert pending[0].tobytes() == sub.tobytes() and pending[0].shape == sub.shape
+            assert pending[1] == finite_labels and pending[2].hex() == check_tol.hex()
     if isinstance(got, ValidationError):  # the triangle pass, which the reference leaves pending
         assert reference_first_violation(sub, check_tol) is not None
         assert str(got).startswith("triangle inequality fails: ")
@@ -275,3 +279,173 @@ class TestDerivedInvariants:
             "inversion at 'p0' violates the triangle inequality; the input space is not "
             "Ptolemy (triangle inequality fails: d(p1,p3) > d(p1,p2) + d(p2,p3))")
         assert isinstance(err.value.__cause__, ValidationError)
+
+
+def finite_block(space):
+    fin = space.finite_indices
+    return space.dist.take(fin, 0).take(fin, 1)
+
+
+def proof_verdict(build):
+    """Build inside a deferred block: whether a proof cleared the space's
+    triangle pass, and the space (None if the build or its pass failed)."""
+    try:
+        with spaces._triangle_deferred():
+            space = build()
+            cleared = space._triangle is None
+    except ValidationError:
+        return False, None
+    return cleared, space
+
+
+EPS_AT_THE_EDGE = [0.0, 1e-15, 1e-9]
+
+
+@st.composite
+def near_collinear_points(draw):
+    """Points at a scale 2^k, often near a line, so some triangle is tight."""
+    count, dim = draw(st.integers(3, 8)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        t = rng.standard_normal(count)
+        P = t[:, None] * rng.standard_normal(dim)
+        P += draw(st.sampled_from([0.0, 1e-16, 1e-12, 1e-9])) * rng.standard_normal((count, dim))
+    else:
+        P = rng.standard_normal((count, dim))
+    return np.ldexp(P, draw(st.sampled_from([-1000, -600, -40, 0, 40, 600, 1000])))
+
+
+def noisy(D, rng, noise):
+    """``D`` with a symmetric relative noise of at most ``noise`` on its finite entries."""
+    E = rng.uniform(-noise, noise, D.shape)
+    E = (E + E.T) / 2.0
+    return np.where(np.isfinite(D), D * (1.0 + E), D)
+
+
+class TestProofsAgreeWithThePass:
+    """A proof clears a triangle pass only where the exact pass holds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_collinear_points(), st.sampled_from([1.0, 2.0]), st.booleans(),
+           st.sampled_from(EPS_AT_THE_EDGE))
+    def test_points(self, P, p, add_omega, eps):
+        cleared, space = proof_verdict(
+            lambda: mg.space_from_points(P, p=p, add_omega=add_omega, eps=eps))
+        event(f"cleared: {cleared}")
+        if cleared:
+            assert eps > 0.0
+            assert reference_first_violation(finite_block(space), space.tol) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["sphere", "hemisphere", "euclidean", "halfspace",
+                            "ball-complement", "line", "collinear"]),
+           st.integers(4, 12), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.0, 1e-15, 1e-12, 1e-10, 2e-10, 3e-10, 1e-9, 1e-7, 1e-6]),
+           st.sampled_from([-1000, -300, 0, 300, 1000]), st.sampled_from(EPS_AT_THE_EDGE),
+           st.integers(0, 12))
+    def test_scanned_inversions(self, kind, count, seed, noise, k, eps, at):
+        rng = np.random.default_rng(seed)
+        if kind == "collinear":  # a tight Ptolemy equality on every quadruple
+            base = mg.space_from_points(np.sort(rng.standard_normal(count))[:, None])
+        else:
+            base = mg.sample_space(kind, n=int(rng.integers(1, 4)), count=count, seed=seed)
+        D = np.ldexp(noisy(np.array(base.dist), rng, noise), k)
+        try:
+            space = mg.ExtendedMetricSpace(base.labels, D, base.omega, eps=eps)
+        except ValidationError:
+            return
+        mg.is_ptolemy(space)
+        z = at % space.n
+        if z == space.omega:
+            return
+        try:
+            cleared, inverted = proof_verdict(lambda: mg.invert_at(space, z))
+        except ValueError:  # a point coincides with z
+            return
+        event(f"cleared: {cleared}")
+        if cleared:
+            assert eps > 0.0
+            assert reference_first_violation(finite_block(inverted), inverted.tol) is None
+
+
+class TestProofsClearPasses:
+    def count_passes(self, monkeypatch):
+        passes = []
+        check = spaces._check_triangle
+        monkeypatch.setattr(spaces, "_check_triangle", lambda *a: passes.append(a) or check(*a))
+        return passes
+
+    def test_sample_spaces_and_their_scanned_inversions(self, monkeypatch):
+        passes = self.count_passes(monkeypatch)
+        for i, kind in enumerate(mg.spheres.SAMPLE_KINDS * 3):
+            space = mg.sample_space(kind, n=1 + i % 3, count=4 + i % 13, seed=i)
+            if mg.is_ptolemy(space).holds:
+                mg.invert_at(space, 0)
+        assert passes == []
+
+    def test_an_unscanned_inversion_runs_the_pass(self, monkeypatch):
+        passes = self.count_passes(monkeypatch)
+        space = mg.sample_space("sphere", n=2, count=8, seed=3)
+        mg.invert_at(space, 0)
+        assert len(passes) == 1
+        mg.is_ptolemy(space)
+        mg.invert_at(space, 0)
+        mg.bound_at(space, 0)  # no proof
+        assert len(passes) == 2
+
+    def test_a_margin_above_a_sixth_of_eps_runs_the_pass(self, monkeypatch):
+        # four concyclic points, with the diagonal d(a, c) stretched by 1.6e-9:
+        # the margin is about 4e-10, a passing scan at eps = 1e-9, but an
+        # inverted triangle may fail by 6 margin scale', and here one does
+        theta = np.array([0.0, 1.0, 2.5, 4.0])
+        P = np.column_stack([np.cos(theta), np.sin(theta)])
+        D = np.sqrt(((P[:, None] - P) ** 2).sum(-1))
+        D[0, 2] = D[2, 0] = D[0, 2] * (1.0 + 1.6e-9)
+        space = mg.ExtendedMetricSpace(tuple("abcd"), D)
+        report = mg.is_ptolemy(space)
+        assert report.holds and 1e-9 / 6.0 < report.worst_margin <= 1e-9
+        passes = self.count_passes(monkeypatch)
+        with pytest.raises(NotPtolemyError) as err:
+            mg.invert_at(space, "b")
+        assert len(passes) == 1 and err.value.witness == ("b", "a", "c", "d")
+
+    def test_eps_zero_runs_every_pass(self, monkeypatch):
+        passes = self.count_passes(monkeypatch)
+        space = mg.sample_space("euclidean", n=2, count=6, seed=1, eps=0.0)
+        mg.is_ptolemy(space)
+        mg.invert_at(space, 0)
+        assert len(passes) == 2
+
+
+class TestWitnesses:
+    def test_triangle_failure_names_its_triple(self):
+        D = np.abs(np.arange(4.0)[:, None] - np.arange(4.0))
+        D[0, 2] = D[2, 0] = 2.5
+        with pytest.raises(ValidationError) as err:
+            mg.ExtendedMetricSpace(tuple("abcd"), D)
+        assert str(err.value) == "triangle inequality fails: d(a,c) > d(a,b) + d(b,c)"
+        assert err.value.witness == ("a", "c", "b") and err.value.residual == 0.5
+
+    def test_bound_at_names_the_triangle(self):
+        square = mg.space_from_points([(0, 0), (1, 0), (1, 1), (0, 1)], p=1.0)
+        with pytest.raises(NotPtolemyError) as err:
+            mg.bound_at(square, "p1")
+        assert str(err.value) == (
+            "bounded metric at 'p1' violates the triangle inequality; the input space is not "
+            "Ptolemy (triangle inequality fails: d(p0,p2) > d(p0,p3) + d(p3,p2))")
+        assert err.value.witness == ("p0", "p2", "p3") and err.value.residual > 0.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_inversion_witness_fails_ptolemy(self, seed):
+        space = mg.sample_space("l1", n=2, count=8, seed=seed)
+        failures = 0
+        for z in space.labels:
+            try:
+                mg.invert_at(space, z)
+            except NotPtolemyError as exc:
+                failures += 1
+                assert exc.witness[0] == z and len(set(exc.witness)) == 4
+                assert exc.residual > 0.0
+                triple = mg.crt(space, exc.witness)
+                assert max(triple.a, triple.b, triple.c) - 0.5 > 0.0
+        assert failures > 0

@@ -352,3 +352,44 @@ class TestExoticReport:
                              for a, b in zip(i, j)])
             assert np.all(np.abs(rho[i, j] - pair) <= 1e-13 * pair)
             assert np.array_equal(rho, rho.T) and not np.diag(rho).any()
+
+
+class TestProvenBoundaryMetrics:
+    """exotic_report builds both boundary metrics as derived spaces, whose
+    rounding bound proves their triangle pass."""
+
+    @pytest.mark.parametrize("angles", [6, 48, 360])
+    @pytest.mark.parametrize("ell", [0.5, 1.0, 2.0])
+    def test_no_pass_and_constructor_bits(self, ell, angles, monkeypatch, capsys):
+        from moebiusgeo import spaces
+        from moebiusgeo.cli import main
+
+        argv = ["exotic", "--l", repr(ell), "--angles", str(angles)]
+        built = []
+        derived = vars(mg.ExtendedMetricSpace)["_derived"].__func__
+
+        def record(cls, *args, **kwargs):
+            built.append(derived(cls, *args, **kwargs))
+            return built[-1]
+
+        def forbidden(*args):
+            raise AssertionError("the triangle pass ran")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mg.ExtendedMetricSpace, "_derived", classmethod(record))
+            patch.setattr(spaces, "_check_triangle", forbidden)
+            assert main(argv) == 0
+        proven = capsys.readouterr().out
+        assert len(built) == 2
+        for space in built:
+            rebuilt = mg.ExtendedMetricSpace(space.labels, np.array(space.dist))
+            assert space.dist.tobytes() == rebuilt.dist.tobytes()
+            assert (space.scale.hex(), space.tol.hex()) == (rebuilt.scale.hex(), rebuilt.tol.hex())
+            assert space.omega is None and space._triangle is None
+
+        # the same command with both spaces built and checked by the constructor
+        monkeypatch.setattr(mg.ExtendedMetricSpace, "_derived", classmethod(
+            lambda cls, labels, dist, omega, eps, positions=None, bound=None:
+            cls(labels, dist, omega, eps)))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == proven
