@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .inversions import PointedCorrespondence, crt_equivalent
-from .spaces import DEFAULT_EPS, ExtendedMetricSpace
+from .spaces import _U, DEFAULT_EPS, ExtendedMetricSpace
 
 # Largest x with cosh(x) finite in double precision, about 710.476.
 _MAX_COSH_ARG = math.acosh(sys.float_info.max)
@@ -38,7 +38,7 @@ _HOMOTHETY_TOL = 1e-6
 
 # How far, relative to its scale, a triangle of a computed boundary metric may
 # fail (see exotic_report): 3 entries within 85 units of roundoff each.
-_BOUNDARY_ROUNDING = 256 * 2.0 ** -53
+_BOUNDARY_ROUNDING = 256 * _U
 
 
 @dataclass(frozen=True)

@@ -216,9 +216,8 @@ def crt_equivalent(corr: PointedCorrespondence, eps: float = DEFAULT_EPS) -> Equ
         # With u = 2^-53: B/A, the log (within 4 ulp) and two subtractions move
         # a residual by less than u (2 + 12 max|log(B/A)| + 4 max|f|); expm1 and
         # the scan's rounding of its normalized triples add less than 24 u.
-        u = 2.0 ** -53
-        slack = u * (2.0 + 12.0 * log_max + 4.0 * float(np.abs(f).max()))
-        bound = 0.0 if np.array_equal(A, B) else math.expm1(4.0 * (resid + slack)) + 24.0 * u
+        slack = _U * (2.0 + 12.0 * log_max + 4.0 * float(np.abs(f).max()))
+        bound = 0.0 if np.array_equal(A, B) else math.expm1(4.0 * (resid + slack)) + 24.0 * _U
         if bound <= eps:
             return EquivalenceReport(True, bound, None, math.comb(src.n, 4), "factor", resid)
     dev, quad = max_crt_deviation(src.dist, src.omega, tgt.dist, tgt.omega, perm)

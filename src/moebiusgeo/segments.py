@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPtolemyError, ValidationError
-from .spaces import (_PLAIN_NUMBERS, DEFAULT_EPS, ExtendedMetricSpace, _check_eps,
-                     _triangle_deferred, max_crt_deviation)
+from .spaces import (_PLAIN_NUMBERS, _U, DEFAULT_EPS, ExtendedMetricSpace, _check_eps,
+                     max_crt_deviation)
 
 DEFAULT_EPS_ARG = 1e-10
 
@@ -215,7 +215,6 @@ def _convex_gap(curve, M: float) -> float:
     largest coordinate), so a chain that passes the checks is strict.
     Returns the largest distance of a sample from the chain, plus 16 u M.
     """
-    u = 2.0 ** -53
     S = curve.samples
     P = S.copy()
     P[[0, -1]] = np.round(P[[0, -1]] / curve.R) * curve.R
@@ -225,7 +224,7 @@ def _convex_gap(curve, M: float) -> float:
         while len(chain) > 1:
             (ax, ay), (bx, by), (cx, cy) = pts[chain[-2]], pts[chain[-1]], pts[c]
             e1x, e1y, e2x, e2y = bx - ax, by - ay, cx - bx, cy - by
-            if e1x * e2y - e1y * e2x > 64 * u * M * (abs(e1x) + abs(e1y) + abs(e2x) + abs(e2y)):
+            if e1x * e2y - e1y * e2x > 64 * _U * M * (abs(e1x) + abs(e1y) + abs(e2x) + abs(e2y)):
                 break
             chain.pop()
         chain.append(c)
@@ -241,44 +240,40 @@ def _convex_gap(curve, M: float) -> float:
     # edge, which overstates the gap
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = np.clip(((S - A) * d).sum(axis=1) / (d * d).sum(axis=1), 0.0, 1.0)
-    return float(np.hypot(*(S - A - t[:, None] * d).T).max()) + 16 * u * M
+    return float(np.hypot(*(S - A - t[:, None] * d).T).max()) + 16 * _U * M
 
 
-def _settle_by_curve(space: ExtendedMetricSpace, curve, residual: float) -> None:
-    """Settle the pending triangle pass of a space whose distances are, pair by
-    pair, within relative ``residual`` of the area form of ``curve``.
+def _curve_bound(curve, residual: float, scale: float) -> float:
+    """A triangle bound (``ExtendedMetricSpace._proves``) for a space of
+    largest distance ``scale`` whose distances are, pair by pair, within
+    relative ``residual`` of the area form of ``curve``.
 
     The samples lie within distance g of a strict curve (``_convex_gap``),
     whose area form is a metric; that moves each distance of the samples'
     area form by at most (2 M g + g^2) / R, M the largest coordinate.  The
     residual moves each distance of the space by at most residual * scale
-    more.  A triangle moves by three such amounts, so every triangle holds
-    within tol when their sum, plus an allowance for the rounding of the
-    area form (products of coordinates up to M, divided by R) and of the
-    pass's sums, is at most tol.  For a convex curve g is at the rounding
-    level and, with tol = eps * scale, this reads residual <= eps/3 less a
-    few units of roundoff times 1 + M^2 / (R * scale).  Otherwise the exact
-    pass runs.
+    more.  A triangle moves by three such amounts, plus the rounding of the
+    area form (products of coordinates up to M, divided by R): 18 u beside
+    the pass's own 6 u, and 24 u M^2 / R.  For a convex curve g is at the
+    rounding level and, with tol = eps * scale, the pass is cleared when
+    residual <= eps/3 less a few units of roundoff times 1 + M^2 / (R scale).
+    A curve far from strict gives inf, and the exact pass runs.
     """
-    if space._triangle is None:
-        return
-    u = 2.0 ** -53
     M = float(np.abs(curve.samples).max())
     g = _convex_gap(curve, M)
-    slack = (3 * residual * (1 + residual) * space.scale + 3 * (2 * M + g) * g / curve.R
-             + 24 * u * (space.scale + M * M / curve.R) + 2 * u * space.tol)
-    space._settle_triangle(proven=slack <= space.tol)
+    with np.errstate(all="ignore"):  # NaN or inf, from a zero scale or an overflow, proves nothing
+        return float(3 * residual * (1 + residual) + 18 * _U
+                     + np.float64(3 * (2 * M + g) * g + 24 * _U * M * M) / curve.R / scale)
 
 
 def _curve_space(curve, points: np.ndarray) -> ExtendedMetricSpace:
     """The space of ``points`` on ``curve`` under the area form, labelled t0,
     t1, ..., which the curve proves a metric when it is strict."""
     labels = tuple(f"t{i}" for i in range(len(points)))
-    with _triangle_deferred():
-        # exactly symmetric: fl(a_s b_t) = fl(b_t a_s), so <Jp_t, p_s> = -<Jp_s, p_t>
-        space = ExtendedMetricSpace._derived(labels, _area_metric(points, curve.R), None, curve.eps)
-        _settle_by_curve(space, curve, 0.0)
-    return space
+    # exactly symmetric: fl(a_s b_t) = fl(b_t a_s), so <Jp_t, p_s> = -<Jp_s, p_t>
+    D = _area_metric(points, curve.R)
+    return ExtendedMetricSpace._derived(labels, D, None, curve.eps,
+                                        bound=_curve_bound(curve, 0.0, D.max()))
 
 
 def segment_from_curve(curve: QuadrantCurve) -> ExtendedMetricSpace:
@@ -346,7 +341,8 @@ def _recover(cls, space: ExtendedMetricSpace, idx: list, D: np.ndarray, k: int,
     if cls._closed:
         samples = np.vstack([samples, [-R, 0.0]])
     curve = cls(R, samples, eps=space.eps)
-    _settle_by_curve(space, curve, residual)
+    if space._triangle is not None:  # the curve may prove the pending pass
+        space._settle_triangle(_curve_bound(curve, residual, space.scale))
     return curve
 
 

@@ -135,12 +135,10 @@ class ExtendedMetricSpace:
         ``tol`` are stored bit-identical to the constructor's.
 
         A builder whose arithmetic proves the matrix a metric passes that
-        proof as ``bound``: in exact arithmetic on the stored entries, no
-        triangle of the finite block fails by more than ``bound * scale``,
-        d(i,j) - d(i,k) - d(k,j) <= bound * scale, beside the rounding of
-        subnormal entries.  When that, plus the pass's own rounding, fits in
-        ``tol``, the exact triangle pass would hold and does not run;
-        otherwise it runs as for any other space.
+        proof as ``bound`` (see :meth:`_proves`): :func:`space_from_points`,
+        ``invert_at`` of a scanned space, the glued boundary metrics and the
+        curve spaces do.  When it proves the exact triangle pass would hold,
+        the pass does not run; otherwise it runs as for any other space.
         """
         space = cls.__new__(cls)
         vars(space)["eps"] = eps
@@ -153,10 +151,10 @@ class ExtendedMetricSpace:
 
     def _finish(self, labels, dist, omega, positions, check_tol=None, bound=None) -> bool:
         """Refuse NaN, then inf, in the finite block of ``dist``, store the
-        fields, and run the block's triangle pass against ``check_tol``
-        (default ``tol``) or leave it pending inside :func:`_triangle_deferred`,
-        unless ``bound`` proves that it holds.  Without ``check_tol``, a scale
-        above DBL_MAX / 2 stores nothing: False."""
+        fields, and settle the block's triangle pass against ``check_tol``
+        (default ``tol``): clear it when ``bound`` proves it (:meth:`_proves`),
+        else leave it pending inside :func:`_triangle_deferred` or run it.
+        Without ``check_tol``, a scale above DBL_MAX / 2 stores nothing: False."""
         sub, finite_labels = dist, list(labels)
         if omega is not None:
             keep = np.arange(len(labels) - 1)
@@ -175,29 +173,35 @@ class ExtendedMetricSpace:
         if check_tol is None and scale > sys.float_info.max / 2:
             return False
         tol = self.eps * max(scale, 1.0)
-        pending = None
-        # The pass compares d(i,j) with fl(fl(d(i,k) + d(k,j)) + tol), whose two
-        # roundings move it by less than u (4 scale + 2 tol): a proof that fits
-        # with room clears the pass, and with eps = 0 (tol = 0) none does
-        if bound is None or (bound + 6 * _U) * scale + 2 * _U * tol + _SUBNORMAL_SLACK >= tol:
-            pending = (sub, finite_labels, tol if check_tol is None else check_tol)
         dist.flags.writeable = False
         vars(self).update(labels=labels, dist=dist, omega=omega, scale=scale, tol=tol,
                           _positions=positions,
                           _ptolemy=None,  # the report of the quadruple scan, once run
-                          _triangle=pending)  # the triangle pass still to run
-        if pending is not None:
-            built = _deferred.get()
-            if built is None:
-                self._settle_triangle()
-            else:
-                built.append(self)
+                          # the triangle pass still to run
+                          _triangle=(sub, finite_labels, tol if check_tol is None else check_tol))
+        built = _deferred.get()
+        if built is None or self._proves(bound):
+            self._settle_triangle(bound)
+        else:
+            built.append(self)
         return True
 
-    def _settle_triangle(self, proven: bool = False) -> None:
-        """Run the pending triangle pass, unless ``proven`` shows that it passes."""
+    def _proves(self, bound: float | None) -> bool:
+        """Whether ``bound`` proves that the triangle pass holds: in exact
+        arithmetic on the stored entries, no triangle of the finite block
+        fails by more than ``bound * scale``, d(i,j) - d(i,k) - d(k,j) <=
+        bound * scale, beside the rounding of subnormal entries.  None, NaN
+        and inf prove nothing."""
+        # The pass compares d(i,j) with fl(fl(d(i,k) + d(k,j)) + tol), whose two
+        # roundings move it by less than u (4 scale + 2 tol): a proof that fits
+        # with room clears the pass, and with eps = 0 (tol = 0) none does
+        return (bound is not None
+                and (bound + 6 * _U) * self.scale + 2 * _U * self.tol + _SUBNORMAL_SLACK < self.tol)
+
+    def _settle_triangle(self, bound: float | None = None) -> None:
+        """Run the pending triangle pass, unless ``bound`` proves that it holds."""
         pending, vars(self)["_triangle"] = self._triangle, None
-        if pending is not None and not proven:
+        if pending is not None and not self._proves(bound):
             _check_triangle(*pending)
 
     @property
@@ -252,8 +256,9 @@ def _checked_input(labels, dist, eps: float) -> tuple[tuple[str, ...], dict[str,
 def _triangle_deferred():
     """Build the spaces of the block with their triangle pass pending.
 
-    Inside, a proof that a space's matrix is a metric may clear its pass
-    (``_settle_triangle(proven=True)``).  On leaving the block, by return or
+    Inside, a proof that a space's matrix is a metric, found after the space
+    was built, may clear its pass (``_settle_triangle(bound)``, as curve
+    recovery does for its input).  On leaving the block, by return or
     by exception, every pass still pending runs, in construction order, so
     no pending space outlives the block.  The first triangle failure takes
     the place of any later error, as if the pass had run on construction;
@@ -653,23 +658,17 @@ def line_embed(space: ExtendedMetricSpace) -> np.ndarray | None:
     if space.omega is not None:
         raise ValueError("line embedding requires a space without a remote point")
     D = space.dist
-    n = space.n
-    coords = np.zeros(n)
-    if n == 1:
-        return coords
+    if space.n == 1:
+        return np.zeros(1)
     tol = space.tol
     anchor = int(np.argmax(D[0]))
     if D[0, anchor] <= tol:
-        return coords if D.max() <= tol else None
-    coords[anchor] = D[0, anchor]
+        return np.zeros(space.n) if D.max() <= tol else None
+    c, to_anchor = D[0, anchor], D[:, anchor]
     with np.errstate(over="ignore"):  # a gap that overflows to inf embeds nothing
-        for i in range(1, n):
-            if i == anchor:
-                continue
-            plus, minus = D[0, i], -D[0, i]
-            err_plus = abs(abs(plus - coords[anchor]) - D[i, anchor])
-            err_minus = abs(abs(minus - coords[anchor]) - D[i, anchor])
-            coords[i] = plus if err_plus <= err_minus else minus
+        coords = np.where(np.abs(np.abs(D[0] - c) - to_anchor)
+                          <= np.abs(np.abs(-D[0] - c) - to_anchor), D[0], -D[0])
+        coords[anchor] = c
         gaps = np.abs(np.abs(coords[:, None] - coords[None, :]) - D)
     if gaps.max() > tol:
         return None
