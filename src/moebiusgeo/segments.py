@@ -309,19 +309,18 @@ def _check_area_form(D: np.ndarray, R: float, samples: np.ndarray, labels: list,
     DR = np.ldexp(D, e) * math.ldexp(R, e)
     S = np.ldexp(samples, e)
     sd = signed_distance(S[:, None], S)
-    resid = np.abs(DR - sd)
-    scale = np.maximum(np.abs(DR), np.abs(sd))
-    iu = np.triu_indices(len(D), k=1)
-    rel = resid[iu] / np.maximum(scale[iu], 1e-300)
-    worst = int(np.argmax(rel))
-    if rel[worst] > eps:
-        i, j = iu[0][worst], iu[1][worst]
+    rel = np.abs(DR - sd)
+    scale = np.maximum(np.abs(DR, out=DR), np.abs(sd, out=sd), out=DR)
+    rel /= np.maximum(scale, 1e-300, out=scale)
+    rel[np.tri(len(D), dtype=bool)] = 0.0  # the pairs i < j only
+    i, j = divmod(int(np.argmax(rel)), len(D))
+    if rel[i, j] > eps:
         witness = (labels[0], labels[i], labels[j], labels[k])
         raise NotPtolemyError(
-            f"{failure} {witness} (relative residual {rel[worst]:.3e})",
-            witness=witness, residual=float(rel[worst]),
+            f"{failure} {witness} (relative residual {rel[i, j]:.3e})",
+            witness=witness, residual=float(rel[i, j]),
         )
-    return float(rel[worst])
+    return float(rel[i, j])
 
 
 def _recover(cls, space: ExtendedMetricSpace, idx: list, D: np.ndarray, k: int,

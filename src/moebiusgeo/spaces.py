@@ -24,7 +24,6 @@ import functools
 import itertools
 import json
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,18 +57,22 @@ class ExtendedMetricSpace:
     The constructor (behind ``dataclasses.replace`` and
     :func:`space_from_json_dict` too) runs the input checks: a finite,
     nonnegative ``eps``, unique labels, the shape, no NaN, nonnegativity,
-    symmetry, a zero diagonal and the infinity pattern of ``omega``.  It
-    ends in the finishing step ``_finish``: no inf between finite points,
-    then the exact triangle inequality on the finite part.  The spaces the
-    library derives (:func:`space_from_points`, ``invert_at``, ``bound_at``,
-    ``segment_from_curve``, ``circle_from_curve``) pass the input checks by
-    their arithmetic, so ``_derived`` takes the finishing step alone; those
-    whose arithmetic also proves the triangle inequality skip the pass.  The
-    space is immutable (``dataclasses.replace`` builds a copy with another
-    ``eps``) and its ``dist`` is read-only.  ``scale`` is the largest finite
-    entry, and ``tol = eps * max(scale, 1)`` is the absolute tolerance of
-    every distance comparison on the space; predicates on cross-ratio triples
-    compare against ``eps`` itself.
+    symmetry, a zero diagonal and the infinity pattern of ``omega``, each
+    within ``eps * max(s, 1)`` for ``s`` the largest finite input entry.  An
+    exactly symmetric matrix is stored as given, any other as ``D / 2 +
+    D.T / 2``, with negatives (within the tolerance) raised to 0 and the
+    diagonal zeroed.  The constructor ends in the finishing step ``_finish``
+    that every space takes: no inf between finite points, then the exact
+    triangle inequality on the finite part, within the stored ``tol``.  The
+    spaces the library derives (:func:`space_from_points`, ``invert_at``,
+    ``bound_at``, ``segment_from_curve``, ``circle_from_curve``) pass the
+    input checks by their arithmetic, so ``_derived`` takes the finishing
+    step alone; those whose arithmetic also proves the triangle inequality
+    skip the pass.  The space is immutable (``dataclasses.replace`` builds a
+    copy with another ``eps``) and its ``dist`` is read-only.  ``scale`` is
+    the largest finite stored entry, and ``tol = eps * max(scale, 1)`` is the
+    absolute tolerance of every distance comparison on the space; predicates
+    on cross-ratio triples compare against ``eps`` itself.
     """
 
     labels: tuple[str, ...]
@@ -99,12 +102,8 @@ class ExtendedMetricSpace:
                 raise ValidationError("infinity pattern is not symmetric")
             if asym > tol:
                 raise ValidationError("distance matrix is not symmetric")
-            if scale > sys.float_info.max / 2:  # d + d would overflow: halve first
-                S = 0.5 * D + 0.5 * D.T
-            else:
-                S = D + D.T
-                S *= 0.5
-        np.copyto(S, D, where=~finite)  # non-finite entries stay as they are
+        # the halves' sum cannot overflow, and inf, now in a symmetric pattern, stays inf
+        S = D.copy() if asym == 0.0 else 0.5 * D + 0.5 * D.T
         np.maximum(S, 0.0, out=S)
 
         if S.diagonal().max() > tol:
@@ -118,8 +117,7 @@ class ExtendedMetricSpace:
                 raise ValidationError(f"omega index {omega} out of range")
             if np.count_nonzero(np.isinf(S[omega])) != n - 1:  # d(omega, omega) is 0
                 raise ValidationError("omega must be at infinite distance from every other point")
-        # the pass takes the checks' tol; the stored scale is the symmetrized matrix's
-        self._finish(labels, S, omega, positions, tol)
+        self._finish(labels, S, omega, positions)
 
     @classmethod
     def _derived(cls, labels: tuple[str, ...], dist: np.ndarray, omega: int | None,
@@ -131,8 +129,9 @@ class ExtendedMetricSpace:
         ``labels``, a valid ``eps``, and a new float (n, n) ``dist`` that is
         exactly symmetric, with a zero diagonal, no negative entry (nor -0.0),
         and inf on the row and column of ``omega`` off the diagonal.  Only the
-        finishing step :meth:`_finish` runs, and ``dist``, ``scale`` and
-        ``tol`` are stored bit-identical to the constructor's.
+        finishing step :meth:`_finish` runs; the constructor stores such a
+        matrix as given and ends in the same step, so ``dist``, ``scale``,
+        ``tol`` and the verdict are the constructor's at every scale.
 
         A builder whose arithmetic proves the matrix a metric passes that
         proof as ``bound`` (see :meth:`_proves`): :func:`space_from_points`,
@@ -142,19 +141,15 @@ class ExtendedMetricSpace:
         """
         space = cls.__new__(cls)
         vars(space)["eps"] = eps
-        if space._finish(labels, dist, omega, positions or dict(zip(labels, range(len(labels)))),
-                         bound=bound):
-            return space
-        # above DBL_MAX / 2 the constructor halves each entry before it
-        # averages, which rounds an odd subnormal entry: keep its bits
-        return cls(labels, dist, omega, eps)
+        space._finish(labels, dist, omega, positions or dict(zip(labels, range(len(labels)))),
+                      bound)
+        return space
 
-    def _finish(self, labels, dist, omega, positions, check_tol=None, bound=None) -> bool:
+    def _finish(self, labels, dist, omega, positions, bound=None) -> None:
         """Refuse NaN, then inf, in the finite block of ``dist``, store the
-        fields, and settle the block's triangle pass against ``check_tol``
-        (default ``tol``): clear it when ``bound`` proves it (:meth:`_proves`),
-        else leave it pending inside :func:`_triangle_deferred` or run it.
-        Without ``check_tol``, a scale above DBL_MAX / 2 stores nothing: False."""
+        fields, and settle the block's triangle pass against the stored
+        ``tol``: clear it when ``bound`` proves it (:meth:`_proves`), else
+        leave it pending inside :func:`_triangle_deferred` or run it."""
         sub, finite_labels = dist, list(labels)
         if omega is not None:
             keep = np.arange(len(labels) - 1)
@@ -170,21 +165,16 @@ class ExtendedMetricSpace:
                 f"({finite_labels[i]}, {finite_labels[j]})"
             )
         scale = float(sub.max(initial=0.0))
-        if check_tol is None and scale > sys.float_info.max / 2:
-            return False
-        tol = self.eps * max(scale, 1.0)
         dist.flags.writeable = False
-        vars(self).update(labels=labels, dist=dist, omega=omega, scale=scale, tol=tol,
-                          _positions=positions,
+        vars(self).update(labels=labels, dist=dist, omega=omega, scale=scale,
+                          tol=self.eps * max(scale, 1.0), _positions=positions,
                           _ptolemy=None,  # the report of the quadruple scan, once run
-                          # the triangle pass still to run
-                          _triangle=(sub, finite_labels, tol if check_tol is None else check_tol))
+                          _triangle=(sub, finite_labels))  # the triangle pass still to run
         built = _deferred.get()
         if built is None or self._proves(bound):
             self._settle_triangle(bound)
         else:
             built.append(self)
-        return True
 
     def _proves(self, bound: float | None) -> bool:
         """Whether ``bound`` proves that the triangle pass holds: in exact
@@ -202,7 +192,7 @@ class ExtendedMetricSpace:
         """Run the pending triangle pass, unless ``bound`` proves that it holds."""
         pending, vars(self)["_triangle"] = self._triangle, None
         if pending is not None and not self._proves(bound):
-            _check_triangle(*pending)
+            _check_triangle(*pending, self.tol)
 
     @property
     def n(self) -> int:
@@ -586,15 +576,18 @@ class PtolemyReport:
     n_boundary: int
 
 
-def _ptolemy_scan(space: ExtendedMetricSpace) -> PtolemyReport:
-    """One pass over all distinct 4-subsets for :func:`is_ptolemy` and the census.
+def is_ptolemy(space: ExtendedMetricSpace) -> PtolemyReport:
+    """Scan all distinct four-point subsets for the Ptolemy inequality.
 
-    The margin of a subset is max(P) / sum(P) - 1/2 over its products P
-    (-1/2 when they all vanish), positive exactly when the Ptolemy
-    inequality fails.  Subsets of finite points come first and subsets with
-    the remote point after them, each in lexicographic order; the first
-    worst subset is the witness.  The report is kept on the space, whose
-    ``dist`` is read-only, so a second call returns it without a scan.
+    Quadruples with a repeated entry always satisfy the inequality, so only
+    distinct subsets are scanned.  Subsets containing the remote point
+    reduce to a triangle-inequality check of the remaining triple.  The
+    margin of a subset is max(P) / sum(P) - 1/2 over its products P (-1/2
+    when they all vanish), positive exactly when the Ptolemy inequality
+    fails.  Subsets of finite points come first and subsets with the remote
+    point after them, each in lexicographic order; the first worst subset is
+    the witness.  The report is kept on the space, whose ``dist`` is
+    read-only, so a second call (the census's too) returns it without a scan.
     """
     if space._ptolemy is not None:
         return space._ptolemy
@@ -626,16 +619,6 @@ def _ptolemy_scan(space: ExtendedMetricSpace) -> PtolemyReport:
     return report
 
 
-def is_ptolemy(space: ExtendedMetricSpace) -> PtolemyReport:
-    """Scan all distinct four-point subsets for the Ptolemy inequality.
-
-    Quadruples with a repeated entry always satisfy the inequality, so only
-    distinct subsets are scanned.  Subsets containing the remote point
-    reduce to a triangle-inequality check of the remaining triple.
-    """
-    return _ptolemy_scan(space)
-
-
 def is_circle_quadruple(space: ExtendedMetricSpace, quad) -> bool:
     """True when the quadruple's cross-ratio triple lies on the boundary region."""
     return crt(space, quad).region(space.eps) == "boundary"
@@ -643,7 +626,7 @@ def is_circle_quadruple(space: ExtendedMetricSpace, quad) -> bool:
 
 def circle_quadruple_census(space: ExtendedMetricSpace) -> tuple[int, int]:
     """Count distinct 4-subsets on the boundary region; returns (boundary, total)."""
-    report = _ptolemy_scan(space)
+    report = is_ptolemy(space)
     return report.n_boundary, report.n_checked
 
 

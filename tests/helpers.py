@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import sys
 
 import numpy as np
 
@@ -193,8 +192,8 @@ def reference_validation(labels, dist, omega=None, eps=1e-9):
     as the constructor made them before it validated in whole-matrix passes.
 
     Returns the stored ``dist``, ``scale`` and ``tol`` and the pending
-    triangle pass (finite submatrix, its labels, the tolerance of the
-    checks), or raises the constructor's ``ValidationError``.
+    triangle pass (finite submatrix, its labels, the stored ``tol`` it runs
+    at), or raises the constructor's ``ValidationError``.
     """
     if math.isnan(eps) or eps < 0.0 or eps == math.inf:
         raise ValidationError(f"eps must be finite and nonnegative, not {eps}")
@@ -222,11 +221,9 @@ def reference_validation(labels, dist, omega=None, eps=1e-9):
     asym[~(finite_mask & finite_mask.T)] = 0.0
     if asym.max(initial=0.0) > tol:
         raise ValidationError("distance matrix is not symmetric")
-    other = np.where(finite_mask.T, D.T, D)
-    if scale > sys.float_info.max / 2:  # d + d would overflow: halve first
+    if asym.max(initial=0.0) > 0.0:  # an exactly symmetric matrix is kept as given
+        other = np.where(finite_mask.T, D.T, D)
         D = np.where(finite_mask, D / 2.0 + other / 2.0, D)
-    else:
-        D = np.where(finite_mask, (D + other) / 2.0, D)
     np.clip(D, 0.0, None, out=D)
     if np.abs(np.diag(D)).max(initial=0.0) > tol:
         raise ValidationError("diagonal entries must vanish")
@@ -245,4 +242,5 @@ def reference_validation(labels, dist, omega=None, eps=1e-9):
         raise ValidationError("infinite distance between finite points "
                               f"({labels[fin[bad[0]]]}, {labels[fin[bad[1]]]})")
     scale = float(D[finite_mask].max(initial=0.0))
-    return D, scale, eps * max(scale, 1.0), (sub, [labels[i] for i in fin], tol)
+    tol = eps * max(scale, 1.0)
+    return D, scale, tol, (sub, [labels[i] for i in fin], tol)

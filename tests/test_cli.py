@@ -150,6 +150,21 @@ class TestSegmentCircleCommands:
         header = csv.read_text().splitlines()[0]
         assert header == "t,a,b,alpha"
 
+    def test_segment_classify_in_reversed_order(self, tmp_path):
+        curve = mg.euclidean_segment_curve(1.0, 0.8, "minor", 9)
+        cf, mf = tmp_path / "curve.json", tmp_path / "matrix.json"
+        cf.write_text(json.dumps(mg.segments.curve_to_json_dict(curve)))
+        assert main(["segment", "synth", str(cf), "--output", str(mf)]) == 0
+        labels = json.loads(mf.read_text())["points"]
+        forward, backward = tmp_path / "forward.json", tmp_path / "backward.json"
+        assert main(["segment", "classify", str(mf), "--output", str(forward)]) == 0
+        assert main(["segment", "classify", str(mf), "--output", str(backward),
+                     "--order", ",".join(reversed(labels))]) == 0
+        fwd = mg.segments.curve_from_json_dict(json.loads(forward.read_text()))
+        bwd = json.loads(backward.read_text())
+        assert bwd["R"] == fwd.R
+        assert np.array(bwd["samples"]).tobytes() == fwd.reflected().samples.tobytes()
+
     def test_circle_synth_and_classify(self, tmp_path):
         curve = mg.chordal_circle_curve(2.0, 12)
         from moebiusgeo.circles import curve_to_json_dict

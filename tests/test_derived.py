@@ -78,7 +78,7 @@ def constructed(labels, M, omega, eps, bound=None):
             assert bound is not None and reference_first_violation(sub, check_tol) is None
         else:
             assert pending[0].tobytes() == sub.tobytes() and pending[0].shape == sub.shape
-            assert pending[1] == finite_labels and pending[2].hex() == check_tol.hex()
+            assert pending[1] == finite_labels and derived.tol.hex() == check_tol.hex()
     if isinstance(got, ValidationError):  # the triangle pass, which the reference leaves pending
         assert reference_first_violation(sub, check_tol) is not None
         assert str(got).startswith("triangle inequality fails: ")
@@ -229,14 +229,15 @@ class TestDerivedMatchesConstructor:
         assert str(got.__cause__) == "infinite distance between finite points (b, c)"
 
     def test_odd_subnormal_beyond_half_the_largest_float(self):
-        # the constructor halves before it averages above DBL_MAX / 2, which
-        # rounds an odd subnormal entry; the derived space keeps that rounding
+        # the constructor stores an exactly symmetric matrix as given, so an
+        # odd subnormal entry keeps its last bit at every scale, on both paths
         d = 3 * 2.0 ** -1074
         M = np.array([[0.0, d, 1.7e308], [d, 0.0, 1.7e308], [1.7e308, 1.7e308, 0.0]])
         with np.errstate(over="ignore"):  # the triangle pass adds two such entries
             derived = DERIVED(mg.ExtendedMetricSpace, tuple("abc"), M.copy(), None, 1e-9)
-            assert_same(derived, constructed(tuple("abc"), M, None, 1e-9))
-        assert derived.dist[0, 1] != d
+            got = constructed(tuple("abc"), M, None, 1e-9)
+            assert_same(derived, got)
+        assert derived.dist[0, 1] == d and got.dist[0, 1] == d
 
 
 class TestDerivedInvariants:

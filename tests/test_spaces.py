@@ -128,6 +128,16 @@ class TestValidationMessages:
         sp = mg.ExtendedMetricSpace(("a", "b"), np.array([[0.0, -1e-10], [-1e-10, 0.0]]))
         assert sp.dist.tolist() == [[0.0, 0.0], [0.0, 0.0]] and sp.scale == 0.0
 
+    def test_triangle_pass_runs_at_the_stored_tol(self):
+        # averaging d(a,b) lowers the largest entry from 10.01 to 10, so the
+        # stored tol is 0.1, below the excess 0.10005 of the triangle abc
+        D = np.array([[0.0, 10.01, 5.0], [9.99, 0.0, 4.89995], [5.0, 4.89995, 0.0]])
+        with pytest.raises(ValidationError) as exc:
+            mg.ExtendedMetricSpace(tuple("abc"), D, eps=1e-2)
+        assert str(exc.value) == "triangle inequality fails: d(a,b) > d(a,c) + d(c,b)"
+        assert exc.value.witness == ("a", "b", "c")
+        assert exc.value.residual > 0.1
+
 
 def _bits(x):
     x = np.asarray(x)
@@ -206,7 +216,7 @@ def assert_matches_reference(labels, D, omega=None, eps=1e-9):
     assert _bits(sp.dist) == _bits(dist) and not sp.dist.flags.writeable
     assert sp.scale.hex() == scale.hex() and sp.tol.hex() == tol.hex()
     assert _bits(pending[0]) == _bits(sub) and pending[1] == finite_labels
-    assert pending[2].hex() == check_tol.hex()
+    assert sp.tol.hex() == check_tol.hex()
     assert _bits(D) == given_bits
 
 
