@@ -9,6 +9,7 @@ the factors d(., o) + 1, producing a metric of diameter at most one.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -156,6 +157,11 @@ class PointedCorrespondence:
                  target: ExtendedMetricSpace) -> "PointedCorrespondence":
         return cls(source, target, {lab: lab for lab in source.labels})
 
+    def is_identity(self) -> bool:
+        """Whether the mapping sends each point to the point of its index."""
+        return (self.source.labels == self.target.labels
+                and all(map(operator.eq, self.mapping, self.mapping.values())))
+
     def target_indices(self) -> np.ndarray:
         return np.array([self.target.index(self.mapping[lab]) for lab in self.source.labels])
 
@@ -185,7 +191,7 @@ def _log_factor(A: np.ndarray, B: np.ndarray):
     """
     n = len(A)
     A.flat[:: n + 1] = B.flat[:: n + 1] = 1.0
-    if not min(A.min(), B.min()) >= np.finfo(float).tiny:
+    if not min(A.min(), B.min()) >= sys.float_info.min:
         return None
     ell = np.log(B / A)
     f = ell[0] - 0.5 * (ell[0, 1] + ell[0, 2] - ell[1, 2])  # f(x) = ell(x, 0) - f(0)
@@ -209,15 +215,19 @@ def crt_equivalent(corr: PointedCorrespondence, eps: float = DEFAULT_EPS) -> Equ
     src, tgt = corr.source, corr.target
     if src.n < 4:
         raise ValueError("crt comparison needs at least four points")
-    perm = corr.target_indices()
-    A, B = _unit_remote(src.dist), _unit_remote(tgt.dist).take(perm, 0).take(perm, 1)
+    A = _unit_remote(src.dist, src.scale, src.omega)
+    B = _unit_remote(tgt.dist, tgt.scale, tgt.omega)
+    identity = corr.is_identity()
+    perm = np.arange(src.n) if identity else corr.target_indices()
+    if not identity:  # B in the order of the source's points
+        B = B.take(perm, 0).take(perm, 1)
     f, resid, log_max = _log_factor(A, B) or (None, None, None)
     if resid is not None:
         # With u = 2^-53: B/A, the log (within 4 ulp) and two subtractions move
         # a residual by less than u (2 + 12 max|log(B/A)| + 4 max|f|); expm1 and
         # the scan's rounding of its normalized triples add less than 24 u.
         slack = _U * (2.0 + 12.0 * log_max + 4.0 * float(np.abs(f).max()))
-        bound = 0.0 if np.array_equal(A, B) else math.expm1(4.0 * (resid + slack)) + 24.0 * _U
+        bound = 0.0 if (A == B).all() else math.expm1(4.0 * (resid + slack)) + 24.0 * _U
         if bound <= eps:
             return EquivalenceReport(True, bound, None, math.comb(src.n, 4), "factor", resid)
     dev, quad = max_crt_deviation(src.dist, src.omega, tgt.dist, tgt.omega, perm)

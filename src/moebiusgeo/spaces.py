@@ -94,9 +94,10 @@ class ExtendedMetricSpace:
         if D.min() < -tol:
             i, j = np.argwhere(D < -tol)[0]
             raise ValidationError(f"negative distance at ({labels[i]}, {labels[j]})")
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             # inf - inf is NaN, which fmax skips; a finite entry facing an
-            # infinite one differs from it by inf
+            # infinite one differs from it by inf, as do two finite entries
+            # whose difference overflows
             asym = np.fmax.reduce(np.abs(D - D.T), axis=None)
             if asym == math.inf and (finite != finite.T).any():
                 raise ValidationError("infinity pattern is not symmetric")
@@ -154,9 +155,11 @@ class ExtendedMetricSpace:
         if omega is not None:
             keep = np.arange(len(labels) - 1)
             keep[omega:] += 1
-            sub = dist.take(keep, 0).take(keep, 1)
+            sub = dist.take(keep, 0).take(keep, 1)  # a copy: the triangle pass is slower on a view
             del finite_labels[omega]
-        if np.count_nonzero(np.isfinite(sub)) != sub.size:
+        # no entry is negative, so the largest is finite unless one is NaN or inf
+        scale = float(sub.max(initial=0.0))
+        if not scale < math.inf:
             if np.isnan(sub).any():
                 raise ValidationError("distance matrix contains NaN")
             i, j = np.argwhere(~np.isfinite(sub))[0]
@@ -164,15 +167,16 @@ class ExtendedMetricSpace:
                 "infinite distance between finite points "
                 f"({finite_labels[i]}, {finite_labels[j]})"
             )
-        scale = float(sub.max(initial=0.0))
         dist.flags.writeable = False
         vars(self).update(labels=labels, dist=dist, omega=omega, scale=scale,
                           tol=self.eps * max(scale, 1.0), _positions=positions,
                           _ptolemy=None,  # the report of the quadruple scan, once run
                           _triangle=(sub, finite_labels))  # the triangle pass still to run
         built = _deferred.get()
-        if built is None or self._proves(bound):
-            self._settle_triangle(bound)
+        if self._proves(bound):
+            vars(self)["_triangle"] = None
+        elif built is None:
+            self._settle_triangle()
         else:
             built.append(self)
 
@@ -430,63 +434,88 @@ def crt(space: ExtendedMetricSpace, quad) -> CrossRatioTriple:
 _BLOCK_ELEMENTS = 1 << 15
 
 
-def _unit_remote(D: np.ndarray) -> np.ndarray:
+def _unit_remote(D: np.ndarray, scale: float | None = None,
+                 remote: int | None = None) -> np.ndarray:
     """``D`` scaled by a power of two, with its infinite entries set to 1.
 
     A product drops the remote point's infinite factor, which is the same
     as a factor of 1; the remote point's zero distance to itself stays.  The
     scale brings the largest finite entry into [1/2, 1), so products of a
     small-scale metric do not underflow; cross-ratios do not see it, and
-    multiplying by a power of two is exact.
+    multiplying by a power of two is exact.  The matrix of a space (perhaps
+    reordered) needs no search: its ``scale`` is the largest finite entry,
+    and its infinite entries are those off the diagonal in the row and
+    column ``remote`` of its remote point (None for none).
     """
-    finite = np.isfinite(D)
-    if np.count_nonzero(finite) == D.size:
-        return np.ldexp(D, -math.frexp(D.max(initial=0.0))[1])
-    M = np.ldexp(D, -math.frexp(D[finite].max(initial=0.0))[1])
-    M[~finite] = 1.0
+    if scale is None:
+        finite = np.isfinite(D)
+        if np.count_nonzero(finite) == D.size:
+            return np.ldexp(D, -math.frexp(D.max(initial=0.0))[1])
+        M = np.ldexp(D, -math.frexp(D[finite].max(initial=0.0))[1])
+        M[~finite] = 1.0
+        return M
+    M = np.ldexp(D, -math.frexp(scale)[1])
+    if remote is not None:
+        M[remote] = M[:, remote] = 1.0
+        M[remote, remote] = 0.0
     return M
 
 
+def _one_pass(n: int) -> bool:
+    """Whether the 4-subsets of ``n`` points fit one pass of the kernel:
+    (n - 3)^3 (n - 2) / 2 cells of ``_BLOCK_ELEMENTS``, up to 18 points at
+    the default budget."""
+    return n >= 4 and (n - 3) ** 3 * (n - 2) // 2 <= _BLOCK_ELEMENTS
+
+
 @functools.lru_cache(maxsize=32)
-def _one_pass_layout(n: int):
+def _one_pass_layout(n: int, remote_last: bool):
     """The layout of the single pass over all 4-subsets of ``n`` points.
 
     The layout is the 6 x C(n, 4) array of the indices into a flattened
-    n x n matrix of the pairs ab, cd, ac, bd, ad, bc of the subsets
-    a < b < c < d, in lexicographic order.  It depends on ``n`` alone, and
-    :func:`_quad_passes` asks for it only when (n - 3)^3 (n - 2) / 2 cells
-    fit one pass of ``_BLOCK_ELEMENTS``, up to 18 points at the default
-    budget, so only small layouts are cached and the cache holds O(1) memory.
+    n x n matrix of the pairs ab, ac, ad, cd, bd, bc of the subsets
+    a < b < c < d, in lexicographic order, or with ``remote_last`` in the
+    order of the scan's witness: the subsets with d < n - 1 first, then those
+    with d = n - 1, each group in lexicographic order.  It depends on ``n``
+    and ``remote_last`` alone, and :func:`_quad_passes` asks for it only
+    when :func:`_one_pass` holds, so the cache holds at most two layouts of
+    each size up to 18 points, 48 C(n, 4) bytes each, about 1.1 MB in all.
     """
-    a, b, c, d = np.array(list(itertools.combinations(range(n), 4)), dtype=np.intp).reshape(-1, 4).T
-    flat = np.stack([a * n + b, c * n + d, a * n + c, b * n + d, a * n + d, b * n + c])
+    quads = np.array(list(itertools.combinations(range(n), 4)), dtype=np.intp).reshape(-1, 4)
+    if remote_last:
+        quads = quads[np.argsort(quads[:, 3] == n - 1, kind="stable")]
+    a, b, c, d = quads.T
+    flat = np.stack([a * n + b, a * n + c, a * n + d, c * n + d, b * n + d, b * n + c])
     flat.flags.writeable = False
     return flat
 
 
-def _quad_passes(*mats: np.ndarray):
+def _quad_passes(*mats: np.ndarray, remote_last: bool = False):
     """The cross-ratio products of every 4-subset a < b < c < d, by middle index b.
 
-    A space small enough for one pass gathers the products of all subsets
-    at once through the cached :func:`_one_pass_layout`.  Otherwise a pass
-    takes rows lo <= a < hi and one middle index b against the suffix of the
-    lexicographic list of pairs c < d from the first pair with c > b; its
-    cells (a, pair) in C order are in lexicographic order of the subsets.
-    Yields ``cells`` and, per matrix, the products d(a,b)d(c,d),
-    d(a,c)d(b,d), d(a,d)d(b,c) of the pass's subsets; ``cells(k)`` gives the
-    index arrays a, b, c, d of the subsets at positions ``k``.
+    A space small enough for one pass (:func:`_one_pass`) gathers the
+    products of all subsets at once through the cached
+    :func:`_one_pass_layout`, in lexicographic order or, with
+    ``remote_last``, with the subsets that hold the last point after the
+    others.  Otherwise a pass takes rows lo <= a < hi and one middle index b
+    against the suffix of the lexicographic list of pairs c < d from the
+    first pair with c > b; its cells (a, pair) in C order are in
+    lexicographic order of the subsets.  Yields ``cells`` and, per matrix,
+    the products d(a,b)d(c,d), d(a,c)d(b,d), d(a,d)d(b,c) of the pass's
+    subsets; ``cells(k)`` gives the indices a, b, c, d of the subset at
+    position ``k``, or their arrays for an array of positions.
     """
     n = len(mats[0])
-    if n >= 4 and (n - 3) ** 3 * (n - 2) // 2 <= _BLOCK_ELEMENTS:
-        flat = _one_pass_layout(n)
+    if _one_pass(n):
+        flat = _one_pass_layout(n, remote_last)
         def cells(k):
-            (a, c), (b, d) = np.divmod(flat[:2, k], n)  # from the pairs ab and cd
+            (a, c), (b, d) = np.divmod(flat[::3, k], n)  # from the pairs ab and cd
             return a, b, c, d
 
         products = []
         for M in mats:
             pairs = M.take(flat)
-            products.append(pairs[0::2] * pairs[1::2])
+            products.append(pairs[:3] * pairs[3:])
         yield cells, products
         return
     C, D = np.nonzero(np.arange(n)[:, None] < np.arange(n))
@@ -516,17 +545,20 @@ def _fold_worst(worst, values, cells, remote=-1):
 
     The larger value wins, and ties go to the smaller key (d == remote, a,
     b, c, d): subsets without the index ``remote`` first, each group in
-    lexicographic order.
+    lexicographic order.  The pass is in lexicographic order; a pass already
+    in the order of the key (the witness-ordered single pass of
+    :func:`is_ptolemy`) is folded without ``remote``.
     """
-    k = int(np.argmax(values))
+    k = int(values.argmax())
     v = float(values[k])
     if v < worst[0]:
         return worst
-    quads = cells([k])
-    if quads[3][0] == remote:  # a subset without it may tie later in the pass
-        quads = cells(np.flatnonzero(values == v))
-    i = int(np.argmax(quads[3] != remote))
-    key = (bool(quads[3][i] == remote),) + tuple(int(x[i]) for x in quads)
+    quad = tuple(map(int, cells(k)))
+    if quad[3] == remote:  # a subset without it may tie later in the pass
+        ties = cells(np.flatnonzero(values == v))
+        i = int(np.argmax(ties[3] != remote))
+        quad = tuple(int(x[i]) for x in ties)
+    key = (quad[3] == remote,) + quad
     return (v, key) if v > worst[0] or key < worst[1] else worst
 
 
@@ -591,15 +623,21 @@ def is_ptolemy(space: ExtendedMetricSpace) -> PtolemyReport:
     """
     if space._ptolemy is not None:
         return space._ptolemy
-    fin = space.finite_indices
-    remote = space.omega is not None
-    order = fin + [space.omega] if remote else fin
-    M = _unit_remote(space.dist.take(order, 0).take(order, 1) if remote else space.dist)
+    n, omega = space.n, space.omega
+    if omega is None or omega == n - 1:
+        order, D = range(n), space.dist
+    else:
+        order = space.finite_indices + [omega]
+        D = space.dist.take(order, 0).take(order, 1)
+    M = _unit_remote(D, space.scale, None if omega is None else n - 1)
     eps = space.eps
+    # A single pass lists the subsets in the witness's order, so its first
+    # worst subset is the witness; several passes are in lexicographic order
+    remote = -1 if omega is None or _one_pass(n) else n - 1
     worst = (-math.inf, None)
     boundary = 0
     with np.errstate(invalid="ignore"):  # 0 / 0 where all products vanish
-        for cells, ((margin, p2, p3),) in _quad_passes(M):
+        for cells, ((margin, p2, p3),) in _quad_passes(M, remote_last=omega is not None):
             s = margin + p2
             s += p3
             np.maximum(np.maximum(margin, p2, out=margin), p3, out=margin)
@@ -607,8 +645,9 @@ def is_ptolemy(space: ExtendedMetricSpace) -> PtolemyReport:
             margin -= 0.5
             np.fmax(margin, -0.5, out=margin)  # -0.5 for the NaN of 0 / 0
             boundary += int(np.count_nonzero(np.abs(margin, out=s) <= eps))
-            worst = _fold_worst(worst, margin, cells, len(order) - 1 if remote else -1)
-    checked = math.comb(len(fin), 4) + (math.comb(len(fin), 3) if remote else 0)
+            worst = _fold_worst(worst, margin, cells, remote)
+    m = n - (omega is not None)
+    checked = math.comb(m, 4) + (math.comb(m, 3) if omega is not None else 0)
     if checked == 0:
         report = PtolemyReport(True, None, -0.5, 0, 0)
     else:

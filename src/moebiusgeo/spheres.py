@@ -127,12 +127,12 @@ def circumcircle_three(x1, x2, x3, n_samples: int = 24) -> SampledCircle:
 
 def _unit_rows(rng, count: int, dim: int) -> np.ndarray:
     g = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(g, axis=1)
-    while (norms < 1e-12).any():
+    while True:
+        norms = np.sqrt(np.add.reduce(g * g, axis=1))  # np.linalg.norm(g, axis=1), undispatched
         redo = norms < 1e-12
+        if not redo.any():
+            return g / norms[:, None]
         g[redo] = rng.standard_normal((int(redo.sum()), dim))
-        norms = np.linalg.norm(g, axis=1)
-    return g / norms[:, None]
 
 
 def sample_space(kind: str, n: int = 2, count: int = 12, seed: int = 0,

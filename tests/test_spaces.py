@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import moebiusgeo as mg
 from moebiusgeo import spaces
-from moebiusgeo.errors import ValidationError
+from moebiusgeo.errors import NotPtolemyError, ValidationError
 
 from helpers import (brute_force_line_embedding, reference_crt_deviation,
                      reference_first_violation, reference_ptolemy_scan,
@@ -52,6 +52,12 @@ class TestValidation:
         D = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValidationError):
             mg.ExtendedMetricSpace(("a", "b"), D, omega=1)
+
+    def test_overflowing_asymmetry_rejected(self):
+        # d(a, b) - d(b, a) overflows to inf: an asymmetry, not a RuntimeWarning
+        with pytest.raises(ValidationError) as exc:
+            mg.ExtendedMetricSpace(("a", "b"), [[0, 1.7e308], [-1e308, 0]], eps=1.0)
+        assert str(exc.value) == "distance matrix is not symmetric"
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValidationError):
@@ -465,9 +471,9 @@ def count_passes(monkeypatch) -> list[int]:
     passes = []
     kernel = spaces._quad_passes
 
-    def counted(*mats):
+    def counted(*mats, **options):
         passes.append(0)
-        for item in kernel(*mats):
+        for item in kernel(*mats, **options):
             passes[-1] += 1
             yield item
 
@@ -519,7 +525,8 @@ class TestOneScan:
     def test_census_reuses_the_scan(self, monkeypatch):
         passes = []
         kernel = spaces._quad_passes
-        monkeypatch.setattr(spaces, "_quad_passes", lambda *m: passes.append(m) or kernel(*m))
+        monkeypatch.setattr(spaces, "_quad_passes",
+                            lambda *m, **options: passes.append(m) or kernel(*m, **options))
         sp = mg.sample_space("l1", n=2, count=12, seed=3)
         report = mg.is_ptolemy(sp)
         assert mg.circle_quadruple_census(sp) == (report.n_boundary, report.n_checked)
@@ -580,11 +587,31 @@ class TestKernelReference:
         # (p1, p2, p3, p0) with the remote point p0 ties the first worst
         # subset (p1, p2, p4, p5) and comes before it in its pass
         ([(2, 2), (2, 1), (2, 0), (0, 1), (1, 1)], 0),
+        # (p0, p1, p2, p5) with the remote point p5 last ties the first worst
+        # subset (p0, p1, p3, p4) and comes before it in lexicographic order
+        ([(0, 1), (1, 1), (1, 0), (2, 2), (1, 2)], 5),
     ])
     def test_ties_of_l1_points(self, points, omega):
         P = np.array(points, dtype=float)
         sp = with_remote(np.abs(P[:, None] - P[None]).sum(-1), omega)
         self.check(sp, sp, np.arange(sp.n))
+
+    @pytest.mark.parametrize("n", [18, 19])
+    @pytest.mark.parametrize("apart", [0, 3])
+    def test_ties_of_collinear_points_with_the_remote_point_last(self, n, apart):
+        # n - 1 points on two parallel lines, ``apart`` of them on the first,
+        # then the remote point.  Every subset of four points of the second
+        # line and every subset of three collinear points and the remote
+        # point ties at margin 0, and all others are below -1e-5.  With
+        # apart = 0 every margin ties; with apart = 3 the tie (p0, p1, p2,
+        # omega) comes first in lexicographic order, and the witness is
+        # (p3, p4, p5, p6).  18 points are the largest space scanned in one
+        # pass at the default budget, 19 the smallest scanned in several.
+        P = [(x, 0.0) for x in (0.0, 1.0, 3.0)[:apart]] + [(10.0 + i, 5.0)
+                                                           for i in range(n - 1 - apart)]
+        sp = mg.space_from_points(P, add_omega=True)
+        assert sp.omega == n - 1 and spaces._one_pass(n) == (n == 18)
+        self.check(sp, sp, np.arange(n))
 
     @staticmethod
     def check(sp, other, perm):
@@ -601,6 +628,41 @@ class TestKernelReference:
                 assert mg.circle_quadruple_census(fresh) == (boundary, checked)
                 assert spaces.max_crt_deviation(
                     sp.dist, sp.omega, other.dist, other.omega, perm) == deviation
+
+
+@st.composite
+def correspondences(draw):
+    """A scan space, its inversion at a point (the space itself where that
+    fails), perhaps perturbed so that no conformal factor fits, and a
+    permutation of the target's rows."""
+    sp = draw(scan_spaces())
+    try:
+        target = mg.invert_at(sp, draw(st.integers(0, sp.n - 1)))
+    except (ValueError, NotPtolemyError):  # coincident points, or not Ptolemy
+        target = sp
+    if draw(st.booleans()):
+        noise = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(
+            -1e-6, 1e-6, (sp.n, sp.n))
+        D = target.dist * (1.0 + (noise + noise.T))  # exactly symmetric; inf stays inf
+        target = mg.ExtendedMetricSpace(target.labels, D, target.omega, eps=1e-3)
+    return sp, target, np.asarray(draw(st.permutations(range(sp.n))))
+
+
+class TestIdentityCorrespondence:
+    """The identity correspondence skips the relabelling of the target; its
+    report equals the one of the same target with permuted rows and labels."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(correspondences())
+    def test_matches_a_permuted_target(self, case):
+        sp, target, perm = case
+        omega = None if target.omega is None else int(np.argsort(perm)[target.omega])
+        shuffled = mg.ExtendedMetricSpace(tuple(target.labels[i] for i in perm),
+                                          target.dist[np.ix_(perm, perm)], omega, eps=target.eps)
+        identity = mg.PointedCorrespondence.identity(sp, target)
+        relabelled = mg.PointedCorrespondence(sp, shuffled, {lab: lab for lab in sp.labels})
+        assert identity.is_identity()
+        assert mg.crt_equivalent(identity) == mg.crt_equivalent(relabelled)
 
 
 class TestScanMemory:
