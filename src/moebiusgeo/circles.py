@@ -18,11 +18,12 @@ import numpy as np
 
 from .errors import ValidationError
 from .spaces import DEFAULT_EPS, ExtendedMetricSpace
-from .segments import (_PlanarCurve, _anchor_simplex, _check_convex, _curve_from_json,
-                       _curve_space, _curve_to_json, _map_onto, _ordered, _recover)
+from .segments import (_PlanarCurve, _anchor_simplex, _anchor_triple, _check_convex,
+                       _curve_from_json, _curve_space, _curve_to_json, _map_onto, _ordered,
+                       _recover)
 
 
-@dataclass
+@dataclass(eq=False)
 class SectorRegion:
     """The sector of points s*(R, 0) + t*x with -1 <= s <= 1 and t >= 0."""
 
@@ -80,7 +81,7 @@ def _find_sector_witness(samples: np.ndarray, R: float, eps: float) -> np.ndarra
     return np.array([math.cos(theta), math.sin(theta)])
 
 
-@dataclass
+@dataclass(eq=False)
 class HalfplaneCurve(_PlanarCurve):
     """An ordered sample sequence of a circle parameterization.
 
@@ -161,7 +162,7 @@ def _loop_positions(D: np.ndarray, i1: int, i2: int, i3: int) -> np.ndarray:
     return s
 
 
-@dataclass
+@dataclass(eq=False)
 class CircleMap:
     """A sampled Moebius homeomorphism between two circles."""
 
@@ -185,10 +186,8 @@ def circle_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
     interpolates the mapped points on the destination curve and compares
     all mapped 4-subset cross-ratio triples against the source.
     """
-    sa = [src_space.index(x) for x in src_anchors]
-    da = [dst_space.index(x) for x in dst_anchors]
-    if len(set(sa)) != 3 or len(set(da)) != 3:
-        raise ValueError("anchor triples must consist of three distinct points")
+    sa = _anchor_triple(src_space, src_anchors)
+    da = _anchor_triple(dst_space, dst_anchors)
     n_dst = dst_space.n
 
     curve_from_circle(src_space)

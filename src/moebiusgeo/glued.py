@@ -264,7 +264,7 @@ def bourdon_metric(cfg: GluedSpaceConfig, base: str, xi1: BoundaryPoint,
     return float((rho_op if off_seam else rho_o)[0, 1])
 
 
-@dataclass
+@dataclass(eq=False)
 class ExoticReport:
     """Both boundary metrics on the seam endpoints and equator samples.
 

@@ -133,7 +133,7 @@ def bound_at(space: ExtendedMetricSpace, o) -> ExtendedMetricSpace:
     return _rescaled(space, space.dist[oi] + 1.0, None, f"bounded metric at {space.labels[oi]!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class PointedCorrespondence:
     """A label bijection between two spaces of equal cardinality."""
 

@@ -40,7 +40,7 @@ def ptolemy_identity_residual(p1, p2, p3, p4):
             - signed_distance(p1, p3) * signed_distance(p2, p4))
 
 
-@dataclass
+@dataclass(eq=False)
 class WedgeRegion:
     """The region T(u, w) of points lam*u + mu*w whose (lam, mu, 1) satisfy
     the triangle inequality, with lam, mu >= 0."""
@@ -82,7 +82,7 @@ def wedge_contains(wedge: WedgeRegion, v, eps: float = DEFAULT_EPS) -> WedgeLoca
     return WedgeLocation("inside", lam, mu)
 
 
-@dataclass
+@dataclass(eq=False)
 class _PlanarCurve:
     """The fields and checks that quadrant and halfplane curves share.  The
     sample parameters are not stored: they are evenly spaced on [0, 1] for a
@@ -165,7 +165,7 @@ def _check_convex(S: np.ndarray, R: float, eps: float) -> None:
         raise ValidationError(f"polyline is not convex at sample {k}")
 
 
-@dataclass
+@dataclass(eq=False)
 class QuadrantCurve(_PlanarCurve):
     """An ordered sample sequence of a segment parameterization.
 
@@ -401,6 +401,14 @@ def angle_parameterize(curve: QuadrantCurve) -> np.ndarray:
     return np.arctan2(s[:, 1], s[:, 0])
 
 
+def _anchor_triple(space: ExtendedMetricSpace, anchors) -> list[int]:
+    """The indices of an anchor triple, which names exactly three distinct points."""
+    pos = [space.index(x) for x in anchors]
+    if len(pos) != 3 or len(set(pos)) != 3:
+        raise ValueError("anchor triples must consist of three distinct points")
+    return pos
+
+
 def _anchor_simplex(D: np.ndarray, i1: int, i2: int, i3: int) -> np.ndarray:
     """Normalized cross-ratio products of every point against the anchor triple."""
     P = np.column_stack([D[:, i1] * D[i2, i3], D[:, i2] * D[i1, i3], D[:, i3] * D[i1, i2]])
@@ -438,7 +446,7 @@ def _map_onto(s: np.ndarray, xp: np.ndarray, params: np.ndarray, samples: np.nda
     return params, points, dev, tuple(src_space.labels[i] for i in quad)
 
 
-@dataclass
+@dataclass(eq=False)
 class SegmentMap:
     """A sampled Moebius homeomorphism between two segments."""
 
@@ -465,11 +473,9 @@ def segment_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
     dst_curve = curve_from_segment(dst_space)
 
     def anchor_positions(space, anchors):
-        pos = [space.index(x) for x in anchors]
-        if {pos[0], pos[2]} != {0, space.n - 1}:
+        pos = _anchor_triple(space, anchors)
+        if {pos[0], pos[2]} != {0, space.n - 1}:  # then x2, a third point, is interior
             raise ValueError("x1 and x3 must be the two boundary points")
-        if not 0 < pos[1] < space.n - 1:
-            raise ValueError("x2 must be an interior point")
         return pos
 
     s_src = _segment_path_positions(src_space.dist, *anchor_positions(src_space, src_anchors))

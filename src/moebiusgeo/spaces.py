@@ -48,7 +48,7 @@ _SUBNORMAL_SLACK = 2.0 ** -1060
 _deferred: contextvars.ContextVar[list | None] = contextvars.ContextVar("_deferred", default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtendedMetricSpace:
     """A finite labeled point set with a symmetric extended distance matrix.
 
@@ -69,10 +69,11 @@ class ExtendedMetricSpace:
     input checks by their arithmetic, so ``_derived`` takes the finishing
     step alone; those whose arithmetic also proves the triangle inequality
     skip the pass.  The space is immutable (``dataclasses.replace`` builds a
-    copy with another ``eps``) and its ``dist`` is read-only.  ``scale`` is
-    the largest finite stored entry, and ``tol = eps * max(scale, 1)`` is the
-    absolute tolerance of every distance comparison on the space; predicates
-    on cross-ratio triples compare against ``eps`` itself.
+    copy with another ``eps``), its ``dist`` is read-only, and spaces compare
+    and hash by identity.  ``scale`` is the largest finite stored entry, and
+    ``tol = eps * max(scale, 1)`` is the absolute tolerance of every distance
+    comparison on the space; predicates on cross-ratio triples compare
+    against ``eps`` itself.
     """
 
     labels: tuple[str, ...]
@@ -469,45 +470,39 @@ def _one_pass(n: int) -> bool:
 
 
 @functools.lru_cache(maxsize=32)
-def _one_pass_layout(n: int, remote_last: bool):
+def _one_pass_layout(n: int):
     """The layout of the single pass over all 4-subsets of ``n`` points.
 
     The layout is the 6 x C(n, 4) array of the indices into a flattened
     n x n matrix of the pairs ab, ac, ad, cd, bd, bc of the subsets
-    a < b < c < d, in lexicographic order, or with ``remote_last`` in the
-    order of the scan's witness: the subsets with d < n - 1 first, then those
-    with d = n - 1, each group in lexicographic order.  It depends on ``n``
-    and ``remote_last`` alone, and :func:`_quad_passes` asks for it only
-    when :func:`_one_pass` holds, so the cache holds at most two layouts of
-    each size up to 18 points, 48 C(n, 4) bytes each, about 1.1 MB in all.
+    a < b < c < d, in lexicographic order.  It depends on ``n`` alone, and
+    :func:`_quad_passes` asks for it only when :func:`_one_pass` holds, so
+    the cache holds one layout of each size from 4 to 18 points, 48 C(n, 4)
+    bytes each, about 0.56 MB in all.
     """
     quads = np.array(list(itertools.combinations(range(n), 4)), dtype=np.intp).reshape(-1, 4)
-    if remote_last:
-        quads = quads[np.argsort(quads[:, 3] == n - 1, kind="stable")]
     a, b, c, d = quads.T
     flat = np.stack([a * n + b, a * n + c, a * n + d, c * n + d, b * n + d, b * n + c])
     flat.flags.writeable = False
     return flat
 
 
-def _quad_passes(*mats: np.ndarray, remote_last: bool = False):
+def _quad_passes(*mats: np.ndarray):
     """The cross-ratio products of every 4-subset a < b < c < d, by middle index b.
 
     A space small enough for one pass (:func:`_one_pass`) gathers the
     products of all subsets at once through the cached
-    :func:`_one_pass_layout`, in lexicographic order or, with
-    ``remote_last``, with the subsets that hold the last point after the
-    others.  Otherwise a pass takes rows lo <= a < hi and one middle index b
-    against the suffix of the lexicographic list of pairs c < d from the
-    first pair with c > b; its cells (a, pair) in C order are in
-    lexicographic order of the subsets.  Yields ``cells`` and, per matrix,
+    :func:`_one_pass_layout`.  Otherwise a pass takes rows lo <= a < hi and
+    one middle index b against the suffix of the lexicographic list of pairs
+    c < d from the first pair with c > b; its cells (a, pair) in C order are
+    in lexicographic order of the subsets.  Yields ``cells`` and, per matrix,
     the products d(a,b)d(c,d), d(a,c)d(b,d), d(a,d)d(b,c) of the pass's
     subsets; ``cells(k)`` gives the indices a, b, c, d of the subset at
     position ``k``, or their arrays for an array of positions.
     """
     n = len(mats[0])
     if _one_pass(n):
-        flat = _one_pass_layout(n, remote_last)
+        flat = _one_pass_layout(n)
         def cells(k):
             (a, c), (b, d) = np.divmod(flat[::3, k], n)  # from the pairs ab and cd
             return a, b, c, d
@@ -545,9 +540,7 @@ def _fold_worst(worst, values, cells, remote=-1):
 
     The larger value wins, and ties go to the smaller key (d == remote, a,
     b, c, d): subsets without the index ``remote`` first, each group in
-    lexicographic order.  The pass is in lexicographic order; a pass already
-    in the order of the key (the witness-ordered single pass of
-    :func:`is_ptolemy`) is folded without ``remote``.
+    lexicographic order.  The pass is in lexicographic order.
     """
     k = int(values.argmax())
     v = float(values[k])
@@ -629,15 +622,13 @@ def is_ptolemy(space: ExtendedMetricSpace) -> PtolemyReport:
     else:
         order = space.finite_indices + [omega]
         D = space.dist.take(order, 0).take(order, 1)
-    M = _unit_remote(D, space.scale, None if omega is None else n - 1)
+    remote = None if omega is None else n - 1  # the remote point's index in D
+    M = _unit_remote(D, space.scale, remote)
     eps = space.eps
-    # A single pass lists the subsets in the witness's order, so its first
-    # worst subset is the witness; several passes are in lexicographic order
-    remote = -1 if omega is None or _one_pass(n) else n - 1
     worst = (-math.inf, None)
     boundary = 0
     with np.errstate(invalid="ignore"):  # 0 / 0 where all products vanish
-        for cells, ((margin, p2, p3),) in _quad_passes(M, remote_last=omega is not None):
+        for cells, ((margin, p2, p3),) in _quad_passes(M):
             s = margin + p2
             s += p3
             np.maximum(np.maximum(margin, p2, out=margin), p3, out=margin)

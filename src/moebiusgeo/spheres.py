@@ -64,7 +64,7 @@ def stereographic(u, pole=None) -> np.ndarray | None:
     return u[:-1] / (1.0 - u[-1])
 
 
-@dataclass
+@dataclass(eq=False)
 class SampledCircle:
     """A circle in k-dimensional Euclidean space with cyclic samples."""
 
@@ -128,7 +128,7 @@ def circumcircle_three(x1, x2, x3, n_samples: int = 24) -> SampledCircle:
 def _unit_rows(rng, count: int, dim: int) -> np.ndarray:
     g = rng.standard_normal((count, dim))
     while True:
-        norms = np.sqrt(np.add.reduce(g * g, axis=1))  # np.linalg.norm(g, axis=1), undispatched
+        norms = np.linalg.norm(g, axis=1)
         redo = norms < 1e-12
         if not redo.any():
             return g / norms[:, None]

@@ -249,8 +249,12 @@ class TestCircleMoebiusMap:
 
     def test_degenerate_anchors_rejected(self):
         sp = mg.circle_from_curve(mg.chordal_circle_curve(2.0, 12))
-        with pytest.raises(ValueError):
-            mg.circle_moebius_map(sp, ("t0", "t0", "t4"), sp, ("t0", "t4", "t8"))
+        triple = ("t0", "t4", "t8")
+        for anchors in [("t0", "t0", "t4"), ("t0", "t4"), ("t0", "t2", "t4", "t0"),
+                        ("t0", "t2", "t4", "t6")]:
+            for src, dst in [(anchors, triple), (triple, anchors)]:
+                with pytest.raises(ValueError, match="three distinct points"):
+                    mg.circle_moebius_map(sp, src, sp, dst)
 
 
 class TestCurveJson:

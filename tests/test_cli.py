@@ -534,6 +534,22 @@ class TestUsageErrors:
         assert err.startswith("usage: moebiusgeo")
         assert err.splitlines()[-1].startswith(message)
 
+    @pytest.mark.parametrize("kind", ["segment", "circle"])
+    def test_map_anchors_not_a_triple(self, kind, tmp_path):
+        if kind == "segment":
+            t = np.linspace(0.0, 1.0, 6)
+            space = mg.segment_from_curve(mg.QuadrantCurve(1.0, np.column_stack([1 - t, t])))
+        else:
+            space = mg.circle_from_curve(mg.chordal_circle_curve(2.0, 6))
+        path = write_space(tmp_path / "m.json", space.dist)
+        for anchors in ["t0,t5", "t0,t2,t5,t1", "t0,t2,t4,t0"]:
+            for src, dst in [(anchors, "t0,t2,t5"), ("t0,t2,t5", anchors)]:
+                code, err = run(["map", kind, "--src", path, "--dst", path,
+                                 "--src-anchors", src, "--dst-anchors", dst])
+                assert code == 1 and "Traceback" not in err
+                assert err.splitlines()[-1] == (
+                    "error: anchor triples must consist of three distinct points")
+
     @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
     def test_help_exits_zero(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -462,8 +462,15 @@ class TestSegmentMoebiusMap:
 
     def test_interior_anchor_required(self):
         sp = mg.segment_from_curve(straight_curve(9))
-        with pytest.raises(ValueError):
-            mg.segment_moebius_map(sp, ("t0", "t8", "t4"), sp, ("t0", "t4", "t8"))
+        triple = ("t0", "t4", "t8")
+        # three distinct points whose ends are the boundary points leave x2 interior
+        for anchors, message in [(("t0", "t8", "t4"), "x1 and x3 must be the two boundary points"),
+                                 (("t0", "t0", "t8"), "three distinct points"),
+                                 (("t0", "t8"), "three distinct points"),
+                                 (("t0", "t4", "t8", "t1"), "three distinct points")]:
+            for src, dst in [(anchors, triple), (triple, anchors)]:
+                with pytest.raises(ValueError, match=message):
+                    mg.segment_moebius_map(sp, src, sp, dst)
 
 
 class TestCurveJson:
