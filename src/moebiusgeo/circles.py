@@ -81,7 +81,7 @@ def _find_sector_witness(samples: np.ndarray, R: float, eps: float) -> np.ndarra
     return np.array([math.cos(theta), math.sin(theta)])
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class HalfplaneCurve(_PlanarCurve):
     """An ordered sample sequence of a circle parameterization.
 
@@ -97,8 +97,8 @@ class HalfplaneCurve(_PlanarCurve):
     def __post_init__(self):
         S = self._checked_samples(3, slice(1, 2), "upper halfplane", (-self.R, 0.0), "(-R, 0)")
         _check_convex(S, self.R, self.eps)
-        self.sector_witness = _find_sector_witness(S, self.R, self.eps)
-        self.samples = S
+        S.flags.writeable = False
+        vars(self).update(samples=S, sector_witness=_find_sector_witness(S, self.R, self.eps))
 
     @property
     def n_points(self) -> int:

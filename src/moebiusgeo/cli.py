@@ -23,18 +23,18 @@ EXIT_PROPERTY = 2
 
 
 def _emit(data, path: str | None) -> None:
-    """Write a report dict as JSON, or the text chunks of a distance matrix."""
+    """Write a report dict as JSON, or the byte chunks of a distance matrix
+    or report; every chunk is ASCII."""
     if isinstance(data, dict):
-        data = [json.dumps(data, indent=2, sort_keys=True) + "\n"]
-    if path is None:
-        sys.stdout.writelines(data)
-    else:
-        with open(path, "w") as fh:
+        data = [(json.dumps(data, indent=2, sort_keys=True) + "\n").encode()]
+    if path is not None:
+        with open(path, "wb") as fh:
             fh.writelines(data)
-
-
-def _load_space(path: str, eps: float) -> spaces.ExtendedMetricSpace:
-    return spaces.space_from_json_dict(spaces._read_json(path), eps=eps)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()  # what the text layer holds goes first
+        sys.stdout.buffer.writelines(data)
+    else:  # a text stream alone, such as io.StringIO
+        sys.stdout.writelines(chunk.decode("ascii") for chunk in data)
 
 
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
@@ -46,7 +46,7 @@ def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
 
 
 def cmd_check(args) -> int:
-    space = _load_space(args.matrix, args.eps)
+    space = spaces._read_space(args.matrix, args.eps)
     report = spaces.is_ptolemy(space)
     embedding = None
     if space.omega is None:
@@ -72,7 +72,7 @@ def cmd_check(args) -> int:
 def cmd_invert(args) -> int:
     if args.at is None and args.bound_at is None:
         raise ValidationError("provide --at and/or --bound-at")
-    space = _load_space(args.matrix, args.eps)
+    space = spaces._read_space(args.matrix, args.eps)
     out = space
     if args.at is not None:
         out = inversions.invert_at(out, args.at)
@@ -99,12 +99,12 @@ def _order_list(arg: str | None) -> list[str] | None:
 def cmd_segment(args) -> int:
     if args.action == "classify":
         with spaces._triangle_deferred():  # the recovered curve may prove the input a metric
-            space = _load_space(args.input, args.eps)
+            space = spaces._read_space(args.input, args.eps)
             curve = segments.curve_from_segment(space, _order_list(args.order))
         if args.csv:
             _write_csv(args.csv, ["t", "a", "b", "alpha"],
                        [curve.params, *curve.samples.T, segments.angle_parameterize(curve)])
-        _emit(segments.curve_to_json_dict(curve), args.output)
+        _emit([spaces._report_bytes(segments.curve_to_json_dict(curve))], args.output)
         return EXIT_OK
     curve = segments.curve_from_json_dict(spaces._read_json(args.input), eps=args.eps)
     _emit(spaces.space_to_json_chunks(segments.segment_from_curve(curve)), args.output)
@@ -114,13 +114,13 @@ def cmd_segment(args) -> int:
 def cmd_circle(args) -> int:
     if args.action == "classify":
         with spaces._triangle_deferred():
-            space = _load_space(args.input, args.eps)
+            space = spaces._read_space(args.input, args.eps)
             curve = circles.curve_from_circle(space, _order_list(args.order),
                                               minus_one=args.minus_one)
         if args.csv:
             _write_csv(args.csv, ["t", "a", "b"],
                        [curve.params, curve.samples[:, 0], curve.samples[:, 1]])
-        _emit(circles.curve_to_json_dict(curve), args.output)
+        _emit([spaces._report_bytes(circles.curve_to_json_dict(curve))], args.output)
         return EXIT_OK
     curve = circles.curve_from_json_dict(spaces._read_json(args.input), eps=args.eps)
     _emit(spaces.space_to_json_chunks(circles.circle_from_curve(curve)), args.output)
@@ -130,8 +130,8 @@ def cmd_circle(args) -> int:
 def cmd_map(args) -> int:
     build = segments.segment_moebius_map if args.kind == "segment" else circles.circle_moebius_map
     with spaces._triangle_deferred():  # both curves may prove their inputs metrics
-        src = _load_space(args.src, args.eps)
-        dst = _load_space(args.dst, args.eps)
+        src = spaces._read_space(args.src, args.eps)
+        dst = spaces._read_space(args.dst, args.eps)
         result = build(src, _order_list(args.src_anchors), dst, _order_list(args.dst_anchors))
     pairs = [
         {"src": lab, "position": float(pos), "point": [float(p[0]), float(p[1])]}

@@ -82,11 +82,13 @@ def wedge_contains(wedge: WedgeRegion, v, eps: float = DEFAULT_EPS) -> WedgeLoca
     return WedgeLocation("inside", lam, mu)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class _PlanarCurve:
     """The fields and checks that quadrant and halfplane curves share.  The
     sample parameters are not stored: they are evenly spaced on [0, 1] for a
-    quadrant curve and on [0, 2] for a halfplane curve."""
+    quadrant curve and on [0, 2] for a halfplane curve.  A curve is
+    immutable, as a space is: its fields are checked once, on construction,
+    and its ``samples`` array is read-only."""
 
     R: float
     samples: np.ndarray
@@ -165,7 +167,7 @@ def _check_convex(S: np.ndarray, R: float, eps: float) -> None:
         raise ValidationError(f"polyline is not convex at sample {k}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class QuadrantCurve(_PlanarCurve):
     """An ordered sample sequence of a segment parameterization.
 
@@ -182,7 +184,8 @@ class QuadrantCurve(_PlanarCurve):
             k = int(np.argwhere(~wedge_ok)[0, 0])
             raise ValidationError(f"sample {k} leaves the endpoint wedge")
         _check_convex(S, self.R, self.eps)
-        self.samples = S
+        S.flags.writeable = False
+        vars(self)["samples"] = S
 
     def reflected(self) -> "QuadrantCurve":
         """Reflection across the quadrant bisector; an isometric segment."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
+import io
 import itertools
 import json
 import math
@@ -713,7 +714,7 @@ _ORJSON_REPR_RANGE = (1e-4, 1e16)
 
 
 def space_to_json_chunks(space: ExtendedMetricSpace):
-    r"""The text of ``json.dumps(space_to_json_dict(space), indent=2,
+    r"""The bytes of ``json.dumps(space_to_json_dict(space), indent=2,
     sort_keys=True) + "\n"``, yielded in chunks.
 
     JSON writes a float as its ``repr``; the only non-finite distances of a
@@ -724,6 +725,7 @@ def space_to_json_chunks(space: ExtendedMetricSpace):
     row at a time with ``float.__repr__``: ``dist`` is exactly symmetric, so
     each distance is formatted once, in its row on or above the diagonal,
     and waits in its column's list until that column's row is written.
+    Every chunk is ASCII, as ``json.dumps`` escapes every other character.
     """
     D = space.dist
     lo, hi = _ORJSON_REPR_RANGE
@@ -732,10 +734,10 @@ def space_to_json_chunks(space: ExtendedMetricSpace):
 
         text = orjson.dumps({"matrix": np.ascontiguousarray(D)},
                             option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY)
-        text = str(memoryview(text)[:-2], "ascii")  # without the closing "\n}"
-        yield text if space.omega is None else text.replace("null", '"inf"')
+        text = text[:-2]  # without the closing "\n}"
+        yield text if space.omega is None else text.replace(b"null", b'"inf"')
     else:
-        yield '{\n  "matrix": [\n'
+        yield b'{\n  "matrix": [\n'
         sep = "    [\n      "
         below = [[] for _ in space.labels]  # below[j]: the texts of d(i, j), i <= j, so far
         for i, row in enumerate(D):
@@ -745,12 +747,40 @@ def space_to_json_chunks(space: ExtendedMetricSpace):
             cells, below[i] = below[i], None  # d(i, j), j <= i
             cells.extend(itertools.islice(texts, 1, None))
             text = ",\n      ".join(cells)
-            yield sep + (text if space.omega is None else text.replace("inf", '"inf"'))
+            yield (sep + (text if space.omega is None else text.replace("inf", '"inf"'))).encode()
             sep = "\n    ],\n    [\n      "
-        yield "\n    ]\n  ]"
+        yield b"\n    ]\n  ]"
     points = ",\n    ".join(map(json.dumps, space.labels))
     yield (f',\n  "omega": {json.dumps(space.omega_label())},\n'
-           f'  "points": [\n    {points}\n  ]\n}}\n')
+           f'  "points": [\n    {points}\n  ]\n}}\n').encode()
+
+
+def _orjson_alike(value) -> bool:
+    """Whether orjson writes ``value`` in the characters of ``json.dumps``:
+    a float that is 0 or inside ``_ORJSON_REPR_RANGE``, a string of
+    printable ASCII (``json.dumps`` escapes every other character, orjson
+    only some), None, a boolean, or a list or string-keyed dict of these."""
+    kind = type(value)
+    if kind is float:
+        return value == 0.0 or _ORJSON_REPR_RANGE[0] <= abs(value) < _ORJSON_REPR_RANGE[1]
+    if kind is list:
+        return all(map(_orjson_alike, value))
+    if kind is dict:
+        return (all(type(key) is str and _orjson_alike(key) for key in value)
+                and all(map(_orjson_alike, value.values())))
+    if kind is str:
+        return value.isascii() and value.isprintable()
+    return value is None or kind is bool
+
+
+def _report_bytes(data: dict) -> bytes:
+    r"""The bytes of ``json.dumps(data, indent=2, sort_keys=True) + "\n"``,
+    written by orjson where it writes the same characters (``_orjson_alike``)."""
+    if _orjson_alike(data):
+        import orjson
+
+        return orjson.dumps(data, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS) + b"\n"
+    return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
 
 
 _PLAIN_NUMBERS = frozenset({float, int})
@@ -770,16 +800,6 @@ def _parse_cell(v) -> float:
     raise ValidationError(f"matrix cell {v!r} is not a number or 'inf'")
 
 
-def _parse_row(row):
-    """One matrix row as floats; a list of plain numbers is converted at once."""
-    if type(row) is list and set(map(type, row)) <= _PLAIN_NUMBERS:
-        try:
-            return np.array(row, dtype=float)
-        except OverflowError:
-            pass  # _parse_cell names the cell
-    return [_parse_cell(v) for v in row]
-
-
 # orjson reads an integer literal outside [-2**63, 2**64) as a float, and the
 # stdlib as an int; the two are equal as numbers, but not in type or repr
 _WIDENED = 2.0 ** 63
@@ -788,14 +808,6 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 def _scalar_alike(v) -> bool:
     return type(v) in _SCALARS and not (type(v) is float and abs(v) >= _WIDENED)
-
-
-def _row_alike(row: list) -> bool:
-    try:
-        sum(row)  # the fast check: a TypeError unless every entry is a number
-        return True
-    except TypeError:
-        return set(map(type, row)) <= _SCALARS
 
 
 def _decoded_alike(data) -> bool:
@@ -822,15 +834,15 @@ def _decoded_alike(data) -> bool:
             if not _scalar_alike(value):
                 return False
         elif value and all(type(row) is list for row in value):
-            if not all(map(_row_alike, value)):
+            if not all(set(map(type, row)) <= _SCALARS for row in value):
                 return False
         elif not all(map(_scalar_alike, value)):
             return False
     return True
 
 
-def _read_json(path: str):
-    """The JSON document in the file ``path``, as ``json.load`` reads it.
+def _json_loads(text: str):
+    """The JSON document in ``text``, as ``json.loads`` reads it.
 
     orjson decodes the text about four times faster than the stdlib, to
     equal values on every text both accept (bit for bit on floats).  The
@@ -840,8 +852,6 @@ def _read_json(path: str):
     always has) and where ``_decoded_alike`` cannot vouch for orjson's
     objects.
     """
-    with open(path) as fh:
-        text = fh.read()
     import orjson  # not at the top: its import costs the commands that read no JSON
 
     try:
@@ -851,19 +861,105 @@ def _read_json(path: str):
     return data if _decoded_alike(data) else json.loads(text)
 
 
+def _read_json(path: str):
+    """The JSON document in the file ``path``, as ``json.load`` reads it."""
+    with open(path) as fh:
+        return _json_loads(fh.read())
+
+
+def _at_most(raw: bytes, byte: bytes, count: int) -> bool:
+    """Whether ``byte`` occurs at most ``count`` times in ``raw``."""
+    at = -1
+    for _ in range(count + 1):
+        at = raw.find(byte, at + 1)
+        if at < 0:
+            return True
+    return False
+
+
+def _whole_matrix(raw: bytes) -> dict | None:
+    """The distance-matrix document in the bytes ``raw`` of a file, with its
+    matrix as one float array, where :func:`space_from_json_dict` reads that
+    matrix to the same floats from ``json.load``'s objects; else None.
+
+    orjson decodes bytes of ASCII text, which text mode reads to the same
+    characters in every locale (newlines aside, which JSON takes as
+    whitespace).  ``np.array`` makes a 2-D array of kind f, i or u of a
+    list of rows only when every cell is a number, except that it takes
+    booleans as numbers: a string, ``None``, a ragged row or a nested row
+    gives another kind, another shape or a ValueError.  Every JSON ``true``
+    and ``null`` holds a ``u``, every ``false`` an ``l``, and no number
+    either letter, so a file with no more of them than its top-level nulls
+    (one ``u`` and two ``l`` each) has no boolean or null cell; a file whose
+    labels hold these letters is read cell by cell.  A first row that holds
+    a string, as the rows of a space with a remote point do, skips the
+    attempt, in which ``np.array`` would write every number as a string.
+    The other values must pass ``_decoded_alike``.
+    """
+    if not raw.isascii():
+        return None
+    import orjson  # not at the top: its import costs the commands that read no JSON
+
+    try:
+        data = orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        return None
+    if type(data) is not dict:
+        return None
+    rows = data.get("matrix")
+    if not (type(rows) is list and rows and type(rows[0]) is list
+            and set(map(type, rows[0])) <= _PLAIN_NUMBERS):
+        return None
+    nulls = sum(value is None for value in data.values())
+    if not (_at_most(raw, b"u", nulls) and _at_most(raw, b"l", 2 * nulls)):
+        return None
+    if not _decoded_alike({key: value for key, value in data.items() if key != "matrix"}):
+        return None
+    try:
+        D = np.array(rows)
+    except ValueError:
+        return None
+    if D.ndim != 2 or D.dtype.kind not in "fiu":
+        return None
+    data["matrix"] = D.astype(float, copy=False)
+    return data
+
+
+def _read_space(path: str, eps: float) -> ExtendedMetricSpace:
+    """The space of the distance-matrix file ``path``, as
+    ``space_from_json_dict(_read_json(path), eps)`` reads it.
+
+    The file is read once, as bytes, so a pipe reads as a file does.  One
+    conversion reads a matrix of numbers alone (``_whole_matrix``); any
+    other document is decoded from the text that text mode reads.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    data = _whole_matrix(raw)
+    if data is None:
+        data = _json_loads(io.TextIOWrapper(io.BytesIO(raw)).read())
+    del raw  # not held while the space is built
+    return space_from_json_dict(data, eps)
+
+
 def space_from_json_dict(data: dict, eps: float = DEFAULT_EPS) -> ExtendedMetricSpace:
-    """Inverse of :func:`space_to_json_dict`, with validation."""
+    """Inverse of :func:`space_to_json_dict`, with validation.  The matrix is
+    a list of rows of cells, or an array of numbers (as :func:`_whole_matrix`
+    converts a matrix of numbers alone)."""
     try:
         labels = [str(x) for x in data["points"]]
         omega_label = data.get("omega")
-        rows = [_parse_row(row) for row in data["matrix"]]
+        rows = data["matrix"]
+        if type(rows) is not np.ndarray:
+            rows = [list(map(_parse_cell, row)) for row in rows]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed distance-matrix JSON: {exc}") from exc
-    for i, row in enumerate(rows):
-        if len(row) != len(rows[0]):
-            raise ValidationError(
-                f"matrix row {i} has {len(row)} cells, row 0 has {len(rows[0])}")
-    D = np.array(rows, dtype=float)
+    if type(rows) is list:  # an array is rectangular
+        for i, row in enumerate(rows):
+            if len(row) != len(rows[0]):
+                raise ValidationError(
+                    f"matrix row {i} has {len(row)} cells, row 0 has {len(rows[0])}")
+    D = np.asarray(rows, dtype=float)
     omega = None
     if omega_label is not None:
         try:

@@ -471,6 +471,87 @@ class TestMatrixOutput:
         assert mf.read_text() == self.reference(mg.sample_space("halfspace", count=9, seed=4))
 
 
+def canonical(data: bytes) -> bytes:
+    """The bytes of json.dumps(..., indent=2, sort_keys=True) + "\\n" for the document in data."""
+    return (json.dumps(json.loads(data), indent=2, sort_keys=True) + "\n").encode()
+
+
+def write_json(path, data) -> str:
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+class TestOutputBytes:
+    """Every writing command writes the same bytes to --output as to stdout,
+    the bytes of json.dumps(..., indent=2, sort_keys=True) + "\\n"."""
+
+    @staticmethod
+    def argv(name, tmp_path) -> list[str]:
+        from moebiusgeo import circles, segments
+        accents = tuple(f"\u00e9{i}" for i in range(9))
+        segment = mg.segment_from_curve(mg.euclidean_segment_curve(1.0, 0.8, "minor", 9))
+        circle = mg.circle_from_curve(mg.chordal_circle_curve(2.0, 12))
+        files = {
+            "line": mg.space_from_points(np.array([0.0, 1.0, 2.5, 4.0])[:, None],
+                                         accents[:4], add_omega=True),
+            "sphere": mg.ExtendedMetricSpace(accents[:8], mg.sample_space("sphere", count=8).dist),
+            "segment": segment,
+            "accents": mg.ExtendedMetricSpace(accents, segment.dist),
+            "short_edge": mg.space_from_points(np.array([0.0, 5e-5, 1.0])[:, None]),
+            "circle": circle,
+        }
+        path = {key: write_json(tmp_path / f"{key}.json", mg.space_to_json_dict(sp))
+                for key, sp in files.items()}
+        path["segcurve"] = write_json(tmp_path / "segcurve.json", segments.curve_to_json_dict(
+            mg.euclidean_segment_curve(1.0, 0.8, "minor", 9)))
+        path["circcurve"] = write_json(tmp_path / "circcurve.json", circles.curve_to_json_dict(
+            mg.chordal_circle_curve(2.0, 12)))
+        return {
+            "invert": ["invert", path["line"], "--at", "\u00e91", "--bound-at", "\u00e92"],
+            "check": ["check", path["sphere"]],
+            "segment_synth": ["segment", "synth", path["segcurve"]],
+            "circle_synth": ["circle", "synth", path["circcurve"]],
+            "sphere": ["sphere", "--count", "7", "--matrix-out", str(tmp_path / "out_matrix.json")],
+            "segment_classify": ["segment", "classify", path["segment"]],
+            "segment_classify_short_edge": ["segment", "classify", path["short_edge"]],
+            "circle_classify": ["circle", "classify", path["circle"], "--minus-one", "t6"],
+            "map_segment": ["map", "segment", "--src", path["accents"], "--dst", path["segment"],
+                            "--src-anchors", ",".join(accents[::4]), "--dst-anchors", "t0,t4,t8"],
+            "map_circle": ["map", "circle", "--src", path["circle"], "--dst", path["circle"],
+                           "--src-anchors", "t0,t4,t8", "--dst-anchors", "t0,t4,t8"],
+            "exotic": ["exotic", "--l", "1", "--angles", "6"],
+        }[name]
+
+    # and how many times the command calls orjson.dumps: once for a matrix or
+    # a classify report that orjson writes, none where json.dumps writes it
+    @pytest.mark.parametrize("name, dumps", [
+        ("invert", 1), ("check", 0), ("segment_synth", 1), ("circle_synth", 1), ("sphere", None),
+        ("segment_classify", 1), ("segment_classify_short_edge", 0), ("circle_classify", 1),
+        ("map_segment", 0), ("map_circle", 0), ("exotic", 0),
+    ])
+    def test_file_and_stdout(self, name, dumps, tmp_path, capsysbinary, monkeypatch):
+        import orjson
+        calls, orjson_dumps = [], orjson.dumps
+        monkeypatch.setattr(orjson, "dumps", lambda *a, **k: calls.append(a) or orjson_dumps(*a, **k))
+        argv, out = self.argv(name, tmp_path), tmp_path / "out.json"
+        assert main(argv + ["--output", str(out)]) == 0
+        assert dumps is None or len(calls) == dumps
+        assert main(argv) == 0
+        stdout, stderr = capsysbinary.readouterr()
+        assert stdout == out.read_bytes() == canonical(stdout) and stderr == b""
+        for matrix in tmp_path.glob("out_*.json"):
+            assert matrix.read_bytes() == canonical(matrix.read_bytes())
+
+    @pytest.mark.parametrize("name", ["segment_synth", "segment_classify", "exotic"])
+    def test_text_stdout(self, name, tmp_path):
+        # a stdout without a byte buffer, as under contextlib.redirect_stdout
+        argv, out, text = self.argv(name, tmp_path), tmp_path / "out.json", io.StringIO()
+        assert main(argv + ["--output", str(out)]) == 0
+        with contextlib.redirect_stdout(text):
+            assert main(argv) == 0
+        assert text.getvalue().encode() == out.read_bytes()
+
+
 # Matrix files that orjson refuses or reads to other objects than the stdlib
 REREAD_BY_THE_STDLIB = {
     "nan": '{"points": ["a", "b"], "matrix": [[0, NaN], [NaN, 0]]}',
@@ -486,9 +567,51 @@ REREAD_BY_THE_STDLIB = {
 }
 
 
+def _matrix_file(cells: str, labels: str = '"a", "b", "c"', omega: str = "null") -> bytes:
+    return ('{"points": [%s], "omega": %s, "matrix": %s}' % (labels, omega, cells)).encode()
+
+
+LINE = "[[0.0, 1.0, 2.5], [1.0, 0.0, 1.5], [2.5, 1.5, 0.0]]"
+# Matrix files, and whether the matrix is converted whole: orjson decodes the
+# ASCII bytes, and every cell is a number
+MATRIX_FILES = {
+    "line": (_matrix_file(LINE), True),
+    "booleans": (_matrix_file("[[0.0, true], [true, 0.0]]", '"a", "b"'), False),
+    "boolean_after_row_0": (_matrix_file("[[0.0, 1], [true, 0.0]]", '"a", "b"'), False),
+    "boolean_after_row_0_label_with_l": (_matrix_file("[[0.0, 1], [true, 0.0]]", '"a", "l"'),
+                                         False),
+    "boolean_after_row_0_no_null": (
+        b'{"points": ["a", "b"], "matrix": [[0.0, 1], [true, 0.0]]}', False),
+    "false_after_row_0": (_matrix_file("[[0.0, 1.5], [false, 0.0]]", '"a", "b"'), False),
+    "null_after_row_0": (_matrix_file("[[0.0, 1.5], [null, 0.0]]", '"a", "b"'), False),
+    "inf_strings": (_matrix_file('[[0, 1, "inf"], [1, 0, " Infinity "], ["inf", " Infinity ", 0]]',
+                                 omega='"c"'), False),
+    "nan_string": (_matrix_file('[[0, "nan"], ["nan", 0]]', '"a", "b"'), False),
+    "string_after_row_0": (_matrix_file('[[0, 1, 2], [1, 0, 1], ["2", 1, 0]]'), False),
+    "ragged_row": (_matrix_file("[[0, 1, 2], [1, 0], [2, 1, 0]]"), False),
+    "row_holding_a_list": (_matrix_file("[[0, 1, 2], [1, 0, [1]], [2, [1], 0]]"), False),
+    "rows_of_lists": (_matrix_file("[[[0], [1]], [[1], [0]]]", '"a", "b"'), False),
+    "all_ints": (_matrix_file("[[0, 1, 3], [1, 0, 2], [3, 2, 0]]"), True),
+    "ints_and_floats": (_matrix_file(
+        "[[0, 0.5, 18446744073709551615], [0.5, 0, 18446744073709551615], "
+        "[18446744073709551615, 18446744073709551615, 0]]"), True),
+    "no_rows": (_matrix_file("[[]]"), True),
+    "crlf": (_matrix_file(LINE).replace(b", ", b",\r\n"), True),
+    "bom": (b"\xef\xbb\xbf" + _matrix_file(LINE), False),
+    "invalid_utf8": (_matrix_file(LINE, '"a", "\xff", "c"').replace(b"\xc3\xbf", b"\xff"), False),
+    "non_ascii_label": (_matrix_file(LINE, '"a", "\u00e9", "c"'), False),
+}
+
+
 def stdlib_read(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def read_with_the_stdlib(monkeypatch):
+    """Make the CLI read matrix files with json.load and space_from_json_dict."""
+    monkeypatch.setattr(spaces, "_read_space",
+                        lambda path, eps: spaces.space_from_json_dict(stdlib_read(path), eps))
 
 
 class TestJsonReader:
@@ -506,7 +629,7 @@ class TestJsonReader:
         path.write_text(text, encoding="utf-8")
         code = main(["check", str(path)])
         got = (code, *capsys.readouterr())
-        monkeypatch.setattr(spaces, "_read_json", stdlib_read)
+        read_with_the_stdlib(monkeypatch)
         code = main(["check", str(path)])
         assert got == (code, *capsys.readouterr())
 
@@ -515,6 +638,34 @@ class TestJsonReader:
         path.write_text(REREAD_BY_THE_STDLIB["30_digit_label"])
         assert main(["check", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["worst_quadruple"][0] == "1" * 30
+
+    @pytest.mark.parametrize("command", [["check"], ["segment", "classify"]])
+    @pytest.mark.parametrize("name", sorted(MATRIX_FILES))
+    def test_commands_answer_as_with_the_stdlib(self, name, command, tmp_path, capsysbinary,
+                                                monkeypatch):
+        raw, whole = MATRIX_FILES[name]
+        assert (spaces._whole_matrix(raw) is not None) is whole
+        path = tmp_path / "matrix.json"
+        path.write_bytes(raw)
+        got = (main([*command, str(path)]), *capsysbinary.readouterr())
+        read_with_the_stdlib(monkeypatch)
+        assert got == (main([*command, str(path)]), *capsysbinary.readouterr())
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("name", ["line", "inf_strings"])
+    def test_a_pipe_reads_as_a_file(self, name, tmp_path, capsysbinary):
+        # the file is read once: a pipe, as from <(...), cannot be read again
+        raw = MATRIX_FILES[name][0]
+        path = tmp_path / "matrix.json"
+        path.write_bytes(raw)
+        expected = (main(["check", str(path)]), *capsysbinary.readouterr())
+        r, w = os.pipe()
+        os.write(w, raw)
+        os.close(w)
+        try:
+            assert (main(["check", f"/dev/fd/{r}"]), *capsysbinary.readouterr()) == expected
+        finally:
+            os.close(r)
 
 
 class TestUsageErrors:

@@ -874,7 +874,7 @@ class TestJsonChunks:
     @settings(max_examples=300, deadline=None)
     @given(json_spaces())
     def test_equals_json_dumps(self, space):
-        assert "".join(mg.space_to_json_chunks(space)) == reference_text(space)
+        assert b"".join(mg.space_to_json_chunks(space)) == reference_text(space).encode()
 
     @pytest.mark.parametrize("labels, x, omega", [
         (["a"], [0.0], None),
@@ -885,20 +885,20 @@ class TestJsonChunks:
     ])
     def test_edge_cases(self, labels, x, omega):
         space = max_metric_space(labels, np.array(x), omega)
-        assert "".join(mg.space_to_json_chunks(space)) == reference_text(space)
+        assert b"".join(mg.space_to_json_chunks(space)) == reference_text(space).encode()
 
     @pytest.mark.parametrize("omega", [None, 0, 17, 39])
     def test_forty_points(self, omega):
         x = np.random.default_rng(40).uniform(0.0, 3.0, 40)
         x[5] = 1e16
         space = max_metric_space([f"p{i}" for i in range(40)], x, omega)
-        assert "".join(mg.space_to_json_chunks(space)) == reference_text(space)
+        assert b"".join(mg.space_to_json_chunks(space)) == reference_text(space).encode()
 
     @pytest.mark.parametrize("omega", [None, 0, 17, 39])
     def test_forty_points_inside_the_orjson_range(self, omega):
         x = np.random.default_rng(40).uniform(1e-4, 3.0, 40)
         space = max_metric_space([f"p{i}" for i in range(40)], x, omega)
-        assert "".join(mg.space_to_json_chunks(space)) == reference_text(space)
+        assert b"".join(mg.space_to_json_chunks(space)) == reference_text(space).encode()
 
     @pytest.mark.parametrize("x, fast", [
         ([0.0, LO, 2.0, np.nextafter(HI, 0.0)], True),
@@ -914,13 +914,36 @@ class TestJsonChunks:
         monkeypatch.setattr(orjson, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
         for omega in (None, 3):
             space = max_metric_space(["a", "b", "c", "d"], np.array(x), omega)
-            assert "".join(mg.space_to_json_chunks(space)) == reference_text(space)
+            assert b"".join(mg.space_to_json_chunks(space)) == reference_text(space).encode()
         assert len(calls) == (2 if fast else 0)
 
     def test_fortran_ordered_matrix(self):
         D = np.asfortranarray([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
         space = mg.ExtendedMetricSpace._derived(("a", "b", "c"), D, None, 1e-9)
-        assert "".join(mg.space_to_json_chunks(space)) == reference_text(space)
+        assert b"".join(mg.space_to_json_chunks(space)) == reference_text(space).encode()
+
+
+class TestReportBytes:
+    """orjson writes a report only where its text is that of json.dumps."""
+
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, LO, -LO, float(np.nextafter(LO, 0.0)), float(np.nextafter(HI, 0.0)), HI, 5e-324,
+        1.5, -2.25, INF, -INF, math.nan, 0, -(2 ** 63), 2 ** 64 - 1, 2 ** 64, -(2 ** 63) - 1,
+        True, False, None, "", "kind", "\u00e9", "\x7f", "\x00", "a\nb", '"\\', [], {}, [[]],
+        [1.0, [2.0, {"b": 3e-5}]], {"b": 1, "a": [0.5, "x"]}, {1: 2.0}, {"\u00e9": 1.0},
+    ], ids=repr)
+    def test_equals_json_dumps(self, value):
+        data = {"value": value, "R": 1.0, "samples": [[1.0, 0.0], [0.0, 1.0]]}
+        assert spaces._report_bytes(data) == (
+            json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
+
+    @pytest.mark.parametrize("value, alike", [
+        (1e-4, True), (9.999999999999999e-05, False), (1e16, False), (1e300, False),
+        (2 ** 64 - 1, False), ("kind", True), ("\u00e9", False), ("\x7f", False), ({1: 2.0}, False),
+        (None, True), ([[0.0, -0.5]], True),
+    ], ids=repr)
+    def test_orjson_writes_inside_its_range_only(self, value, alike):
+        assert spaces._orjson_alike({"value": value}) is alike
 
 
 def same_objects(a, b) -> bool:
@@ -1134,6 +1157,24 @@ class TestFrozenSpace:
         assert mg.circle_quadruple_census(loose) == (495, 495)
         assert loose.tol == 0.4 * max(loose.scale, 1.0)
 
+
+class TestFrozenCurve:
+    @pytest.mark.parametrize("build, synth", [
+        (lambda: mg.chordal_circle_curve(2.0, 8), mg.circle_from_curve),
+        (lambda: mg.euclidean_segment_curve(2.0, 1.0, n_samples=9), mg.segment_from_curve),
+    ])
+    def test_fields_cannot_skip_the_checks(self, build, synth):
+        # assigning eps and R after construction used to skip every check:
+        # circle_from_curve then built a space with NaN eps and d(t0, t1) < 0
+        curve = build()
+        for name, value in (("eps", math.nan), ("R", -3.0), ("samples", curve.samples[::-1])):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(curve, name, value)
+        with pytest.raises(ValueError, match="read-only"):
+            curve.samples[1, 0] = 5.0
+        space = synth(curve)
+        assert curve.eps == space.eps == 1e-9 and curve.R == 2.0
+        assert space.dist.min() == 0.0 and space.dist[0, 1] > 0.0
 
 def _records_holding_arrays():
     """Builders of the records with array fields, each called twice below."""
