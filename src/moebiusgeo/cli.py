@@ -9,6 +9,7 @@ usage or input errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -259,6 +260,10 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
+    # Everything alive here (modules, classes, functions, import-time data)
+    # lives until exit: frozen, no later collection walks it, and neither
+    # do the full collections of interpreter teardown.
+    gc.freeze()
     sys.exit(main())
 
 

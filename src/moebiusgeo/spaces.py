@@ -800,6 +800,20 @@ def _parse_cell(v) -> float:
     raise ValidationError(f"matrix cell {v!r} is not a number or 'inf'")
 
 
+def _matrix_cells(rows):
+    """The decoded matrix ``rows`` as floats: one ``np.array`` where every
+    row is a list of plain numbers, which reads each to ``float(v)`` as
+    :func:`_parse_cell` does; else, and where that conversion refuses (an
+    integer beyond the float range, ragged rows), cell by cell."""
+    if type(rows) is list and all(type(row) is list and set(map(type, row)) <= _PLAIN_NUMBERS
+                                  for row in rows):
+        try:
+            return np.array(rows, dtype=float)
+        except (OverflowError, ValueError):
+            pass
+    return [list(map(_parse_cell, row)) for row in rows]
+
+
 # orjson reads an integer literal outside [-2**63, 2**64) as a float, and the
 # stdlib as an int; the two are equal as numbers, but not in type or repr
 _WIDENED = 2.0 ** 63
@@ -951,7 +965,7 @@ def space_from_json_dict(data: dict, eps: float = DEFAULT_EPS) -> ExtendedMetric
         omega_label = data.get("omega")
         rows = data["matrix"]
         if type(rows) is not np.ndarray:
-            rows = [list(map(_parse_cell, row)) for row in rows]
+            rows = _matrix_cells(rows)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed distance-matrix JSON: {exc}") from exc
     if type(rows) is list:  # an array is rectangular

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moebiusgeo as mg
-from moebiusgeo import spaces
+from moebiusgeo import cli, spaces
 from moebiusgeo.cli import main
 from moebiusgeo.errors import NotPtolemyError, ValidationError
 
@@ -707,6 +708,49 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: moebiusgeo")
+
+
+class TestEntryPoint:
+    """``console_main``, the installed script's entry, freezes the import-time
+    heap before it runs ``main``; ``main`` leaves the collector as it found it."""
+
+    def test_console_main_freezes_then_exits_with_the_code_of_main(self, monkeypatch):
+        frozen = []
+
+        def stub(argv=None):
+            frozen.append(gc.get_freeze_count())
+            return 2
+
+        monkeypatch.setattr(cli, "main", stub)
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.console_main()
+        finally:
+            gc.unfreeze()
+        assert exc.value.code == 2
+        assert len(frozen) == 1 and frozen[0] > 0
+
+    def test_main_leaves_the_collector_alone(self, sphere_file, tmp_path):
+        before = gc.get_freeze_count()
+        assert main(["check", sphere_file, "--output", str(tmp_path / "r.json")]) == 0
+        assert main(["exotic", "--l", "1", "--angles", "6",
+                     "--output", str(tmp_path / "e.json")]) == 0
+        assert gc.get_freeze_count() == before
+
+    LAUNCHERS = [["-c", "import sys; from moebiusgeo.cli import console_main; "
+                        "sys.exit(console_main())"],
+                 ["-m", "moebiusgeo.cli"]]
+
+    @pytest.mark.parametrize("command", ["check sphere", "check l1", "exotic"])
+    def test_a_launch_answers_as_main(self, command, sphere_file, l1_file, capsysbinary):
+        argv = {"check sphere": ["check", sphere_file], "check l1": ["check", l1_file],
+                "exotic": ["exotic", "--l", "1", "--angles", "6"]}[command]
+        expected = (main(argv), *capsysbinary.readouterr())
+        assert expected[0] == (2 if command == "check l1" else 0)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mg.__file__)))
+        for launcher in self.LAUNCHERS:
+            done = subprocess.run([sys.executable, *launcher, *argv], capture_output=True, env=env)
+            assert (done.returncode, done.stdout, done.stderr) == expected
 
 
 class TestLargeAndSmallScales:

@@ -830,6 +830,73 @@ class TestJson:
             mg.space_from_json_dict({"points": ["a", "b"], "matrix": [[0, 1], [1]]})
 
 
+def per_cell(rows):
+    """The matrix read cell by cell, as every decoded matrix was read before
+    the one-conversion path of ``spaces._matrix_cells``."""
+    return [list(map(spaces._parse_cell, row)) for row in rows]
+
+
+def read_outcome(data):
+    try:
+        space = mg.space_from_json_dict(data)
+    except ValidationError as exc:
+        return "error", str(exc)
+    return space.labels, space.omega, space.dist.tobytes(), space.scale, space.tol
+
+
+class TestDecodedMatrixParity:
+    """A decoded matrix of plain numbers takes one conversion; every value
+    and every message stays that of the per-cell read."""
+
+    CASES = {
+        "floats": [[0, 1.5, 2.0], [1.5, 0, 0.5], [2.0, 0.5, 0]],
+        "all ints": [[0, 3, 5], [3, 0, 4], [5, 4, 0]],
+        "uint64 max": [[0, 18446744073709551615], [18446744073709551615, 0]],
+        "beyond the float range": [[0, 2 ** 1100], [2 ** 1100, 0]],
+        "true": [[0, True], [True, 0]],
+        "false": [[False, 1], [1, 0]],
+        "none": [[0, None], [None, 0]],
+        "inf": [[0, "inf"], ["inf", 0]],
+        "padded infinity": [[0, " Infinity "], [" Infinity ", 0]],
+        "nan string": [[0, "nan"], ["nan", 0]],
+        "ragged": [[0, 1], [1]],
+        "ragged first": [[0], [1, 0]],
+        "nested": [[0, [1]], [[1], 0]],
+        "nested row": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]],
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_as_the_per_cell_read(self, name, monkeypatch):
+        rows = self.CASES[name]
+        data = {"points": ["a", "b", "c"][:len(rows)], "omega": None, "matrix": rows}
+        got = read_outcome(data)
+        monkeypatch.setattr(spaces, "_matrix_cells", per_cell)
+        assert got == read_outcome(data)
+
+    @pytest.mark.parametrize("name, fast", [("floats", True), ("all ints", True),
+                                            ("uint64 max", True), ("inf", False),
+                                            ("padded infinity", False), ("ragged", False)])
+    def test_one_conversion_for_plain_numbers(self, name, fast):
+        assert (type(spaces._matrix_cells(self.CASES[name])) is np.ndarray) is fast
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.one_of(st.integers(min_value=-2 ** 1030, max_value=2 ** 1030),
+                                       st.floats(allow_nan=True, allow_infinity=True)),
+                             min_size=0, max_size=3), min_size=0, max_size=3))
+    def test_cells_as_the_per_cell_read(self, rows):
+        def cells(read):
+            try:
+                out = read(rows)
+            except ValidationError as exc:
+                return str(exc)
+            if type(out) is list and len({len(row) for row in out}) > 1:
+                return "ragged"
+            out = np.asarray(out, dtype=float)
+            return out.shape, out.tobytes()
+
+        assert cells(spaces._matrix_cells) == cells(per_cell)
+
+
 def reference_text(space) -> str:
     return json.dumps(mg.space_to_json_dict(space), indent=2, sort_keys=True) + "\n"
 
