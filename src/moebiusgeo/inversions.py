@@ -8,6 +8,7 @@ the factors d(., o) + 1, producing a metric of diameter at most one.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -19,10 +20,17 @@ from .errors import NotPtolemyError, ValidationError
 from .spaces import _U, DEFAULT_EPS, ExtendedMetricSpace, _unit_remote, max_crt_deviation
 
 
+@functools.lru_cache(maxsize=64)
+def _off_diagonal(n: int) -> np.ndarray:
+    """The read-only mask of the cells of an n x n matrix off its diagonal."""
+    mask = ~np.eye(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def _least_off_diagonal(D: np.ndarray) -> float:
     """The smallest entry of the square matrix ``D`` off its diagonal (inf if none)."""
-    n = len(D)
-    return float(D.ravel()[1:].reshape(n - 1, n + 1)[:, :n].min(initial=math.inf))
+    return float(D.min(where=_off_diagonal(len(D)), initial=math.inf))
 
 
 def _rescaled(space: ExtendedMetricSpace, fac: np.ndarray, remote: int | None,
@@ -111,9 +119,9 @@ def invert_at(space: ExtendedMetricSpace, z) -> ExtendedMetricSpace:
     if zi == space.omega:
         return space
     dz = space.dist[zi]
-    coincident = dz <= 0.0  # the remote point's inf is not
-    coincident[zi] = False
-    if coincident.any():
+    coincident = dz <= 0.0  # with d(z, z) = 0 itself; the remote point's inf is not
+    if np.count_nonzero(coincident) > 1:
+        coincident[zi] = False
         raise ValueError(f"cannot invert at {space.labels[zi]!r}: "
                          f"distance 0 to {space.labels[int(coincident.argmax())]!r}")
     report = space._ptolemy
@@ -155,7 +163,13 @@ class PointedCorrespondence:
     @classmethod
     def identity(cls, source: ExtendedMetricSpace,
                  target: ExtendedMetricSpace) -> "PointedCorrespondence":
-        return cls(source, target, {lab: lab for lab in source.labels})
+        mapping = {lab: lab for lab in source.labels}
+        if source.labels != target.labels:
+            return cls(source, target, mapping)  # the checks word the failure
+        # equal tuples of unique labels: the mapping is a bijection as built
+        corr = cls.__new__(cls)
+        corr.source, corr.target, corr.mapping = source, target, mapping
+        return corr
 
     def is_identity(self) -> bool:
         """Whether the mapping sends each point to the point of its index."""
@@ -191,14 +205,15 @@ def _log_factor(A: np.ndarray, B: np.ndarray):
     """
     n = len(A)
     A.flat[:: n + 1] = B.flat[:: n + 1] = 1.0
-    if not min(A.min(), B.min()) >= sys.float_info.min:
+    if not (A.min() >= sys.float_info.min and B.min() >= sys.float_info.min):
         return None
     ell = np.log(B / A)
-    f = ell[0] - 0.5 * (ell[0, 1] + ell[0, 2] - ell[1, 2])  # f(x) = ell(x, 0) - f(0)
-    f[0] = ell[0, 1] - f[1]
+    ell01, ell02 = ell[0, 1:3].tolist()
+    f = ell[0] - 0.5 * (ell01 + ell02 - float(ell[1, 2]))  # f(x) = ell(x, 0) - f(0)
+    f[0] = ell01 - f[1]
     resid = np.abs(ell - f[:, None] - f)
-    resid.flat[:: n + 1] = 0.0  # a point is no pair
-    return f, float(resid.max()), float(np.abs(ell).max())
+    return (f, float(resid.max(where=_off_diagonal(n), initial=0.0)),  # a point is no pair
+            float(np.abs(ell).max()))
 
 
 def crt_equivalent(corr: PointedCorrespondence, eps: float = DEFAULT_EPS) -> EquivalenceReport:
@@ -217,9 +232,8 @@ def crt_equivalent(corr: PointedCorrespondence, eps: float = DEFAULT_EPS) -> Equ
         raise ValueError("crt comparison needs at least four points")
     A = _unit_remote(src.dist, src.scale, src.omega)
     B = _unit_remote(tgt.dist, tgt.scale, tgt.omega)
-    identity = corr.is_identity()
-    perm = np.arange(src.n) if identity else corr.target_indices()
-    if not identity:  # B in the order of the source's points
+    perm = None if corr.is_identity() else corr.target_indices()
+    if perm is not None:  # B in the order of the source's points
         B = B.take(perm, 0).take(perm, 1)
     f, resid, log_max = _log_factor(A, B) or (None, None, None)
     if resid is not None:
@@ -227,9 +241,13 @@ def crt_equivalent(corr: PointedCorrespondence, eps: float = DEFAULT_EPS) -> Equ
         # a residual by less than u (2 + 12 max|log(B/A)| + 4 max|f|); expm1 and
         # the scan's rounding of its normalized triples add less than 24 u.
         slack = _U * (2.0 + 12.0 * log_max + 4.0 * float(np.abs(f).max()))
-        bound = 0.0 if (A == B).all() else math.expm1(4.0 * (resid + slack)) + 24.0 * _U
+        # equal matrices have ell = 0, f = 0 and no residual
+        bound = (0.0 if resid == 0.0 and (A == B).all()
+                 else math.expm1(4.0 * (resid + slack)) + 24.0 * _U)
         if bound <= eps:
             return EquivalenceReport(True, bound, None, math.comb(src.n, 4), "factor", resid)
+    if perm is None:
+        perm = np.arange(src.n)
     dev, quad = max_crt_deviation(src.dist, src.omega, tgt.dist, tgt.omega, perm)
     witness = tuple(src.labels[i] for i in quad)
     return EquivalenceReport(dev <= eps, dev, witness, math.comb(src.n, 4), "scan", resid)

@@ -41,6 +41,9 @@ _TRIANGLE_CELLS = 1 << 17
 # Unit roundoff of a double
 _U = 2.0 ** -53
 
+# The smallest positive double: a nonnegative sum raised to it changes only if it is 0
+_TINIEST = math.ulp(0.0)
+
 # What rounding to a subnormal can move the three entries of a triangle by,
 # with room to spare: each such rounding is at most 2^-1075
 _SUBNORMAL_SLACK = 2.0 ** -1060
@@ -152,32 +155,41 @@ class ExtendedMetricSpace:
         """Refuse NaN, then inf, in the finite block of ``dist``, store the
         fields, and settle the block's triangle pass against the stored
         ``tol``: clear it when ``bound`` proves it (:meth:`_proves`), else
-        leave it pending inside :func:`_triangle_deferred` or run it."""
-        sub, finite_labels = dist, list(labels)
+        leave it pending inside :func:`_triangle_deferred` or run it.  The
+        block of a remote point first or last is a view, which the pass
+        copies (it is slower on a view); any other is taken as a copy."""
+        dist.flags.writeable = False  # before the views of the block are taken
+        sub = dist
         if omega is not None:
-            keep = np.arange(len(labels) - 1)
-            keep[omega:] += 1
-            sub = dist.take(keep, 0).take(keep, 1)  # a copy: the triangle pass is slower on a view
-            del finite_labels[omega]
+            n = len(labels)
+            if omega == n - 1:
+                sub = dist[:-1, :-1]
+            elif omega == 0:
+                sub = dist[1:, 1:]
+            else:
+                keep = np.arange(n - 1)
+                keep[omega:] += 1
+                sub = dist.take(keep, 0).take(keep, 1)
         # no entry is negative, so the largest is finite unless one is NaN or inf
         scale = float(sub.max(initial=0.0))
         if not scale < math.inf:
             if np.isnan(sub).any():
                 raise ValidationError("distance matrix contains NaN")
             i, j = np.argwhere(~np.isfinite(sub))[0]
+            finite_labels = _finite_labels(labels, omega)
             raise ValidationError(
                 "infinite distance between finite points "
                 f"({finite_labels[i]}, {finite_labels[j]})"
             )
-        dist.flags.writeable = False
         vars(self).update(labels=labels, dist=dist, omega=omega, scale=scale,
                           tol=self.eps * max(scale, 1.0), _positions=positions,
                           _ptolemy=None,  # the report of the quadruple scan, once run
-                          _triangle=(sub, finite_labels))  # the triangle pass still to run
-        built = _deferred.get()
+                          _triangle=None)  # the triangle pass still to run, if any
         if self._proves(bound):
-            vars(self)["_triangle"] = None
-        elif built is None:
+            return
+        vars(self)["_triangle"] = (sub, _finite_labels(labels, omega))
+        built = _deferred.get()
+        if built is None:
             self._settle_triangle()
         else:
             built.append(self)
@@ -198,7 +210,8 @@ class ExtendedMetricSpace:
         """Run the pending triangle pass, unless ``bound`` proves that it holds."""
         pending, vars(self)["_triangle"] = self._triangle, None
         if pending is not None and not self._proves(bound):
-            _check_triangle(*pending, self.tol)
+            sub, labels = pending
+            _check_triangle(np.ascontiguousarray(sub), labels, self.tol)
 
     @property
     def n(self) -> int:
@@ -222,6 +235,14 @@ class ExtendedMetricSpace:
 
     def omega_label(self) -> str | None:
         return None if self.omega is None else self.labels[self.omega]
+
+
+def _finite_labels(labels, omega: int | None) -> list[str]:
+    """The labels of the points other than the remote point, as a list."""
+    finite = list(labels)
+    if omega is not None:
+        del finite[omega]
+    return finite
 
 
 def _check_eps(eps: float) -> None:
@@ -311,6 +332,15 @@ def _check_triangle(sub: np.ndarray, labels: list[str], tol: float) -> None:
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _default_labels(count: int, add_omega: bool) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The labels p0, p1, ... of ``count`` points, then omega with ``add_omega``,
+    and the index of each; unique strings, so they need no check.  The dict
+    is shared by the spaces built with these labels and is never written."""
+    labels = tuple(f"p{i}" for i in range(count)) + ("omega",) * add_omega
+    return labels, dict(zip(labels, range(len(labels))))
+
+
 def space_from_points(points, labels=None, *, p: float = 2.0, add_omega: bool = False,
                       eps: float = DEFAULT_EPS) -> ExtendedMetricSpace:
     """Build a space from coordinate rows under an l^p metric (p=2 or p=1).
@@ -347,18 +377,21 @@ def space_from_points(points, labels=None, *, p: float = 2.0, add_omega: bool = 
         D = np.abs(diff).sum(axis=-1)
     else:
         raise ValueError("only p=1 and p=2 are supported")
-    if labels is None:
-        labels = [f"p{i}" for i in range(count)]
-    labels = list(labels)
     omega = None
     if add_omega:
         full = np.full((count + 1, count + 1), np.inf)
         full[:count, :count] = D
         full[count, count] = 0.0
         D = full
-        labels.append("omega")
         omega = count
-    labels, positions, D = _checked_input(labels, D, eps)
+    if labels is None and count:
+        _check_eps(eps)
+        labels, positions = _default_labels(count, add_omega)
+    else:
+        labels = [] if labels is None else list(labels)  # no points: refused below
+        if add_omega:
+            labels.append("omega")
+        labels, positions, D = _checked_input(labels, D, eps)
     # D is exactly symmetric with a zero diagonal and no -0.0:
     # fl(a - b)^2 = fl(b - a)^2 and |fl(a - b)| = |fl(b - a)|, summed over
     # the coordinates in the same order, and a - a = +0
@@ -499,19 +532,21 @@ def _quad_passes(*mats: np.ndarray):
     in lexicographic order of the subsets.  Yields ``cells`` and, per matrix,
     the products d(a,b)d(c,d), d(a,c)d(b,d), d(a,d)d(b,c) of the pass's
     subsets; ``cells(k)`` gives the indices a, b, c, d of the subset at
-    position ``k``, or their arrays for an array of positions.
+    position ``k`` (Python ints for an int), or their arrays for an array
+    of positions.
     """
     n = len(mats[0])
     if _one_pass(n):
         flat = _one_pass_layout(n)
-        def cells(k):
-            (a, c), (b, d) = np.divmod(flat[::3, k], n)  # from the pairs ab and cd
+        def cells(k):  # from the pairs ab and cd
+            ab, cd = (int(flat[0, k]), int(flat[3, k])) if type(k) is int else flat[::3, k]
+            (a, b), (c, d) = divmod(ab, n), divmod(cd, n)
             return a, b, c, d
 
         products = []
         for M in mats:
             pairs = M.take(flat)
-            products.append(pairs[:3] * pairs[3:])
+            products.append(np.multiply(pairs[:3], pairs[3:], out=pairs[:3]))
         yield cells, products
         return
     C, D = np.nonzero(np.arange(n)[:, None] < np.arange(n))
@@ -524,7 +559,7 @@ def _quad_passes(*mats: np.ndarray):
             hi = min(lo + step, b)
 
             def cells(k):  # read before the generator moves on
-                i, p = np.divmod(k, len(Cs))
+                i, p = divmod(k, len(Cs))
                 return lo + i, np.full_like(i, b), Cs[p], Ds[p]
 
             products = []
@@ -628,16 +663,14 @@ def is_ptolemy(space: ExtendedMetricSpace) -> PtolemyReport:
     eps = space.eps
     worst = (-math.inf, None)
     boundary = 0
-    with np.errstate(invalid="ignore"):  # 0 / 0 where all products vanish
-        for cells, ((margin, p2, p3),) in _quad_passes(M):
-            s = margin + p2
-            s += p3
-            np.maximum(np.maximum(margin, p2, out=margin), p3, out=margin)
-            margin /= s
-            margin -= 0.5
-            np.fmax(margin, -0.5, out=margin)  # -0.5 for the NaN of 0 / 0
-            boundary += int(np.count_nonzero(np.abs(margin, out=s) <= eps))
-            worst = _fold_worst(worst, margin, cells, remote)
+    for cells, ((margin, p2, p3),) in _quad_passes(M):
+        s = margin + p2
+        s += p3
+        np.maximum(np.maximum(margin, p2, out=margin), p3, out=margin)
+        margin /= np.maximum(s, _TINIEST, out=s)  # 0 / 0 reads 0 / _TINIEST = 0
+        margin -= 0.5
+        boundary += int(np.count_nonzero(np.abs(margin, out=s) <= eps))
+        worst = _fold_worst(worst, margin, cells, remote)
     m = n - (omega is not None)
     checked = math.comb(m, 4) + (math.comb(m, 3) if omega is not None else 0)
     if checked == 0:
@@ -891,74 +924,97 @@ def _at_most(raw: bytes, byte: bytes, count: int) -> bool:
     return False
 
 
-def _whole_matrix(raw: bytes) -> dict | None:
-    """The distance-matrix document in the bytes ``raw`` of a file, with its
-    matrix as one float array, where :func:`space_from_json_dict` reads that
-    matrix to the same floats from ``json.load``'s objects; else None.
-
-    orjson decodes bytes of ASCII text, which text mode reads to the same
-    characters in every locale (newlines aside, which JSON takes as
-    whitespace).  ``np.array`` makes a 2-D array of kind f, i or u of a
-    list of rows only when every cell is a number, except that it takes
-    booleans as numbers: a string, ``None``, a ragged row or a nested row
-    gives another kind, another shape or a ValueError.  Every JSON ``true``
-    and ``null`` holds a ``u``, every ``false`` an ``l``, and no number
-    either letter, so a file with no more of them than its top-level nulls
-    (one ``u`` and two ``l`` each) has no boolean or null cell; a file whose
-    labels hold these letters is read cell by cell.  A first row that holds
-    a string, as the rows of a space with a remote point do, skips the
-    attempt, in which ``np.array`` would write every number as a string.
-    The other values must pass ``_decoded_alike``.
-    """
+def _ascii_document(raw: bytes):
+    """orjson's objects of the bytes ``raw`` of a file, where they are ASCII
+    and orjson accepts them; else None.  Text mode reads ASCII bytes to the
+    same characters in every locale, newlines aside, which JSON takes as
+    whitespace, so the text decodes to the same objects."""
     if not raw.isascii():
         return None
     import orjson  # not at the top: its import costs the commands that read no JSON
 
     try:
-        data = orjson.loads(raw)
+        return orjson.loads(raw)
     except orjson.JSONDecodeError:
         return None
+
+
+def _matrix_array(data, raw: bytes) -> bool:
+    """Whether :func:`space_from_json_dict` reads the matrix of ``data``,
+    orjson's objects of the bytes ``raw`` of a file, to the same floats from
+    ``json.load``'s objects as from one float array; if so, the array
+    replaces the matrix in ``data``.
+
+    ``np.array`` makes a 2-D array of kind f, i or u of a list of rows only
+    when every cell is a number, except that it takes booleans as numbers: a
+    string, ``None``, a ragged row or a nested row gives another kind,
+    another shape or a ValueError.  Every JSON ``true`` and ``null`` holds a
+    ``u``, every ``false`` an ``l``, and no number either letter, so a file
+    with no more of them than its top-level nulls (one ``u`` and two ``l``
+    each) has no boolean or null cell; a file whose labels hold these
+    letters is read cell by cell.  A first row that holds a string, as the
+    rows of a space with a remote point do, skips the attempt, in which
+    ``np.array`` would write every number as a string.  The other values
+    must pass ``_decoded_alike``.
+    """
     if type(data) is not dict:
-        return None
+        return False
     rows = data.get("matrix")
     if not (type(rows) is list and rows and type(rows[0]) is list
             and set(map(type, rows[0])) <= _PLAIN_NUMBERS):
-        return None
+        return False
     nulls = sum(value is None for value in data.values())
     if not (_at_most(raw, b"u", nulls) and _at_most(raw, b"l", 2 * nulls)):
-        return None
+        return False
     if not _decoded_alike({key: value for key, value in data.items() if key != "matrix"}):
-        return None
+        return False
     try:
         D = np.array(rows)
     except ValueError:
-        return None
+        return False
     if D.ndim != 2 or D.dtype.kind not in "fiu":
-        return None
+        return False
     data["matrix"] = D.astype(float, copy=False)
-    return data
+    return True
+
+
+def _whole_matrix(raw: bytes) -> dict | None:
+    """The distance-matrix document in the bytes ``raw`` of a file, with its
+    matrix as one float array (:func:`_matrix_array`); else None."""
+    data = _ascii_document(raw)
+    return data if _matrix_array(data, raw) else None
 
 
 def _read_space(path: str, eps: float) -> ExtendedMetricSpace:
     """The space of the distance-matrix file ``path``, as
     ``space_from_json_dict(_read_json(path), eps)`` reads it.
 
-    The file is read once, as bytes, so a pipe reads as a file does.  One
-    conversion reads a matrix of numbers alone (``_whole_matrix``); any
-    other document is decoded from the text that text mode reads.
+    The file is read once, as bytes, so a pipe reads as a file does, and
+    decoded by orjson once where it is ASCII (:func:`_ascii_document`).  One
+    conversion reads a matrix of numbers alone (:func:`_matrix_array`);
+    orjson's objects of any other document are kept where
+    ``_decoded_alike`` vouches for them.  The stdlib decodes the text that
+    text mode reads where orjson refuses the bytes or is not vouched for.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    data = _whole_matrix(raw)
+    data = _ascii_document(raw)
     if data is None:
-        data = _json_loads(io.TextIOWrapper(io.BytesIO(raw)).read())
+        data = _json_loads(_text(raw))
+    elif not (_matrix_array(data, raw) or _decoded_alike(data)):
+        data = json.loads(_text(raw))
     del raw  # not held while the space is built
     return space_from_json_dict(data, eps)
 
 
+def _text(raw: bytes) -> str:
+    """The text that text mode reads from a file of the bytes ``raw``."""
+    return io.TextIOWrapper(io.BytesIO(raw)).read()
+
+
 def space_from_json_dict(data: dict, eps: float = DEFAULT_EPS) -> ExtendedMetricSpace:
     """Inverse of :func:`space_to_json_dict`, with validation.  The matrix is
-    a list of rows of cells, or an array of numbers (as :func:`_whole_matrix`
+    a list of rows of cells, or an array of numbers (as :func:`_matrix_array`
     converts a matrix of numbers alone)."""
     try:
         labels = [str(x) for x in data["points"]]

@@ -128,7 +128,7 @@ def circumcircle_three(x1, x2, x3, n_samples: int = 24) -> SampledCircle:
 def _unit_rows(rng, count: int, dim: int) -> np.ndarray:
     g = rng.standard_normal((count, dim))
     while True:
-        norms = np.linalg.norm(g, axis=1)
+        norms = np.sqrt((g * g).sum(axis=1))  # np.linalg.norm's formula, without its dispatch
         redo = norms < 1e-12
         if not redo.any():
             return g / norms[:, None]

@@ -652,6 +652,39 @@ class TestJsonReader:
         read_with_the_stdlib(monkeypatch)
         assert got == (main([*command, str(path)]), *capsysbinary.readouterr())
 
+    @pytest.mark.parametrize("name, decodes", [
+        ("line", 1), ("inf_strings", 1), ("string_after_row_0", 1), ("booleans", 1),
+        ("crlf", 1),
+        # not ASCII: orjson decodes the text (and refuses the BOM, which the
+        # stdlib then decodes); invalid UTF-8 fails before any decode
+        ("bom", 1), ("non_ascii_label", 1), ("invalid_utf8", 0),
+    ])
+    def test_a_file_is_decoded_once(self, name, decodes, tmp_path, capsysbinary, monkeypatch):
+        import orjson
+        raw = MATRIX_FILES[name][0]
+        path = tmp_path / "matrix.json"
+        path.write_bytes(raw)
+        read_with_the_stdlib(monkeypatch)
+        expected = (main(["check", str(path)]), *capsysbinary.readouterr())
+        monkeypatch.undo()
+        calls, loads = [], orjson.loads
+        monkeypatch.setattr(orjson, "loads", lambda *a, **k: calls.append(a) or loads(*a, **k))
+        assert (main(["check", str(path)]), *capsysbinary.readouterr()) == expected
+        assert len(calls) == decodes
+
+    def test_a_remote_point_file_is_decoded_once_as_the_sphere_command_writes_it(
+            self, tmp_path, capsysbinary, monkeypatch):
+        import orjson
+        path = tmp_path / "h.json"
+        assert main(["sphere", "--kind", "halfspace", "--count", "6",
+                     "--matrix-out", str(path)]) == 0
+        capsysbinary.readouterr()
+        assert b'"inf"' in path.read_bytes()
+        calls, loads = [], orjson.loads
+        monkeypatch.setattr(orjson, "loads", lambda *a, **k: calls.append(a) or loads(*a, **k))
+        assert main(["check", str(path)]) == 0
+        assert len(calls) == 1
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     @pytest.mark.parametrize("name", ["line", "inf_strings"])
     def test_a_pipe_reads_as_a_file(self, name, tmp_path, capsysbinary):

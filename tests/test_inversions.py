@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moebiusgeo as mg
-from moebiusgeo.errors import NotPtolemyError
+from moebiusgeo import inversions
+from moebiusgeo.errors import NotPtolemyError, ValidationError
 from moebiusgeo.spaces import max_crt_deviation
 
 from helpers import apex_index, random_halfplane_curve
@@ -66,6 +67,26 @@ class TestInvertAt:
         with pytest.raises(ValueError, match="distance 0"):
             mg.invert_at(sp, "a")
 
+    @pytest.mark.parametrize("omega", [None, 0, 3, 5])
+    def test_coincident_partner_named_first(self, omega):
+        # the message names the first point coinciding with the one inverted
+        # at, never that point itself, whichever index the remote point has
+        for coincident in ([1, 3], [1, 2, 4], [0, 4]):
+            x = np.arange(5.0)
+            x[coincident] = 7.0
+            D = np.abs(np.subtract.outer(x, x))
+            if omega is not None:
+                D = np.insert(np.insert(D, omega, math.inf, axis=0), omega, math.inf, axis=1)
+                D[omega, omega] = 0.0
+            sp = mg.ExtendedMetricSpace(tuple(f"p{i}" for i in range(len(D))), D, omega)
+            finite = [sp.labels[i] for i in sp.finite_indices]
+            for at in coincident:
+                first = next(i for i in coincident if i != at)
+                with pytest.raises(ValueError) as exc:
+                    mg.invert_at(sp, finite[at])
+                assert str(exc.value) == (f"cannot invert at {finite[at]!r}: "
+                                          f"distance 0 to {finite[first]!r}")
+
     def test_non_ptolemy_detected(self):
         sp = mg.space_from_points([(0, 0), (1, 0), (1, 1), (0, 1)], p=1.0)
         with pytest.raises(NotPtolemyError):
@@ -104,6 +125,29 @@ class TestInvertAt:
             scaled = mg.ExtendedMetricSpace(sp.labels, np.ldexp(sp.dist, shift), sp.omega)
             got = mg.invert_at(scaled, "p1").dist
             assert got.tobytes() == np.ldexp(mg.invert_at(sp, "p1").dist, -shift).tobytes()
+
+
+class TestLeastOffDiagonal:
+    @staticmethod
+    def ravelled(D):
+        """The formula of earlier versions: the rows of the matrix without
+        its first cell, n + 1 cells each, hold the diagonal last."""
+        n = len(D)
+        return float(D.ravel()[1:].reshape(n - 1, n + 1)[:, :n].min(initial=math.inf))
+
+    @pytest.mark.parametrize("n", [1, 2, 17])
+    def test_matches_the_ravelled_formula(self, n):
+        rng = np.random.default_rng(n)
+        tiny = np.nextafter(0.0, 1.0)
+        for fill in (None, math.inf, tiny, 0.0):
+            D = rng.uniform(0.5, 2.0, (n, n))
+            D = D + D.T
+            np.fill_diagonal(D, 0.0 if fill is None else -1.0)  # the diagonal is not read
+            if fill is not None and n > 1:
+                D[0, n - 1] = D[n - 1, 0] = fill
+                D[n // 2, 0] = math.inf
+            assert inversions._least_off_diagonal(D) == self.ravelled(D)
+        assert inversions._least_off_diagonal(np.full((n, n), math.inf)) == math.inf
 
 
 class TestBoundAt:
@@ -207,6 +251,30 @@ class TestCrtEquivalence:
         assert rep.factor_residual > 0.0
         assert rep.witness == ("t0", "t1", "t2", "t3")
         assert rep.max_deviation == max_crt_deviation(sp.dist, None, D, None, np.arange(8))[0]
+
+    @pytest.mark.parametrize("labels, message", [
+        (("p0", "p1", "p2", "x"), "mapping must be injective into the target labels"),
+        (("p0", "p1", "p2"), "mapping must be injective into the target labels"),
+        (("p0", "p1", "p3", "p2", "p4"), "source and target cardinality differ"),
+    ])
+    def test_identity_of_other_labels_is_checked(self, labels, message):
+        sp = mg.space_from_points(np.arange(4.0)[:, None])
+        other = mg.ExtendedMetricSpace(labels, np.abs(np.subtract.outer(
+            np.arange(len(labels)), np.arange(len(labels)))).astype(float))
+        with pytest.raises(ValidationError) as exc:
+            mg.PointedCorrespondence.identity(sp, other)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("omega", [False, True])
+    def test_identity_of_equal_labels_as_validated(self, omega):
+        sp = random_ptolemy_space(np.random.default_rng(11), with_omega=omega)
+        for target in (sp, mg.invert_at(sp, "p1"), mg.bound_at(sp, "p2")):
+            fast = mg.PointedCorrespondence.identity(sp, target)
+            checked = mg.PointedCorrespondence(sp, target, {lab: lab for lab in sp.labels})
+            assert fast.is_identity() and checked.is_identity()
+            assert (fast.source, fast.target, fast.mapping) == (
+                checked.source, checked.target, checked.mapping)
+            assert mg.crt_equivalent(fast) == mg.crt_equivalent(checked)
 
     def test_cardinality_mismatch(self):
         sp = random_ptolemy_space(np.random.default_rng(7))

@@ -615,6 +615,56 @@ class TestKernelReference:
         assert sp.omega == n - 1 and spaces._one_pass(n) == (n == 18)
         self.check(sp, sp, np.arange(n))
 
+    @pytest.mark.parametrize("n", [8, 18, 19])
+    @pytest.mark.parametrize("at", ["none", "first", "middle", "last"])
+    def test_coincident_points_whose_products_all_vanish(self, n, at):
+        # p0 = p1 = p2 and the last three finite points coincide, so every
+        # subset holding three of them has three products 0 and margin -0.5,
+        # outside n_boundary.  At the default budget 8 and 18 points take the
+        # one-pass kernel and 19 the multi-pass one; budgets 1 and 7 split all.
+        m = n - (at != "none")
+        P = np.random.default_rng(n).standard_normal((m, 2))
+        P[1] = P[2] = P[0]
+        P[m - 2] = P[m - 1] = P[m - 3]
+        omega = {"none": None, "first": 0, "middle": m // 2, "last": m}[at]
+        sp = with_remote(np.sqrt(((P[:, None] - P[None]) ** 2).sum(-1)), omega)
+        assert spaces._one_pass(n) == (n <= 18)
+        finite = [sp.labels[i] for i in sp.finite_indices]
+        with pytest.raises(ValidationError, match="all cross-ratio products vanish"):
+            mg.crt(sp, finite[:4])
+        self.check(sp, sp, np.arange(n))
+
+    @pytest.mark.parametrize("n, omega", [(8, None), (18, "last"), (19, 0)])
+    def test_products_below_the_normal_range(self, n, omega):
+        # an l1 square of side 2^-530 at the origin (each of its points at
+        # distance |x| from a Euclidean point x): the products of the square
+        # are subnormal and its margin, 4/6 - 1/2, is the worst, so its sums
+        # must be divided as they are
+        m = n - (omega is not None)
+        far = np.random.default_rng(m).standard_normal((m - 4, 2))
+        D = np.zeros((m, m))
+        D[:4, :4] = np.ldexp([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]], -530)
+        D[4:, 4:] = np.sqrt(((far[:, None] - far[None]) ** 2).sum(-1))
+        D[:4, 4:] = np.sqrt((far ** 2).sum(-1))
+        D[4:, :4] = D[:4, 4:].T
+        sp = with_remote(D, m if omega == "last" else omega)
+        report = mg.is_ptolemy(sp)
+        square = tuple(sp.labels[i] for i in sp.finite_indices[:4])
+        assert (report.worst_margin, report.worst_quad) == (4 / 6 - 0.5, square)
+        self.check(sp, sp, np.arange(n))
+
+    @pytest.mark.parametrize("n", [6, 19])
+    @pytest.mark.parametrize("omega", [None, 0, 3])
+    def test_every_point_coincides(self, n, omega):
+        # every margin is -0.5: the witness is the first subset of finite points
+        m = n - (omega is not None)
+        sp = with_remote(np.zeros((m, m)), omega)
+        self.check(sp, sp, np.arange(n))
+        report = mg.is_ptolemy(sp)
+        finite = [sp.labels[i] for i in sp.finite_indices]
+        assert (report.worst_margin, report.worst_quad, report.n_boundary) == (
+            -0.5, tuple(finite[:4]), 0)
+
     @staticmethod
     def check(sp, other, perm):
         margin, witness, boundary = reference_ptolemy_scan(sp)
@@ -1100,6 +1150,18 @@ def triangle_message(labels, i, j, k) -> str:
             f"d({labels[i]},{labels[j]}) > d({labels[i]},{labels[k]}) + d({labels[k]},{labels[j]})")
 
 
+# Five points of a line with d(0, 2) = 2.5 > d(0, 1) + d(1, 2)
+BENT_LINE = np.abs(np.arange(5.0)[:, None] - np.arange(5.0))
+BENT_LINE[0, 2] = BENT_LINE[2, 0] = 2.5
+
+
+def assert_bent_line_failure(exc, omega):
+    """The failure of the bent line with the remote point inserted at ``omega``."""
+    finite = [f"p{i}" for i in range(6) if i != omega]
+    assert str(exc) == triangle_message(finite, 0, 2, 1)
+    assert exc.witness == (finite[0], finite[2], finite[1]) and exc.residual == 0.5
+
+
 class TestExactTriangleCheck:
     def test_collinear_300_points_with_one_long_pair(self):
         # the seeded sampler of earlier versions accepted this space
@@ -1124,6 +1186,14 @@ class TestExactTriangleCheck:
         with pytest.raises(ValidationError) as exc:
             mg.ExtendedMetricSpace(tuple(labels), D)
         assert str(exc.value) == triangle_message(labels, 296, 299, 298)
+
+    @pytest.mark.parametrize("omega", [0, 3, 5])
+    def test_failing_block_beside_the_remote_point(self, omega):
+        # the finite block is a view of the stored matrix for the remote point
+        # first or last and a copy in the middle; each fails on one triangle
+        with pytest.raises(ValidationError) as exc:
+            with_remote(BENT_LINE, omega)
+        assert_bent_line_failure(exc.value, omega)
 
     @settings(max_examples=120, deadline=None)
     @given(m=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
@@ -1193,6 +1263,17 @@ class TestDeferredTriangle:
                 second = mg.ExtendedMetricSpace(tuple("vwxyz"), later)
         assert str(exc.value) == triangle_message("abcde", 0, 2, 1)
         assert first._triangle is None and metric._triangle is None and second._triangle is None
+
+    @pytest.mark.parametrize("omega", [0, 3, 5])
+    def test_failing_block_beside_the_remote_point(self, omega):
+        with pytest.raises(ValidationError) as exc:
+            with spaces._triangle_deferred():
+                sp = with_remote(BENT_LINE, omega)
+                block, pending_labels = sp._triangle  # asserted after the block
+        assert_bent_line_failure(exc.value, omega)
+        assert sp._triangle is None
+        assert block.tobytes() == BENT_LINE.tobytes()
+        assert pending_labels == [f"p{i}" for i in range(6) if i != omega]
 
     def test_a_proof_clears_the_pass(self):
         D = np.abs(np.arange(5.0)[:, None] - np.arange(5.0))
