@@ -254,7 +254,7 @@ def main(argv=None) -> int:
     except NotPtolemyError as exc:
         print(f"property failed: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
-    except (ValidationError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, ValueError, KeyError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -817,6 +817,7 @@ def _report_bytes(data: dict) -> bytes:
 
 
 _PLAIN_NUMBERS = frozenset({float, int})
+_CELL_TYPES = frozenset({float, int, str})
 
 
 def _parse_cell(v) -> float:
@@ -827,23 +828,28 @@ def _parse_cell(v) -> float:
         try:
             return float(v)
         except OverflowError:
-            raise ValidationError(
-                f"matrix cell is an integer of {v.bit_length()} bits, "
-                "too large for a float") from None
+            raise ValidationError(f"matrix cell is an integer of {v.bit_length()} bits, "
+                                  "too large for a float") from None
     raise ValidationError(f"matrix cell {v!r} is not a number or 'inf'")
 
 
 def _matrix_cells(rows):
-    """The decoded matrix ``rows`` as floats: one ``np.array`` where every
-    row is a list of plain numbers, which reads each to ``float(v)`` as
-    :func:`_parse_cell` does; else, and where that conversion refuses (an
-    integer beyond the float range, ragged rows), cell by cell."""
-    if type(rows) is list and all(type(row) is list and set(map(type, row)) <= _PLAIN_NUMBERS
-                                  for row in rows):
-        try:
-            return np.array(rows, dtype=float)
-        except (OverflowError, ValueError):
-            pass
+    """The decoded matrix ``rows`` as floats, as :func:`_parse_cell` reads
+    each cell.  Where every row is a list of numbers and strings, the strings
+    alone are parsed, and one ``np.array`` reads each number to ``float(v)``
+    as ``_parse_cell`` does; else, and where a string or that conversion
+    refuses (an integer beyond the float range, ragged rows), cell by cell,
+    which names the first cell refused."""
+    rows, cells = list(rows), []  # a list: read again where the first pass stops
+    with contextlib.suppress(ValueError, OverflowError):  # a ValidationError is a ValueError
+        for row in rows:
+            kinds = set(map(type, row)) if type(row) is list else None
+            if kinds is None or not kinds <= _CELL_TYPES:
+                break
+            cells.append([_parse_cell(v) if type(v) is str else v for v in row]
+                         if str in kinds else row)
+        else:
+            return np.array(cells, dtype=float)
     return [list(map(_parse_cell, row)) for row in rows]
 
 
@@ -869,12 +875,10 @@ def _decoded_alike(data) -> bool:
     stand only in a row, which a reader takes as numbers (a matrix or the
     samples of a curve).
     """
-    if type(data) is not dict:
+    if type(data) is not dict or type(data.get("omega")) not in (str, type(None)):
         return False
     points = data.get("points")
     if type(points) is list and not all(type(x) is str for x in points):
-        return False
-    if type(data.get("omega")) not in (str, type(None)):
         return False
     for value in data.values():
         if type(value) is not list:
@@ -888,30 +892,34 @@ def _decoded_alike(data) -> bool:
     return True
 
 
-def _json_loads(text: str):
-    """The JSON document in ``text``, as ``json.loads`` reads it.
+def _decode(raw: bytes, alike):
+    """The JSON document in the bytes ``raw`` of a file, as ``json.loads``
+    reads the text that text mode reads from them.
 
-    orjson decodes the text about four times faster than the stdlib, to
-    equal values on every text both accept (bit for bit on floats).  The
-    stdlib decodes it instead where orjson refuses it (``NaN``,
-    ``Infinity``, ``1e999``, integers beyond the double range, a lone
-    surrogate, a BOM, or a syntax error, which the stdlib words as it
-    always has) and where ``_decoded_alike`` cannot vouch for orjson's
-    objects.
-    """
+    orjson decodes it once, about four times faster, to equal values on every
+    text both accept (bit for bit on floats): ASCII bytes as they are, which
+    text mode reads to the same characters in every locale, newlines aside,
+    which JSON takes as whitespace; other bytes as that text.  The stdlib
+    decodes the text where orjson refuses it (``NaN``, ``Infinity``,
+    ``1e999``, integers beyond the double range, a lone surrogate, a BOM, or a
+    syntax error, which the stdlib words as always) or where ``alike(data,
+    source)`` does not vouch for orjson's objects ``data`` of ``source``."""
     import orjson  # not at the top: its import costs the commands that read no JSON
 
-    try:
-        data = orjson.loads(text)
-    except orjson.JSONDecodeError:
-        return json.loads(text)
-    return data if _decoded_alike(data) else json.loads(text)
+    text = io.TextIOWrapper(io.BytesIO(raw))  # the file in text mode
+    with contextlib.suppress(orjson.JSONDecodeError):
+        source = raw if raw.isascii() else text.read()
+        data = orjson.loads(source)
+        if alike(data, source):
+            return data
+    text.seek(0)
+    return json.load(text)
 
 
 def _read_json(path: str):
     """The JSON document in the file ``path``, as ``json.load`` reads it."""
-    with open(path) as fh:
-        return _json_loads(fh.read())
+    with open(path, "rb") as fh:
+        return _decode(fh.read(), lambda data, source: _decoded_alike(data))
 
 
 def _at_most(raw: bytes, byte: bytes, count: int) -> bool:
@@ -924,26 +932,11 @@ def _at_most(raw: bytes, byte: bytes, count: int) -> bool:
     return False
 
 
-def _ascii_document(raw: bytes):
-    """orjson's objects of the bytes ``raw`` of a file, where they are ASCII
-    and orjson accepts them; else None.  Text mode reads ASCII bytes to the
-    same characters in every locale, newlines aside, which JSON takes as
-    whitespace, so the text decodes to the same objects."""
-    if not raw.isascii():
-        return None
-    import orjson  # not at the top: its import costs the commands that read no JSON
-
-    try:
-        return orjson.loads(raw)
-    except orjson.JSONDecodeError:
-        return None
-
-
-def _matrix_array(data, raw: bytes) -> bool:
+def _matrix_array(data, source) -> bool:
     """Whether :func:`space_from_json_dict` reads the matrix of ``data``,
-    orjson's objects of the bytes ``raw`` of a file, to the same floats from
-    ``json.load``'s objects as from one float array; if so, the array
-    replaces the matrix in ``data``.
+    orjson's objects of ``source`` (the ASCII bytes of a file, or the text of
+    any other), to the same floats from ``json.load``'s objects as from one
+    float array; if so, the array replaces the matrix in ``data``.
 
     ``np.array`` makes a 2-D array of kind f, i or u of a list of rows only
     when every cell is a number, except that it takes booleans as numbers: a
@@ -951,73 +944,49 @@ def _matrix_array(data, raw: bytes) -> bool:
     another shape or a ValueError.  Every JSON ``true`` and ``null`` holds a
     ``u``, every ``false`` an ``l``, and no number either letter, so a file
     with no more of them than its top-level nulls (one ``u`` and two ``l``
-    each) has no boolean or null cell; a file whose labels hold these
-    letters is read cell by cell.  A first row that holds a string, as the
-    rows of a space with a remote point do, skips the attempt, in which
-    ``np.array`` would write every number as a string.  The other values
-    must pass ``_decoded_alike``.
-    """
-    if type(data) is not dict:
+    each) has no boolean or null cell.  A file that is not ASCII, one whose
+    labels hold these letters, and one whose first row holds a string, as
+    with a remote point (``np.array`` would write every number as a string),
+    are left to :func:`_matrix_cells`.  The other values must pass
+    ``_decoded_alike``."""
+    if type(data) is not dict or type(source) is not bytes:
         return False
     rows = data.get("matrix")
     if not (type(rows) is list and rows and type(rows[0]) is list
             and set(map(type, rows[0])) <= _PLAIN_NUMBERS):
         return False
     nulls = sum(value is None for value in data.values())
-    if not (_at_most(raw, b"u", nulls) and _at_most(raw, b"l", 2 * nulls)):
+    if not (_at_most(source, b"u", nulls) and _at_most(source, b"l", 2 * nulls)
+            and _decoded_alike({key: value for key, value in data.items() if key != "matrix"})):
         return False
-    if not _decoded_alike({key: value for key, value in data.items() if key != "matrix"}):
-        return False
-    try:
+    with contextlib.suppress(ValueError):
         D = np.array(rows)
-    except ValueError:
-        return False
-    if D.ndim != 2 or D.dtype.kind not in "fiu":
-        return False
-    data["matrix"] = D.astype(float, copy=False)
-    return True
-
-
-def _whole_matrix(raw: bytes) -> dict | None:
-    """The distance-matrix document in the bytes ``raw`` of a file, with its
-    matrix as one float array (:func:`_matrix_array`); else None."""
-    data = _ascii_document(raw)
-    return data if _matrix_array(data, raw) else None
+        if D.ndim == 2 and D.dtype.kind in "fiu":
+            data["matrix"] = D.astype(float, copy=False)
+            return True
+    return False
 
 
 def _read_space(path: str, eps: float) -> ExtendedMetricSpace:
     """The space of the distance-matrix file ``path``, as
-    ``space_from_json_dict(_read_json(path), eps)`` reads it.
-
-    The file is read once, as bytes, so a pipe reads as a file does, and
-    decoded by orjson once where it is ASCII (:func:`_ascii_document`).  One
-    conversion reads a matrix of numbers alone (:func:`_matrix_array`);
-    orjson's objects of any other document are kept where
-    ``_decoded_alike`` vouches for them.  The stdlib decodes the text that
-    text mode reads where orjson refuses the bytes or is not vouched for.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    data = _ascii_document(raw)
-    if data is None:
-        data = _json_loads(_text(raw))
-    elif not (_matrix_array(data, raw) or _decoded_alike(data)):
-        data = json.loads(_text(raw))
-    del raw  # not held while the space is built
+    ``space_from_json_dict(_read_json(path), eps)`` reads it.  The file is
+    read once, so a pipe reads as a file does, and a matrix of numbers alone
+    is converted whole (:func:`_matrix_array`)."""
+    with open(path, "rb") as fh:  # the bytes are not held while the space is built
+        data = _decode(fh.read(),
+                       lambda data, source: _matrix_array(data, source) or _decoded_alike(data))
     return space_from_json_dict(data, eps)
 
 
-def _text(raw: bytes) -> str:
-    """The text that text mode reads from a file of the bytes ``raw``."""
-    return io.TextIOWrapper(io.BytesIO(raw)).read()
-
-
 def space_from_json_dict(data: dict, eps: float = DEFAULT_EPS) -> ExtendedMetricSpace:
-    """Inverse of :func:`space_to_json_dict`, with validation.  The matrix is
-    a list of rows of cells, or an array of numbers (as :func:`_matrix_array`
-    converts a matrix of numbers alone)."""
+    """Inverse of :func:`space_to_json_dict`, with validation.  The points
+    are a list of labels; the matrix is a list of rows of cells
+    (:func:`_matrix_cells`), or an array of numbers, as
+    :func:`_matrix_array` hands over a file's matrix of numbers alone."""
     try:
         labels = [str(x) for x in data["points"]]
+        if type(data["points"]) is not list:  # a string or an object iterates too
+            raise TypeError(f"points must be a list, not {type(data['points']).__name__}")
         omega_label = data.get("omega")
         rows = data["matrix"]
         if type(rows) is not np.ndarray:
@@ -1029,11 +998,10 @@ def space_from_json_dict(data: dict, eps: float = DEFAULT_EPS) -> ExtendedMetric
             if len(row) != len(rows[0]):
                 raise ValidationError(
                     f"matrix row {i} has {len(row)} cells, row 0 has {len(rows[0])}")
-    D = np.asarray(rows, dtype=float)
     omega = None
     if omega_label is not None:
         try:
             omega = labels.index(str(omega_label))
         except ValueError:
             raise ValidationError(f"omega label {omega_label!r} is not a point") from None
-    return ExtendedMetricSpace(tuple(labels), D, omega, eps=eps)
+    return ExtendedMetricSpace(tuple(labels), rows, omega, eps=eps)

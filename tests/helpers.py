@@ -7,7 +7,7 @@ import numpy as np
 
 from moebiusgeo import QuadrantCurve, HalfplaneCurve
 from moebiusgeo.errors import ValidationError
-from moebiusgeo.spaces import _unit_remote
+from moebiusgeo.spaces import _parse_cell, _unit_remote
 
 
 def convex_hull_ccw(points: np.ndarray) -> np.ndarray:
@@ -244,3 +244,9 @@ def reference_validation(labels, dist, omega=None, eps=1e-9):
     scale = float(D[finite_mask].max(initial=0.0))
     tol = eps * max(scale, 1.0)
     return D, scale, tol, (sub, [labels[i] for i in fin], tol)
+
+
+def per_cell(rows):
+    """The matrix read cell by cell, as every decoded matrix was read before
+    the one-conversion path of ``spaces._matrix_cells``."""
+    return [list(map(_parse_cell, row)) for row in rows]

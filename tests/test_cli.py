@@ -20,6 +20,8 @@ from moebiusgeo import cli, spaces
 from moebiusgeo.cli import main
 from moebiusgeo.errors import NotPtolemyError, ValidationError
 
+from helpers import per_cell
+
 
 @pytest.fixture()
 def sphere_file(tmp_path):
@@ -601,6 +603,18 @@ MATRIX_FILES = {
     "bom": (b"\xef\xbb\xbf" + _matrix_file(LINE), False),
     "invalid_utf8": (_matrix_file(LINE, '"a", "\xff", "c"').replace(b"\xc3\xbf", b"\xff"), False),
     "non_ascii_label": (_matrix_file(LINE, '"a", "\u00e9", "c"'), False),
+    # a remote point c, and in the cell d(a, b) another string or a boolean
+    "remote_point_numeric_string": (_matrix_file(
+        '[[0, "2", "inf"], ["2", 0, "inf"], ["inf", "inf", 0]]', omega='"c"'), False),
+    "remote_point_boolean": (_matrix_file(
+        '[[0, true, "inf"], [true, 0, "inf"], ["inf", "inf", 0]]', omega='"c"'), False),
+    "remote_point_padded_infinity": (_matrix_file(
+        '[[0, " Infinity ", "inf"], [" Infinity ", 0, "inf"], ["inf", "inf", 0]]',
+        omega='"c"'), False),
+    # the integer of 1101 bits comes first, and is named before the "nan" after it
+    "remote_point_big_integer_before_a_bad_string": (_matrix_file(
+        '[[0, %d, "inf"], ["nan", 0, "inf"], ["inf", "inf", 0]]' % 2 ** 1100, omega='"c"'),
+        False),
 }
 
 
@@ -610,9 +624,12 @@ def stdlib_read(path):
 
 
 def read_with_the_stdlib(monkeypatch):
-    """Make the CLI read matrix files with json.load and space_from_json_dict."""
+    """Make the CLI read matrix files with json.load and space_from_json_dict,
+    its matrices cell by cell, and curve files with json.load."""
     monkeypatch.setattr(spaces, "_read_space",
                         lambda path, eps: spaces.space_from_json_dict(stdlib_read(path), eps))
+    monkeypatch.setattr(spaces, "_matrix_cells", per_cell)
+    monkeypatch.setattr(spaces, "_read_json", stdlib_read)
 
 
 class TestJsonReader:
@@ -645,10 +662,15 @@ class TestJsonReader:
     def test_commands_answer_as_with_the_stdlib(self, name, command, tmp_path, capsysbinary,
                                                 monkeypatch):
         raw, whole = MATRIX_FILES[name]
-        assert (spaces._whole_matrix(raw) is not None) is whole
         path = tmp_path / "matrix.json"
         path.write_bytes(raw)
+        matrices, build = [], spaces.space_from_json_dict
+        monkeypatch.setattr(spaces, "space_from_json_dict",
+                            lambda data, eps: matrices.append(data["matrix"]) or build(data, eps))
         got = (main([*command, str(path)]), *capsysbinary.readouterr())
+        # whether the file reader hands the matrix over as one array
+        assert (type(matrices[0]) is np.ndarray if matrices else False) is whole
+        monkeypatch.undo()
         read_with_the_stdlib(monkeypatch)
         assert got == (main([*command, str(path)]), *capsysbinary.readouterr())
 
@@ -658,18 +680,23 @@ class TestJsonReader:
         # not ASCII: orjson decodes the text (and refuses the BOM, which the
         # stdlib then decodes); invalid UTF-8 fails before any decode
         ("bom", 1), ("non_ascii_label", 1), ("invalid_utf8", 0),
+        ("curve", 1),  # a curve file, which segment synth reads
     ])
     def test_a_file_is_decoded_once(self, name, decodes, tmp_path, capsysbinary, monkeypatch):
         import orjson
-        raw = MATRIX_FILES[name][0]
-        path = tmp_path / "matrix.json"
+        if name == "curve":
+            raw, command = b'{"R": 1.0, "samples": [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]}', [
+                "segment", "synth"]
+        else:
+            raw, command = MATRIX_FILES[name][0], ["check"]
+        path = tmp_path / "input.json"
         path.write_bytes(raw)
         read_with_the_stdlib(monkeypatch)
-        expected = (main(["check", str(path)]), *capsysbinary.readouterr())
+        expected = (main([*command, str(path)]), *capsysbinary.readouterr())
         monkeypatch.undo()
         calls, loads = [], orjson.loads
         monkeypatch.setattr(orjson, "loads", lambda *a, **k: calls.append(a) or loads(*a, **k))
-        assert (main(["check", str(path)]), *capsysbinary.readouterr()) == expected
+        assert (main([*command, str(path)]), *capsysbinary.readouterr()) == expected
         assert len(calls) == decodes
 
     def test_a_remote_point_file_is_decoded_once_as_the_sphere_command_writes_it(
@@ -734,6 +761,26 @@ class TestUsageErrors:
                 assert code == 1 and "Traceback" not in err
                 assert err.splitlines()[-1] == (
                     "error: anchor triples must consist of three distinct points")
+
+    DEEP = "[" * 5000 + "]" * 5000  # nested beyond the stdlib decoder's recursion limit
+
+    @pytest.mark.parametrize("command, text, message", [
+        (["check"], '{"points": ["a"], "matrix": [[0]], "x": %s}' % DEEP,
+         "error: maximum recursion depth exceeded while decoding a JSON array"),
+        (["segment", "synth"], '{"R": 1.0, "samples": [[1.0, 0.0], [0.0, 1.0]], "x": %s}' % DEEP,
+         "error: maximum recursion depth exceeded while decoding a JSON array"),
+        (["check"], '{"points": "abc", "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}',
+         "error: malformed distance-matrix JSON: points must be a list, not str"),
+        (["check"], '{"points": {"a": 0, "b": 1, "c": 2}, '
+                    '"matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}',
+         "error: malformed distance-matrix JSON: points must be a list, not dict"),
+    ], ids=["deep-matrix-file", "deep-curve-file", "points-string", "points-object"])
+    def test_input_error_exits_one(self, command, text, message, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, err = run([*command, str(path)])
+        assert code == 1 and "Traceback" not in err
+        assert err.splitlines()[-1].startswith(message)
 
     @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
     def test_help_exits_zero(self, argv, capsys):

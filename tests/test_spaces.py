@@ -16,7 +16,7 @@ import moebiusgeo as mg
 from moebiusgeo import spaces
 from moebiusgeo.errors import NotPtolemyError, ValidationError
 
-from helpers import (brute_force_line_embedding, reference_crt_deviation,
+from helpers import (brute_force_line_embedding, per_cell, reference_crt_deviation,
                      reference_first_violation, reference_ptolemy_scan,
                      reference_validation)
 
@@ -859,6 +859,13 @@ class TestJson:
             mg.space_from_json_dict({"points": ["a", "b"], "omega": None,
                                      "matrix": [[0, "nan"], ["nan", 0]]})
 
+    @pytest.mark.parametrize("points", ["abc", {"a": 0, "b": 1, "c": 2}])
+    def test_points_not_a_list_rejected(self, points):
+        # a string and an object iterate to the labels a, b, c, which were accepted
+        with pytest.raises(ValidationError, match="points must be a list"):
+            mg.space_from_json_dict({"points": points,
+                                     "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]})
+
     def test_unknown_omega_label(self):
         with pytest.raises(ValidationError):
             mg.space_from_json_dict({"points": ["a", "b"], "omega": "zz",
@@ -878,12 +885,6 @@ class TestJson:
     def test_ragged_rows_named(self):
         with pytest.raises(ValidationError, match="matrix row 1 has 1 cells, row 0 has 2"):
             mg.space_from_json_dict({"points": ["a", "b"], "matrix": [[0, 1], [1]]})
-
-
-def per_cell(rows):
-    """The matrix read cell by cell, as every decoded matrix was read before
-    the one-conversion path of ``spaces._matrix_cells``."""
-    return [list(map(spaces._parse_cell, row)) for row in rows]
 
 
 def read_outcome(data):
@@ -913,6 +914,7 @@ class TestDecodedMatrixParity:
         "ragged first": [[0], [1, 0]],
         "nested": [[0, [1]], [[1], 0]],
         "nested row": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]],
+        "beyond the float range before nan": [[0, 2 ** 1100], ["nan", 0]],
     }
 
     @pytest.mark.parametrize("name", list(CASES))
@@ -924,14 +926,16 @@ class TestDecodedMatrixParity:
         assert got == read_outcome(data)
 
     @pytest.mark.parametrize("name, fast", [("floats", True), ("all ints", True),
-                                            ("uint64 max", True), ("inf", False),
-                                            ("padded infinity", False), ("ragged", False)])
+                                            ("uint64 max", True), ("inf", True),
+                                            ("padded infinity", True), ("ragged", False)])
     def test_one_conversion_for_plain_numbers(self, name, fast):
         assert (type(spaces._matrix_cells(self.CASES[name])) is np.ndarray) is fast
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.one_of(st.integers(min_value=-2 ** 1030, max_value=2 ** 1030),
-                                       st.floats(allow_nan=True, allow_infinity=True)),
+                                       st.floats(allow_nan=True, allow_infinity=True),
+                                       st.sampled_from(["inf", " Infinity ", "nan", "1.5"]),
+                                       st.booleans(), st.none()),
                              min_size=0, max_size=3), min_size=0, max_size=3))
     def test_cells_as_the_per_cell_read(self, rows):
         def cells(read):
