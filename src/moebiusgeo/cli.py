@@ -254,7 +254,10 @@ def main(argv=None) -> int:
     except NotPtolemyError as exc:
         print(f"property failed: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
-    except (ValidationError, ValueError, KeyError, OSError, RecursionError) as exc:
+    except KeyError as exc:  # str() of a KeyError quotes its message
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return EXIT_USAGE
+    except (ValidationError, ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -833,24 +833,54 @@ def _parse_cell(v) -> float:
     raise ValidationError(f"matrix cell {v!r} is not a number or 'inf'")
 
 
-def _matrix_cells(rows):
-    """The decoded matrix ``rows`` as floats, as :func:`_parse_cell` reads
-    each cell.  Where every row is a list of numbers and strings, the strings
-    alone are parsed, and one ``np.array`` reads each number to ``float(v)``
-    as ``_parse_cell`` does; else, and where a string or that conversion
-    refuses (an integer beyond the float range, ragged rows), cell by cell,
-    which names the first cell refused."""
-    rows, cells = list(rows), []  # a list: read again where the first pass stops
+def _cells_array(rows):
+    """The decoded matrix ``rows`` as one float array, each cell as
+    :func:`_parse_cell` reads it, or None where the rows are not lists of one
+    length or a cell is not a number or a string that it reads.  So an array
+    vouches for every row as ``_decoded_alike`` does.  A first row that holds
+    a string, as a remote point's does, has every cell's type read, which
+    finds the strings to parse.  Any other matrix converts with one
+    ``np.array``, which reads a boolean as 0 or 1: so the types are read only
+    where a diagonal cell is not a number or an off-diagonal cell is 0 or 1."""
+    if type(rows) is not list or not rows or type(rows[0]) is not list:
+        return None
     with contextlib.suppress(ValueError, OverflowError):  # a ValidationError is a ValueError
-        for row in rows:
-            kinds = set(map(type, row)) if type(row) is list else None
-            if kinds is None or not kinds <= _CELL_TYPES:
-                break
-            cells.append([_parse_cell(v) if type(v) is str else v for v in row]
-                         if str in kinds else row)
-        else:
+        if str in set(map(type, rows[0])):
+            cells = []
+            for row in rows:
+                kinds = set(map(type, row)) if type(row) is list else None
+                if kinds is None or not kinds <= _CELL_TYPES:
+                    return None
+                cells.append([_parse_cell(v) if type(v) is str else v for v in row]
+                             if str in kinds else row)
             return np.array(cells, dtype=float)
-    return [list(map(_parse_cell, row)) for row in rows]
+        D = np.array(rows)
+        if D.ndim != 2 or D.dtype.kind not in "fiu":
+            return None
+        unit = (D == 0) | (D == 1)
+        if ((np.count_nonzero(unit) > np.count_nonzero(unit.diagonal())
+             or any(type(row[i]) not in _PLAIN_NUMBERS for i, row in zip(range(D.shape[1]), rows)))
+                and not all(set(map(type, row)) <= _PLAIN_NUMBERS for row in rows)):
+            return None
+        return D.astype(float, copy=False)
+    return None
+
+
+def _matrix_cells(rows):
+    """The decoded matrix ``rows`` as floats: one array where
+    :func:`_cells_array` converts them, else cell by cell, which names the
+    first cell that :func:`_parse_cell` refuses.  An object or a string is
+    neither a matrix nor a row, nor read as the keys or characters in it."""
+    cells = _cells_array(rows)
+    if cells is None:
+        if type(rows) in (dict, str):
+            raise TypeError(f"matrix must be a list, not {type(rows).__name__}")
+        cells = []
+        for i, row in enumerate(rows):
+            if type(row) in (dict, str):
+                raise TypeError(f"matrix row {i} must be a list, not {type(row).__name__}")
+            cells.append(list(map(_parse_cell, row)))
+    return cells
 
 
 # orjson reads an integer literal outside [-2**63, 2**64) as a float, and the
@@ -902,15 +932,14 @@ def _decode(raw: bytes, alike):
     which JSON takes as whitespace; other bytes as that text.  The stdlib
     decodes the text where orjson refuses it (``NaN``, ``Infinity``,
     ``1e999``, integers beyond the double range, a lone surrogate, a BOM, or a
-    syntax error, which the stdlib words as always) or where ``alike(data,
-    source)`` does not vouch for orjson's objects ``data`` of ``source``."""
+    syntax error, which the stdlib words as always) or where ``alike(data)``
+    does not vouch for orjson's objects ``data``."""
     import orjson  # not at the top: its import costs the commands that read no JSON
 
     text = io.TextIOWrapper(io.BytesIO(raw))  # the file in text mode
     with contextlib.suppress(orjson.JSONDecodeError):
-        source = raw if raw.isascii() else text.read()
-        data = orjson.loads(source)
-        if alike(data, source):
+        data = orjson.loads(raw if raw.isascii() else text.read())
+        if alike(data):
             return data
     text.seek(0)
     return json.load(text)
@@ -919,70 +948,34 @@ def _decode(raw: bytes, alike):
 def _read_json(path: str):
     """The JSON document in the file ``path``, as ``json.load`` reads it."""
     with open(path, "rb") as fh:
-        return _decode(fh.read(), lambda data, source: _decoded_alike(data))
+        return _decode(fh.read(), _decoded_alike)
 
 
-def _at_most(raw: bytes, byte: bytes, count: int) -> bool:
-    """Whether ``byte`` occurs at most ``count`` times in ``raw``."""
-    at = -1
-    for _ in range(count + 1):
-        at = raw.find(byte, at + 1)
-        if at < 0:
-            return True
-    return False
-
-
-def _matrix_array(data, source) -> bool:
-    """Whether :func:`space_from_json_dict` reads the matrix of ``data``,
-    orjson's objects of ``source`` (the ASCII bytes of a file, or the text of
-    any other), to the same floats from ``json.load``'s objects as from one
-    float array; if so, the array replaces the matrix in ``data``.
-
-    ``np.array`` makes a 2-D array of kind f, i or u of a list of rows only
-    when every cell is a number, except that it takes booleans as numbers: a
-    string, ``None``, a ragged row or a nested row gives another kind,
-    another shape or a ValueError.  Every JSON ``true`` and ``null`` holds a
-    ``u``, every ``false`` an ``l``, and no number either letter, so a file
-    with no more of them than its top-level nulls (one ``u`` and two ``l``
-    each) has no boolean or null cell.  A file that is not ASCII, one whose
-    labels hold these letters, and one whose first row holds a string, as
-    with a remote point (``np.array`` would write every number as a string),
-    are left to :func:`_matrix_cells`.  The other values must pass
-    ``_decoded_alike``."""
-    if type(data) is not dict or type(source) is not bytes:
-        return False
-    rows = data.get("matrix")
-    if not (type(rows) is list and rows and type(rows[0]) is list
-            and set(map(type, rows[0])) <= _PLAIN_NUMBERS):
-        return False
-    nulls = sum(value is None for value in data.values())
-    if not (_at_most(source, b"u", nulls) and _at_most(source, b"l", 2 * nulls)
-            and _decoded_alike({key: value for key, value in data.items() if key != "matrix"})):
-        return False
-    with contextlib.suppress(ValueError):
-        D = np.array(rows)
-        if D.ndim == 2 and D.dtype.kind in "fiu":
-            data["matrix"] = D.astype(float, copy=False)
-            return True
-    return False
+def _space_alike(data) -> bool:
+    """``_decoded_alike(data)``, with a matrix that :func:`_cells_array`
+    converts vouched for by that conversion and replaced by its array."""
+    cells = _cells_array(data.get("matrix")) if type(data) is dict else None
+    if cells is None:
+        return _decoded_alike(data)
+    data["matrix"] = cells  # data is dropped where the rest is not vouched for
+    return _decoded_alike({key: value for key, value in data.items() if key != "matrix"})
 
 
 def _read_space(path: str, eps: float) -> ExtendedMetricSpace:
     """The space of the distance-matrix file ``path``, as
     ``space_from_json_dict(_read_json(path), eps)`` reads it.  The file is
-    read once, so a pipe reads as a file does, and a matrix of numbers alone
-    is converted whole (:func:`_matrix_array`)."""
+    read once, so a pipe reads as a file does, and its matrix is converted
+    while it is vouched for (:func:`_space_alike`)."""
     with open(path, "rb") as fh:  # the bytes are not held while the space is built
-        data = _decode(fh.read(),
-                       lambda data, source: _matrix_array(data, source) or _decoded_alike(data))
+        data = _decode(fh.read(), _space_alike)
     return space_from_json_dict(data, eps)
 
 
 def space_from_json_dict(data: dict, eps: float = DEFAULT_EPS) -> ExtendedMetricSpace:
     """Inverse of :func:`space_to_json_dict`, with validation.  The points
     are a list of labels; the matrix is a list of rows of cells
-    (:func:`_matrix_cells`), or an array of numbers, as
-    :func:`_matrix_array` hands over a file's matrix of numbers alone."""
+    (:func:`_matrix_cells`), or a float array, as :func:`_read_space` hands
+    over a matrix it converted."""
     try:
         labels = [str(x) for x in data["points"]]
         if type(data["points"]) is not list:  # a string or an object iterates too

@@ -248,5 +248,5 @@ def reference_validation(labels, dist, omega=None, eps=1e-9):
 
 def per_cell(rows):
     """The matrix read cell by cell, as every decoded matrix was read before
-    the one-conversion path of ``spaces._matrix_cells``."""
+    the one-conversion path of ``spaces._cells_array``."""
     return [list(map(_parse_cell, row)) for row in rows]

@@ -127,6 +127,7 @@ class TestInvert:
 
     def test_unknown_label(self, line_file, capsys):
         assert main(["invert", line_file, "--at", "nope"]) == 1
+        assert capsys.readouterr().err == "error: unknown point label 'nope'\n"
 
     def test_requires_a_point(self, line_file):
         assert main(["invert", line_file]) == 1
@@ -576,9 +577,16 @@ def _matrix_file(cells: str, labels: str = '"a", "b", "c"', omega: str = "null")
 
 LINE = "[[0.0, 1.0, 2.5], [1.0, 0.0, 1.5], [2.5, 1.5, 0.0]]"
 # Matrix files, and whether the matrix is converted whole: orjson decodes the
-# ASCII bytes, and every cell is a number
+# file, and every cell is a number or an infinity
 MATRIX_FILES = {
     "line": (_matrix_file(LINE), True),
+    # no byte of a label counts: a u or an l is in true, null and false too
+    "labels_with_u_and_l": (_matrix_file(LINE, '"l1", "lu0", "Paul"'), True),
+    "labels_with_u_and_l_no_null": (
+        ('{"points": ["lu0", "lu1", "lu2"], "matrix": %s}' % LINE).encode(), True),
+    # a boolean that np.array would read as the 0 or 1 of the other cells
+    "true_beside_a_one": (_matrix_file("[[0, 1, true], [1, 0, 1], [true, 1, 0]]"), False),
+    "false_on_the_diagonal": (_matrix_file("[[false, 1.5], [1.5, 0]]", '"a", "b"'), False),
     "booleans": (_matrix_file("[[0.0, true], [true, 0.0]]", '"a", "b"'), False),
     "boolean_after_row_0": (_matrix_file("[[0.0, 1], [true, 0.0]]", '"a", "b"'), False),
     "boolean_after_row_0_label_with_l": (_matrix_file("[[0.0, 1], [true, 0.0]]", '"a", "l"'),
@@ -588,7 +596,7 @@ MATRIX_FILES = {
     "false_after_row_0": (_matrix_file("[[0.0, 1.5], [false, 0.0]]", '"a", "b"'), False),
     "null_after_row_0": (_matrix_file("[[0.0, 1.5], [null, 0.0]]", '"a", "b"'), False),
     "inf_strings": (_matrix_file('[[0, 1, "inf"], [1, 0, " Infinity "], ["inf", " Infinity ", 0]]',
-                                 omega='"c"'), False),
+                                 omega='"c"'), True),
     "nan_string": (_matrix_file('[[0, "nan"], ["nan", 0]]', '"a", "b"'), False),
     "string_after_row_0": (_matrix_file('[[0, 1, 2], [1, 0, 1], ["2", 1, 0]]'), False),
     "ragged_row": (_matrix_file("[[0, 1, 2], [1, 0], [2, 1, 0]]"), False),
@@ -602,7 +610,7 @@ MATRIX_FILES = {
     "crlf": (_matrix_file(LINE).replace(b", ", b",\r\n"), True),
     "bom": (b"\xef\xbb\xbf" + _matrix_file(LINE), False),
     "invalid_utf8": (_matrix_file(LINE, '"a", "\xff", "c"').replace(b"\xc3\xbf", b"\xff"), False),
-    "non_ascii_label": (_matrix_file(LINE, '"a", "\u00e9", "c"'), False),
+    "non_ascii_label": (_matrix_file(LINE, '"a", "\u00e9", "c"'), True),
     # a remote point c, and in the cell d(a, b) another string or a boolean
     "remote_point_numeric_string": (_matrix_file(
         '[[0, "2", "inf"], ["2", 0, "inf"], ["inf", "inf", 0]]', omega='"c"'), False),
@@ -610,7 +618,7 @@ MATRIX_FILES = {
         '[[0, true, "inf"], [true, 0, "inf"], ["inf", "inf", 0]]', omega='"c"'), False),
     "remote_point_padded_infinity": (_matrix_file(
         '[[0, " Infinity ", "inf"], [" Infinity ", 0, "inf"], ["inf", "inf", 0]]',
-        omega='"c"'), False),
+        omega='"c"'), True),
     # the integer of 1101 bits comes first, and is named before the "nan" after it
     "remote_point_big_integer_before_a_bad_string": (_matrix_file(
         '[[0, %d, "inf"], ["nan", 0, "inf"], ["inf", "inf", 0]]' % 2 ** 1100, omega='"c"'),
@@ -774,7 +782,12 @@ class TestUsageErrors:
         (["check"], '{"points": {"a": 0, "b": 1, "c": 2}, '
                     '"matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}',
          "error: malformed distance-matrix JSON: points must be a list, not dict"),
-    ], ids=["deep-matrix-file", "deep-curve-file", "points-string", "points-object"])
+        (["check"], '{"points": ["a", "b"], "matrix": {"a": 1}}',
+         "error: malformed distance-matrix JSON: matrix must be a list, not dict"),
+        (["check"], '{"points": ["a", "b"], "matrix": [[0, 1], "ab"]}',
+         "error: malformed distance-matrix JSON: matrix row 1 must be a list, not str"),
+    ], ids=["deep-matrix-file", "deep-curve-file", "points-string", "points-object",
+            "matrix-object", "matrix-row-string"])
     def test_input_error_exits_one(self, command, text, message, tmp_path):
         path = tmp_path / "input.json"
         path.write_text(text)

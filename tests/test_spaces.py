@@ -866,6 +866,19 @@ class TestJson:
             mg.space_from_json_dict({"points": points,
                                      "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]})
 
+    @pytest.mark.parametrize("matrix, message", [
+        ({"a": 1}, "matrix must be a list, not dict"),
+        ("abc", "matrix must be a list, not str"),
+        ([[0, 1], {"a": 1}], "matrix row 1 must be a list, not dict"),
+        ([[0, 1], "ab"], "matrix row 1 must be a list, not str"),
+        # an earlier bad cell is named first
+        ([[0, "x"], "ab"], "matrix cell 'x' is not a number or 'inf'"),
+    ])
+    def test_matrix_not_a_list_rejected(self, matrix, message):
+        # an object or a string iterates to keys or characters, which were read as cells
+        with pytest.raises(ValidationError, match=message):
+            mg.space_from_json_dict({"points": ["a", "b"], "matrix": matrix})
+
     def test_unknown_omega_label(self):
         with pytest.raises(ValidationError):
             mg.space_from_json_dict({"points": ["a", "b"], "omega": "zz",
@@ -902,6 +915,7 @@ class TestDecodedMatrixParity:
     CASES = {
         "floats": [[0, 1.5, 2.0], [1.5, 0, 0.5], [2.0, 0.5, 0]],
         "all ints": [[0, 3, 5], [3, 0, 4], [5, 4, 0]],
+        "all units": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
         "uint64 max": [[0, 18446744073709551615], [18446744073709551615, 0]],
         "beyond the float range": [[0, 2 ** 1100], [2 ** 1100, 0]],
         "true": [[0, True], [True, 0]],
@@ -926,17 +940,23 @@ class TestDecodedMatrixParity:
         assert got == read_outcome(data)
 
     @pytest.mark.parametrize("name, fast", [("floats", True), ("all ints", True),
+                                            ("all units", True),
                                             ("uint64 max", True), ("inf", True),
                                             ("padded infinity", True), ("ragged", False)])
     def test_one_conversion_for_plain_numbers(self, name, fast):
         assert (type(spaces._matrix_cells(self.CASES[name])) is np.ndarray) is fast
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.lists(st.one_of(st.integers(min_value=-2 ** 1030, max_value=2 ** 1030),
-                                       st.floats(allow_nan=True, allow_infinity=True),
-                                       st.sampled_from(["inf", " Infinity ", "nan", "1.5"]),
-                                       st.booleans(), st.none()),
-                             min_size=0, max_size=3), min_size=0, max_size=3))
+    @given(st.one_of(
+        st.lists(st.lists(st.one_of(st.integers(min_value=-2 ** 1030, max_value=2 ** 1030),
+                                    st.floats(allow_nan=True, allow_infinity=True),
+                                    st.sampled_from(["inf", " Infinity ", "nan", "1.5"]),
+                                    st.booleans(), st.none()),
+                          min_size=0, max_size=3), min_size=0, max_size=3),
+        # square, with the booleans that np.array reads as 0 and 1 among 0s and 1s
+        st.integers(min_value=1, max_value=6).flatmap(lambda n: st.lists(
+            st.lists(st.sampled_from([0, 1, 0.0, 1.0, True, False]), min_size=n, max_size=n),
+            min_size=n, max_size=n))))
     def test_cells_as_the_per_cell_read(self, rows):
         def cells(read):
             try:
