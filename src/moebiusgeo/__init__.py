@@ -6,7 +6,6 @@ from .spaces import (
     CrossRatioTriple,
     ExtendedMetricSpace,
     PtolemyReport,
-    all_triples_collinear,
     circle_quadruple_census,
     crt,
     is_circle_quadruple,
@@ -22,7 +21,6 @@ from .inversions import (
     PointedCorrespondence,
     bound_at,
     crt_equivalent,
-    homothety_factor,
     invert_at,
 )
 from .segments import (

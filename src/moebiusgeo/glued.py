@@ -173,7 +173,9 @@ class BoundaryPoint:
         if self.kind not in ("north", "south", "equator", "halfplane"):
             raise ValidationError(f"unknown boundary kind {self.kind!r}")
         if self.kind == "equator":
-            object.__setattr__(self, "angle", float(self.angle) % (2.0 * math.pi))
+            # a tiny negative angle leaves a remainder of exactly 2 pi
+            angle = float(self.angle) % (2.0 * math.pi)
+            object.__setattr__(self, "angle", 0.0 if angle == 2.0 * math.pi else angle)
         elif self.kind == "halfplane":
             if not 0.0 < self.angle < math.pi:
                 raise ValidationError(

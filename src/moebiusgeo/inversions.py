@@ -252,35 +252,3 @@ def crt_equivalent(corr: PointedCorrespondence, eps: float = DEFAULT_EPS) -> Equ
     witness = tuple(src.labels[i] for i in quad)
     return EquivalenceReport(dev <= eps, dev, witness, math.comb(src.n, 4), "scan", resid)
 
-
-def homothety_factor(d1: ExtendedMetricSpace, d2: ExtendedMetricSpace,
-                     eps: float = DEFAULT_EPS) -> float | None:
-    """The factor lambda with d2 = lambda * d1, or None.
-
-    Both spaces must share labels.  Returns None when the remote-point
-    designations differ (re-invert first), when the spaces are not
-    crt-equivalent, or when no single factor fits all finite pairs.
-    """
-    if d1.labels != d2.labels:
-        raise ValueError("homothety comparison requires identical label sequences")
-    fin = d1.finite_indices
-    if len(fin) < 2:
-        raise ValueError("homothety needs at least two finite points")
-    if d1.omega_label() != d2.omega_label():
-        return None
-    if d1.n >= 4:
-        report = crt_equivalent(PointedCorrespondence.identity(d1, d2), eps)
-        if not report.equivalent:
-            return None
-    A = d1.dist.take(fin, 0).take(fin, 1)
-    B = d2.dist.take(fin, 0).take(fin, 1)
-    k = np.unravel_index(np.argmax(A), A.shape)
-    if A[k] <= 0.0:
-        return None
-    lam = float(B[k] / A[k])
-    if lam <= 0.0:
-        return None
-    resid = np.abs(B - lam * A).max()
-    if resid > eps * lam * A[k]:
-        return None
-    return lam

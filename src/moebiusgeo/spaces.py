@@ -722,19 +722,6 @@ def line_embed(space: ExtendedMetricSpace) -> np.ndarray | None:
     return coords
 
 
-def all_triples_collinear(space: ExtendedMetricSpace) -> bool:
-    """True when every triple of finite points attains triangle equality."""
-    fin = space.finite_indices
-    D = space.dist.take(fin, 0).take(fin, 1)
-    J, K = np.triu_indices(len(fin), 1)
-    for i in range(len(fin) - 2):
-        j, k = J[J > i], K[J > i]
-        a, b, c = np.sort(np.stack([D[i, j], D[i, k], D[j, k]]), axis=0)
-        if (np.abs(a + b - c) > space.tol).any():
-            return False
-    return True
-
-
 def space_to_json_dict(space: ExtendedMetricSpace) -> dict:
     """Serializable dict with "inf" strings on the omega row and column."""
     matrix = [["inf" if math.isinf(v) else float(v) for v in row] for row in space.dist]

@@ -79,6 +79,15 @@ class TestCheck:
         coords = report["line_embedding"]["coordinates"]
         assert len(coords) == 3
 
+    def test_menger_four_cycle_not_embeddable(self, tmp_path, capsys):
+        # every triple is collinear, but the 4-cycle embeds in no line
+        D = np.array([[0.0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
+        src = write_space(tmp_path / "menger.json", D, ["a", "b", "c", "d"])
+        assert main(["check", src]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["ptolemy"] is False
+        assert report["line_embedding"] == {"coordinates": None, "embeddable": False}
+
 
     @pytest.mark.parametrize("eps, shown", [("inf", "inf"), ("nan", "nan"), ("-1", "-1.0")])
     def test_bad_eps_is_named(self, eps, shown, tmp_path):

@@ -240,6 +240,15 @@ class TestGromovProducts:
         with pytest.raises(ValueError):
             mg.gromov_product(CFG, "o", BP.north(), BP.north())
 
+    def test_tiny_negative_equator_angle_is_zero(self):
+        # -1e-300 % 2pi rounds to exactly 2pi, the same point as angle 0
+        assert BP.equator(-1e-300) == BP.equator(0.0)
+        assert BP.equator(-1e-300).angle == 0.0
+        with pytest.raises(ValueError, match="two distinct boundary points"):
+            mg.gromov_product(CFG, "o", BP.equator(0.0), BP.equator(-1e-300))
+        with pytest.raises(ValueError, match="two distinct boundary points"):
+            mg.exotic_report(CFG, [0.0, -1e-300, 1.0])
+
     def test_halfplane_angle_range(self):
         with pytest.raises(ValidationError):
             BP.halfplane_ray(0.0)

@@ -1,4 +1,4 @@
-"""Inversions, bounded metrics, crt equivalence, homothety detection."""
+"""Inversions, bounded metrics, crt equivalence."""
 
 import math
 
@@ -281,32 +281,6 @@ class TestCrtEquivalence:
         other = mg.space_from_points([(0, 0), (1, 0), (0, 1)])
         with pytest.raises(mg.ValidationError):
             mg.PointedCorrespondence(sp, other, {lab: lab for lab in sp.labels})
-
-
-class TestHomothety:
-    def test_factor_two(self):
-        sp = random_ptolemy_space(np.random.default_rng(8))
-        sp2 = mg.ExtendedMetricSpace(sp.labels, 2.0 * sp.dist)
-        assert np.isclose(mg.homothety_factor(sp, sp2), 2.0)
-
-    def test_identity_factor_one(self):
-        sp = random_ptolemy_space(np.random.default_rng(9))
-        assert np.isclose(mg.homothety_factor(sp, sp), 1.0)
-
-    def test_different_omega_gated(self):
-        sp = line_space_with_omega([0.0, 1.0, 2.0])
-        inv = mg.invert_at(sp, "p0")
-        assert mg.homothety_factor(sp, inv) is None
-
-    def test_equivalent_but_not_homothetic(self):
-        sp = mg.space_from_points(np.array([0.0, 1.0, 2.0, 5.0])[:, None])
-        out = mg.bound_at(sp, "p0")
-        assert mg.homothety_factor(sp, out) is None
-
-    def test_too_few_points(self):
-        sp = mg.ExtendedMetricSpace(("a",), np.zeros((1, 1)))
-        with pytest.raises(ValueError):
-            mg.homothety_factor(sp, sp)
 
 
 class TestCircleInversionInvariant:

@@ -419,9 +419,9 @@ class TestCircleQuadruple:
         sp = line_space_with_omega([0.0, 0.7, 1.9, 2.4])
         for quad in [(0, 1, 2, 4), (0, 2, 3, 4), (1, 2, 3, 4)]:
             assert mg.is_circle_quadruple(sp, quad)
-        assert mg.all_triples_collinear(
+        assert mg.line_embed(
             mg.space_from_points(np.array([0.0, 0.7, 1.9, 2.4])[:, None])
-        )
+        ) is not None
 
 
 class TestLineEmbed:
@@ -456,7 +456,19 @@ class TestLineEmbed:
                 pts = rng.normal(size=(6, 2))
                 sp = mg.space_from_points(pts)
             embedded = mg.line_embed(sp) is not None
-            assert embedded == mg.all_triples_collinear(sp)
+            assert embedded == (brute_force_line_embedding(sp.dist, sp.tol) is not None)
+
+    def test_menger_four_cycle(self):
+        # unit sides and diagonals 2: every triple attains triangle equality,
+        # yet the four points do not embed in a line (nor satisfy Ptolemy)
+        D = np.array([[0.0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
+        sp = mg.ExtendedMetricSpace(("a", "b", "c", "d"), D)
+        for tri in itertools.combinations(range(4), 3):
+            a, b, c = sorted(D[i, j] for i, j in itertools.combinations(tri, 2))
+            assert a + b == c
+        assert mg.line_embed(sp) is None
+        assert brute_force_line_embedding(sp.dist, sp.tol) is None
+        assert not mg.is_ptolemy(sp).holds
 
     def test_omega_rejected(self):
         sp = line_space_with_omega([0.0, 1.0])
@@ -810,7 +822,6 @@ class TestSpaceTolerance:
         assert mg.is_ptolemy(sp).holds
         assert mg.circle_quadruple_census(sp) == (15, 15)
         assert mg.line_embed(sp) is not None
-        assert mg.all_triples_collinear(sp)
         assert mg.curve_from_segment(sp).eps == 1e-6
         assert sp.tol == 1e-6 * sp.scale
 
@@ -820,20 +831,22 @@ class TestSpaceTolerance:
             sp.dist[0, 1] = 1.0
         assert sp.dist[0, 1] == 1.0
 
-    @pytest.mark.parametrize("name, args", [
-        ("is_ptolemy", ()),
-        ("circle_quadruple_census", ()),
-        ("is_circle_quadruple", ((0, 1, 2, 3),)),
-        ("line_embed", ()),
-        ("all_triples_collinear", ()),
-        ("crt", ((0, 1, 2, 3),)),
-        ("invert_at", (0,)),
-        ("bound_at", (0,)),
-        ("curve_from_segment", ()),
-        ("curve_from_circle", ()),
-        ("segment_moebius_map", ((0, 1, 5), None, (0, 1, 5))),
-        ("circle_moebius_map", ((0, 1, 2), None, (0, 1, 2))),
-    ])
+    # the number in each case's id is pinned, so a case keeps its test name
+    # when another case is added or removed
+    @pytest.mark.parametrize("name, args", [pytest.param(name, args, id=f"{name}-args{k}")
+                                            for k, name, args in [
+        (0, "is_ptolemy", ()),
+        (1, "circle_quadruple_census", ()),
+        (2, "is_circle_quadruple", ((0, 1, 2, 3),)),
+        (3, "line_embed", ()),
+        (5, "crt", ((0, 1, 2, 3),)),
+        (6, "invert_at", (0,)),
+        (7, "bound_at", (0,)),
+        (8, "curve_from_segment", ()),
+        (9, "curve_from_circle", ()),
+        (10, "segment_moebius_map", ((0, 1, 5), None, (0, 1, 5))),
+        (11, "circle_moebius_map", ((0, 1, 2), None, (0, 1, 2))),
+    ]])
     def test_no_per_call_eps(self, name, args):
         sp = _loose_line()
         args = tuple(sp if a is None else a for a in args)
