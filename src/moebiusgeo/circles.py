@@ -17,36 +17,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spaces import DEFAULT_EPS, ExtendedMetricSpace
+from .spaces import DEFAULT_EPS, ExtendedMetricSpace, _Frozen, _Record, _Value
 from .segments import (_PlanarCurve, _anchor_simplex, _anchor_triple, _check_convex,
                        _curve_from_json, _curve_space, _curve_to_json, _map_onto, _ordered,
                        _recover)
 
 
-@dataclass(eq=False)
-class SectorRegion:
+@dataclass(init=False, repr=False, eq=False)
+class SectorRegion(_Frozen):
     """The sector of points s*(R, 0) + t*x with -1 <= s <= 1 and t >= 0."""
 
     R: float
     x: np.ndarray
 
-    def __post_init__(self):
-        if not (self.R > 0.0 and math.isfinite(self.R)):
+    def __init__(self, R, x):
+        if not (R > 0.0 and math.isfinite(R)):
             raise ValidationError("R must be positive and finite")
-        x = np.asarray(self.x, dtype=float)
+        x = np.asarray(x, dtype=float)
         norm = np.linalg.norm(x)
         if norm <= 0:
             raise ValidationError("sector direction must be a nonzero vector")
-        self.x = x / norm
-        if abs(self.x[1]) <= 1e-12:
+        x = x / norm
+        if abs(x[1]) <= 1e-12:
             raise ValidationError("sector direction is parallel to the base axis")
+        x.flags.writeable = False
+        vars(self).update(R=R, x=x)
 
 
-@dataclass
-class SectorLocation:
+@dataclass(init=False, repr=False, eq=False)
+class SectorLocation(_Value):
+    """Where a point lies against a sector, and its coordinates s and t."""
+
     region: str
     s: float
     t: float
+
+    def __init__(self, region, s, t):
+        self.region, self.s, self.t = region, s, t
 
 
 def sector_contains(sector: SectorRegion, v, eps: float = DEFAULT_EPS) -> SectorLocation:
@@ -81,7 +88,7 @@ def _find_sector_witness(samples: np.ndarray, R: float, eps: float) -> np.ndarra
     return np.array([math.cos(theta), math.sin(theta)])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class HalfplaneCurve(_PlanarCurve):
     """An ordered sample sequence of a circle parameterization.
 
@@ -162,8 +169,8 @@ def _loop_positions(D: np.ndarray, i1: int, i2: int, i3: int) -> np.ndarray:
     return s
 
 
-@dataclass(eq=False)
-class CircleMap:
+@dataclass(init=False, repr=False, eq=False)
+class CircleMap(_Record):
     """A sampled Moebius homeomorphism between two circles."""
 
     src_labels: tuple[str, ...]
@@ -172,6 +179,12 @@ class CircleMap:
     dst_points: np.ndarray
     max_crt_deviation: float | None = None
     witness: tuple[str, ...] | None = None
+
+    def __init__(self, src_labels, dst_positions, dst_params, dst_points,
+                 max_crt_deviation=None, witness=None):
+        self.src_labels, self.dst_positions = src_labels, dst_positions
+        self.dst_params, self.dst_points = dst_params, dst_points
+        self.max_crt_deviation, self.witness = max_crt_deviation, witness
 
 
 def circle_moebius_map(src_space: ExtendedMetricSpace, src_anchors,

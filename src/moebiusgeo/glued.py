@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .inversions import PointedCorrespondence, crt_equivalent
-from .spaces import _U, DEFAULT_EPS, ExtendedMetricSpace
+from .spaces import _U, DEFAULT_EPS, ExtendedMetricSpace, _FrozenValue, _Record
 
 # Largest x with cosh(x) finite in double precision, about 710.476.
 _MAX_COSH_ARG = math.acosh(sys.float_info.max)
@@ -41,8 +41,8 @@ _HOMOTHETY_TOL = 1e-6
 _BOUNDARY_ROUNDING = 256 * _U
 
 
-@dataclass(frozen=True)
-class GluedSpaceConfig:
+@dataclass(init=False, repr=False, eq=False)
+class GluedSpaceConfig(_FrozenValue):
     """The glued space whose base points o and o' lie ``ell`` apart.
 
     Distances from o' and its Busemann values take cosh and sinh of ``ell``,
@@ -51,11 +51,12 @@ class GluedSpaceConfig:
 
     ell: float
 
-    def __post_init__(self):
-        if not 0.0 < self.ell <= _MAX_COSH_ARG:
+    def __init__(self, ell):
+        if not 0.0 < ell <= _MAX_COSH_ARG:
             raise ValidationError(
-                f"ell = {self.ell!r} must be positive and at most acosh(DBL_MAX) = "
+                f"ell = {ell!r} must be positive and at most acosh(DBL_MAX) = "
                 f"{_MAX_COSH_ARG!r}, where cosh ell overflows")
+        vars(self)["ell"] = ell
 
     def base_point(self, which: str):
         if which == "o":
@@ -156,8 +157,8 @@ def glued_distance(cfg: GluedSpaceConfig, x, y) -> float:
     return float(_dist_matrix([x, y])[0, 1])
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+@dataclass(init=False, repr=False, eq=False)
+class BoundaryPoint(_FrozenValue):
     """A boundary point reachable by a canonical ray from o.
 
     Kinds: "north" and "south" (seam endpoints), "equator" (bulk rays
@@ -169,21 +170,22 @@ class BoundaryPoint:
     kind: str
     angle: float = 0.0
 
-    def __post_init__(self):
-        if self.kind not in ("north", "south", "equator", "halfplane"):
-            raise ValidationError(f"unknown boundary kind {self.kind!r}")
-        if self.kind == "equator":
+    def __init__(self, kind, angle=0.0):
+        if kind not in ("north", "south", "equator", "halfplane"):
+            raise ValidationError(f"unknown boundary kind {kind!r}")
+        if kind == "equator":
             # a tiny negative angle leaves a remainder of exactly 2 pi
-            angle = float(self.angle) % (2.0 * math.pi)
-            object.__setattr__(self, "angle", 0.0 if angle == 2.0 * math.pi else angle)
-        elif self.kind == "halfplane":
-            if not 0.0 < self.angle < math.pi:
+            angle = float(angle) % (2.0 * math.pi)
+            angle = 0.0 if angle == 2.0 * math.pi else angle
+        elif kind == "halfplane":
+            if not 0.0 < angle < math.pi:
                 raise ValidationError(
                     "halfplane ray angle must lie strictly between 0 and pi; "
                     "the limits are the north and south points"
                 )
         else:
-            object.__setattr__(self, "angle", 0.0)
+            angle = 0.0
+        vars(self).update(kind=kind, angle=angle)
 
     @classmethod
     def north(cls):
@@ -266,8 +268,8 @@ def bourdon_metric(cfg: GluedSpaceConfig, base: str, xi1: BoundaryPoint,
     return float((rho_op if off_seam else rho_o)[0, 1])
 
 
-@dataclass(eq=False)
-class ExoticReport:
+@dataclass(init=False, repr=False, eq=False)
+class ExoticReport(_Record):
     """Both boundary metrics on the seam endpoints and equator samples.
 
     ``conformal_factor`` maps each label x to lambda(x) = exp(-B(x)/2), B
@@ -286,6 +288,14 @@ class ExoticReport:
     ratio_gap: float
     homothetic: bool
     conformal_factor: dict[str, float]
+
+    def __init__(self, ell, labels, rho_o, rho_oprime, max_crt_deviation, ns_ratio,
+                 equator_ratio, equator_ratio_spread, ratio_gap, homothetic, conformal_factor):
+        self.ell, self.labels, self.rho_o, self.rho_oprime = ell, labels, rho_o, rho_oprime
+        self.max_crt_deviation, self.ns_ratio = max_crt_deviation, ns_ratio
+        self.equator_ratio, self.equator_ratio_spread = equator_ratio, equator_ratio_spread
+        self.ratio_gap, self.homothetic = ratio_gap, homothetic
+        self.conformal_factor = conformal_factor
 
     def to_json_dict(self) -> dict:
         return {

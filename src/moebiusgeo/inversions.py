@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPtolemyError, ValidationError
-from .spaces import _U, DEFAULT_EPS, ExtendedMetricSpace, _unit_remote, max_crt_deviation
+from .spaces import (_U, DEFAULT_EPS, ExtendedMetricSpace, _Frozen, _unit_remote, _Value,
+                     max_crt_deviation)
 
 
 @functools.lru_cache(maxsize=64)
@@ -141,24 +142,25 @@ def bound_at(space: ExtendedMetricSpace, o) -> ExtendedMetricSpace:
     return _rescaled(space, space.dist[oi] + 1.0, None, f"bounded metric at {space.labels[oi]!r}")
 
 
-@dataclass(eq=False)
-class PointedCorrespondence:
-    """A label bijection between two spaces of equal cardinality."""
+@dataclass(init=False, repr=False, eq=False)
+class PointedCorrespondence(_Frozen):
+    """A label bijection between two spaces of equal cardinality; immutable."""
 
     source: ExtendedMetricSpace
     target: ExtendedMetricSpace
     mapping: dict[str, str]
 
-    def __post_init__(self):
-        src = set(self.source.labels)
-        tgt = set(self.target.labels)
-        if set(self.mapping) != src:
+    def __init__(self, source, target, mapping):
+        src = set(source.labels)
+        tgt = set(target.labels)
+        if set(mapping) != src:
             raise ValidationError("mapping must cover every source label")
-        values = list(self.mapping.values())
+        values = list(mapping.values())
         if len(set(values)) != len(values) or not set(values) <= tgt:
             raise ValidationError("mapping must be injective into the target labels")
         if len(src) != len(tgt):
             raise ValidationError("source and target cardinality differ")
+        vars(self).update(source=source, target=target, mapping=mapping)
 
     @classmethod
     def identity(cls, source: ExtendedMetricSpace,
@@ -168,7 +170,7 @@ class PointedCorrespondence:
             return cls(source, target, mapping)  # the checks word the failure
         # equal tuples of unique labels: the mapping is a bijection as built
         corr = cls.__new__(cls)
-        corr.source, corr.target, corr.mapping = source, target, mapping
+        vars(corr).update(source=source, target=target, mapping=mapping)
         return corr
 
     def is_identity(self) -> bool:
@@ -180,8 +182,8 @@ class PointedCorrespondence:
         return np.array([self.target.index(self.mapping[lab]) for lab in self.source.labels])
 
 
-@dataclass
-class EquivalenceReport:
+@dataclass(init=False, repr=False, eq=False)
+class EquivalenceReport(_Value):
     """``method`` is "factor" when a conformal factor certified the verdict
     (``max_deviation`` is then a bound, ``witness`` None) and "scan" when every
     4-subset was compared; ``factor_residual`` is None when no fit was made."""
@@ -192,6 +194,10 @@ class EquivalenceReport:
     n_checked: int
     method: str
     factor_residual: float | None
+
+    def __init__(self, equivalent, max_deviation, witness, n_checked, method, factor_residual):
+        self.equivalent, self.max_deviation, self.witness = equivalent, max_deviation, witness
+        self.n_checked, self.method, self.factor_residual = n_checked, method, factor_residual
 
 
 def _log_factor(A: np.ndarray, B: np.ndarray):

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPtolemyError, ValidationError
-from .spaces import (_PLAIN_NUMBERS, _U, DEFAULT_EPS, ExtendedMetricSpace, _check_eps,
-                     max_crt_deviation)
+from .spaces import (_PLAIN_NUMBERS, _U, DEFAULT_EPS, ExtendedMetricSpace, _check_eps, _Frozen,
+                     _Record, _Value, max_crt_deviation)
 
 DEFAULT_EPS_ARG = 1e-10
 
@@ -40,31 +40,37 @@ def ptolemy_identity_residual(p1, p2, p3, p4):
             - signed_distance(p1, p3) * signed_distance(p2, p4))
 
 
-@dataclass(eq=False)
-class WedgeRegion:
+@dataclass(init=False, repr=False, eq=False)
+class WedgeRegion(_Frozen):
     """The region T(u, w) of points lam*u + mu*w whose (lam, mu, 1) satisfy
-    the triangle inequality, with lam, mu >= 0."""
+    the triangle inequality, with lam, mu >= 0; immutable, as a space is."""
 
     u: np.ndarray
     w: np.ndarray
 
-    def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=float)
-        self.w = np.asarray(self.w, dtype=float)
-        det = signed_distance(self.u, self.w)
-        nu = np.linalg.norm(self.u)
-        nw = np.linalg.norm(self.w)
+    def __init__(self, u, w):
+        u, w = np.array(u, dtype=float), np.array(w, dtype=float)
+        det = signed_distance(u, w)
+        nu = np.linalg.norm(u)
+        nw = np.linalg.norm(w)
         if abs(det) <= 1e-14 * max(nu * nw, 1.0):
             raise ValidationError("wedge directions are collinear")
         if det < 0:
             raise ValidationError("wedge requires arg(u) < arg(w)")
+        u.flags.writeable = w.flags.writeable = False
+        vars(self).update(u=u, w=w)
 
 
-@dataclass
-class WedgeLocation:
+@dataclass(init=False, repr=False, eq=False)
+class WedgeLocation(_Value):
+    """Where a point lies against a wedge, and its coordinates lam and mu."""
+
     region: str
     lam: float
     mu: float
+
+    def __init__(self, region, lam, mu):
+        self.region, self.lam, self.mu = region, lam, mu
 
 
 def wedge_contains(wedge: WedgeRegion, v, eps: float = DEFAULT_EPS) -> WedgeLocation:
@@ -82,8 +88,8 @@ def wedge_contains(wedge: WedgeRegion, v, eps: float = DEFAULT_EPS) -> WedgeLoca
     return WedgeLocation("inside", lam, mu)
 
 
-@dataclass(frozen=True, eq=False)
-class _PlanarCurve:
+@dataclass(init=False, repr=False, eq=False)
+class _PlanarCurve(_Frozen):
     """The fields and checks that quadrant and halfplane curves share.  The
     sample parameters are not stored: they are evenly spaced on [0, 1] for a
     quadrant curve and on [0, 2] for a halfplane curve.  A curve is
@@ -96,6 +102,13 @@ class _PlanarCurve:
 
     _end = 1.0  # the parameter of the last sample
     _closed = False  # whether the last sample returns to the first point
+
+    def __init__(self, R, samples, eps=DEFAULT_EPS):
+        vars(self).update(R=R, samples=samples, eps=eps)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Each kind of curve checks its fields here."""
 
     def _checked_samples(self, min_n: int, clipped: slice, region: str,
                          last: tuple[float, float], last_text: str) -> np.ndarray:
@@ -167,7 +180,7 @@ def _check_convex(S: np.ndarray, R: float, eps: float) -> None:
         raise ValidationError(f"polyline is not convex at sample {k}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class QuadrantCurve(_PlanarCurve):
     """An ordered sample sequence of a segment parameterization.
 
@@ -449,8 +462,8 @@ def _map_onto(s: np.ndarray, xp: np.ndarray, params: np.ndarray, samples: np.nda
     return params, points, dev, tuple(src_space.labels[i] for i in quad)
 
 
-@dataclass(eq=False)
-class SegmentMap:
+@dataclass(init=False, repr=False, eq=False)
+class SegmentMap(_Record):
     """A sampled Moebius homeomorphism between two segments."""
 
     src_labels: tuple[str, ...]
@@ -459,6 +472,12 @@ class SegmentMap:
     dst_points: np.ndarray
     max_crt_deviation: float | None = None
     witness: tuple[str, ...] | None = None
+
+    def __init__(self, src_labels, src_params, dst_params, dst_points, max_crt_deviation=None,
+                 witness=None):
+        self.src_labels, self.src_params, self.dst_params = src_labels, src_params, dst_params
+        self.dst_points, self.max_crt_deviation = dst_points, max_crt_deviation
+        self.witness = witness
 
 
 def segment_moebius_map(src_space: ExtendedMetricSpace, src_anchors,

@@ -25,7 +25,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -52,8 +52,47 @@ _SUBNORMAL_SLACK = 2.0 ** -1060
 _deferred: contextvars.ContextVar[list | None] = contextvars.ContextVar("_deferred", default=None)
 
 
-@dataclass(frozen=True, eq=False)
-class ExtendedMetricSpace:
+# Records are declared with dataclass(init=False, repr=False, eq=False), which compiles
+# no method; each has its own __init__, and these bases give the rest as dataclass would.
+class _Record:
+    """``repr`` over the fields."""
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__dataclass_fields__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A record whose attributes are written once, through ``vars(self)``."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _Value(_Record):
+    """Equality field by field with a record of the same class; unhashable."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+
+class _FrozenValue(_Frozen, _Value):
+    """A frozen record of values, hashed by its fields."""
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+@dataclass(init=False, repr=False, eq=False)
+class ExtendedMetricSpace(_Frozen):
     """A finite labeled point set with a symmetric extended distance matrix.
 
     ``dist[i, j]`` is infinite exactly when one of ``i, j`` is the remote
@@ -84,6 +123,10 @@ class ExtendedMetricSpace:
     dist: np.ndarray
     omega: int | None = None
     eps: float = DEFAULT_EPS
+
+    def __init__(self, labels, dist, omega=None, eps=DEFAULT_EPS):
+        vars(self).update(labels=labels, dist=dist, omega=omega, eps=eps)
+        self.__post_init__()
 
     def __post_init__(self):
         labels, positions, D = _checked_input(self.labels, self.dist, self.eps)
@@ -399,20 +442,21 @@ def space_from_points(points, labels=None, *, p: float = 2.0, add_omega: bool = 
     return ExtendedMetricSpace._derived(labels, D, omega, eps, positions, bound)
 
 
-@dataclass(frozen=True)
-class CrossRatioTriple:
+@dataclass(init=False, repr=False, eq=False)
+class CrossRatioTriple(_FrozenValue):
     """A normalized projective triple (a : b : c) with a + b + c = 1."""
 
     a: float
     b: float
     c: float
 
-    def __post_init__(self):
-        e = (self.a, self.b, self.c)
+    def __init__(self, a, b, c):
+        e = (a, b, c)
         if min(e) < -1e-12:
             raise ValidationError(f"cross-ratio entries must be nonnegative: {e}")
         if abs(sum(e) - 1.0) > 1e-12:
             raise ValidationError(f"cross-ratio entries must sum to 1: {e}")
+        vars(self).update(a=a, b=b, c=c)
 
     @classmethod
     def from_products(cls, pa: float, pb: float, pc: float) -> "CrossRatioTriple":
@@ -622,8 +666,8 @@ def max_crt_deviation(D1, omega1, D2, omega2, perm) -> tuple[float, tuple[int, .
     return (0.0, None) if worst[1] is None else (worst[0], worst[1][1:])
 
 
-@dataclass(frozen=True)
-class PtolemyReport:
+@dataclass(init=False, repr=False, eq=False)
+class PtolemyReport(_FrozenValue):
     """Outcome of a full quadruple scan.
 
     ``n_boundary`` counts the scanned subsets whose triple lies within
@@ -635,6 +679,10 @@ class PtolemyReport:
     worst_margin: float
     n_checked: int
     n_boundary: int
+
+    def __init__(self, holds, worst_quad, worst_margin, n_checked, n_boundary):
+        vars(self).update(holds=holds, worst_quad=worst_quad, worst_margin=worst_margin,
+                          n_checked=n_checked, n_boundary=n_boundary)
 
 
 def is_ptolemy(space: ExtendedMetricSpace) -> PtolemyReport:
@@ -827,8 +875,8 @@ def _cells_array(rows):
     vouches for every row as ``_decoded_alike`` does.  A first row that holds
     a string, as a remote point's does, has every cell's type read, which
     finds the strings to parse.  Any other matrix converts with one
-    ``np.array``, which reads a boolean as 0 or 1: so the types are read only
-    where a diagonal cell is not a number or an off-diagonal cell is 0 or 1."""
+    ``np.array``, which reads a boolean as 0 or 1: so the types are read of
+    the diagonal cells and of the rows that hold an off-diagonal 0 or 1."""
     if type(rows) is not list or not rows or type(rows[0]) is not list:
         return None
     with contextlib.suppress(ValueError, OverflowError):  # a ValidationError is a ValueError
@@ -845,9 +893,10 @@ def _cells_array(rows):
         if D.ndim != 2 or D.dtype.kind not in "fiu":
             return None
         unit = (D == 0) | (D == 1)
-        if ((np.count_nonzero(unit) > np.count_nonzero(unit.diagonal())
-             or any(type(row[i]) not in _PLAIN_NUMBERS for i, row in zip(range(D.shape[1]), rows)))
-                and not all(set(map(type, row)) <= _PLAIN_NUMBERS for row in rows)):
+        np.fill_diagonal(unit, False)
+        cells = itertools.chain([row[i] for i, row in zip(range(D.shape[1]), rows)],
+                                *[rows[i] for i in np.flatnonzero(unit.any(axis=1))])
+        if not set(map(type, cells)) <= _PLAIN_NUMBERS:
             return None
         return D.astype(float, copy=False)
     return None

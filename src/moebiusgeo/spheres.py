@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spaces import DEFAULT_EPS, ExtendedMetricSpace, space_from_points
+from .spaces import DEFAULT_EPS, ExtendedMetricSpace, _Record, space_from_points
 
 UNIT_TOL = 1e-12
 
@@ -64,14 +64,17 @@ def stereographic(u, pole=None) -> np.ndarray | None:
     return u[:-1] / (1.0 - u[-1])
 
 
-@dataclass(eq=False)
-class SampledCircle:
+@dataclass(init=False, repr=False, eq=False)
+class SampledCircle(_Record):
     """A circle in k-dimensional Euclidean space with cyclic samples."""
 
     center: np.ndarray
     radius: float
     basis: np.ndarray
     points: np.ndarray
+
+    def __init__(self, center, radius, basis, points):
+        self.center, self.radius, self.basis, self.points = center, radius, basis, points
 
     def space(self, labels=None, eps: float = DEFAULT_EPS) -> ExtendedMetricSpace:
         """Chord-distance metric space of the samples, in cyclic order."""

@@ -839,6 +839,28 @@ class TestEntryPoint:
                      "--output", str(tmp_path / "e.json")]) == 0
         assert gc.get_freeze_count() == before
 
+    STARTUP = """
+import argparse, contextlib, contextvars, dataclasses, functools, gc, io, itertools, json
+import math, operator, sys
+import numpy
+compiled = []
+sys.addaudithook(lambda event, args: event == "compile" and compiled.append(args[1]))
+import moebiusgeo.cli
+print(compiled.count("<string>"), "orjson" in sys.modules)
+moebiusgeo.cli.main(["exotic", "--l", "1", "--angles", "6", "--output", sys.argv[1]])
+print("orjson" in sys.modules)
+"""
+
+    def test_import_generates_no_code_and_leaves_orjson_unloaded(self, tmp_path):
+        # with numpy and the stdlib loaded, the package compiles no generated
+        # source (dataclass() wrote its methods from strings), and orjson is
+        # imported only by the commands that read or write a matrix or curve
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mg.__file__)))
+        done = subprocess.run([sys.executable, "-c", self.STARTUP, str(tmp_path / "e.json")],
+                              capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.split() == ["0", "False", "False"]
+
     LAUNCHERS = [["-c", "import sys; from moebiusgeo.cli import console_main; "
                         "sys.exit(console_main())"],
                  ["-m", "moebiusgeo.cli"]]

@@ -122,42 +122,62 @@ class TestCurveValidation:
 
 
 # (curve class, R, samples, eps or None for the default, message fragment):
+def _rejection(key, cls, R, samples, eps, message):
+    """A case of one refused curve.  Its id is the one pytest once numbered by
+    the case's position; ``key`` keeps that number, so a new case takes a new
+    key and renames no other."""
+    return pytest.param(cls, R, samples, eps, message,
+                        id=f"{cls.__name__}-{R}-{key}-{eps}-{message}")
+
+
 # one row per check of the shared curve core, in each class's check order
 Q, H = mg.QuadrantCurve, mg.HalfplaneCurve
 QUARTER = [(1, 0), (0.6, 0.6), (0, 1)]
 HALF = [(1, 0), (0, 1), (-1, 0)]
 CURVE_REJECTIONS = [
-    (Q, 0.0, QUARTER, None, "R must be positive and finite"),
-    (H, float("inf"), HALF, None, "R must be positive and finite"),
-    (Q, 1.0, [(1, 0)], None, r"samples must be an \(n >= 2, 2\) array"),
-    (H, 1.0, [(1, 0), (-1, 0)], None, r"samples must be an \(n >= 3, 2\) array"),
-    (Q, 1.0, [(1, 0), (np.nan, 0.5), (0, 1)], None, "samples must be finite"),
-    (H, 1.0, [(1, 0), (0, np.inf), (-1, 0)], None, "samples must be finite"),
-    (Q, 1.0, [(1, 0), (0.5, -0.2), (0, 1)], None, "sample 1 leaves the closed first quadrant"),
-    (H, 1.0, [(1, 0), (0.5, -0.3), (0, 1), (-1, 0)], None,
-     "sample 1 leaves the closed upper halfplane"),
-    (Q, 1.0, [(0.9, 0), (0, 1)], None, r"first sample must be \(R, 0\)"),
-    (H, 1.0, [(0.5, 0), (0, 1), (-1, 0)], None, r"first sample must be \(R, 0\)"),
-    (Q, 1.0, [(1, 0), (0, 0.9)], None, r"last sample must be \(0, R\)"),
-    (H, 1.0, [(1, 0), (0, 1), (-0.5, 0)], None, r"last sample must be \(-R, 0\)"),
-    (Q, 1.0, [(1, 0), (0.8, 0.4), (0.9, 0.45), (0, 1)], None,
-     "argument is not strictly increasing at sample 2"),
-    (H, 1.0, [(1, 0), (0.5, 0.5), (0, 1), (0.4, 0.4), (-1, 0)], None,
-     "argument is not strictly increasing at sample 3"),
-    (Q, 1.0, [(1, 0), (0.4, 0.45), (0, 1)], None, "sample 1 leaves the endpoint wedge"),
-    (Q, 1.0, [(1, 0), (0.9, 0.6), (0.62, 0.66), (0.6, 1.1), (0, 1)], None,
-     "polyline is not convex at sample 2"),
-    (H, 1.0, [(1, 0), (0.5, 0.2), (0, 1), (-1, 0)], None, "polyline is not convex at sample 1"),
+    _rejection("samples0", Q, 0.0, QUARTER, None, "R must be positive and finite"),
+    _rejection("samples1", H, float("inf"), HALF, None, "R must be positive and finite"),
+    _rejection("samples2", Q, 1.0, [(1, 0)], None, r"samples must be an \(n >= 2, 2\) array"),
+    _rejection("samples3", H, 1.0, [(1, 0), (-1, 0)], None,
+               r"samples must be an \(n >= 3, 2\) array"),
+    _rejection("samples4", Q, 1.0, [(1, 0), (np.nan, 0.5), (0, 1)], None,
+               "samples must be finite"),
+    _rejection("samples5", H, 1.0, [(1, 0), (0, np.inf), (-1, 0)], None,
+               "samples must be finite"),
+    _rejection("samples6", Q, 1.0, [(1, 0), (0.5, -0.2), (0, 1)], None,
+               "sample 1 leaves the closed first quadrant"),
+    _rejection("samples7", H, 1.0, [(1, 0), (0.5, -0.3), (0, 1), (-1, 0)], None,
+               "sample 1 leaves the closed upper halfplane"),
+    _rejection("samples8", Q, 1.0, [(0.9, 0), (0, 1)], None, r"first sample must be \(R, 0\)"),
+    _rejection("samples9", H, 1.0, [(0.5, 0), (0, 1), (-1, 0)], None,
+               r"first sample must be \(R, 0\)"),
+    _rejection("samples10", Q, 1.0, [(1, 0), (0, 0.9)], None, r"last sample must be \(0, R\)"),
+    _rejection("samples11", H, 1.0, [(1, 0), (0, 1), (-0.5, 0)], None,
+               r"last sample must be \(-R, 0\)"),
+    _rejection("samples12", Q, 1.0, [(1, 0), (0.8, 0.4), (0.9, 0.45), (0, 1)], None,
+               "argument is not strictly increasing at sample 2"),
+    _rejection("samples13", H, 1.0, [(1, 0), (0.5, 0.5), (0, 1), (0.4, 0.4), (-1, 0)], None,
+               "argument is not strictly increasing at sample 3"),
+    _rejection("samples14", Q, 1.0, [(1, 0), (0.4, 0.45), (0, 1)], None,
+               "sample 1 leaves the endpoint wedge"),
+    _rejection("samples15", Q, 1.0, [(1, 0), (0.9, 0.6), (0.62, 0.66), (0.6, 1.1), (0, 1)], None,
+               "polyline is not convex at sample 2"),
+    _rejection("samples16", H, 1.0, [(1, 0), (0.5, 0.2), (0, 1), (-1, 0)], None,
+               "polyline is not convex at sample 1"),
     # breaks both convexity and the sector: convexity is checked first
-    (H, 1.0, [(1, 0), (3, 2), (2, 1.95), (0.9, 2), (-1, 0)], None,
-     "polyline is not convex at sample 2"),
-    (H, 1.0, [(1, 0), (3, 2), (0.9, 2), (-1, 0)], None, "no sector direction contains the curve"),
-    (Q, 1.0, QUARTER, float("inf"), "eps must be finite and nonnegative, not inf"),
-    (H, 1.0, HALF, float("nan"), "eps must be finite and nonnegative, not nan"),
-    (Q, 1.0, QUARTER, -1e-9, "eps must be finite and nonnegative, not -1e-09"),
-    (H, 1.0, HALF, -1.0, "eps must be finite and nonnegative, not -1.0"),
+    _rejection("samples17", H, 1.0, [(1, 0), (3, 2), (2, 1.95), (0.9, 2), (-1, 0)], None,
+               "polyline is not convex at sample 2"),
+    _rejection("samples18", H, 1.0, [(1, 0), (3, 2), (0.9, 2), (-1, 0)], None,
+               "no sector direction contains the curve"),
+    _rejection("samples19", Q, 1.0, QUARTER, float("inf"),
+               "eps must be finite and nonnegative, not inf"),
+    _rejection("samples20", H, 1.0, HALF, float("nan"),
+               "eps must be finite and nonnegative, not nan"),
+    _rejection("samples21", Q, 1.0, QUARTER, -1e-9,
+               "eps must be finite and nonnegative, not -1e-09"),
+    _rejection("samples22", H, 1.0, HALF, -1.0, "eps must be finite and nonnegative, not -1.0"),
     # R is checked before eps
-    (Q, -1.0, QUARTER, float("nan"), "R must be positive and finite"),
+    _rejection("samples23", Q, -1.0, QUARTER, float("nan"), "R must be positive and finite"),
 ]
 
 
@@ -167,7 +187,10 @@ class TestSharedCurveChecks:
         with pytest.raises(ValidationError, match=message):
             cls(R, samples) if eps is None else cls(R, samples, eps)
 
-    @pytest.mark.parametrize("cls, samples, end", [(Q, QUARTER, 1.0), (H, HALF, 2.0)])
+    @pytest.mark.parametrize("cls, samples, end", [
+        pytest.param(Q, QUARTER, 1.0, id="QuadrantCurve-samples0-1.0"),
+        pytest.param(H, HALF, 2.0, id="HalfplaneCurve-samples1-2.0"),
+    ])
     def test_params_default_and_explicit(self, cls, samples, end):
         # the parameters are derived, evenly spaced; explicit ones are refused
         assert np.array_equal(cls(1.0, samples).params, np.linspace(0.0, end, 3))
@@ -176,8 +199,10 @@ class TestSharedCurveChecks:
         assert [f.name for f in dataclasses.fields(cls)] == ["R", "samples", "eps"]
 
     @pytest.mark.parametrize("cls, samples, clipped", [
-        (Q, [(1, -1e-12), (0.6, 0.6), (-1e-12, 1)], slice(None)),
-        (H, [(1, -1e-12), (0, 1), (-1, -1e-12)], slice(1, None)),
+        pytest.param(Q, [(1, -1e-12), (0.6, 0.6), (-1e-12, 1)], slice(None),
+                     id="QuadrantCurve-samples0-clipped0"),
+        pytest.param(H, [(1, -1e-12), (0, 1), (-1, -1e-12)], slice(1, None),
+                     id="HalfplaneCurve-samples1-clipped1"),
     ])
     def test_samples_within_tolerance_are_clipped(self, cls, samples, clipped):
         assert (cls(1.0, samples).samples[:, clipped] >= 0.0).all()

@@ -80,26 +80,38 @@ def _triple(**cells):
     return D
 
 
+def _fault(key, labels, D, omega, message):
+    """A case of one fault.  Its id is the one pytest once numbered by the
+    case's position; ``key`` keeps that number, so a new case takes a new key
+    and renames no other."""
+    return pytest.param(labels, D, omega, message,
+                        id=f"{labels or 'labels0'}-{key}-{omega}-{message}")
+
+
 class TestValidationMessages:
     """Each fault with its exact message, and which of two faults is named."""
 
     @pytest.mark.parametrize("labels, D, omega, message", [
-        ((), np.zeros((0, 0)), None, "a space needs at least one point"),
-        ("aa", np.zeros((2, 2)), None, "point labels must be unique"),
-        ("ab", np.zeros((2, 3)), None, "distance matrix shape (2, 3) does not match 2 labels"),
-        ("abc", _triple(ab=np.nan), None, "distance matrix contains NaN"),
-        ("abc", _triple(bc_cb=-0.5), None, "negative distance at (b, c)"),
-        ("abc", _triple(ab=INF), None, "infinity pattern is not symmetric"),
-        ("abc", _triple(ab=1.5), None, "distance matrix is not symmetric"),
-        ("abc", _triple(bb=0.5), None, "diagonal entries must vanish"),
-        ("abc", _triple(), 3, "omega index 3 out of range"),
-        ("abc", _triple(), -1, "omega index -1 out of range"),
-        ("abc", _triple(), 2, "omega must be at infinite distance from every other point"),
-        ("abc", _triple(ac_ca=INF), None, "infinite distance between finite points (a, c)"),
-        ("abcd", np.array([[0.0, 1.0, INF, INF], [1.0, 0.0, 1.0, INF],
-                           [INF, 1.0, 0.0, INF], [INF, INF, INF, 0.0]]), 3,
-         "infinite distance between finite points (a, c)"),
-        ("abc", _triple(ab_ba=3.0), None, "triangle inequality fails: d(a,b) > d(a,c) + d(c,b)"),
+        _fault("D0", (), np.zeros((0, 0)), None, "a space needs at least one point"),
+        _fault("D1", "aa", np.zeros((2, 2)), None, "point labels must be unique"),
+        _fault("D2", "ab", np.zeros((2, 3)), None,
+               "distance matrix shape (2, 3) does not match 2 labels"),
+        _fault("D3", "abc", _triple(ab=np.nan), None, "distance matrix contains NaN"),
+        _fault("D4", "abc", _triple(bc_cb=-0.5), None, "negative distance at (b, c)"),
+        _fault("D5", "abc", _triple(ab=INF), None, "infinity pattern is not symmetric"),
+        _fault("D6", "abc", _triple(ab=1.5), None, "distance matrix is not symmetric"),
+        _fault("D7", "abc", _triple(bb=0.5), None, "diagonal entries must vanish"),
+        _fault("D8", "abc", _triple(), 3, "omega index 3 out of range"),
+        _fault("D9", "abc", _triple(), -1, "omega index -1 out of range"),
+        _fault("D10", "abc", _triple(), 2,
+               "omega must be at infinite distance from every other point"),
+        _fault("D11", "abc", _triple(ac_ca=INF), None,
+               "infinite distance between finite points (a, c)"),
+        _fault("D12", "abcd", np.array([[0.0, 1.0, INF, INF], [1.0, 0.0, 1.0, INF],
+                                        [INF, 1.0, 0.0, INF], [INF, INF, INF, 0.0]]), 3,
+               "infinite distance between finite points (a, c)"),
+        _fault("D13", "abc", _triple(ab_ba=3.0), None,
+               "triangle inequality fails: d(a,b) > d(a,c) + d(c,b)"),
     ])
     def test_single_fault(self, labels, D, omega, message):
         with pytest.raises(ValidationError) as exc:
@@ -107,18 +119,21 @@ class TestValidationMessages:
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("labels, D, omega, message", [
-        ("aa", np.zeros((2, 3)), None, "point labels must be unique"),
-        ("ab", np.full((2, 3), np.nan), None, "distance matrix shape (2, 3) does not match 2 labels"),
-        ("abc", _triple(ab=np.nan, bc_cb=-0.5), None, "distance matrix contains NaN"),
-        ("abc", _triple(ab=INF, bc_cb=-0.5), None, "negative distance at (b, c)"),
-        ("abc", _triple(ab=-INF), None, "negative distance at (a, b)"),
-        ("abc", _triple(ab=INF, bc=1.5), None, "infinity pattern is not symmetric"),
-        ("abc", _triple(ab=1.5, cc=0.5), None, "distance matrix is not symmetric"),
-        ("abc", _triple(cc=0.5), 7, "diagonal entries must vanish"),
-        ("abc", _triple(ab_ba=INF), 2, "omega must be at infinite distance from every other point"),
-        ("abc", _triple(ab_ba=INF, bc_cb=3.0), None, "infinite distance between finite points (a, b)"),
-        ("abc", _triple(ab_ba=-0.5, bc_cb=3.0), None, "negative distance at (a, b)"),
-        ("abc", _triple(ab=1.5, bc_cb=3.0), None, "distance matrix is not symmetric"),
+        _fault("D0", "aa", np.zeros((2, 3)), None, "point labels must be unique"),
+        _fault("D1", "ab", np.full((2, 3), np.nan), None,
+               "distance matrix shape (2, 3) does not match 2 labels"),
+        _fault("D2", "abc", _triple(ab=np.nan, bc_cb=-0.5), None, "distance matrix contains NaN"),
+        _fault("D3", "abc", _triple(ab=INF, bc_cb=-0.5), None, "negative distance at (b, c)"),
+        _fault("D4", "abc", _triple(ab=-INF), None, "negative distance at (a, b)"),
+        _fault("D5", "abc", _triple(ab=INF, bc=1.5), None, "infinity pattern is not symmetric"),
+        _fault("D6", "abc", _triple(ab=1.5, cc=0.5), None, "distance matrix is not symmetric"),
+        _fault("D7", "abc", _triple(cc=0.5), 7, "diagonal entries must vanish"),
+        _fault("D8", "abc", _triple(ab_ba=INF), 2,
+               "omega must be at infinite distance from every other point"),
+        _fault("D9", "abc", _triple(ab_ba=INF, bc_cb=3.0), None,
+               "infinite distance between finite points (a, b)"),
+        _fault("D10", "abc", _triple(ab_ba=-0.5, bc_cb=3.0), None, "negative distance at (a, b)"),
+        _fault("D11", "abc", _triple(ab=1.5, bc_cb=3.0), None, "distance matrix is not symmetric"),
     ])
     def test_first_fault_is_named(self, labels, D, omega, message):
         with pytest.raises(ValidationError) as exc:
@@ -942,6 +957,9 @@ class TestDecodedMatrixParity:
         "nested": [[0, [1]], [[1], 0]],
         "nested row": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]],
         "beyond the float range before nan": [[0, 2 ** 1100], ["nan", 0]],
+        "one unit": [[0, 1.0, 2.5], [1.0, 0, 2.0], [2.5, 2.0, 0]],
+        "true beside a unit": [[0, 1.0, 2.5], [1.0, 0, True], [2.5, True, 0]],
+        "true on the diagonal": [[True, 1.5], [1.5, 0]],
     }
 
     @pytest.mark.parametrize("name", list(CASES))
@@ -955,9 +973,24 @@ class TestDecodedMatrixParity:
     @pytest.mark.parametrize("name, fast", [("floats", True), ("all ints", True),
                                             ("all units", True),
                                             ("uint64 max", True), ("inf", True),
-                                            ("padded infinity", True), ("ragged", False)])
+                                            ("padded infinity", True), ("ragged", False),
+                                            ("one unit", True)])
     def test_one_conversion_for_plain_numbers(self, name, fast):
         assert (type(spaces._matrix_cells(self.CASES[name])) is np.ndarray) is fast
+
+    @pytest.mark.parametrize("cell", [True, False])
+    @pytest.mark.parametrize("row", [0, 17, 39])
+    def test_a_boolean_among_units_is_refused(self, cell, row):
+        # the rows with an off-diagonal 0 or 1 have their types read, the others not
+        D = np.abs(np.subtract.outer(np.arange(40.0), np.arange(40.0))) / 39.0 + 0.5
+        np.fill_diagonal(D, 0.0)
+        D[0, -1] = D[-1, 0] = 1.0
+        rows = D.tolist()
+        assert spaces._cells_array(rows).tobytes() == D.tobytes()
+        rows[row][(row + 5) % 40] = cell
+        assert spaces._cells_array(rows) is None
+        with pytest.raises(ValidationError, match=f"matrix cell {cell} is not a number or 'inf'"):
+            mg.space_from_json_dict({"points": [f"p{i}" for i in range(40)], "matrix": rows})
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(
