@@ -24,8 +24,8 @@ EXIT_PROPERTY = 2
 
 
 def _emit(data, path: str | None) -> None:
-    """Write a report dict as JSON, or the byte chunks of a distance matrix
-    or report; every chunk is ASCII."""
+    """Write a report dict as JSON, or the byte chunks of a distance matrix;
+    every chunk is ASCII."""
     if isinstance(data, dict):
         data = [(json.dumps(data, indent=2, sort_keys=True) + "\n").encode()]
     if path is not None:
@@ -36,14 +36,6 @@ def _emit(data, path: str | None) -> None:
         sys.stdout.buffer.writelines(data)
     else:  # a text stream alone, such as io.StringIO
         sys.stdout.writelines(chunk.decode("ascii") for chunk in data)
-
-
-def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = zip(*columns)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def cmd_check(args) -> int:
@@ -103,9 +95,9 @@ def cmd_segment(args) -> int:
             space = spaces._read_space(args.input, args.eps)
             curve = segments.curve_from_segment(space, _order_list(args.order))
         if args.csv:
-            _write_csv(args.csv, ["t", "a", "b", "alpha"],
-                       [curve.params, *curve.samples.T, segments.angle_parameterize(curve)])
-        _emit([spaces._report_bytes(segments.curve_to_json_dict(curve))], args.output)
+            spaces._write_csv(args.csv, ["t", "a", "b", "alpha"],
+                              [curve.params, *curve.samples.T, segments.angle_parameterize(curve)])
+        _emit(segments.curve_to_json_dict(curve), args.output)
         return EXIT_OK
     curve = segments.curve_from_json_dict(spaces._read_json(args.input), eps=args.eps)
     _emit(spaces.space_to_json_chunks(segments.segment_from_curve(curve)), args.output)
@@ -119,9 +111,8 @@ def cmd_circle(args) -> int:
             curve = circles.curve_from_circle(space, _order_list(args.order),
                                               minus_one=args.minus_one)
         if args.csv:
-            _write_csv(args.csv, ["t", "a", "b"],
-                       [curve.params, curve.samples[:, 0], curve.samples[:, 1]])
-        _emit([spaces._report_bytes(circles.curve_to_json_dict(curve))], args.output)
+            spaces._write_csv(args.csv, ["t", "a", "b"], [curve.params, *curve.samples.T])
+        _emit(circles.curve_to_json_dict(curve), args.output)
         return EXIT_OK
     curve = circles.curve_from_json_dict(spaces._read_json(args.input), eps=args.eps)
     _emit(spaces.space_to_json_chunks(circles.circle_from_curve(curve)), args.output)

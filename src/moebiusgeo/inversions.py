@@ -12,6 +12,7 @@ import functools
 import math
 import operator
 import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,11 +145,12 @@ def bound_at(space: ExtendedMetricSpace, o) -> ExtendedMetricSpace:
 
 @dataclass(init=False, repr=False, eq=False)
 class PointedCorrespondence(_Frozen):
-    """A label bijection between two spaces of equal cardinality; immutable."""
+    """A label bijection between two spaces of equal cardinality; immutable,
+    with ``mapping`` a read-only copy of the given dict."""
 
     source: ExtendedMetricSpace
     target: ExtendedMetricSpace
-    mapping: dict[str, str]
+    mapping: types.MappingProxyType
 
     def __init__(self, source, target, mapping):
         src = set(source.labels)
@@ -160,7 +162,8 @@ class PointedCorrespondence(_Frozen):
             raise ValidationError("mapping must be injective into the target labels")
         if len(src) != len(tgt):
             raise ValidationError("source and target cardinality differ")
-        vars(self).update(source=source, target=target, mapping=mapping)
+        vars(self).update(source=source, target=target,
+                          mapping=types.MappingProxyType(dict(mapping)))
 
     @classmethod
     def identity(cls, source: ExtendedMetricSpace,
@@ -170,7 +173,7 @@ class PointedCorrespondence(_Frozen):
             return cls(source, target, mapping)  # the checks word the failure
         # equal tuples of unique labels: the mapping is a bijection as built
         corr = cls.__new__(cls)
-        vars(corr).update(source=source, target=target, mapping=mapping)
+        vars(corr).update(source=source, target=target, mapping=types.MappingProxyType(mapping))
         return corr
 
     def is_identity(self) -> bool:

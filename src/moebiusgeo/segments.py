@@ -301,7 +301,8 @@ def segment_from_curve(curve: QuadrantCurve) -> ExtendedMetricSpace:
 
 
 def _ordered(space: ExtendedMetricSpace, order, shape: str, least: str, min_n: int):
-    """Point indices in ``order`` (default: label order) and the reordered matrix."""
+    """Point indices in ``order`` (default: label order) and the reordered
+    matrix, which is the read-only ``space.dist`` itself in label order."""
     if space.omega is not None:
         raise ValueError(f"{shape} classification requires a finite space")
     idx = [space.index(x) for x in (order if order is not None else space.labels)]
@@ -309,6 +310,8 @@ def _ordered(space: ExtendedMetricSpace, order, shape: str, least: str, min_n: i
         raise ValueError("order must list every point exactly once")
     if len(idx) < min_n:
         raise ValueError(f"a {shape} needs at least {least} points")
+    if idx == list(range(space.n)):
+        return idx, space.dist
     return idx, space.dist.take(idx, 0).take(idx, 1)
 
 

@@ -823,32 +823,13 @@ def space_to_json_chunks(space: ExtendedMetricSpace):
            f'  "points": [\n    {points}\n  ]\n}}\n').encode()
 
 
-def _orjson_alike(value) -> bool:
-    """Whether orjson writes ``value`` in the characters of ``json.dumps``:
-    a float that is 0 or inside ``_ORJSON_REPR_RANGE``, a string of
-    printable ASCII (``json.dumps`` escapes every other character, orjson
-    only some), None, a boolean, or a list or string-keyed dict of these."""
-    kind = type(value)
-    if kind is float:
-        return value == 0.0 or _ORJSON_REPR_RANGE[0] <= abs(value) < _ORJSON_REPR_RANGE[1]
-    if kind is list:
-        return all(map(_orjson_alike, value))
-    if kind is dict:
-        return (all(type(key) is str and _orjson_alike(key) for key in value)
-                and all(map(_orjson_alike, value.values())))
-    if kind is str:
-        return value.isascii() and value.isprintable()
-    return value is None or kind is bool
-
-
-def _report_bytes(data: dict) -> bytes:
-    r"""The bytes of ``json.dumps(data, indent=2, sort_keys=True) + "\n"``,
-    written by orjson where it writes the same characters (``_orjson_alike``)."""
-    if _orjson_alike(data):
-        import orjson
-
-        return orjson.dumps(data, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS) + b"\n"
-    return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
+def _write_csv(path: str, header: list[str], columns) -> None:
+    """A sample table for external plotting: the header, then one line per
+    row of the columns, each value written with ``.17g``."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 _PLAIN_NUMBERS = frozenset({float, int})

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spaces import DEFAULT_EPS, ExtendedMetricSpace, _Record, space_from_points
+from .spaces import DEFAULT_EPS, ExtendedMetricSpace, _Record, _write_csv, space_from_points
 
 UNIT_TOL = 1e-12
 
@@ -86,10 +86,7 @@ class SampledCircle(_Record):
         """Sample table (theta, x0, x1, ...) for external plotting."""
         m, k = self.points.shape
         theta = 2.0 * np.pi * np.arange(m) / m
-        with open(path, "w") as fh:
-            fh.write("theta," + ",".join(f"x{i}" for i in range(k)) + "\n")
-            for ang, row in zip(theta, self.points):
-                fh.write(",".join(f"{v:.17g}" for v in (ang, *row)) + "\n")
+        _write_csv(path, ["theta", *(f"x{i}" for i in range(k))], [theta, *self.points.T])
 
 
 def circumcircle_three(x1, x2, x3, n_samples: int = 24) -> SampledCircle:

@@ -250,3 +250,11 @@ def per_cell(rows):
     """The matrix read cell by cell, as every decoded matrix was read before
     the one-conversion path of ``spaces._cells_array``."""
     return [list(map(_parse_cell, row)) for row in rows]
+
+
+def csv_bytes(header, columns) -> bytes:
+    """The sample table of a header and columns: one line per row, each value
+    written with ``%.17g``, every line ending in a newline."""
+    lines = [",".join(header)]
+    lines += [",".join("%.17g" % v for v in row) for row in zip(*columns)]
+    return "".join(line + "\n" for line in lines).encode()

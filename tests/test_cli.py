@@ -20,7 +20,7 @@ from moebiusgeo import cli, spaces
 from moebiusgeo.cli import main
 from moebiusgeo.errors import NotPtolemyError, ValidationError
 
-from helpers import per_cell
+from helpers import csv_bytes, per_cell
 
 
 @pytest.fixture()
@@ -193,6 +193,24 @@ class TestSegmentCircleCommands:
         assert data["kind"] == "circle"
         assert np.abs(np.asarray(data["samples"]) - curve.samples).max() <= 1e-12
         assert csv.read_text().splitlines()[0] == "t,a,b"
+
+    @pytest.mark.parametrize("kind", ["segment", "circle"])
+    def test_classify_csv_bytes(self, kind, tmp_path):
+        # the table holds the report's samples, their parameters and, for a
+        # segment, their angles, each value written with %.17g
+        curve = (mg.euclidean_segment_curve(1.0, 0.8, "minor", 9) if kind == "segment"
+                 else mg.chordal_circle_curve(2.0, 12))
+        mf, out, csv = tmp_path / "matrix.json", tmp_path / "curve.json", tmp_path / "curve.csv"
+        mf.write_text(json.dumps(mg.space_to_json_dict(
+            mg.segment_from_curve(curve) if kind == "segment" else mg.circle_from_curve(curve))))
+        assert main([kind, "classify", str(mf), "--output", str(out), "--csv", str(csv)]) == 0
+        samples = np.array(json.loads(out.read_text())["samples"])
+        params = np.linspace(0.0, 1.0 if kind == "segment" else 2.0, len(samples))
+        header, columns = ["t", "a", "b"], [params, samples[:, 0], samples[:, 1]]
+        if kind == "segment":
+            header.append("alpha")
+            columns.append(np.arctan2(samples[:, 1], samples[:, 0]))
+        assert csv.read_bytes() == csv_bytes(header, columns)
 
     def test_segment_synth_rejects_circle_curve(self, tmp_path):
         from moebiusgeo.circles import curve_to_json_dict
@@ -535,11 +553,11 @@ class TestOutputBytes:
             "exotic": ["exotic", "--l", "1", "--angles", "6"],
         }[name]
 
-    # and how many times the command calls orjson.dumps: once for a matrix or
-    # a classify report that orjson writes, none where json.dumps writes it
+    # and how many times the command calls orjson.dumps: once for a matrix
+    # that orjson writes, none where json.dumps writes it, as for every report
     @pytest.mark.parametrize("name, dumps", [
         ("invert", 1), ("check", 0), ("segment_synth", 1), ("circle_synth", 1), ("sphere", None),
-        ("segment_classify", 1), ("segment_classify_short_edge", 0), ("circle_classify", 1),
+        ("segment_classify", 0), ("segment_classify_short_edge", 0), ("circle_classify", 0),
         ("map_segment", 0), ("map_circle", 0), ("exotic", 0),
     ])
     def test_file_and_stdout(self, name, dumps, tmp_path, capsysbinary, monkeypatch):
@@ -674,7 +692,8 @@ class TestJsonReader:
         assert main(["check", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["worst_quadruple"][0] == "1" * 30
 
-    @pytest.mark.parametrize("command", [["check"], ["segment", "classify"]])
+    @pytest.mark.parametrize("command", [["check"], ["segment", "classify"]],
+                             ids=["command0", "command1"])
     @pytest.mark.parametrize("name", sorted(MATRIX_FILES))
     def test_commands_answer_as_with_the_stdlib(self, name, command, tmp_path, capsysbinary,
                                                 monkeypatch):
@@ -804,7 +823,7 @@ class TestUsageErrors:
         assert code == 1 and "Traceback" not in err
         assert err.splitlines()[-1].startswith(message)
 
-    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]], ids=["argv0", "argv1"])
     def test_help_exits_zero(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

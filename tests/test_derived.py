@@ -262,7 +262,7 @@ class TestDerivedInvariants:
     @pytest.mark.parametrize("build, curve", [
         (mg.segment_from_curve, mg.euclidean_segment_curve(1.0, 0.8, "minor", 33)),
         (mg.circle_from_curve, mg.chordal_circle_curve(2.0, 32)),
-    ])
+    ], ids=["segment_from_curve-curve0", "circle_from_curve-curve1"])
     def test_curve_proof_clears_the_pass(self, build, curve, monkeypatch):
         passes = []
         check = spaces._check_triangle

@@ -256,7 +256,9 @@ class TestCrtEquivalence:
         (("p0", "p1", "p2", "x"), "mapping must be injective into the target labels"),
         (("p0", "p1", "p2"), "mapping must be injective into the target labels"),
         (("p0", "p1", "p3", "p2", "p4"), "source and target cardinality differ"),
-    ])
+    ], ids=["labels0-mapping must be injective into the target labels",
+            "labels1-mapping must be injective into the target labels",
+            "labels2-source and target cardinality differ"])
     def test_identity_of_other_labels_is_checked(self, labels, message):
         sp = mg.space_from_points(np.arange(4.0)[:, None])
         other = mg.ExtendedMetricSpace(labels, np.abs(np.subtract.outer(
@@ -275,6 +277,20 @@ class TestCrtEquivalence:
             assert (fast.source, fast.target, fast.mapping) == (
                 checked.source, checked.target, checked.mapping)
             assert mg.crt_equivalent(fast) == mg.crt_equivalent(checked)
+
+    def test_mapping_is_a_read_only_copy(self):
+        # the caller's dict, edited after construction, made target_indices
+        # [0 0 2 3] and still got a verdict
+        sp = random_ptolemy_space(np.random.default_rng(11))
+        given = {lab: lab for lab in sp.labels}
+        corr = mg.PointedCorrespondence(sp, sp, given)
+        before = (corr.target_indices().tolist(), mg.crt_equivalent(corr))
+        given["p1"] = "p0"
+        assert (corr.target_indices().tolist(), mg.crt_equivalent(corr)) == before
+        for c in (corr, mg.PointedCorrespondence.identity(sp, sp)):
+            with pytest.raises(TypeError):
+                c.mapping["p1"] = "p0"
+            assert c.target_indices().tolist() == list(range(sp.n))
 
     def test_cardinality_mismatch(self):
         sp = random_ptolemy_space(np.random.default_rng(7))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moebiusgeo as mg
-from moebiusgeo import spaces
+from moebiusgeo import segments, spaces
 from moebiusgeo.errors import NotPtolemyError, ValidationError
 
 from helpers import (chord_metric_oracle, ordered_quads, ptolemy_equality_residuals,
@@ -378,6 +378,38 @@ class TestCurveFromSegment:
         with pytest.raises(ValueError):
             mg.curve_from_segment(sp)
 
+    @pytest.mark.parametrize("kind", ["segment", "circle", "fortran", "non_segment"])
+    def test_label_order_reads_the_matrix_as_a_reordering_does(self, kind, monkeypatch):
+        # in label order the recovery reads the space's own matrix; listed in
+        # another order, the same points are gathered into a new one: both
+        # give the same samples, residuals and errors, bit for bit
+        if kind == "circle":
+            sp = mg.circle_from_curve(mg.chordal_circle_curve(2.0, 12))
+            recover = mg.curve_from_circle
+        else:
+            sp = mg.segment_from_curve(mg.euclidean_segment_curve(1.0, 0.8, "minor", 9))
+            recover = mg.curve_from_segment
+        D = sp.dist.copy()
+        if kind == "non_segment":
+            D[2, 3] = D[3, 2] = D[2, 3] * 1.01
+        if kind in ("fortran", "non_segment"):
+            sp = mg.ExtendedMetricSpace._derived(sp.labels, np.asfortranarray(D), None, sp.eps)
+            assert sp.dist.flags.f_contiguous
+        perm = np.random.default_rng(5).permutation(sp.n)
+        shuffled = mg.ExtendedMetricSpace._derived(
+            tuple(sp.labels[i] for i in perm), sp.dist.take(perm, 0).take(perm, 1), None, sp.eps)
+        residuals, check = [], segments._check_area_form
+        monkeypatch.setattr(segments, "_check_area_form",
+                            lambda *a: residuals.append(check(*a)) or residuals[-1])
+        outcomes = []
+        for space, order in ((sp, None), (sp, list(sp.labels)), (shuffled, list(sp.labels))):
+            try:
+                curve = recover(space, order)
+                outcomes.append((curve.R.hex(), curve.samples.tobytes(), residuals.pop().hex()))
+            except NotPtolemyError as exc:
+                outcomes.append((str(exc), exc.witness, exc.residual.hex()))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
 
 class TestEuclideanFamily:
     def test_halfcircle_equation(self):
@@ -409,7 +441,8 @@ class TestEuclideanFamily:
             mg.euclidean_segment_curve(1.0, 0.49)
 
     @pytest.mark.parametrize("args, message", [((1.0, 0.1), "at least R/2"),
-                                               ((1.0, 1.0, "bogus"), "branch")])
+                                               ((1.0, 1.0, "bogus"), "branch")],
+                             ids=["args0-at least R/2", "args1-branch"])
     def test_cos_beta_rejects_what_the_curve_rejects(self, args, message):
         for build in (mg.euclidean_segment_curve, mg.ellipse_cos_beta):
             with pytest.raises(ValueError, match=message):

@@ -261,7 +261,7 @@ class TestValidationReference:
         (np.array([[0.0, 2.0 + 1e-9], [2.0, 0.0]]), None),
         (np.array([[-0.0, -0.0], [-0.0, -0.0]]), None),
         (np.array([[0.0, INF], [INF, 0.0]]), 1),
-    ])
+    ], ids=["D0-None", "D1-2", "D2-None", "D3-None", "D4-None", "D5-1"])
     def test_stored_scale_edges(self, D, omega):
         assert_matches_reference(tuple("abc"[:len(D)]), D, omega)
 
@@ -271,7 +271,7 @@ class TestValidationReference:
     @pytest.mark.parametrize("D, omega", [
         (np.array([[0.0, 1.0, -INF], [1.0, 0.0, INF], [INF, INF, 0.0]]), 2),
         (np.array([[0.0, 3.0, 1.0], [3.0, 0.0, 1.0], [1.0, 1.0, 0.0]]), None),
-    ])
+    ], ids=["D0-2", "D1-None"])
     def test_non_finite_eps_rejected(self, D, omega, eps):
         with pytest.raises(ValidationError, match=f"^eps must be finite and nonnegative, not {eps}$"):
             mg.ExtendedMetricSpace(tuple("abc"[:len(D)]), D, omega, eps=eps)
@@ -619,7 +619,7 @@ class TestKernelReference:
         # (p0, p1, p2, p5) with the remote point p5 last ties the first worst
         # subset (p0, p1, p3, p4) and comes before it in lexicographic order
         ([(0, 1), (1, 1), (1, 0), (2, 2), (1, 2)], 5),
-    ])
+    ], ids=["points0-None", "points1-0", "points2-5"])
     def test_ties_of_l1_points(self, points, omega):
         P = np.array(points, dtype=float)
         sp = with_remote(np.abs(P[:, None] - P[None]).sum(-1), omega)
@@ -887,7 +887,7 @@ class TestJson:
             mg.space_from_json_dict({"points": ["a", "b"], "omega": None,
                                      "matrix": [[0, "nan"], ["nan", 0]]})
 
-    @pytest.mark.parametrize("points", ["abc", {"a": 0, "b": 1, "c": 2}])
+    @pytest.mark.parametrize("points", ["abc", {"a": 0, "b": 1, "c": 2}], ids=["abc", "points1"])
     def test_points_not_a_list_rejected(self, points):
         # a string and an object iterate to the labels a, b, c, which were accepted
         with pytest.raises(ValidationError, match="points must be a list"):
@@ -895,13 +895,14 @@ class TestJson:
                                      "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]})
 
     @pytest.mark.parametrize("matrix, message", [
-        ({"a": 1}, "matrix must be a list, not dict"),
-        ("abc", "matrix must be a list, not str"),
-        ([[0, 1], {"a": 1}], "matrix row 1 must be a list, not dict"),
-        ([[0, 1], "ab"], "matrix row 1 must be a list, not str"),
-        # an earlier bad cell is named first
-        ([[0, "x"], "ab"], "matrix cell 'x' is not a number or 'inf'"),
-    ])
+        pytest.param(matrix, message, id=f"{key}-{message}") for key, matrix, message in [
+            ("matrix0", {"a": 1}, "matrix must be a list, not dict"),
+            ("abc", "abc", "matrix must be a list, not str"),
+            ("matrix2", [[0, 1], {"a": 1}], "matrix row 1 must be a list, not dict"),
+            ("matrix3", [[0, 1], "ab"], "matrix row 1 must be a list, not str"),
+            # an earlier bad cell is named first
+            ("matrix4", [[0, "x"], "ab"], "matrix cell 'x' is not a number or 'inf'"),
+        ]])
     def test_matrix_not_a_list_rejected(self, matrix, message):
         # an object or a string iterates to keys or characters, which were read as cells
         with pytest.raises(ValidationError, match=message):
@@ -1069,7 +1070,7 @@ class TestJsonChunks:
         (["omega", '"q"', "b\\", "\u00e9"], [0.0, 1e-300, 5e-324, 1e16], 0),
         (["a", "b", "c"], [0.1, 1e16, 5e-324], 2),
         (["a", "b", "c"], [0.1, 1e-300, 1.0], None),
-    ])
+    ], ids=["labels0-x0-None", "labels1-x1-0", "labels2-x2-0", "labels3-x3-2", "labels4-x4-None"])
     def test_edge_cases(self, labels, x, omega):
         space = max_metric_space(labels, np.array(x), omega)
         assert b"".join(mg.space_to_json_chunks(space)) == reference_text(space).encode()
@@ -1093,7 +1094,7 @@ class TestJsonChunks:
         ([0.0, np.nextafter(LO, 0.0), 1.0, 1.0], False),
         ([0.0, 1.0, HI, 1.0], False),
         ([0.0, 1.0, 5e-324, 1.0], False),
-    ])
+    ], ids=["x0-True", "x1-True", "x2-False", "x3-False", "x4-False"])
     def test_orjson_writes_inside_its_range_only(self, x, fast, monkeypatch):
         import orjson
         calls = []
@@ -1108,29 +1109,6 @@ class TestJsonChunks:
         D = np.asfortranarray([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
         space = mg.ExtendedMetricSpace._derived(("a", "b", "c"), D, None, 1e-9)
         assert b"".join(mg.space_to_json_chunks(space)) == reference_text(space).encode()
-
-
-class TestReportBytes:
-    """orjson writes a report only where its text is that of json.dumps."""
-
-    @pytest.mark.parametrize("value", [
-        0.0, -0.0, LO, -LO, float(np.nextafter(LO, 0.0)), float(np.nextafter(HI, 0.0)), HI, 5e-324,
-        1.5, -2.25, INF, -INF, math.nan, 0, -(2 ** 63), 2 ** 64 - 1, 2 ** 64, -(2 ** 63) - 1,
-        True, False, None, "", "kind", "\u00e9", "\x7f", "\x00", "a\nb", '"\\', [], {}, [[]],
-        [1.0, [2.0, {"b": 3e-5}]], {"b": 1, "a": [0.5, "x"]}, {1: 2.0}, {"\u00e9": 1.0},
-    ], ids=repr)
-    def test_equals_json_dumps(self, value):
-        data = {"value": value, "R": 1.0, "samples": [[1.0, 0.0], [0.0, 1.0]]}
-        assert spaces._report_bytes(data) == (
-            json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
-
-    @pytest.mark.parametrize("value, alike", [
-        (1e-4, True), (9.999999999999999e-05, False), (1e16, False), (1e300, False),
-        (2 ** 64 - 1, False), ("kind", True), ("\u00e9", False), ("\x7f", False), ({1: 2.0}, False),
-        (None, True), ([[0.0, -0.5]], True),
-    ], ids=repr)
-    def test_orjson_writes_inside_its_range_only(self, value, alike):
-        assert spaces._orjson_alike({"value": value}) is alike
 
 
 def same_objects(a, b) -> bool:

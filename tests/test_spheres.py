@@ -7,7 +7,7 @@ import pytest
 import moebiusgeo as mg
 from moebiusgeo.errors import ValidationError
 
-from helpers import ordered_quads, ptolemy_equality_residuals
+from helpers import csv_bytes, ordered_quads, ptolemy_equality_residuals
 
 
 def unit(v):
@@ -142,6 +142,20 @@ class TestCircumcircle:
         lines = path.read_text().splitlines()
         assert lines[0] == "theta,x0,x1"
         assert len(lines) == 9
+
+    @pytest.mark.parametrize("points, n_samples", [
+        (((0, 0), (1, 0), (0, 1)), 8),
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1)), 5),
+        (((0.0, 1e-7, 3.0), (2.5e6, 0.0, 1.0), (-1.0, 7.0, 0.125)), 3),
+    ], ids=["plane", "space", "wide_range"])
+    def test_write_csv_bytes(self, points, n_samples, tmp_path):
+        circ = mg.circumcircle_three(*points, n_samples=n_samples)
+        path = tmp_path / "circle.csv"
+        circ.write_csv(str(path))
+        m, k = circ.points.shape
+        theta = 2.0 * np.pi * np.arange(m) / m
+        assert path.read_bytes() == csv_bytes(["theta", *(f"x{i}" for i in range(k))],
+                                              [theta, *circ.points.T])
 
     def test_coincident_rejected(self):
         with pytest.raises(ValidationError, match="coincide"):
