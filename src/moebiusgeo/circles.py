@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .spaces import DEFAULT_EPS, ExtendedMetricSpace, _Frozen, _Record, _Value
-from .segments import (_PlanarCurve, _anchor_simplex, _anchor_triple, _check_convex,
-                       _curve_from_json, _curve_space, _curve_to_json, _map_onto, _ordered,
+from .segments import (_PlanarCurve, _anchor_triple, _check_convex, _curve_from_json,
+                       _curve_space, _curve_to_json, _loop_positions, _map_onto, _ordered,
                        _recover)
 
 
@@ -157,16 +157,6 @@ def curve_from_circle(space: ExtendedMetricSpace, order=None, minus_one=None) ->
         raise ValueError("the second base point must differ from the first")
     return _recover(HalfplaneCurve, space, idx, D, k, "base points coincide",
                     "cyclic Ptolemy equality fails around")
-
-
-def _loop_positions(D: np.ndarray, i1: int, i2: int, i3: int) -> np.ndarray:
-    """Position in [0, 1.5) along the full boundary loop through the three
-    corner triples, starting at the image of the first anchor."""
-    N = _anchor_simplex(D, i1, i2, i3)
-    imax = np.argmax(N, axis=1)
-    s = np.where(imax == 2, N[:, 0], np.where(imax == 0, 0.5 + N[:, 1], 1.0 + N[:, 2]))
-    s[i1] = 0.0
-    return s
 
 
 @dataclass(init=False, repr=False, eq=False)

@@ -428,25 +428,23 @@ def _anchor_triple(space: ExtendedMetricSpace, anchors) -> list[int]:
     return pos
 
 
-def _anchor_simplex(D: np.ndarray, i1: int, i2: int, i3: int) -> np.ndarray:
-    """Normalized cross-ratio products of every point against the anchor triple."""
-    P = np.column_stack([D[:, i1] * D[i2, i3], D[:, i2] * D[i1, i3], D[:, i3] * D[i1, i2]])
+def _loop_positions(D: np.ndarray, i1: int, i2: int, i3: int) -> np.ndarray:
+    """Position in [0, 1.5) along the boundary loop through the three corner
+    triples, starting at the image of the first anchor; a segment with ends
+    x1 and x3 fills the first two edges.  A power of two takes the largest
+    anchor-column entry into [1/2, 1), as ``spaces._unit_remote`` does, so
+    the cross-ratio products neither overflow nor underflow."""
+    C = D[:, [i1, i2, i3]]
+    C = np.ldexp(C, -math.frexp(float(C.max()))[1])
+    P = C * C[[i2, i1, i1], [2, 2, 1]]  # d(x,x1) d(x2,x3), d(x,x2) d(x1,x3), d(x,x3) d(x1,x2)
     T = P.sum(axis=1)
     if (T <= 0).any():
         raise ValidationError("degenerate anchors: cross-ratio products vanish")
-    return P / T[:, None]
-
-
-def _segment_path_positions(D: np.ndarray, i1: int, i2: int, i3: int) -> np.ndarray:
-    """Position in [0, 1] along the boundary path through the corner triples.
-
-    On the first edge (third entry maximal) the position is the first
-    normalized entry; on the second edge (first entry maximal) it is 1/2
-    plus the second.  Both edges have equal length, so this coordinate is
-    proportional to arc length.
-    """
-    N = _anchor_simplex(D, i1, i2, i3)
-    return np.where(N[:, 2] >= N[:, 0], N[:, 0], 0.5 + N[:, 1])
+    N = P / T[:, None]
+    imax = np.argmax(N, axis=1)
+    s = np.where(imax == 2, N[:, 0], np.where(imax == 0, 0.5 + N[:, 1], 1.0 + N[:, 2]))
+    s[i1] = 0.0
+    return s
 
 
 def _map_onto(s: np.ndarray, xp: np.ndarray, params: np.ndarray, samples: np.ndarray,
@@ -490,9 +488,9 @@ def segment_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
     Both segments run in label order.  Anchors are triples (x1, x2, x3): x1
     and x3 the two boundary points in either orientation, x2 interior.
     Every source sample is sent to the destination parameter whose
-    boundary-path position matches, by monotone piecewise-linear inversion
-    (``_map_onto``, shared with circles), which also compares the
-    cross-ratio triples of all mapped 4-subsets against the source.
+    boundary-loop position (``_loop_positions``) matches, by monotone
+    piecewise-linear inversion (``_map_onto``); circles share both, and the
+    second also compares all mapped 4-subset cross-ratio triples.
     """
     src_curve = curve_from_segment(src_space)
     dst_curve = curve_from_segment(dst_space)
@@ -503,8 +501,8 @@ def segment_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
             raise ValueError("x1 and x3 must be the two boundary points")
         return pos
 
-    s_src = _segment_path_positions(src_space.dist, *anchor_positions(src_space, src_anchors))
-    s_dst = _segment_path_positions(dst_space.dist, *anchor_positions(dst_space, dst_anchors))
+    s_src = _loop_positions(src_space.dist, *anchor_positions(src_space, src_anchors))
+    s_dst = _loop_positions(dst_space.dist, *anchor_positions(dst_space, dst_anchors))
 
     o = slice(None, None, 1 if s_dst[-1] > s_dst[0] else -1)  # the destination, increasing
     xp = s_dst[o]

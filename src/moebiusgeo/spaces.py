@@ -757,8 +757,8 @@ def line_embed(space: ExtendedMetricSpace) -> np.ndarray | None:
         return np.zeros(1)
     tol = space.tol
     anchor = int(np.argmax(D[0]))
-    if D[0, anchor] <= tol:
-        return np.zeros(space.n) if D.max() <= tol else None
+    if D[0, anchor] <= tol and D.max() <= tol:
+        return np.zeros(space.n)
     c, to_anchor = D[0, anchor], D[:, anchor]
     with np.errstate(over="ignore"):  # a gap that overflows to inf embeds nothing
         coords = np.where(np.abs(np.abs(D[0] - c) - to_anchor)

@@ -100,20 +100,24 @@ def circumcircle_three(x1, x2, x3, n_samples: int = 24) -> SampledCircle:
     pts = [np.asarray(p, dtype=float) for p in (x1, x2, x3)]
     if len({p.shape for p in pts}) != 1 or pts[0].ndim != 1 or len(pts[0]) < 2:
         raise ValidationError("inputs must be three vectors of a common dimension >= 2")
-    p1, p2, p3 = pts
+    # a power of two scales the largest coordinate into [1/2, 1) (below, if it
+    # is subnormal: 2^-e stays finite), so no norm overflows; exactly undone below
+    e = max(math.frexp(max(float(np.abs(p).max()) for p in pts))[1], -1021)
+    p1, p2, p3 = (np.ldexp(p, -e) for p in pts)
     v1 = p2 - p1
     v2 = p3 - p1
-    scale = max(np.linalg.norm(v1), np.linalg.norm(v2))
-    if min(np.linalg.norm(v1), np.linalg.norm(v2), np.linalg.norm(p3 - p2)) <= 1e-12 * max(scale, 1.0):
+    n1, n2 = np.linalg.norm(v1), np.linalg.norm(v2)
+    floor = 1e-12 * max(n1, n2, math.ldexp(1.0, -e))  # 1e-12 * max(scale, 1) unscaled
+    if min(n1, n2, np.linalg.norm(p3 - p2)) <= floor:
         raise ValidationError("points coincide")
-    e1 = v1 / np.linalg.norm(v1)
+    e1 = v1 / n1
     f = v2 - (v2 @ e1) * e1
-    if np.linalg.norm(f) <= 1e-12 * max(scale, 1.0):
+    cy = np.linalg.norm(f)
+    if cy <= floor:
         raise ValidationError("points are collinear")
-    e2 = f / np.linalg.norm(f)
-    bx = np.linalg.norm(v1)
-    cx, cy = v2 @ e1, np.linalg.norm(f)
-    ux = bx / 2.0
+    e2 = f / cy
+    cx = v2 @ e1
+    ux = n1 / 2.0
     uy = (cx * cx + cy * cy - 2.0 * ux * cx) / (2.0 * cy)
     radius = math.hypot(ux, uy)
     center = p1 + ux * e1 + uy * e2
@@ -122,7 +126,8 @@ def circumcircle_three(x1, x2, x3, n_samples: int = 24) -> SampledCircle:
     w_dir = -u2d[1] * e1 + u2d[0] * e2
     theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
     points = center + radius * (np.cos(theta)[:, None] * u_dir + np.sin(theta)[:, None] * w_dir)
-    return SampledCircle(center, float(radius), np.vstack([e1, e2]), points)
+    return SampledCircle(np.ldexp(center, e), math.ldexp(radius, e), np.vstack([e1, e2]),
+                         np.ldexp(points, e))
 
 
 def _unit_rows(rng, count: int, dim: int) -> np.ndarray:

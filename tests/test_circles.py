@@ -32,6 +32,10 @@ class TestSector:
         with pytest.raises(ValidationError):
             mg.SectorRegion(2.0, (1, 0))
 
+    def test_zero_direction(self):
+        with pytest.raises(ValidationError, match="sector direction must be a nonzero vector"):
+            mg.SectorRegion(2.0, (0, 0))
+
     def test_tilted_direction(self):
         s = mg.SectorRegion(1.0, (1, 1))
         assert mg.sector_contains(s, (1.5, 1.0)).region == "inside"
@@ -75,8 +79,18 @@ class TestHalfplaneCurveValidation:
         with pytest.raises(ValidationError, match="no sector direction"):
             mg.HalfplaneCurve(1.0, [(1, 0), (3, 2), (0.9, 2), (-1, 0)])
 
+    def test_sector_witness_without_an_interior_sample(self):
+        # no sample lies above eps * R, so nothing bounds the direction: vertical
+        curve = mg.HalfplaneCurve(1.0, [[1, 0], [0, 1e-12], [-1, 0]])
+        assert np.array_equal(curve.sector_witness, [0.0, 1.0])
+
 
 class TestChordalCircle:
+    @pytest.mark.parametrize("R", [0.0, -1.0])
+    def test_positive_diameter_required(self, R):
+        with pytest.raises(ValueError, match="R must be positive"):
+            mg.chordal_circle_curve(R, 8)
+
     def test_distance_formula_exact(self):
         curve = mg.chordal_circle_curve(2.0, 24)
         sp = mg.circle_from_curve(curve)

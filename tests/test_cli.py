@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moebiusgeo as mg
-from moebiusgeo import cli, spaces
+from moebiusgeo import cli, inversions, spaces
 from moebiusgeo.cli import main
 from moebiusgeo.errors import NotPtolemyError, ValidationError
 
@@ -79,6 +79,16 @@ class TestCheck:
         coords = report["line_embedding"]["coordinates"]
         assert len(coords) == 3
 
+    def test_line_near_the_tolerance_embeds(self, tmp_path):
+        # b and c lie within tol = 1e-9 of a, yet 2e-9 apart: the line
+        # a = 0, b = 1e-9, c = -1e-9 used to be called not embeddable
+        D = np.array([[0.0, 1e-9, 1e-9], [1e-9, 0.0, 2e-9], [1e-9, 2e-9, 0.0]])
+        path = write_space(tmp_path / "line.json", D, ["a", "b", "c"])
+        out = tmp_path / "report.json"
+        assert main(["check", path, "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["line_embedding"] == {
+            "coordinates": [0.0, 1e-9, -1e-9], "embeddable": True}
+
     def test_menger_four_cycle_not_embeddable(self, tmp_path, capsys):
         # every triple is collinear, but the 4-cycle embeds in no line
         D = np.array([[0.0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
@@ -140,6 +150,15 @@ class TestInvert:
 
     def test_requires_a_point(self, line_file):
         assert main(["invert", line_file]) == 1
+
+    def test_failed_self_check_exits_two(self, sphere_file, monkeypatch, capsys):
+        # no input reaches this: an inversion keeps every cross-ratio triple
+        failed = inversions.EquivalenceReport(False, 0.25, ("p0", "p1", "p2", "p3"), 70, "scan",
+                                              None)
+        monkeypatch.setattr(inversions, "crt_equivalent", lambda corr, eps: failed)
+        assert main(["invert", sphere_file, "--at", "p0"]) == 2
+        assert capsys.readouterr().err == (
+            "crt self-check failed: deviation 2.500e-01 at ('p0', 'p1', 'p2', 'p3')\n")
 
 
 class TestSegmentCircleCommands:
@@ -293,6 +312,49 @@ class TestMap:
         assert data["max_crt_deviation"] <= 1e-9
         positions = [p["position"] for p in data["pairs"]]
         assert np.abs(np.asarray(positions) - np.linspace(0, 2, 13)[:-1]).max() <= 1e-9
+
+    def test_three_point_source_has_no_deviation(self, tmp_path, capsys):
+        curve = mg.QuadrantCurve(1.0, [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+        path = write_space(tmp_path / "m.json", mg.segment_from_curve(curve).dist)
+        assert main(["map", "segment", "--src", path, "--dst", path,
+                     "--src-anchors", "t0,t1,t2", "--dst-anchors", "t0,t1,t2"]) == 0
+        out = capsys.readouterr().out
+        assert '"max_crt_deviation": null' in out
+        assert [p["position"] for p in json.loads(out)["pairs"]] == [0.0, 0.5, 1.0]
+
+    @staticmethod
+    def close_pair(kind):
+        """Matrices with two points 2e-10 or less apart, clean and with one
+        distance moved within eps, which swaps their positions, and anchors."""
+        if kind == "segment":
+            x = np.array([0.0, 0.25, 0.5, 0.5 + 1e-10, 1.0])
+            clean = np.abs(np.subtract.outer(x, x))
+            moved, (i, j), f = clean.copy(), (1, 3), (0.25 - 1e-10) / 0.25
+            anchors = "t0,t1,t4"
+        else:
+            h = 2.0 ** -32
+            curve = mg.HalfplaneCurve(1.0, [(1, 0), (0.5, 0.75), (0.5 - h, 0.75), (-0.5, 0.75),
+                                            (-1, 0)])
+            clean = mg.circle_from_curve(curve).dist
+            moved, (i, j), f = clean.copy(), (0, 1), 1 + 9e-10
+            anchors = "t0,t1,t2"
+        moved[i, j] = moved[j, i] = clean[i, j] * f
+        return clean, moved, anchors
+
+    @pytest.mark.parametrize("kind, message", [
+        ("segment", "error: destination path positions are not monotone"),
+        ("circle", "error: destination loop positions are not monotone"),
+    ], ids=["segment", "circle"])
+    def test_destination_positions_not_monotone(self, kind, message, tmp_path):
+        clean, moved, anchors = self.close_pair(kind)
+        src = write_space(tmp_path / "src.json", clean)
+        dst = write_space(tmp_path / "dst.json", moved)
+        code, err = run(["map", kind, "--src", src, "--dst", dst,
+                         "--src-anchors", anchors, "--dst-anchors", anchors])
+        assert (code, err) == (1, message + "\n")
+        # the unmoved destination maps
+        assert run(["map", kind, "--src", src, "--dst", src,
+                    "--src-anchors", anchors, "--dst-anchors", anchors])[0] == 0
 
 
 def dented_curve() -> np.ndarray:
@@ -830,6 +892,23 @@ class TestUsageErrors:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: moebiusgeo")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["segment", "classify", "--order", "t0,t0,t1"],
+         "error: order must list every point exactly once"),
+        (["circle", "classify", "--minus-one", "t0"],
+         "error: the second base point must differ from the first"),
+    ], ids=["order-repeats-a-point", "minus-one-at-the-base"])
+    def test_classify_refusal(self, argv, message, tmp_path):
+        curve = mg.chordal_circle_curve(2.0, 4) if argv[0] == "circle" else mg.QuadrantCurve(
+            1.0, [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+        space = (mg.circle_from_curve if argv[0] == "circle" else mg.segment_from_curve)(curve)
+        path = write_space(tmp_path / "m.json", space.dist)
+        assert run([*argv, path]) == (1, message + "\n")
+
+    def test_l1_sample_of_three_points(self):
+        assert run(["sphere", "--kind", "l1", "--count", "3"]) == (
+            1, "error: l1 samples need at least four points for the square witness\n")
+
 
 class TestEntryPoint:
     """``console_main``, the installed script's entry, freezes the import-time
@@ -952,3 +1031,30 @@ class TestLargeAndSmallScales:
         out, err = capsys.readouterr()
         assert err == ""
         assert json.loads(out)["matrix"][1][2] == math.ldexp(2.0 / 3.0, -shift)
+
+    @pytest.mark.parametrize("kind, R, turns", [("segment", 2.0 ** -560, 1),
+                                                ("circle", 2.0 ** 521, 2)],
+                             ids=["segment-2^-560", "circle-2^521"])
+    def test_map_of_a_synthesized_curve(self, kind, R, turns, tmp_path, capsys):
+        # the cross-ratio products used to underflow at 2^-560 ("degenerate
+        # anchors") and overflow at 2^521 into NaN positions, written with exit 0
+        t = np.linspace(0.0, turns * np.pi / 2, 2 * turns + 1)
+        data = {"R": R, "samples": (R * np.column_stack([np.cos(t), np.sin(t)])).tolist()}
+        if kind == "circle":
+            data["kind"] = "circle"
+        curve, space = tmp_path / "curve.json", tmp_path / "m.json"
+        curve.write_text(json.dumps(data))
+        assert main([kind, "synth", str(curve), "--output", str(space)]) == 0
+        n = 3 if kind == "segment" else 4  # a circle's last sample repeats its first point
+        anchors = ",".join(f"t{i}" for i in range(3))
+        assert main(["map", kind, "--src", str(space), "--dst", str(space),
+                     "--src-anchors", anchors, "--dst-anchors", anchors]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+
+        def no_constant(name):
+            raise ValueError(f"{name} in the map")
+
+        pairs = json.loads(out, parse_constant=no_constant)["pairs"]
+        params = np.linspace(0.0, turns, 2 * turns + 1)[:n]  # the curve's own, t0 to t(n-1)
+        assert [p["position"] for p in pairs] == params.tolist()

@@ -149,6 +149,18 @@ class TestDistances:
         with pytest.raises(ValidationError):
             mg.bulk_point([1.0, 0.0, 0.0, 1.0])
 
+    def test_point_refusals(self):
+        with pytest.raises(ValidationError, match="rho must be nonnegative"):
+            mg.halfplane_point(-1.0, 0.0)
+        with pytest.raises(ValidationError, match="bulk points are hyperboloid 4-vectors"):
+            mg.bulk_point([0.0, 0.0, 1.0])
+
+    def test_seam_minimizer_needs_a_halfplane_and_a_bulk_point(self):
+        for x, y in [(mg.halfplane_point(1.0, 0.0), mg.halfplane_point(2.0, 0.5)),
+                     (mg.bulk_point([0.0, 0.0, 0.0, 1.0]), mg.bulk_point([0.0, 0.0, 0.0, 1.0]))]:
+            with pytest.raises(ValueError, match="seam crossings join a halfplane point"):
+                mg.seam_minimizer(CFG, x, y)
+
 
 class TestGromovProducts:
     def test_seam_endpoints_at_o(self):
@@ -248,6 +260,10 @@ class TestGromovProducts:
             mg.gromov_product(CFG, "o", BP.equator(0.0), BP.equator(-1e-300))
         with pytest.raises(ValueError, match="two distinct boundary points"):
             mg.exotic_report(CFG, [0.0, -1e-300, 1.0])
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValidationError, match="unknown boundary kind 'west'"):
+            BP("west")
 
     def test_halfplane_angle_range(self):
         with pytest.raises(ValidationError):

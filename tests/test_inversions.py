@@ -292,6 +292,11 @@ class TestCrtEquivalence:
                 c.mapping["p1"] = "p0"
             assert c.target_indices().tolist() == list(range(sp.n))
 
+    def test_three_points_refused(self):
+        sp = mg.space_from_points(np.array([[0.0], [1.0], [3.0]]))
+        with pytest.raises(ValueError, match="crt comparison needs at least four points"):
+            mg.crt_equivalent(mg.PointedCorrespondence.identity(sp, sp))
+
     def test_cardinality_mismatch(self):
         sp = random_ptolemy_space(np.random.default_rng(7))
         other = mg.space_from_points([(0, 0), (1, 0), (0, 1)])

@@ -531,6 +531,45 @@ class TestSegmentMoebiusMap:
                     mg.segment_moebius_map(sp, src, sp, dst)
 
 
+class TestMapsAtEveryScale:
+    """Both maps read positions through one rule, whose cross-ratio products
+    are taken at a power-of-two scale: a space scaled by 2^k maps as the
+    unscaled one does, with the points scaled by 2^k exactly."""
+
+    @staticmethod
+    def scaled_map(kind, k):
+        if kind == "segment":
+            space = mg.segment_from_curve(mg.euclidean_segment_curve(1.0, 0.8, n_samples=9))
+            build, src, dst = mg.segment_moebius_map, ("t0", "t4", "t8"), ("t8", "t3", "t0")
+        else:
+            space = mg.circle_from_curve(mg.chordal_circle_curve(1.0, 10))
+            build, src, dst = mg.circle_moebius_map, ("t0", "t2", "t5"), ("t3", "t1", "t8")
+        space = mg.ExtendedMetricSpace(space.labels, np.ldexp(space.dist, k))
+        return build(space, src, space, dst)
+
+    @pytest.mark.parametrize("kind", ["segment", "circle"])
+    @pytest.mark.parametrize("k", [-900, -560, 520, 900])
+    def test_equals_the_unscaled_map(self, kind, k):
+        # unscaled, the products used to underflow ("degenerate anchors") or
+        # overflow (a RuntimeWarning, or NaN positions from the circle map)
+        ref, m = self.scaled_map(kind, 0), self.scaled_map(kind, k)
+        assert np.array_equal(m.dst_params, ref.dst_params)
+        assert np.array_equal(m.dst_points, np.ldexp(ref.dst_points, k))
+        assert m.max_crt_deviation == ref.max_crt_deviation
+        assert m.witness == ref.witness
+        if kind == "circle":
+            assert np.array_equal(m.dst_positions, ref.dst_positions)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+    def test_a_segment_fills_the_first_two_edges(self, reverse):
+        # x1 at 0, x2 at 1/2 and x3 at 1, increasing in between
+        D = mg.segment_from_curve(mg.euclidean_segment_curve(1.0, 0.7, n_samples=17)).dist
+        i1, i3 = (16, 0) if reverse else (0, 16)
+        s = segments._loop_positions(D, i1, 5, i3)
+        assert (s[i1], s[5], s[i3]) == (0.0, 0.5, 1.0)
+        assert (np.diff(s[::-1] if reverse else s) > 0).all()
+
+
 class TestCurveJson:
     def test_roundtrip(self):
         from moebiusgeo.segments import curve_from_json_dict, curve_to_json_dict

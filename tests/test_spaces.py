@@ -69,6 +69,10 @@ class TestValidation:
         assert sp.labels[sp.omega] == "omega"
         assert np.isinf(sp.dist[0, 3])
 
+    def test_only_p_1_and_2(self):
+        with pytest.raises(ValueError, match="only p=1 and p=2 are supported"):
+            mg.space_from_points([[0.0], [1.0]], p=3.0)
+
 
 def _triple(**cells):
     """The equilateral space on a, b, c with the given cells changed, e.g.
@@ -379,6 +383,20 @@ class TestClassify:
     def test_equality_case_is_boundary(self):
         assert mg.CrossRatioTriple(0.5, 0.25, 0.25).region() == "boundary"
 
+    @pytest.mark.parametrize("entries, message", [
+        ((-0.1, 0.6, 0.5), "cross-ratio entries must be nonnegative: (-0.1, 0.6, 0.5)"),
+        ((0.5, 0.5, 0.5), "cross-ratio entries must sum to 1: (0.5, 0.5, 0.5)"),
+    ], ids=["negative", "sum"])
+    def test_entries_refused(self, entries, message):
+        with pytest.raises(ValidationError) as exc:
+            mg.CrossRatioTriple(*entries)
+        assert str(exc.value) == message
+
+    def test_a_quadruple_has_four_points(self):
+        sp = line_space_with_omega([0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="a quadruple needs exactly four points"):
+            mg.crt(sp, (0, 1, 2))
+
 
 class TestIsPtolemy:
     def test_five_ones_one_two(self):
@@ -493,6 +511,17 @@ class TestLineEmbed:
     def test_single_point(self):
         sp = mg.ExtendedMetricSpace(("a",), np.zeros((1, 1)))
         assert np.allclose(mg.line_embed(sp), [0.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=7), st.integers(-34, -27))
+    def test_a_line_near_the_tolerance_embeds(self, xs, k):
+        # the first point within tol of every other point no longer refuses the
+        # line when some other pair lies farther apart than tol
+        x = np.ldexp(np.array([0.0, *xs]), k)
+        sp = mg.space_from_points(x[:, None])
+        coords = mg.line_embed(sp)
+        assert coords is not None
+        assert np.abs(np.abs(np.subtract.outer(coords, coords)) - sp.dist).max() <= sp.tol
 
 
 def count_passes(monkeypatch) -> list[int]:
@@ -1191,6 +1220,13 @@ class TestLabelIndex:
         with pytest.raises(KeyError) as exc:
             sp.index("zz")
         assert exc.value.args == ("unknown point label 'zz'",)
+
+    @pytest.mark.parametrize("i", [3, -1])
+    def test_index_out_of_range(self, i):
+        sp = line_space_with_omega([0.0, 1.0])
+        with pytest.raises(KeyError) as exc:
+            sp.index(i)
+        assert exc.value.args == (f"point index {i} out of range",)
 
 
 def triangle_message(labels, i, j, k) -> str:

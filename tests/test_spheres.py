@@ -1,10 +1,13 @@
 """Sphere models: chordal metric, stereographic projection, circumcircles,
 sample corpora."""
 
+import math
+
 import numpy as np
 import pytest
 
 import moebiusgeo as mg
+from moebiusgeo import spheres
 from moebiusgeo.errors import ValidationError
 
 from helpers import csv_bytes, ordered_quads, ptolemy_equality_residuals
@@ -29,6 +32,11 @@ class TestChordalMetric:
         with pytest.raises(ValidationError):
             mg.chordal_metric([1, 1, 0], [0, 0, 1])
 
+    @pytest.mark.parametrize("u", [[1.0], [[1.0, 0.0]]], ids=["length-1", "2-d"])
+    def test_not_a_vector_of_length_two_rejected(self, u):
+        with pytest.raises(ValidationError, match="1-d unit vectors of length >= 2"):
+            mg.chordal_metric(u, [1.0, 0.0])
+
 
 class TestStereographic:
     def test_south_pole_to_origin(self):
@@ -39,6 +47,10 @@ class TestStereographic:
 
     def test_pole_to_infinity(self):
         assert mg.stereographic([0.0, 0.0, 1.0]) is None
+
+    def test_pole_of_another_dimension_rejected(self):
+        with pytest.raises(ValidationError, match="pole dimension does not match the point"):
+            mg.stereographic([0.0, 0.0, 1.0], pole=[0.0, 1.0])
 
     def test_distance_identity(self):
         # |su - sv| = 2 |u - v| / (|u - N| |v - N|), checked pointwise
@@ -161,6 +173,37 @@ class TestCircumcircle:
         with pytest.raises(ValidationError, match="coincide"):
             mg.circumcircle_three((0, 0), (0, 0), (1, 1))
 
+    @pytest.mark.parametrize("points, radius", [
+        (((1e300, 0.0), (0.0, 1e300), (-1e300, 0.0)), 1e300),
+        (((3e200, 0.0, 0.0), (0.0, 3e200, 0.0), (0.0, 0.0, 3e200)), 3e200 * math.sqrt(2 / 3)),
+    ], ids=["plane", "space"])
+    def test_near_the_largest_float(self, points, radius):
+        # the edge norms overflowed to inf, and the points were refused as coincident
+        circ = mg.circumcircle_three(*points)
+        assert math.isclose(circ.radius, radius, rel_tol=1e-15)
+        for p in points:
+            assert math.isclose(math.hypot(*(np.asarray(p) - circ.center)), radius, rel_tol=1e-15)
+        assert np.allclose(circ.points[0], points[0], rtol=1e-15, atol=1e-15 * radius)
+
+    @pytest.mark.parametrize("k", [-30, 30, 600, 1000])
+    def test_a_power_of_two_scales_the_circle_exactly(self, k):
+        pts = np.random.default_rng(6).normal(size=(3, 3))
+        ref = mg.circumcircle_three(*pts)
+        circ = mg.circumcircle_three(*np.ldexp(pts, k))
+        assert np.array_equal(circ.center, np.ldexp(ref.center, k))
+        assert circ.radius == math.ldexp(ref.radius, k)
+        assert np.array_equal(circ.points, np.ldexp(ref.points, k))
+        assert np.array_equal(circ.basis, ref.basis)
+
+    def test_side_1e_300_is_refused(self):
+        # the floor 1e-12 * max(scale, 1) still reads the unit of length
+        with pytest.raises(ValidationError, match="coincide"):
+            mg.circumcircle_three((0.0, 0.0), (1e-300, 0.0), (0.0, 1e-300))
+
+    def test_vectors_of_different_dimensions_rejected(self):
+        with pytest.raises(ValidationError, match="common dimension >= 2"):
+            mg.circumcircle_three((0, 0), (1, 0), (0, 0, 1))
+
 
 class TestSampleSpace:
     def test_sphere_and_hemisphere_are_ptolemy(self):
@@ -199,3 +242,17 @@ class TestSampleSpace:
             mg.sample_space("sphere", 2, 65, 0)
         with pytest.raises(ValueError):
             mg.sample_space("klein-bottle", 2, 10, 0)
+
+    def test_a_vanishing_draw_is_redrawn(self):
+        class Draws:  # a generator whose first draw holds two rows of norm below 1e-12
+            def __init__(self):
+                self.draws = [np.array([[3.0, 4.0], [0.0, 0.0], [0.0, 1e-13]]),
+                              np.array([[0.0, 2.0], [6.0, 8.0]])]
+
+            def standard_normal(self, shape):
+                g = self.draws.pop(0)
+                assert g.shape == shape
+                return g
+
+        rows = spheres._unit_rows(Draws(), 3, 2)
+        assert np.array_equal(rows, [[0.6, 0.8], [0.0, 1.0], [0.6, 0.8]])
