@@ -35,8 +35,8 @@ class SectorRegion(_Frozen):
             raise ValidationError("R must be positive and finite")
         x = np.asarray(x, dtype=float)
         norm = np.linalg.norm(x)
-        if norm <= 0:
-            raise ValidationError("sector direction must be a nonzero vector")
+        if not (np.isfinite(x).all() and norm > 0):
+            raise ValidationError("sector direction must be a nonzero vector, and finite")
         x = x / norm
         if abs(x[1]) <= 1e-12:
             raise ValidationError("sector direction is parallel to the base axis")
@@ -59,6 +59,8 @@ class SectorLocation(_Value):
 def sector_contains(sector: SectorRegion, v, eps: float = DEFAULT_EPS) -> SectorLocation:
     """Locate v via the decomposition v = s*(R, 0) + t*x."""
     v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValidationError(f"point {v} is not finite")
     t = v[1] / sector.x[1]
     s = (v[0] - t * sector.x[0]) / sector.R
     tol = eps * max(1.0, abs(s), abs(t) / sector.R)

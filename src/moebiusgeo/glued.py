@@ -32,7 +32,7 @@ from .spaces import _U, DEFAULT_EPS, ExtendedMetricSpace, _FrozenValue, _Record
 _MAX_COSH_ARG = math.acosh(sys.float_info.max)
 
 # Tolerance of the cross-ratio comparison between the two boundary metrics,
-# and of the homothety test relative to the largest distance ratio.
+# and of the homothety test relative to the largest ratio lambda(x) lambda(y).
 _CRT_EPS = 1e-5
 _HOMOTHETY_TOL = 1e-6
 
@@ -176,6 +176,8 @@ class BoundaryPoint(_FrozenValue):
         if kind == "equator":
             # a tiny negative angle leaves a remainder of exactly 2 pi
             angle = float(angle) % (2.0 * math.pi)
+            if math.isnan(angle):  # from a non-finite angle
+                raise ValidationError("equator angle must be finite")
             angle = 0.0 if angle == 2.0 * math.pi else angle
         elif kind == "halfplane":
             if not 0.0 < angle < math.pi:
@@ -323,10 +325,10 @@ def exotic_report(cfg: GluedSpaceConfig, equator_angles=None) -> ExoticReport:
     Builds both metrics on the seam endpoints N, S together with equator
     samples, reports the worst cross-ratio deviation between them (they are
     Moebius equivalent, so it should vanish up to numerics), and the
-    homothety ratios: distances between equator points scale by one factor
-    while d(N, S) scales by another, so for ell > 0 the two metrics are not
-    homothetic.  The ratios shrink like exp(-ell), so the homothety test
-    compares their spread with the largest ratio.
+    homothety ratios rho_o'/rho_o = lambda(x) lambda(y): lambda(N) lambda(S) =
+    1/cosh ell, the largest, and lambda(a0)^2 = exp(-ell) on the equator, where
+    lambda is one float (spread 0), so for ell > 0 the metrics are not homothetic.
+    Both shrink like exp(-ell), so the test compares the gap with the largest.
 
     Both metrics are metrics exactly: rho_o is the chordal metric of the
     unit tangents of the rays at o, and rho_o' the visual metric of a
@@ -348,20 +350,17 @@ def exotic_report(cfg: GluedSpaceConfig, equator_angles=None) -> ExoticReport:
                                              bound=_BOUNDARY_ROUNDING) for rho in (rho_o, rho_op))
     report = crt_equivalent(PointedCorrespondence.identity(src, dst), eps=_CRT_EPS)
 
-    i, j = np.triu_indices(len(labels), 1)
-    ratios = rho_op[i, j] / rho_o[i, j]  # pair (N, S) first, equator pairs last
-    eq_ratios = ratios[i >= 2]
-    gap = float(ratios.max() - ratios.min())
+    ns, eq = float(lam[0] * lam[1]), float(lam[2] * lam[2])
     return ExoticReport(
         ell=cfg.ell,
         labels=labels,
         rho_o=rho_o,
         rho_oprime=rho_op,
         max_crt_deviation=report.max_deviation,
-        ns_ratio=float(ratios[0]),
-        equator_ratio=float(eq_ratios.mean()),
-        equator_ratio_spread=float(eq_ratios.max() - eq_ratios.min()),
-        ratio_gap=gap,
-        homothetic=gap <= _HOMOTHETY_TOL * float(ratios.max()),
+        ns_ratio=ns,
+        equator_ratio=eq,
+        equator_ratio_spread=0.0,
+        ratio_gap=ns - eq,
+        homothetic=ns - eq <= _HOMOTHETY_TOL * ns,
         conformal_factor=dict(zip(labels, lam.tolist())),
     )

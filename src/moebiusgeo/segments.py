@@ -50,6 +50,8 @@ class WedgeRegion(_Frozen):
 
     def __init__(self, u, w):
         u, w = np.array(u, dtype=float), np.array(w, dtype=float)
+        if not (np.isfinite(u).all() and np.isfinite(w).all()):
+            raise ValidationError("wedge directions must be finite")
         det = signed_distance(u, w)
         nu = np.linalg.norm(u)
         nw = np.linalg.norm(w)
@@ -76,6 +78,8 @@ class WedgeLocation(_Value):
 def wedge_contains(wedge: WedgeRegion, v, eps: float = DEFAULT_EPS) -> WedgeLocation:
     """Locate v relative to T(u, w) via its decomposition v = lam*u + mu*w."""
     v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValidationError(f"point {v} is not finite")
     det = signed_distance(wedge.u, wedge.w)
     lam = signed_distance(v, wedge.w) / det
     mu = signed_distance(wedge.u, v) / det
@@ -509,7 +513,11 @@ def segment_moebius_map(src_space: ExtendedMetricSpace, src_anchors,
     if not (np.diff(xp) > 0).all():
         raise ValidationError("destination path positions are not monotone")
 
-    if s_src.min() < xp[0] - 1e-9 or s_src.max() > xp[-1] + 1e-9:
+    # Every position is at least 0 = xp[0].  A point within eps of x3 has its
+    # cross-ratio products from distances each within relative eps, so its
+    # normalized products, and its position, read up to about 2 eps past 1;
+    # a position near 1.5 (anchors x2 and x3 within eps) stays refused.
+    if s_src.max() > xp[-1] + max(1e-9, 4.0 * src_space.eps):
         raise ValueError("source map value outside the sampled destination range")
     # np.interp holds its end values beyond xp, which clips s_src into range
     mapped = _map_onto(s_src, xp, dst_curve.params[o], dst_curve.samples[o], src_space,

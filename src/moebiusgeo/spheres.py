@@ -29,7 +29,7 @@ def _check_unit(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or len(u) < 2:
         raise ValidationError("sphere points are 1-d unit vectors of length >= 2")
-    if abs(np.linalg.norm(u) - 1.0) > UNIT_TOL:
+    if not abs(np.linalg.norm(u) - 1.0) <= UNIT_TOL:  # true for NaN too
         raise ValidationError(f"not a unit vector: |u| = {np.linalg.norm(u)!r}")
     return u
 
@@ -100,6 +100,8 @@ def circumcircle_three(x1, x2, x3, n_samples: int = 24) -> SampledCircle:
     pts = [np.asarray(p, dtype=float) for p in (x1, x2, x3)]
     if len({p.shape for p in pts}) != 1 or pts[0].ndim != 1 or len(pts[0]) < 2:
         raise ValidationError("inputs must be three vectors of a common dimension >= 2")
+    if not np.isfinite(pts).all():
+        raise ValidationError("inputs must be finite")
     # a power of two scales the largest coordinate into [1/2, 1) (below, if it
     # is subnormal: 2^-e stays finite), so no norm overflows; exactly undone below
     e = max(math.frexp(max(float(np.abs(p).max()) for p in pts))[1], -1021)

@@ -107,6 +107,17 @@ def ordered_quads(n: int) -> np.ndarray:
     ).reshape(-1, 4)
 
 
+def noisy_line() -> tuple[np.ndarray, np.ndarray]:
+    """The line 0, 0.25, 0.5, 1 - 1e-6, 1, and its copy with d(2, 3) raised by
+    the factor 1 + 1e-5: a segment at eps = 1e-4, whose point 3 reads loop
+    position 1 + 5e-7 against the anchors 0, 2, 4."""
+    x = np.array([0.0, 0.25, 0.5, 1.0 - 1e-6, 1.0])
+    clean = np.abs(np.subtract.outer(x, x))
+    noisy = clean.copy()
+    noisy[2, 3] = noisy[3, 2] = clean[2, 3] * (1.0 + 1e-5)
+    return clean, noisy
+
+
 def chord_metric_oracle(radius: float, theta1, theta2):
     """Chord length between two angles on a circle of the given radius."""
     return 2.0 * radius * np.abs(np.sin((np.asarray(theta2) - np.asarray(theta1)) / 2.0))

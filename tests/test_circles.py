@@ -1,5 +1,6 @@
 """Circle classification: sectors, halfplane curves, Moebius maps."""
 
+import math
 import warnings
 
 import numpy as np
@@ -35,6 +36,16 @@ class TestSector:
     def test_zero_direction(self):
         with pytest.raises(ValidationError, match="sector direction must be a nonzero vector"):
             mg.SectorRegion(2.0, (0, 0))
+
+    @pytest.mark.parametrize("x", [(math.nan, 1), (1, math.inf)], ids=["nan", "inf"])
+    def test_non_finite_direction(self, x):
+        with pytest.raises(ValidationError, match="nonzero vector, and finite"):
+            mg.SectorRegion(1.0, x)
+
+    @pytest.mark.parametrize("v", [(math.nan, 0.5), (0.5, math.inf)], ids=["nan", "inf"])
+    def test_non_finite_point(self, v):
+        with pytest.raises(ValidationError, match="is not finite"):
+            mg.sector_contains(mg.SectorRegion(2.0, (0, 1)), v)
 
     def test_tilted_direction(self):
         s = mg.SectorRegion(1.0, (1, 1))

@@ -20,7 +20,7 @@ from moebiusgeo import cli, inversions, spaces
 from moebiusgeo.cli import main
 from moebiusgeo.errors import NotPtolemyError, ValidationError
 
-from helpers import csv_bytes, per_cell
+from helpers import csv_bytes, noisy_line, per_cell
 
 
 @pytest.fixture()
@@ -355,6 +355,26 @@ class TestMap:
         # the unmoved destination maps
         assert run(["map", kind, "--src", src, "--dst", src,
                     "--src-anchors", anchors, "--dst-anchors", anchors])[0] == 0
+
+    def test_segment_map_slack_follows_eps(self, tmp_path, capsys):
+        # classify accepts the noisy line at eps 1e-4, and t3 reads position 1 + 5e-7
+        clean, noisy = noisy_line()
+        src = write_space(tmp_path / "src.json", noisy)
+        dst = write_space(tmp_path / "dst.json", clean)
+        assert main(["--eps", "1e-4", "segment", "classify", src]) == 0
+        capsys.readouterr()
+
+        def map_with(anchors):
+            return run(["--eps", "1e-4", "map", "segment", "--src", src, "--dst", dst,
+                        "--src-anchors", anchors, "--dst-anchors", anchors])
+
+        assert map_with("t0,t2,t4") == (0, "")
+        data = json.loads(capsys.readouterr().out)
+        assert data["max_crt_deviation"] <= 1e-5
+        assert [p["position"] for p in data["pairs"]][3:] == [1.0, 1.0]
+        # anchors t3 and t4 within eps wrap t2 to position 1.5: still refused
+        assert map_with("t0,t3,t4") == (
+            1, "error: source map value outside the sampled destination range\n")
 
 
 def dented_curve() -> np.ndarray:

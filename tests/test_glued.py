@@ -1,5 +1,6 @@
 """Glued hyperbolic space: distances, Gromov products, boundary metrics."""
 
+import json
 import math
 import sys
 import time
@@ -265,6 +266,11 @@ class TestGromovProducts:
         with pytest.raises(ValidationError, match="unknown boundary kind 'west'"):
             BP("west")
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_equator_angle_rejected(self, angle):
+        with pytest.raises(ValidationError, match="equator angle must be finite"):
+            BP.equator(angle)
+
     def test_halfplane_angle_range(self):
         with pytest.raises(ValidationError):
             BP.halfplane_ray(0.0)
@@ -364,6 +370,27 @@ class TestExoticReport:
         assert abs(lam["N"] * lam["S"] - 1.0 / math.cosh(ell)) <= 1e-9
         for label in rep.labels[2:]:
             assert abs(lam[label] ** 2 - math.exp(-ell)) <= 1e-9
+
+    @pytest.mark.parametrize("angles", [2, 6, 48])
+    @pytest.mark.parametrize("ell", [0.5, 1.0, 2.0, 1e-8, 709.0])
+    def test_homothety_block_read_off_lambda(self, ell, angles, capsys):
+        # every ratio rho_o'/rho_o is lambda(x) lambda(y), and lambda is one
+        # float on the equator: the block is lambda's products, bit for bit
+        from moebiusgeo.cli import main
+
+        angle_list = [k * 2.0 * np.pi / angles for k in range(angles)]
+        rep = mg.exotic_report(mg.GluedSpaceConfig(ell=ell), angle_list)
+        lam = rep.conformal_factor
+        ns, eq = lam["N"] * lam["S"], lam["a0"] * lam["a0"]
+        assert rep.ns_ratio.hex() == ns.hex()
+        assert rep.equator_ratio.hex() == eq.hex()
+        assert rep.equator_ratio_spread == 0.0
+        assert rep.ratio_gap.hex() == (ns - eq).hex()
+        assert rep.homothetic == (ns - eq <= 1e-6 * ns)
+        assert main(["exotic", "--l", repr(ell), "--angles", str(angles)]) == 0
+        assert json.loads(capsys.readouterr().out)["homothety"] == {
+            "NS_ratio": rep.ns_ratio, "equator_ratio": rep.equator_ratio,
+            "equator_ratio_spread": 0.0, "gap": rep.ratio_gap, "homothetic": rep.homothetic}
 
     @pytest.mark.parametrize("ell", [0.5, 1.0, 2.0])
     def test_matrices_match_pairwise_metric(self, ell):

@@ -13,7 +13,7 @@ import moebiusgeo as mg
 from moebiusgeo import segments, spaces
 from moebiusgeo.errors import NotPtolemyError, ValidationError
 
-from helpers import (chord_metric_oracle, ordered_quads, ptolemy_equality_residuals,
+from helpers import (chord_metric_oracle, noisy_line, ordered_quads, ptolemy_equality_residuals,
                      random_halfplane_curve, random_quadrant_curve)
 
 coord = st.floats(min_value=-10.0, max_value=10.0)
@@ -93,6 +93,17 @@ class TestWedge:
     def test_wrong_orientation_rejected(self):
         with pytest.raises(ValidationError):
             mg.WedgeRegion((0, 1), (1, 0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_directions_rejected(self, bad):
+        for u, w in [((bad, 0), (0, 1)), ((1, 0), (0, bad))]:
+            with pytest.raises(ValidationError, match="wedge directions must be finite"):
+                mg.WedgeRegion(u, w)
+
+    @pytest.mark.parametrize("v", [(math.nan, 0.5), (0.5, math.inf)], ids=["nan", "inf"])
+    def test_non_finite_point_rejected(self, v):
+        with pytest.raises(ValidationError, match="is not finite"):
+            mg.wedge_contains(mg.WedgeRegion((1, 0), (0, 1)), v)
 
 
 class TestCurveValidation:
@@ -529,6 +540,36 @@ class TestSegmentMoebiusMap:
             for src, dst in [(anchors, triple), (triple, anchors)]:
                 with pytest.raises(ValueError, match=message):
                     mg.segment_moebius_map(sp, src, sp, dst)
+
+
+def noisy_line_pair():
+    """The noisy line and the exact one as spaces at eps = 1e-4."""
+    clean, noisy = noisy_line()
+    labels = [f"t{i}" for i in range(5)]
+    return (mg.ExtendedMetricSpace(labels, noisy, eps=1e-4),
+            mg.ExtendedMetricSpace(labels, clean, eps=1e-4))
+
+
+class TestMapSlackOfEps:
+    """A point within eps of x3 reads up to about 2 eps past position 1."""
+
+    def test_point_within_eps_of_the_end_maps(self):
+        src, dst = noisy_line_pair()
+        mg.curve_from_segment(src)  # a segment at this eps
+        assert segments._loop_positions(src.dist, 0, 2, 4)[3] > 1.0 + 1e-7
+        m = mg.segment_moebius_map(src, ("t0", "t2", "t4"), dst, ("t0", "t2", "t4"))
+        assert m.max_crt_deviation <= 1e-5
+        assert m.dst_params[3] == m.dst_params[4] == 1.0
+        # other anchors place t3 below 1, and the map agrees
+        other = mg.segment_moebius_map(src, ("t0", "t1", "t4"), dst, ("t0", "t1", "t4"))
+        assert other.max_crt_deviation <= 1e-5
+
+    def test_wrapped_position_stays_refused(self):
+        # anchors x2 = t3 and x3 = t4 lie within eps: t2 reads near 1.5
+        src, dst = noisy_line_pair()
+        assert abs(segments._loop_positions(src.dist, 0, 3, 4)[2] - 1.5) <= 1e-5
+        with pytest.raises(ValueError, match="outside the sampled destination range"):
+            mg.segment_moebius_map(src, ("t0", "t3", "t4"), dst, ("t0", "t3", "t4"))
 
 
 class TestMapsAtEveryScale:

@@ -32,6 +32,13 @@ class TestChordalMetric:
         with pytest.raises(ValidationError):
             mg.chordal_metric([1, 1, 0], [0, 0, 1])
 
+    @pytest.mark.parametrize("u", [[math.nan, 0.0], [math.inf, 0.0]], ids=["nan", "inf"])
+    def test_non_finite_rejected(self, u):
+        with pytest.raises(ValidationError, match="not a unit vector"):
+            mg.chordal_metric(u, [1.0, 0.0])
+        with pytest.raises(ValidationError, match="not a unit vector"):
+            mg.stereographic(u)
+
     @pytest.mark.parametrize("u", [[1.0], [[1.0, 0.0]]], ids=["length-1", "2-d"])
     def test_not_a_vector_of_length_two_rejected(self, u):
         with pytest.raises(ValidationError, match="1-d unit vectors of length >= 2"):
@@ -172,6 +179,12 @@ class TestCircumcircle:
     def test_coincident_rejected(self):
         with pytest.raises(ValidationError, match="coincide"):
             mg.circumcircle_three((0, 0), (0, 0), (1, 1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, bad):
+        # a NaN gave a NaN circle, and an infinity read as coincident points
+        with pytest.raises(ValidationError, match="inputs must be finite"):
+            mg.circumcircle_three((bad, 0.0), (1.0, 0.0), (0.0, 1.0))
 
     @pytest.mark.parametrize("points, radius", [
         (((1e300, 0.0), (0.0, 1e300), (-1e300, 0.0)), 1e300),
