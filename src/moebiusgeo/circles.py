@@ -30,10 +30,14 @@ class SectorRegion(_Frozen):
     R: float
     x: np.ndarray
 
-    def __init__(self, R, x):
+    def __post_init__(self):
+        R = self.R
         if not (R > 0.0 and math.isfinite(R)):
             raise ValidationError("R must be positive and finite")
-        x = np.asarray(x, dtype=float)
+        # a power of two brings the largest coordinate into [1/2, 1), so the
+        # norm neither overflows nor underflows; it cancels from the unit vector
+        x = np.asarray(self.x, dtype=float)
+        x = np.ldexp(x, -math.frexp(np.abs(x).max(initial=0.0))[1])
         norm = np.linalg.norm(x)
         if not (np.isfinite(x).all() and norm > 0):
             raise ValidationError("sector direction must be a nonzero vector, and finite")
@@ -41,7 +45,7 @@ class SectorRegion(_Frozen):
         if abs(x[1]) <= 1e-12:
             raise ValidationError("sector direction is parallel to the base axis")
         x.flags.writeable = False
-        vars(self).update(R=R, x=x)
+        vars(self)["x"] = x
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -51,9 +55,6 @@ class SectorLocation(_Value):
     region: str
     s: float
     t: float
-
-    def __init__(self, region, s, t):
-        self.region, self.s, self.t = region, s, t
 
 
 def sector_contains(sector: SectorRegion, v, eps: float = DEFAULT_EPS) -> SectorLocation:
@@ -171,12 +172,6 @@ class CircleMap(_Record):
     dst_points: np.ndarray
     max_crt_deviation: float | None = None
     witness: tuple[str, ...] | None = None
-
-    def __init__(self, src_labels, dst_positions, dst_params, dst_points,
-                 max_crt_deviation=None, witness=None):
-        self.src_labels, self.dst_positions = src_labels, dst_positions
-        self.dst_params, self.dst_points = dst_params, dst_points
-        self.max_crt_deviation, self.witness = max_crt_deviation, witness
 
 
 def circle_moebius_map(src_space: ExtendedMetricSpace, src_anchors,

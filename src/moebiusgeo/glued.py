@@ -51,12 +51,11 @@ class GluedSpaceConfig(_FrozenValue):
 
     ell: float
 
-    def __init__(self, ell):
-        if not 0.0 < ell <= _MAX_COSH_ARG:
+    def __post_init__(self):
+        if not 0.0 < self.ell <= _MAX_COSH_ARG:
             raise ValidationError(
-                f"ell = {ell!r} must be positive and at most acosh(DBL_MAX) = "
+                f"ell = {self.ell!r} must be positive and at most acosh(DBL_MAX) = "
                 f"{_MAX_COSH_ARG!r}, where cosh ell overflows")
-        vars(self)["ell"] = ell
 
     def base_point(self, which: str):
         if which == "o":
@@ -170,7 +169,8 @@ class BoundaryPoint(_FrozenValue):
     kind: str
     angle: float = 0.0
 
-    def __init__(self, kind, angle=0.0):
+    def __post_init__(self):
+        kind, angle = self.kind, self.angle
         if kind not in ("north", "south", "equator", "halfplane"):
             raise ValidationError(f"unknown boundary kind {kind!r}")
         if kind == "equator":
@@ -187,7 +187,7 @@ class BoundaryPoint(_FrozenValue):
                 )
         else:
             angle = 0.0
-        vars(self).update(kind=kind, angle=angle)
+        vars(self)["angle"] = angle
 
     @classmethod
     def north(cls):
@@ -290,14 +290,6 @@ class ExoticReport(_Record):
     ratio_gap: float
     homothetic: bool
     conformal_factor: dict[str, float]
-
-    def __init__(self, ell, labels, rho_o, rho_oprime, max_crt_deviation, ns_ratio,
-                 equator_ratio, equator_ratio_spread, ratio_gap, homothetic, conformal_factor):
-        self.ell, self.labels, self.rho_o, self.rho_oprime = ell, labels, rho_o, rho_oprime
-        self.max_crt_deviation, self.ns_ratio = max_crt_deviation, ns_ratio
-        self.equator_ratio, self.equator_ratio_spread = equator_ratio, equator_ratio_spread
-        self.ratio_gap, self.homothetic = ratio_gap, homothetic
-        self.conformal_factor = conformal_factor
 
     def to_json_dict(self) -> dict:
         return {

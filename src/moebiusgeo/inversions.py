@@ -152,9 +152,10 @@ class PointedCorrespondence(_Frozen):
     target: ExtendedMetricSpace
     mapping: types.MappingProxyType
 
-    def __init__(self, source, target, mapping):
-        src = set(source.labels)
-        tgt = set(target.labels)
+    def __post_init__(self):
+        src = set(self.source.labels)
+        tgt = set(self.target.labels)
+        mapping = self.mapping
         if set(mapping) != src:
             raise ValidationError("mapping must cover every source label")
         values = list(mapping.values())
@@ -162,8 +163,7 @@ class PointedCorrespondence(_Frozen):
             raise ValidationError("mapping must be injective into the target labels")
         if len(src) != len(tgt):
             raise ValidationError("source and target cardinality differ")
-        vars(self).update(source=source, target=target,
-                          mapping=types.MappingProxyType(dict(mapping)))
+        vars(self)["mapping"] = types.MappingProxyType(dict(mapping))
 
     @classmethod
     def identity(cls, source: ExtendedMetricSpace,
@@ -197,10 +197,6 @@ class EquivalenceReport(_Value):
     n_checked: int
     method: str
     factor_residual: float | None
-
-    def __init__(self, equivalent, max_deviation, witness, n_checked, method, factor_residual):
-        self.equivalent, self.max_deviation, self.witness = equivalent, max_deviation, witness
-        self.n_checked, self.method, self.factor_residual = n_checked, method, factor_residual
 
 
 def _log_factor(A: np.ndarray, B: np.ndarray):

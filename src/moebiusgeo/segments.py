@@ -48,19 +48,26 @@ class WedgeRegion(_Frozen):
     u: np.ndarray
     w: np.ndarray
 
-    def __init__(self, u, w):
-        u, w = np.array(u, dtype=float), np.array(w, dtype=float)
+    def __post_init__(self):
+        u, w = np.array(self.u, dtype=float), np.array(self.w, dtype=float)
         if not (np.isfinite(u).all() and np.isfinite(w).all()):
             raise ValidationError("wedge directions must be finite")
-        det = signed_distance(u, w)
-        nu = np.linalg.norm(u)
-        nw = np.linalg.norm(w)
-        if abs(det) <= 1e-14 * max(nu * nw, 1.0):
+        su, sw = _wedge_scaled(u, w)
+        det = signed_distance(su, sw)
+        if abs(det) <= 1e-14 * np.linalg.norm(su) * np.linalg.norm(sw):
             raise ValidationError("wedge directions are collinear")
         if det < 0:
             raise ValidationError("wedge requires arg(u) < arg(w)")
         u.flags.writeable = w.flags.writeable = False
         vars(self).update(u=u, w=w)
+
+
+def _wedge_scaled(u, w, *more) -> list:
+    """u, w and ``more`` times the power of two that brings the largest
+    coordinate of u and w into [1/2, 1), so that no product of the wedge
+    overflows or underflows; the power cancels from lam and mu."""
+    e = -math.frexp(max(np.abs(u).max(initial=0.0), np.abs(w).max(initial=0.0)))[1]
+    return [np.ldexp(x, e) for x in (u, w, *more)]
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -71,20 +78,22 @@ class WedgeLocation(_Value):
     lam: float
     mu: float
 
-    def __init__(self, region, lam, mu):
-        self.region, self.lam, self.mu = region, lam, mu
-
 
 def wedge_contains(wedge: WedgeRegion, v, eps: float = DEFAULT_EPS) -> WedgeLocation:
     """Locate v relative to T(u, w) via its decomposition v = lam*u + mu*w."""
     v = np.asarray(v, dtype=float)
     if not np.isfinite(v).all():
         raise ValidationError(f"point {v} is not finite")
-    det = signed_distance(wedge.u, wedge.w)
-    lam = signed_distance(v, wedge.w) / det
-    mu = signed_distance(wedge.u, v) / det
+    # an overflow leaves lam or mu infinite, and a condition inf of its sign
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, w, s = _wedge_scaled(wedge.u, wedge.w, v)
+        det = signed_distance(u, w)
+        lam = signed_distance(s, w) / det
+        mu = signed_distance(u, s) / det
+        conditions = (lam, mu, lam + mu - 1.0, 1.0 + lam - mu, 1.0 + mu - lam)
+    if not (math.isfinite(lam) and math.isfinite(mu)):
+        raise ValidationError(f"point {v} is too far out for the wedge's coordinates")
     tol = eps * max(1.0, abs(lam), abs(mu))
-    conditions = (lam, mu, lam + mu - 1.0, 1.0 + lam - mu, 1.0 + mu - lam)
     if min(conditions) < -tol:
         return WedgeLocation("outside", lam, mu)
     if min(conditions) <= tol:
@@ -106,13 +115,6 @@ class _PlanarCurve(_Frozen):
 
     _end = 1.0  # the parameter of the last sample
     _closed = False  # whether the last sample returns to the first point
-
-    def __init__(self, R, samples, eps=DEFAULT_EPS):
-        vars(self).update(R=R, samples=samples, eps=eps)
-        self.__post_init__()
-
-    def __post_init__(self):
-        """Each kind of curve checks its fields here."""
 
     def _checked_samples(self, min_n: int, clipped: slice, region: str,
                          last: tuple[float, float], last_text: str) -> np.ndarray:
@@ -477,12 +479,6 @@ class SegmentMap(_Record):
     dst_points: np.ndarray
     max_crt_deviation: float | None = None
     witness: tuple[str, ...] | None = None
-
-    def __init__(self, src_labels, src_params, dst_params, dst_points, max_crt_deviation=None,
-                 witness=None):
-        self.src_labels, self.src_params, self.dst_params = src_labels, src_params, dst_params
-        self.dst_points, self.max_crt_deviation = dst_points, max_crt_deviation
-        self.witness = witness
 
 
 def segment_moebius_map(src_space: ExtendedMetricSpace, src_anchors,

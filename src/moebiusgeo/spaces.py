@@ -25,7 +25,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -53,9 +53,36 @@ _deferred: contextvars.ContextVar[list | None] = contextvars.ContextVar("_deferr
 
 
 # Records are declared with dataclass(init=False, repr=False, eq=False), which compiles
-# no method; each has its own __init__, and these bases give the rest as dataclass would.
+# no method; these bases give the methods as dataclass would, and a record that checks
+# its fields does so in __post_init__.
 class _Record:
-    """``repr`` over the fields."""
+    """The constructor and ``repr`` over the fields."""
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__dataclass_fields__
+        if kwargs or len(args) != len(fields):
+            called = type(self).__qualname__
+            if len(args) > len(fields):
+                raise TypeError(
+                    f"{called}() takes {len(fields)} arguments but {len(args)} were given")
+            values = dict(zip(fields, args))
+            for name, value in kwargs.items():
+                if name not in fields:
+                    raise TypeError(f"{called}() got an unexpected keyword argument {name!r}")
+                if name in values:
+                    raise TypeError(f"{called}() got multiple values for argument {name!r}")
+                values[name] = value
+            for name, field in fields.items():
+                if name not in values:
+                    if field.default is MISSING:
+                        raise TypeError(f"{called}() missing required argument {name!r}")
+                    values[name] = field.default
+            args = [values[name] for name in fields]
+        vars(self).update(zip(fields, args))
+        self.__post_init__()
+
+    def __post_init__(self):
+        """A record that checks its fields does so here."""
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__dataclass_fields__)
@@ -123,10 +150,6 @@ class ExtendedMetricSpace(_Frozen):
     dist: np.ndarray
     omega: int | None = None
     eps: float = DEFAULT_EPS
-
-    def __init__(self, labels, dist, omega=None, eps=DEFAULT_EPS):
-        vars(self).update(labels=labels, dist=dist, omega=omega, eps=eps)
-        self.__post_init__()
 
     def __post_init__(self):
         labels, positions, D = _checked_input(self.labels, self.dist, self.eps)
@@ -450,13 +473,12 @@ class CrossRatioTriple(_FrozenValue):
     b: float
     c: float
 
-    def __init__(self, a, b, c):
-        e = (a, b, c)
+    def __post_init__(self):
+        e = (self.a, self.b, self.c)
         if min(e) < -1e-12:
             raise ValidationError(f"cross-ratio entries must be nonnegative: {e}")
         if abs(sum(e) - 1.0) > 1e-12:
             raise ValidationError(f"cross-ratio entries must sum to 1: {e}")
-        vars(self).update(a=a, b=b, c=c)
 
     @classmethod
     def from_products(cls, pa: float, pb: float, pc: float) -> "CrossRatioTriple":
@@ -679,10 +701,6 @@ class PtolemyReport(_FrozenValue):
     worst_margin: float
     n_checked: int
     n_boundary: int
-
-    def __init__(self, holds, worst_quad, worst_margin, n_checked, n_boundary):
-        vars(self).update(holds=holds, worst_quad=worst_quad, worst_margin=worst_margin,
-                          n_checked=n_checked, n_boundary=n_boundary)
 
 
 def is_ptolemy(space: ExtendedMetricSpace) -> PtolemyReport:

@@ -73,9 +73,6 @@ class SampledCircle(_Record):
     basis: np.ndarray
     points: np.ndarray
 
-    def __init__(self, center, radius, basis, points):
-        self.center, self.radius, self.basis, self.points = center, radius, basis, points
-
     def space(self, labels=None, eps: float = DEFAULT_EPS) -> ExtendedMetricSpace:
         """Chord-distance metric space of the samples, in cyclic order."""
         if labels is None:

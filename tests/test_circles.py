@@ -52,6 +52,32 @@ class TestSector:
         assert mg.sector_contains(s, (1.5, 1.0)).region == "inside"
 
 
+class TestSectorAtEveryScale:
+    """The direction was normalized by a norm that overflowed at (1e200, 1e200),
+    which was then refused as parallel to the base axis, and underflowed to 0
+    at (1e-170, 1e-170), which was refused as not a nonzero vector."""
+
+    @pytest.mark.parametrize("k", [-560, -24, 0, 30, 660],
+                             ids=["2^-560", "2^-24", "2^0", "2^30", "2^660"])
+    def test_direction_stores_the_unit_vector_of_unit_scale(self, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = mg.SectorRegion(1.0, (2.0 ** k, 2.0 ** k)).x
+        assert x.tobytes() == mg.SectorRegion(1.0, (1.0, 1.0)).x.tobytes()
+
+    @pytest.mark.parametrize("c", [1e200, 1e-170, 1e-200], ids=["1e200", "1e-170", "1e-200"])
+    def test_diagonal_direction(self, c):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = mg.SectorRegion(1.0, (c, c)).x
+        assert np.allclose(x, [math.sqrt(0.5)] * 2, rtol=1e-15, atol=0.0)
+
+    def test_zero_direction_stays_refused(self):
+        for x in ((0.0, 0.0), (-0.0, 0.0)):
+            with pytest.raises(ValidationError, match="nonzero vector"):
+                mg.SectorRegion(1.0, x)
+
+
 class TestHalfplaneCurveValidation:
     def test_chordal_curve_valid(self):
         curve = mg.chordal_circle_curve(2.0, 16)

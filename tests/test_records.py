@@ -170,6 +170,21 @@ class TestConstruction:
         with pytest.raises(TypeError):
             cls()
 
+    @pytest.mark.parametrize("name", RECORD_IDS, ids=RECORD_IDS)
+    def test_too_many_arguments_and_a_field_given_twice(self, name):
+        # the messages name the record: "PtolemyReport() takes 5 arguments ..."
+        cls, fields, args = RECORDS[name]
+        n, first = len(fields), next(iter(fields))
+        with pytest.raises(TypeError) as exc:
+            cls(*args(), None)
+        assert str(exc.value) == f"{name}() takes {n} arguments but {n + 1} were given"
+        with pytest.raises(TypeError) as exc:
+            cls(*args(), **{first: args()[0]})
+        assert str(exc.value) == f"{name}() got multiple values for argument {first!r}"
+        with pytest.raises(TypeError) as exc:
+            cls()
+        assert str(exc.value) == f"{name}() missing required argument {first!r}"
+
 
 class TestRepr:
     @pytest.mark.parametrize("record, text", [
@@ -284,6 +299,13 @@ class TestReplace:
             assert np.array_equal(scaled.sector_witness, curve.sector_witness)
         with pytest.raises(ValidationError, match="first sample must be"):
             dataclasses.replace(curve, R=2.0)
+
+
+    def test_checking_records_rerun_their_checks(self):
+        with pytest.raises(ValidationError, match="must be positive"):
+            dataclasses.replace(mg.GluedSpaceConfig(1.0), ell=-1.0)
+        point = dataclasses.replace(mg.BoundaryPoint("equator", 1.0), angle=2.0 * math.pi)
+        assert point == mg.BoundaryPoint("equator", 0.0) and point.angle == 0.0
 
 
 class TestValidatedRecordsAreFrozen:

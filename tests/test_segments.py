@@ -106,6 +106,51 @@ class TestWedge:
             mg.wedge_contains(mg.WedgeRegion((1, 0), (0, 1)), v)
 
 
+class TestWedgeAtEveryScale:
+    """The collinearity floor of a wedge was absolute, 1e-14 * max(|u||w|, 1):
+    an orthogonal wedge at 1e-7 was refused as collinear, its determinant
+    underflowed at 3e-170, and |u||w| overflowed at 1e200."""
+
+    @pytest.mark.parametrize("k", [-560, -24, 0, 30, 660],
+                             ids=["2^-560", "2^-24", "2^0", "2^30", "2^660"])
+    def test_orthogonal_wedge_locates_as_at_unit_scale(self, k):
+        unit = mg.wedge_contains(mg.WedgeRegion((1.0, 0.0), (0.0, 1.0)), (0.5, 0.75))
+        s = 2.0 ** k
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wedge = mg.WedgeRegion((s, 0.0), (0.0, s))
+            loc = mg.wedge_contains(wedge, (0.5 * s, 0.75 * s))
+        assert (loc.region, loc.lam, loc.mu) == (unit.region, unit.lam, unit.mu)
+        assert (unit.region, unit.lam, unit.mu) == ("inside", 0.5, 0.75)
+
+    @pytest.mark.parametrize("s", [1e-7, 3e-170, 1e200], ids=["1e-7", "3e-170", "1e200"])
+    def test_orthogonal_wedge_is_kept_as_given(self, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wedge = mg.WedgeRegion((s, 0.0), (0.0, s))
+        assert wedge.u.tolist() == [s, 0.0] and wedge.w.tolist() == [0.0, s]
+
+    def test_collinear_directions_are_refused_at_every_scale(self):
+        for s in (2.0 ** -560, 1.0, 2.0 ** 660):
+            with pytest.raises(ValidationError, match="collinear"):
+                mg.WedgeRegion((s, 0.0), (s, 1e-15 * s))
+
+    def test_point_beyond_the_coordinate_range_is_refused(self):
+        # lam and mu overflow: inf - inf made the conditions NaN, which answered "inside"
+        for u, w, v in [((2.0 ** -1000, 0.0), (0.0, 2.0 ** -1000), (1e300, 1e300)),
+                        ((1.0, 0.0), (1.0, 1.0), (1e308, -1e308))]:
+            wedge = mg.WedgeRegion(u, w)
+            with warnings.catch_warnings(), pytest.raises(ValidationError, match="too far out"):
+                warnings.simplefilter("error")
+                mg.wedge_contains(wedge, v)
+
+    def test_conditions_that_overflow_keep_their_sign(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loc = mg.wedge_contains(mg.WedgeRegion((1.0, 0.0), (0.0, 1.0)), (1e308, -1e308))
+        assert (loc.region, loc.lam, loc.mu) == ("outside", 1e308, -1e308)
+
+
 class TestCurveValidation:
     def test_wrong_endpoint(self):
         with pytest.raises(ValidationError, match="first sample"):
