@@ -12,7 +12,6 @@ spanned over the base segment; distances are recovered as |<Jp, q>| / R.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,10 +19,9 @@ from .errors import ValidationError
 from .spaces import DEFAULT_EPS, ExtendedMetricSpace, _Frozen, _Record, _Value
 from .segments import (_PlanarCurve, _anchor_triple, _check_convex, _curve_from_json,
                        _curve_space, _curve_to_json, _loop_positions, _map_onto, _ordered,
-                       _recover)
+                       _plane_vector, _recover)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class SectorRegion(_Frozen):
     """The sector of points s*(R, 0) + t*x with -1 <= s <= 1 and t >= 0."""
 
@@ -36,7 +34,7 @@ class SectorRegion(_Frozen):
             raise ValidationError("R must be positive and finite")
         # a power of two brings the largest coordinate into [1/2, 1), so the
         # norm neither overflows nor underflows; it cancels from the unit vector
-        x = np.asarray(self.x, dtype=float)
+        x = _plane_vector(self.x, "sector direction x")
         x = np.ldexp(x, -math.frexp(np.abs(x).max(initial=0.0))[1])
         norm = np.linalg.norm(x)
         if not (np.isfinite(x).all() and norm > 0):
@@ -48,7 +46,6 @@ class SectorRegion(_Frozen):
         vars(self)["x"] = x
 
 
-@dataclass(init=False, repr=False, eq=False)
 class SectorLocation(_Value):
     """Where a point lies against a sector, and its coordinates s and t."""
 
@@ -59,7 +56,7 @@ class SectorLocation(_Value):
 
 def sector_contains(sector: SectorRegion, v, eps: float = DEFAULT_EPS) -> SectorLocation:
     """Locate v via the decomposition v = s*(R, 0) + t*x."""
-    v = np.asarray(v, dtype=float)
+    v = _plane_vector(v, "point")
     if not np.isfinite(v).all():
         raise ValidationError(f"point {v} is not finite")
     t = v[1] / sector.x[1]
@@ -91,7 +88,6 @@ def _find_sector_witness(samples: np.ndarray, R: float, eps: float) -> np.ndarra
     return np.array([math.cos(theta), math.sin(theta)])
 
 
-@dataclass(init=False, repr=False, eq=False)
 class HalfplaneCurve(_PlanarCurve):
     """An ordered sample sequence of a circle parameterization.
 
@@ -162,7 +158,6 @@ def curve_from_circle(space: ExtendedMetricSpace, order=None, minus_one=None) ->
                     "cyclic Ptolemy equality fails around")
 
 
-@dataclass(init=False, repr=False, eq=False)
 class CircleMap(_Record):
     """A sampled Moebius homeomorphism between two circles."""
 

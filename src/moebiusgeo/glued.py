@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +40,6 @@ _HOMOTHETY_TOL = 1e-6
 _BOUNDARY_ROUNDING = 256 * _U
 
 
-@dataclass(init=False, repr=False, eq=False)
 class GluedSpaceConfig(_FrozenValue):
     """The glued space whose base points o and o' lie ``ell`` apart.
 
@@ -156,7 +154,6 @@ def glued_distance(cfg: GluedSpaceConfig, x, y) -> float:
     return float(_dist_matrix([x, y])[0, 1])
 
 
-@dataclass(init=False, repr=False, eq=False)
 class BoundaryPoint(_FrozenValue):
     """A boundary point reachable by a canonical ray from o.
 
@@ -270,7 +267,6 @@ def bourdon_metric(cfg: GluedSpaceConfig, base: str, xi1: BoundaryPoint,
     return float((rho_op if off_seam else rho_o)[0, 1])
 
 
-@dataclass(init=False, repr=False, eq=False)
 class ExoticReport(_Record):
     """Both boundary metrics on the seam endpoints and equator samples.
 

@@ -13,7 +13,6 @@ import math
 import operator
 import sys
 import types
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,7 +142,6 @@ def bound_at(space: ExtendedMetricSpace, o) -> ExtendedMetricSpace:
     return _rescaled(space, space.dist[oi] + 1.0, None, f"bounded metric at {space.labels[oi]!r}")
 
 
-@dataclass(init=False, repr=False, eq=False)
 class PointedCorrespondence(_Frozen):
     """A label bijection between two spaces of equal cardinality; immutable,
     with ``mapping`` a read-only copy of the given dict."""
@@ -185,7 +183,6 @@ class PointedCorrespondence(_Frozen):
         return np.array([self.target.index(self.mapping[lab]) for lab in self.source.labels])
 
 
-@dataclass(init=False, repr=False, eq=False)
 class EquivalenceReport(_Value):
     """``method`` is "factor" when a conformal factor certified the verdict
     (``max_deviation`` is then a bound, ``witness`` None) and "scan" when every

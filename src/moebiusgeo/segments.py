@@ -12,7 +12,6 @@ checks, recovery, anchor positions, map stage and JSON here serve circles too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +39,6 @@ def ptolemy_identity_residual(p1, p2, p3, p4):
             - signed_distance(p1, p3) * signed_distance(p2, p4))
 
 
-@dataclass(init=False, repr=False, eq=False)
 class WedgeRegion(_Frozen):
     """The region T(u, w) of points lam*u + mu*w whose (lam, mu, 1) satisfy
     the triangle inequality, with lam, mu >= 0; immutable, as a space is."""
@@ -49,7 +47,8 @@ class WedgeRegion(_Frozen):
     w: np.ndarray
 
     def __post_init__(self):
-        u, w = np.array(self.u, dtype=float), np.array(self.w, dtype=float)
+        u = _plane_vector(self.u, "wedge direction u")
+        w = _plane_vector(self.w, "wedge direction w")
         if not (np.isfinite(u).all() and np.isfinite(w).all()):
             raise ValidationError("wedge directions must be finite")
         su, sw = _wedge_scaled(u, w)
@@ -62,6 +61,14 @@ class WedgeRegion(_Frozen):
         vars(self).update(u=u, w=w)
 
 
+def _plane_vector(v, name: str) -> np.ndarray:
+    """A float copy of v, refused unless it has the shape (2,) of a planar vector."""
+    v = np.array(v, dtype=float)
+    if v.shape != (2,):
+        raise ValidationError(f"{name} must be a vector of 2 coordinates, not of shape {v.shape}")
+    return v
+
+
 def _wedge_scaled(u, w, *more) -> list:
     """u, w and ``more`` times the power of two that brings the largest
     coordinate of u and w into [1/2, 1), so that no product of the wedge
@@ -70,7 +77,6 @@ def _wedge_scaled(u, w, *more) -> list:
     return [np.ldexp(x, e) for x in (u, w, *more)]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class WedgeLocation(_Value):
     """Where a point lies against a wedge, and its coordinates lam and mu."""
 
@@ -81,7 +87,7 @@ class WedgeLocation(_Value):
 
 def wedge_contains(wedge: WedgeRegion, v, eps: float = DEFAULT_EPS) -> WedgeLocation:
     """Locate v relative to T(u, w) via its decomposition v = lam*u + mu*w."""
-    v = np.asarray(v, dtype=float)
+    v = _plane_vector(v, "point")
     if not np.isfinite(v).all():
         raise ValidationError(f"point {v} is not finite")
     # an overflow leaves lam or mu infinite, and a condition inf of its sign
@@ -101,7 +107,6 @@ def wedge_contains(wedge: WedgeRegion, v, eps: float = DEFAULT_EPS) -> WedgeLoca
     return WedgeLocation("inside", lam, mu)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class _PlanarCurve(_Frozen):
     """The fields and checks that quadrant and halfplane curves share.  The
     sample parameters are not stored: they are evenly spaced on [0, 1] for a
@@ -186,7 +191,6 @@ def _check_convex(S: np.ndarray, R: float, eps: float) -> None:
         raise ValidationError(f"polyline is not convex at sample {k}")
 
 
-@dataclass(init=False, repr=False, eq=False)
 class QuadrantCurve(_PlanarCurve):
     """An ordered sample sequence of a segment parameterization.
 
@@ -469,7 +473,6 @@ def _map_onto(s: np.ndarray, xp: np.ndarray, params: np.ndarray, samples: np.nda
     return params, points, dev, tuple(src_space.labels[i] for i in quad)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class SegmentMap(_Record):
     """A sampled Moebius homeomorphism between two segments."""
 

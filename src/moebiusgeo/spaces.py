@@ -52,11 +52,17 @@ _SUBNORMAL_SLACK = 2.0 ** -1060
 _deferred: contextvars.ContextVar[list | None] = contextvars.ContextVar("_deferred", default=None)
 
 
-# Records are declared with dataclass(init=False, repr=False, eq=False), which compiles
-# no method; these bases give the methods as dataclass would, and a record that checks
-# its fields does so in __post_init__.
+# A record is declared by subclassing one of these bases, whose __init_subclass__ collects its
+# fields with dataclass(init=False, repr=False, eq=False), compiling no method; the bases give
+# the methods as dataclass would, checks go in __post_init__, and writing __init__ is refused.
 class _Record:
     """The constructor and ``repr`` over the fields."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__init__" in vars(cls):
+            raise TypeError(f"{cls.__qualname__} writes __init__; its checks go in __post_init__")
+        dataclass(cls, init=False, repr=False, eq=False)
 
     def __init__(self, *args, **kwargs):
         fields = self.__dataclass_fields__
@@ -118,7 +124,6 @@ class _FrozenValue(_Frozen, _Value):
         return hash(self._values())
 
 
-@dataclass(init=False, repr=False, eq=False)
 class ExtendedMetricSpace(_Frozen):
     """A finite labeled point set with a symmetric extended distance matrix.
 
@@ -411,12 +416,14 @@ def space_from_points(points, labels=None, *, p: float = 2.0, add_omega: bool = 
                       eps: float = DEFAULT_EPS) -> ExtendedMetricSpace:
     """Build a space from coordinate rows under an l^p metric (p=2 or p=1).
 
-    With ``add_omega`` a remote point labeled ``omega`` is appended.
-    Euclidean distances keep their precision at every scale: when the
-    largest coordinate difference lies outside [2^-480, 2^480], where a
-    square would overflow or an underflow could cost more than a unit of
-    roundoff of the largest distance, the differences are scaled by a power
-    of two into [1/2, 1) before squaring, and back after the root.
+    ``points`` is an (n, dim) array of n rows, or a single row; ``[]`` holds
+    no row, and an array of more dimensions is refused.  With ``add_omega``
+    a remote point labeled ``omega`` is appended.  Euclidean distances keep
+    their precision at every scale: when the largest coordinate difference
+    lies outside [2^-480, 2^480], where a square would overflow or an
+    underflow could cost more than a unit of roundoff of the largest
+    distance, the differences are scaled by a power of two into [1/2, 1)
+    before squaring, and back after the root.
 
     The matrix is a metric up to rounding, which proves its triangle pass
     (``ExtendedMetricSpace._derived``).  With u = 2^-53 and ``dim`` the
@@ -428,7 +435,10 @@ def space_from_points(points, labels=None, *, p: float = 2.0, add_omega: bool = 
     inequality, so a computed triangle fails by at most 3 (dim + 3) u
     scale, which the bound 2 (2 (dim + 3) + 3) u scale covers with room.
     """
-    P = np.atleast_2d(np.asarray(points, dtype=float))
+    P = np.asarray(points, dtype=float)
+    if P.ndim > 2:
+        raise ValidationError(f"points must be coordinate rows, not an array of shape {P.shape}")
+    P = P.reshape(0, 0) if P.shape == (0,) else np.atleast_2d(P)
     count = P.shape[0]
     diff = P[:, None, :] - P[None, :, :]
     if p == 2.0:
@@ -465,7 +475,6 @@ def space_from_points(points, labels=None, *, p: float = 2.0, add_omega: bool = 
     return ExtendedMetricSpace._derived(labels, D, omega, eps, positions, bound)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class CrossRatioTriple(_FrozenValue):
     """A normalized projective triple (a : b : c) with a + b + c = 1."""
 
@@ -688,7 +697,6 @@ def max_crt_deviation(D1, omega1, D2, omega2, perm) -> tuple[float, tuple[int, .
     return (0.0, None) if worst[1] is None else (worst[0], worst[1][1:])
 
 
-@dataclass(init=False, repr=False, eq=False)
 class PtolemyReport(_FrozenValue):
     """Outcome of a full quadruple scan.
 

@@ -9,7 +9,6 @@ by normalizing standard Gaussian draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +63,6 @@ def stereographic(u, pole=None) -> np.ndarray | None:
     return u[:-1] / (1.0 - u[-1])
 
 
-@dataclass(init=False, repr=False, eq=False)
 class SampledCircle(_Record):
     """A circle in k-dimensional Euclidean space with cyclic samples."""
 

@@ -78,6 +78,32 @@ class TestSectorAtEveryScale:
                 mg.SectorRegion(1.0, x)
 
 
+class TestSectorShapes:
+    """A sector and a located point are planar: (0, 1, 9) was normalized over
+    three coordinates, which turned the direction, a third coordinate of a
+    point was ignored, and a short or nested one raised a bare IndexError."""
+
+    @pytest.mark.parametrize("x, shape", [
+        pytest.param((0, 1, 9), r"\(3,\)", id="3-vector"),
+        pytest.param((1.0,), r"\(1,\)", id="1-vector"),
+        pytest.param(5.0, r"\(\)", id="scalar"),
+        pytest.param([[0, 1]], r"\(1, 2\)", id="nested"),
+    ])
+    def test_directions_of_another_shape_are_refused(self, x, shape):
+        with pytest.raises(ValidationError, match=rf"sector direction x .* shape {shape}"):
+            mg.SectorRegion(1.0, x)
+
+    @pytest.mark.parametrize("v", [
+        pytest.param((0.5, 0.75, -100), id="3-vector"),
+        pytest.param((0.5,), id="1-vector"),
+        pytest.param(5.0, id="scalar"),
+        pytest.param([[0.5, 0.75]], id="nested"),
+    ])
+    def test_points_of_another_shape_are_refused(self, v):
+        with pytest.raises(ValidationError, match="point must be a vector of 2 coordinates"):
+            mg.sector_contains(mg.SectorRegion(1.0, (0, 1)), v)
+
+
 class TestHalfplaneCurveValidation:
     def test_chordal_curve_valid(self):
         curve = mg.chordal_circle_curve(2.0, 16)

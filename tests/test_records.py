@@ -1,8 +1,9 @@
 """The package's records: what ``dataclasses`` sees of them, how they are
 built, printed, compared and hashed, and which of them are frozen.
 
-Every record is declared with ``dataclass()`` and keeps the behaviour of a
-generated dataclass: field names, order and defaults, ``__match_args__``,
+Every record is declared by subclassing a base in ``spaces``, which collects
+its fields with ``dataclass()``, and keeps the behaviour of a generated
+dataclass: field names, order and defaults, ``__match_args__``,
 positional and keyword construction, ``repr``, value equality for the seven
 records that hold plain values, identity for those that hold arrays or
 spaces, and ``FrozenInstanceError`` on the frozen ones.
@@ -10,12 +11,15 @@ spaces, and ``FrozenInstanceError`` on the frozen ones.
 
 import copy
 import dataclasses
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
 import moebiusgeo as mg
+from moebiusgeo import spaces
 from moebiusgeo.circles import SectorLocation
 from moebiusgeo.errors import ValidationError
 from moebiusgeo.segments import WedgeLocation, _PlanarCurve
@@ -142,6 +146,75 @@ class TestDataclassView:
                 assert (holds, margin) == (True, -0.5)
             case _:
                 pytest.fail("the report did not match its own pattern")
+
+
+BASES = [spaces._Record, spaces._Frozen, spaces._Value, spaces._FrozenValue]
+BASE_IDS = [base.__name__ for base in BASES]
+
+
+class TestDeclaration:
+    """A record is declared by subclassing a base in ``spaces``: no decorator,
+    and no ``__init__`` of its own."""
+
+    def test_the_table_holds_every_record_of_the_package(self):
+        found = set()
+        for info in pkgutil.iter_modules(mg.__path__):
+            module = importlib.import_module(f"moebiusgeo.{info.name}")
+            found.update(cls for cls in vars(module).values()
+                         if isinstance(cls, type) and issubclass(cls, spaces._Record)
+                         and cls.__module__ == module.__name__)
+        assert found - set(BASES) == {cls for cls, _, _ in RECORDS.values()}
+
+    @pytest.mark.parametrize("name", RECORD_IDS, ids=RECORD_IDS)
+    def test_fields_are_collected_without_generated_methods(self, name):
+        cls = RECORDS[name][0]
+        params = cls.__dataclass_params__
+        assert (params.init, params.repr, params.eq) == (False, False, False)
+        assert "__init__" not in vars(cls)
+
+    @pytest.mark.parametrize("base", BASES, ids=BASE_IDS)
+    def test_a_subclass_with_no_decorator_is_a_record(self, base):
+        class Pair(base):
+            """Two numbers, the second stored as a float."""
+
+            first: float
+            second: float = 1
+
+            def __post_init__(self):
+                vars(self)["second"] = float(self.second)
+
+        name = Pair.__qualname__
+        assert [(f.name, f.default) for f in dataclasses.fields(Pair)] == [
+            ("first", MISSING), ("second", 1)]
+        pair = Pair(0.25)
+        assert dataclasses.is_dataclass(pair) and Pair.__match_args__ == ("first", "second")
+        assert repr(pair) == f"{name}(first=0.25, second=1.0)"
+        assert (pair == Pair(0.25)) is issubclass(base, spaces._Value)
+        if base is spaces._FrozenValue:
+            assert hash(pair) == hash((0.25, 1.0))
+        if issubclass(base, spaces._Frozen):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                pair.first = 0.5
+        other = dataclasses.replace(pair, second=2)
+        assert type(other) is Pair and (other.first, other.second) == (0.25, 2.0)
+        for call, message in [
+            (lambda: Pair(1, 2, 3), f"{name}() takes 2 arguments but 3 were given"),
+            (lambda: Pair(1, first=2), f"{name}() got multiple values for argument 'first'"),
+            (lambda: Pair(1, bogus=2), f"{name}() got an unexpected keyword argument 'bogus'"),
+            (lambda: Pair(), f"{name}() missing required argument 'first'"),
+        ]:
+            with pytest.raises(TypeError) as exc:
+                call()
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("base", BASES, ids=BASE_IDS)
+    def test_a_record_that_writes_init_is_refused(self, base):
+        with pytest.raises(TypeError, match="Pair writes __init__; its checks go in __post_init__"):
+            class Pair(base):
+                first: float
+
+                def __init__(self, first):
+                    vars(self)["first"] = first
 
 
 class TestConstruction:

@@ -151,6 +151,33 @@ class TestWedgeAtEveryScale:
         assert (loc.region, loc.lam, loc.mu) == ("outside", 1e308, -1e308)
 
 
+class TestWedgeShapes:
+    """A wedge and a located point are planar: a third coordinate was ignored
+    ((0.5, 0.75, -100) read "inside"), and a short or nested one raised a bare
+    IndexError or TypeError."""
+
+    @pytest.mark.parametrize("u, w, message", [
+        pytest.param((1, 0, 5), (0, 1, 7), r"wedge direction u .* shape \(3,\)", id="u-3-vector"),
+        pytest.param((1, 0), (0, 1, 7), r"wedge direction w .* shape \(3,\)", id="w-3-vector"),
+        pytest.param([[1, 0]], (0, 1), r"wedge direction u .* shape \(1, 2\)", id="u-nested"),
+        pytest.param((1, 0), (1.0,), r"wedge direction w .* shape \(1,\)", id="w-1-vector"),
+        pytest.param(5.0, (0, 1), r"wedge direction u .* shape \(\)", id="u-scalar"),
+    ])
+    def test_directions_of_another_shape_are_refused(self, u, w, message):
+        with pytest.raises(ValidationError, match=message):
+            mg.WedgeRegion(u, w)
+
+    @pytest.mark.parametrize("v", [
+        pytest.param((0.5, 0.75, -100), id="3-vector"),
+        pytest.param((0.5,), id="1-vector"),
+        pytest.param(5.0, id="scalar"),
+        pytest.param([[0.5, 0.75]], id="nested"),
+    ])
+    def test_points_of_another_shape_are_refused(self, v):
+        with pytest.raises(ValidationError, match="point must be a vector of 2 coordinates"):
+            mg.wedge_contains(mg.WedgeRegion((1, 0), (0, 1)), v)
+
+
 class TestCurveValidation:
     def test_wrong_endpoint(self):
         with pytest.raises(ValidationError, match="first sample"):

@@ -851,6 +851,32 @@ class TestPointsAtEveryScale:
         assert scaled.dist.tobytes() == np.ldexp(mg.space_from_points(P).dist, shift).tobytes()
 
 
+class TestPointsShape:
+    """Coordinates are rows: rows of rows stored a (4, 4, 1) matrix, on which
+    is_ptolemy checked one quadruple and invert_at failed, and [] read as one
+    point with no coordinate."""
+
+    @pytest.mark.parametrize("points, message", [
+        pytest.param([[[0, 0]], [[1, 1]], [[2, 5]], [[3, 1]]],
+                     r"coordinate rows, not an array of shape \(4, 1, 2\)", id="rows-of-rows"),
+        pytest.param(np.zeros((2, 1, 1)), r"coordinate rows, not an array of shape \(2, 1, 1\)",
+                     id="3-d-array"),
+        pytest.param([], "a space needs at least one point", id="empty-list"),
+        pytest.param(np.zeros((0, 3)), "a space needs at least one point", id="zero-rows"),
+    ])
+    def test_refused(self, points, message):
+        with pytest.raises(ValidationError, match=message):
+            mg.space_from_points(points)
+
+    @pytest.mark.parametrize("points, add_omega, labels", [
+        pytest.param([1.0, 2.0], False, ("p0",), id="1-d-is-one-row"),
+        pytest.param([], True, ("omega",), id="empty-list-with-omega"),
+        pytest.param(np.zeros((0, 3)), True, ("omega",), id="zero-rows-with-omega"),
+    ])
+    def test_kept(self, points, add_omega, labels):
+        assert mg.space_from_points(points, add_omega=add_omega).labels == labels
+
+
 def _loose_line():
     """Six points on a line with d(p0, p5) 1e-7 short: a segment within eps = 1e-6."""
     D = np.abs(np.arange(6.0)[:, None] - np.arange(6.0))
