@@ -182,14 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="Ptolemy scan of a distance-matrix JSON file")
     p.add_argument("matrix")
-    p.add_argument("--output")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("invert", help="invert and/or bound a metric at a point")
     p.add_argument("matrix")
     p.add_argument("--at", help="label of the inversion point")
     p.add_argument("--bound-at", help="label of the bounded-metric base point")
-    p.add_argument("--output")
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("segment", help="classify a segment metric or synthesize one")
@@ -197,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--order", help="comma-separated point order (classify)")
     p.add_argument("--csv", help="write (t, a, b, alpha) samples (classify)")
-    p.add_argument("--output")
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("circle", help="classify a circle metric or synthesize one")
@@ -206,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", help="comma-separated cyclic order (classify)")
     p.add_argument("--minus-one", help="label of the second base point (classify)")
     p.add_argument("--csv", help="write (t, a, b) samples (classify)")
-    p.add_argument("--output")
     p.set_defaults(func=cmd_circle)
 
     p = sub.add_parser("map", help="Moebius map between two segments or circles")
@@ -215,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dst", required=True)
     p.add_argument("--src-anchors", required=True, help="three comma-separated labels")
     p.add_argument("--dst-anchors", required=True, help="three comma-separated labels")
-    p.add_argument("--output")
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("sphere", help="seeded sample space with a Ptolemy report")
@@ -224,14 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=12)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--matrix-out", help="also write the distance-matrix JSON here")
-    p.add_argument("--output")
     p.set_defaults(func=cmd_sphere)
 
     p = sub.add_parser("exotic", help="glued-space boundary metrics report")
     p.add_argument("--l", type=float, required=True, help="distance between the base points")
     p.add_argument("--angles", type=int, default=6, help="number of equator samples")
-    p.add_argument("--output")
     p.set_defaults(func=cmd_exotic)
+    for p in sub.choices.values():  # last, as each usage line and help listing has it
+        p.add_argument("--output")
     return parser
 
 

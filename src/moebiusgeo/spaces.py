@@ -965,20 +965,22 @@ def _decoded_alike(data) -> bool:
     return True
 
 
-def _decode(raw: bytes, alike):
-    """The JSON document in the bytes ``raw`` of a file, as ``json.loads``
-    reads the text that text mode reads from them.
+def _read_json(path: str, alike=_decoded_alike):
+    """The JSON document in the file ``path``, as ``json.load`` reads it.
 
-    orjson decodes it once, about four times faster, to equal values on every
-    text both accept (bit for bit on floats): ASCII bytes as they are, which
-    text mode reads to the same characters in every locale, newlines aside,
-    which JSON takes as whitespace; other bytes as that text.  The stdlib
-    decodes the text where orjson refuses it (``NaN``, ``Infinity``,
-    ``1e999``, integers beyond the double range, a lone surrogate, a BOM, or a
-    syntax error, which the stdlib words as always) or where ``alike(data)``
-    does not vouch for orjson's objects ``data``."""
+    The file's bytes are read once, so a pipe reads as a file does.  orjson
+    decodes them, about four times faster, to equal values on every text both
+    accept (bit for bit on floats): ASCII bytes as they are, which text mode
+    reads to the same characters in every locale, newlines aside, which JSON
+    takes as whitespace; other bytes as that text.  The stdlib decodes the
+    text where orjson refuses it (``NaN``, ``Infinity``, ``1e999``, integers
+    beyond the double range, a lone surrogate, a BOM, or a syntax error,
+    which the stdlib words as always) or where ``alike(data)`` does not vouch
+    for orjson's objects ``data``."""
     import orjson  # not at the top: its import costs the commands that read no JSON
 
+    with open(path, "rb") as fh:
+        raw = fh.read()
     text = io.TextIOWrapper(io.BytesIO(raw))  # the file in text mode
     with contextlib.suppress(orjson.JSONDecodeError):
         data = orjson.loads(raw if raw.isascii() else text.read())
@@ -986,12 +988,6 @@ def _decode(raw: bytes, alike):
             return data
     text.seek(0)
     return json.load(text)
-
-
-def _read_json(path: str):
-    """The JSON document in the file ``path``, as ``json.load`` reads it."""
-    with open(path, "rb") as fh:
-        return _decode(fh.read(), _decoded_alike)
 
 
 def _space_alike(data) -> bool:
@@ -1006,12 +1002,9 @@ def _space_alike(data) -> bool:
 
 def _read_space(path: str, eps: float) -> ExtendedMetricSpace:
     """The space of the distance-matrix file ``path``, as
-    ``space_from_json_dict(_read_json(path), eps)`` reads it.  The file is
-    read once, so a pipe reads as a file does, and its matrix is converted
-    while it is vouched for (:func:`_space_alike`)."""
-    with open(path, "rb") as fh:  # the bytes are not held while the space is built
-        data = _decode(fh.read(), _space_alike)
-    return space_from_json_dict(data, eps)
+    ``space_from_json_dict(_read_json(path), eps)`` reads it, with its matrix
+    converted while it is vouched for (:func:`_space_alike`)."""
+    return space_from_json_dict(_read_json(path, _space_alike), eps)
 
 
 def space_from_json_dict(data: dict, eps: float = DEFAULT_EPS) -> ExtendedMetricSpace:
