@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .spaces import DEFAULT_EPS, ExtendedMetricSpace, _Frozen, _Record, _Value
-from .segments import (_PlanarCurve, _anchor_triple, _check_convex, _curve_from_json,
-                       _curve_space, _curve_to_json, _loop_positions, _map_onto, _ordered,
-                       _plane_vector, _recover)
+from .segments import (_PlanarCurve, _anchor_triple, _check_convex, _check_length,
+                       _curve_from_json, _curve_space, _curve_to_json, _loop_positions,
+                       _map_onto, _ordered, _plane_vector, _recover, _unit_exponent)
 
 
 class SectorRegion(_Frozen):
@@ -29,9 +29,7 @@ class SectorRegion(_Frozen):
     x: np.ndarray
 
     def __post_init__(self):
-        R = self.R
-        if not (R > 0.0 and math.isfinite(R)):
-            raise ValidationError("R must be positive and finite")
+        _check_length(self.R)
         # a power of two brings the largest coordinate into [1/2, 1), so the
         # norm neither overflows nor underflows; it cancels from the unit vector
         x = _plane_vector(self.x, "sector direction x")
@@ -73,9 +71,13 @@ def _find_sector_witness(samples: np.ndarray, R: float, eps: float) -> np.ndarra
     """An upward unit direction whose sector contains the curve.
 
     Each sample off the base axis bounds the cotangent of the direction
-    from both sides; the midpoint of the feasible interval is returned.
+    from both sides; the midpoint of the feasible interval is returned.  A
+    power of two scales the samples and R, as in ``segments._check_convex``,
+    so no bound overflows; the ratios are exact at every normal scale.
     """
-    a, b = samples.T
+    e = _unit_exponent(samples, R)
+    a, b = np.ldexp(samples, e).T
+    R = math.ldexp(R, e)
     interior = b > eps * R
     slack = R * (1.0 + eps)
     if not interior.any():
@@ -122,8 +124,7 @@ def chordal_circle_curve(R: float, n_samples: int = 64,
     (R cos(pi t / 2), R sin(pi t / 2)); an even ``n_samples`` places a
     sample exactly at (0, R).
     """
-    if R <= 0:
-        raise ValueError("R must be positive")
+    _check_length(R)
     t = np.linspace(0.0, 2.0, n_samples + 1)
     samples = np.column_stack([R * np.cos(np.pi * t / 2), R * np.sin(np.pi * t / 2)])
     return HalfplaneCurve(R, samples, eps=eps)

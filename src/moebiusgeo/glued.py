@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .inversions import PointedCorrespondence, crt_equivalent
-from .spaces import _U, DEFAULT_EPS, ExtendedMetricSpace, _FrozenValue, _Record
+from .spaces import _U, DEFAULT_EPS, ExtendedMetricSpace, _float_array, _FrozenValue, _Record
 
 # Largest x with cosh(x) finite in double precision, about 710.476.
 _MAX_COSH_ARG = math.acosh(sys.float_info.max)
@@ -77,7 +77,7 @@ def gamma_point(tau: float):
 
 def bulk_point(vec):
     """A point of the 3-space component as a hyperboloid 4-vector."""
-    v = np.asarray(vec, dtype=float)
+    v = _float_array(vec, "bulk point")
     if v.shape != (4,):
         raise ValidationError("bulk points are hyperboloid 4-vectors")
     q = v[0] ** 2 + v[1] ** 2 + v[2] ** 2 - v[3] ** 2

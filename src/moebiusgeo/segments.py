@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from .errors import NotPtolemyError, ValidationError
-from .spaces import (_PLAIN_NUMBERS, _U, DEFAULT_EPS, ExtendedMetricSpace, _check_eps, _Frozen,
-                     _Record, _Value, max_crt_deviation)
+from .spaces import (_PLAIN_NUMBERS, _U, DEFAULT_EPS, ExtendedMetricSpace, _check_eps,
+                     _float_array, _Frozen, _Record, _Value, max_crt_deviation)
 
 DEFAULT_EPS_ARG = 1e-10
 
@@ -63,7 +63,7 @@ class WedgeRegion(_Frozen):
 
 def _plane_vector(v, name: str) -> np.ndarray:
     """A float copy of v, refused unless it has the shape (2,) of a planar vector."""
-    v = np.array(v, dtype=float)
+    v = _float_array(v, name).copy()
     if v.shape != (2,):
         raise ValidationError(f"{name} must be a vector of 2 coordinates, not of shape {v.shape}")
     return v
@@ -130,11 +130,9 @@ class _PlanarCurve(_Frozen):
         closed ``region``) and are clipped to zero; the first sample must be
         (R, 0), the last ``last``, and the argument must increase strictly.
         """
-        R = self.R
-        if not (R > 0.0 and math.isfinite(R)):
-            raise ValidationError("R must be positive and finite")
+        R = _check_length(self.R)
         _check_eps(self.eps)
-        S = np.array(self.samples, dtype=float)
+        S = _float_array(self.samples, "samples").copy()
         if S.ndim != 2 or S.shape[1] != 2 or S.shape[0] < min_n:
             raise ValidationError(f"samples must be an (n >= {min_n}, 2) array")
         if not np.isfinite(S).all():
@@ -167,6 +165,13 @@ class _PlanarCurve(_Frozen):
     def params(self) -> np.ndarray:
         """Evenly spaced sample parameters from 0 to 1 (quadrant) or 2 (halfplane)."""
         return np.linspace(0.0, self._end, self.n)
+
+
+def _check_length(value, name: str = "R"):
+    """A length of a curve or region must be positive and finite."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValidationError(f"{name} must be positive and finite")
+    return value
 
 
 def _unit_exponent(S: np.ndarray, R: float) -> int:
@@ -391,7 +396,8 @@ def curve_from_segment(space: ExtendedMetricSpace, order=None) -> QuadrantCurve:
 def _half_angle(R: float, r: float, branch: str) -> float:
     """Half the angle a chord of length R subtends at the centre of a circle
     of radius r >= R/2; ``branch`` names the minor or major arc."""
-    if r < R / 2.0 * (1.0 - 1e-12):
+    _check_length(R)
+    if _check_length(r, "r") < R / 2.0 * (1.0 - 1e-12):
         raise ValueError("arc radius must be at least R/2")
     if branch not in ("minor", "major"):
         raise ValueError("branch must be 'minor' or 'major'")

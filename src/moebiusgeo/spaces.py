@@ -322,6 +322,38 @@ def _check_eps(eps: float) -> None:
         raise ValidationError(f"eps must be finite and nonnegative, not {eps}")
 
 
+# What numpy's dtype kind of an array, or of a cell, shows in place of numbers
+_NOT_NUMBERS = {"b": "booleans", "U": "strings", "S": "strings", "c": "complex numbers",
+                "N": "None"}
+
+
+def _float_array(values, name: str) -> np.ndarray:
+    """``values``, an array or nested lists of numbers given to the library,
+    as a float array: a float64 ndarray as it is, with no copy or pass over
+    its cells, else converted.  Rows of different lengths, strings or bytes,
+    None, an array of booleans, complex numbers, and integers too large for a
+    float raise a ValidationError naming the argument ``name``.  Python ints
+    of any size that fits a float are numbers; numpy reads a list that mixes
+    booleans with numbers as numbers, True as 1 (the file readers check each
+    cell)."""
+    if type(values) is np.ndarray and values.dtype == np.float64:
+        return values
+    try:
+        A = np.asarray(values)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise ValidationError(f"{name} must be rows of one length") from None
+    kind = A.dtype.kind
+    if kind == "O":  # ints beyond 64 bits, None, or cells of no common type
+        kinds = {"N" if v is None else np.asarray(v).dtype.kind for v in A.flat}
+        kind = min(kinds & _NOT_NUMBERS.keys(), default=kind)
+    if kind in _NOT_NUMBERS:
+        raise ValidationError(f"{name} must hold numbers, not {_NOT_NUMBERS[kind]}")
+    try:
+        return A.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} must hold numbers that fit a float: {exc}") from None
+
+
 def _checked_input(labels, dist, eps: float) -> tuple[tuple[str, ...], dict[str, int], np.ndarray]:
     """The first checks of a construction: ``eps``, the labels as unique
     strings, and the shape of ``dist``; returns the labels, the index of
@@ -334,7 +366,7 @@ def _checked_input(labels, dist, eps: float) -> tuple[tuple[str, ...], dict[str,
     positions = dict(zip(labels, range(n)))
     if len(positions) != n:
         raise ValidationError("point labels must be unique")
-    D = np.asarray(dist, dtype=float)
+    D = _float_array(dist, "distance matrix")
     if D.shape != (n, n):
         raise ValidationError(f"distance matrix shape {D.shape} does not match {n} labels")
     return labels, positions, D
@@ -417,13 +449,16 @@ def space_from_points(points, labels=None, *, p: float = 2.0, add_omega: bool = 
     """Build a space from coordinate rows under an l^p metric (p=2 or p=1).
 
     ``points`` is an (n, dim) array of n rows, or a single row; ``[]`` holds
-    no row, and an array of more dimensions is refused.  With ``add_omega``
-    a remote point labeled ``omega`` is appended.  Euclidean distances keep
-    their precision at every scale: when the largest coordinate difference
-    lies outside [2^-480, 2^480], where a square would overflow or an
-    underflow could cost more than a unit of roundoff of the largest
-    distance, the differences are scaled by a power of two into [1/2, 1)
-    before squaring, and back after the root.
+    no row, and an array of more dimensions is refused.  Coordinates are
+    numbers (:func:`_float_array`); a NaN or inf one is refused as the NaN
+    it puts in the matrix, and a distance beyond the largest float as
+    infinite, with no numpy warning.  With ``add_omega`` a remote point
+    labeled ``omega`` is appended.  Euclidean distances keep their precision
+    at every scale: when the largest coordinate difference lies outside
+    [2^-480, 2^480], where a square would overflow or an underflow could
+    cost more than a unit of roundoff of the largest distance, the
+    differences are scaled by a power of two into [1/2, 1) before squaring,
+    and back after the root.
 
     The matrix is a metric up to rounding, which proves its triangle pass
     (``ExtendedMetricSpace._derived``).  With u = 2^-53 and ``dim`` the
@@ -435,24 +470,26 @@ def space_from_points(points, labels=None, *, p: float = 2.0, add_omega: bool = 
     inequality, so a computed triangle fails by at most 3 (dim + 3) u
     scale, which the bound 2 (2 (dim + 3) + 3) u scale covers with room.
     """
-    P = np.asarray(points, dtype=float)
+    P = _float_array(points, "points")
     if P.ndim > 2:
         raise ValidationError(f"points must be coordinate rows, not an array of shape {P.shape}")
     P = P.reshape(0, 0) if P.shape == (0,) else np.atleast_2d(P)
     count = P.shape[0]
-    diff = P[:, None, :] - P[None, :, :]
-    if p == 2.0:
-        m = float(diff.max(initial=0.0))  # max |a - b|: fl(b - a) = -fl(a - b)
-        if 2.0 ** -480 <= m <= 2.0 ** 480 or not 0.0 < m < math.inf:
-            D = np.sqrt((diff ** 2).sum(axis=-1))
-        else:
-            e = math.frexp(m)[1]
-            with np.errstate(over="ignore"):  # a distance beyond the largest float is inf
+    # A difference or distance beyond the largest float is inf, and a NaN or inf
+    # coordinate gives NaN (inf - inf on the diagonal): _finish refuses both
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = P[:, None, :] - P[None, :, :]
+        if p == 2.0:
+            m = float(diff.max(initial=0.0))  # max |a - b|: fl(b - a) = -fl(a - b)
+            if 2.0 ** -480 <= m <= 2.0 ** 480 or not 0.0 < m < math.inf:
+                D = np.sqrt((diff ** 2).sum(axis=-1))
+            else:
+                e = math.frexp(m)[1]
                 D = np.ldexp(np.sqrt((np.ldexp(diff, -e) ** 2).sum(axis=-1)), e)
-    elif p == 1.0:
-        D = np.abs(diff).sum(axis=-1)
-    else:
-        raise ValueError("only p=1 and p=2 are supported")
+        elif p == 1.0:
+            D = np.abs(diff).sum(axis=-1)
+        else:
+            raise ValueError("only p=1 and p=2 are supported")
     omega = None
     if add_omega:
         full = np.full((count + 1, count + 1), np.inf)

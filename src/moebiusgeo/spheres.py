@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .spaces import DEFAULT_EPS, ExtendedMetricSpace, _Record, _write_csv, space_from_points
+from .spaces import (DEFAULT_EPS, ExtendedMetricSpace, _float_array, _Record, _write_csv,
+                     space_from_points)
 
 UNIT_TOL = 1e-12
 
@@ -24,8 +25,8 @@ SAMPLE_KINDS = ("sphere", "hemisphere", "euclidean", "halfspace",
                 "ball-complement", "line", "l1")
 
 
-def _check_unit(u) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
+def _check_unit(u, name: str) -> np.ndarray:
+    u = _float_array(u, name)
     if u.ndim != 1 or len(u) < 2:
         raise ValidationError("sphere points are 1-d unit vectors of length >= 2")
     if not abs(np.linalg.norm(u) - 1.0) <= UNIT_TOL:  # true for NaN too
@@ -35,7 +36,7 @@ def _check_unit(u) -> np.ndarray:
 
 def chordal_metric(u, v) -> float:
     """Euclidean distance between two unit vectors; ranges over [0, 2]."""
-    return float(np.linalg.norm(_check_unit(u) - _check_unit(v)))
+    return float(np.linalg.norm(_check_unit(u, "u") - _check_unit(v, "v")))
 
 
 def stereographic(u, pole=None) -> np.ndarray | None:
@@ -43,16 +44,18 @@ def stereographic(u, pole=None) -> np.ndarray | None:
 
     The default pole is the last coordinate axis; other poles are handled
     by first reflecting them onto it (an isometry of the sphere).  The pole
-    itself maps to the point at infinity, returned as None.
+    itself maps to the point at infinity, returned as None.  In the northern
+    hemisphere the denominator 1 - u_k, which cancels near the pole, is
+    computed as |u_perp|^2 / (1 + u_k), equal for a unit vector.
     """
-    u = _check_unit(u)
+    u = _check_unit(u, "u")
     k = len(u)
     north = np.zeros(k)
     north[-1] = 1.0
     if pole is None:
         pole = north
     else:
-        pole = _check_unit(pole)
+        pole = _check_unit(pole, "pole")
         if len(pole) != k:
             raise ValidationError("pole dimension does not match the point")
     if np.linalg.norm(u - pole) <= UNIT_TOL:
@@ -60,7 +63,8 @@ def stereographic(u, pole=None) -> np.ndarray | None:
     v = pole - north
     if np.linalg.norm(v) > UNIT_TOL:
         u = u - 2.0 * v * (v @ u) / (v @ v)
-    return u[:-1] / (1.0 - u[-1])
+    w, h = u[:-1], u[-1]
+    return w / ((w @ w) / (1.0 + h) if h > 0.0 else 1.0 - h)
 
 
 class SampledCircle(_Record):
@@ -92,7 +96,7 @@ def circumcircle_three(x1, x2, x3, n_samples: int = 24) -> SampledCircle:
     plane.  The first sample coincides with ``x1`` and the three inputs lie
     on the circle to machine accuracy.
     """
-    pts = [np.asarray(p, dtype=float) for p in (x1, x2, x3)]
+    pts = [_float_array(p, name) for p, name in ((x1, "x1"), (x2, "x2"), (x3, "x3"))]
     if len({p.shape for p in pts}) != 1 or pts[0].ndim != 1 or len(pts[0]) < 2:
         raise ValidationError("inputs must be three vectors of a common dimension >= 2")
     if not np.isfinite(pts).all():

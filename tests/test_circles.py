@@ -104,6 +104,23 @@ class TestSectorShapes:
             mg.sector_contains(mg.SectorRegion(1.0, (0, 1)), v)
 
 
+class TestSectorNumbers:
+    """A sector direction and a located point hold numbers: letters raised
+    numpy's own ValueError, and ("0", "1") built a sector."""
+
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda: mg.SectorRegion(1.0, ["a", "b"]),
+                     "sector direction x must hold numbers, not strings", id="letters"),
+        pytest.param(lambda: mg.SectorRegion(1.0, ("0", "1")),
+                     "sector direction x must hold numbers, not strings", id="strings"),
+        pytest.param(lambda: mg.sector_contains(mg.SectorRegion(1.0, (0, 1)), ["x", "y"]),
+                     "point must hold numbers, not strings", id="point-letters"),
+    ])
+    def test_refused(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
+
+
 class TestHalfplaneCurveValidation:
     def test_chordal_curve_valid(self):
         curve = mg.chordal_circle_curve(2.0, 16)
@@ -171,6 +188,29 @@ class TestChordalCircle:
         sp = mg.circle_from_curve(curve)
         back = mg.curve_from_circle(sp)
         assert np.abs(back.samples - curve.samples).max() <= 1e-12
+
+
+class TestChordalCircleAtTheFloatLimits:
+    """At R = 1e308 the sector witness overflowed in a - R (1 + eps), and an
+    infinite R warned before any check."""
+
+    @pytest.mark.parametrize("k", [-1000, 1023], ids=["2^-1000", "2^1023"])
+    def test_witness_does_not_depend_on_the_unit(self, k):
+        R = 2.0 ** k
+        witness = mg.chordal_circle_curve(R, 8).sector_witness
+        assert np.array_equal(witness, mg.chordal_circle_curve(1.0, 8).sector_witness)
+
+    @pytest.mark.parametrize("R", [1e308, 2.0 ** 1023], ids=["1e308", "2^1023"])
+    def test_round_trip_near_the_largest_float(self, R):
+        curve = mg.chordal_circle_curve(R, 8)
+        back = mg.curve_from_circle(mg.circle_from_curve(curve))
+        assert back.R == R
+        assert np.abs(back.samples / R - curve.samples / R).max() <= 1e-12
+
+    @pytest.mark.parametrize("R", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_refused(self, R):
+        with pytest.raises(ValidationError, match="R must be positive and finite"):
+            mg.chordal_circle_curve(R, 8)
 
 
 class TestCircleFromCurve:

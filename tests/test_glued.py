@@ -156,6 +156,15 @@ class TestDistances:
         with pytest.raises(ValidationError, match="bulk points are hyperboloid 4-vectors"):
             mg.bulk_point([0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("vec, message", [
+        pytest.param(["a", 0, 0, 1], "bulk point must hold numbers, not strings", id="letters"),
+        pytest.param([False, False, False, True], "bulk point must hold numbers, not booleans",
+                     id="booleans"),
+    ])
+    def test_bulk_point_cells_are_numbers(self, vec, message):
+        with pytest.raises(ValidationError, match=message):
+            mg.bulk_point(vec)
+
     def test_seam_minimizer_needs_a_halfplane_and_a_bulk_point(self):
         for x, y in [(mg.halfplane_point(1.0, 0.0), mg.halfplane_point(2.0, 0.5)),
                      (mg.bulk_point([0.0, 0.0, 0.0, 1.0]), mg.bulk_point([0.0, 0.0, 0.0, 1.0]))]:

@@ -178,6 +178,37 @@ class TestWedgeShapes:
             mg.wedge_contains(mg.WedgeRegion((1, 0), (0, 1)), v)
 
 
+class TestPlanarNumbers:
+    """Planar vectors and curve samples hold numbers: ("1", "0") built a
+    wedge and [["1", "0"], ["0", "1"]] a curve, letters and ragged rows raised
+    numpy's own ValueError, and an infinite arc radius warned before any
+    check."""
+
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda: mg.WedgeRegion(("1", "0"), ("0", "1")),
+                     "wedge direction u must hold numbers, not strings", id="wedge-strings"),
+        pytest.param(lambda: mg.WedgeRegion(["a", "b"], (0, 1)),
+                     "wedge direction u must hold numbers, not strings", id="wedge-letters"),
+        pytest.param(lambda: mg.WedgeRegion((1, 0), (False, True)),
+                     "wedge direction w must hold numbers, not booleans", id="wedge-booleans"),
+        pytest.param(lambda: mg.wedge_contains(mg.WedgeRegion((1, 0), (0, 1)), ["x", "y"]),
+                     "point must hold numbers, not strings", id="point-letters"),
+        pytest.param(lambda: mg.QuadrantCurve(1.0, [["1", "0"], ["0", "1"]]),
+                     "samples must hold numbers, not strings", id="curve-strings"),
+        pytest.param(lambda: mg.QuadrantCurve(1.0, [[1, 0], [0]]),
+                     "samples must be rows of one length", id="curve-ragged"),
+        pytest.param(lambda: mg.euclidean_segment_curve(1.0, math.inf),
+                     "r must be positive and finite", id="arc-radius-inf"),
+        pytest.param(lambda: mg.euclidean_segment_curve(math.inf, 1.0),
+                     "R must be positive and finite", id="chord-inf"),
+        pytest.param(lambda: mg.ellipse_cos_beta(1.0, math.inf),
+                     "r must be positive and finite", id="cos-beta-arc-radius-inf"),
+    ])
+    def test_refused(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
+
+
 class TestCurveValidation:
     def test_wrong_endpoint(self):
         with pytest.raises(ValidationError, match="first sample"):

@@ -877,6 +877,84 @@ class TestPointsShape:
         assert mg.space_from_points(points, add_omega=add_omega).labels == labels
 
 
+class TestNumericInput:
+    """Arrays from outside hold numbers: strings and booleans built a space
+    silently (("0", "0") and ("3", "4") at distance 5), ragged rows and letters
+    raised numpy's own ValueError, a complex cell a bare TypeError, and None
+    read as NaN."""
+
+    @pytest.mark.parametrize("points, message", [
+        pytest.param([["0", "0"], ["3", "4"]], "points must hold numbers, not strings",
+                     id="strings"),
+        pytest.param([[True, False], [False, True]], "points must hold numbers, not booleans",
+                     id="booleans"),
+        pytest.param([[0, 0], [1]], "points must be rows of one length", id="ragged"),
+        pytest.param([["a", "b"]], "points must hold numbers, not strings", id="letters"),
+        pytest.param([[1j, 0], [0, 0]], "points must hold numbers, not complex numbers",
+                     id="complex"),
+        pytest.param([[None, 0], [0, 0]], "points must hold numbers, not None", id="none"),
+        pytest.param([[b"1", 0], [0, 0]], "points must hold numbers, not strings", id="bytes"),
+        pytest.param([[0, 10 ** 400], [0, 0]], "points must hold numbers that fit a float",
+                     id="int-beyond-the-float-range"),
+    ])
+    def test_points_refused(self, points, message):
+        with pytest.raises(ValidationError, match=message):
+            mg.space_from_points(points)
+
+    @pytest.mark.parametrize("matrix, message", [
+        pytest.param([["0", "1"], ["1", "0"]], "distance matrix must hold numbers, not strings",
+                     id="strings"),
+        pytest.param([[False, True], [True, False]],
+                     "distance matrix must hold numbers, not booleans", id="booleans"),
+        pytest.param([[0, 1], [1]], "distance matrix must be rows of one length", id="ragged"),
+    ])
+    def test_matrix_refused(self, matrix, message):
+        with pytest.raises(ValidationError, match=message):
+            mg.ExtendedMetricSpace(("a", "b"), matrix)
+
+    @pytest.mark.parametrize("build, distance", [
+        pytest.param(lambda: mg.ExtendedMetricSpace(("a", "b"), [[0, 10 ** 30], [10 ** 30, 0]]),
+                     1e30, id="wide-ints-in-a-matrix"),
+        pytest.param(lambda: mg.space_from_points([[0], [10 ** 30]]), 1e30,
+                     id="wide-ints-as-coordinates"),
+        pytest.param(lambda: mg.space_from_points([[True, 4.0], [0, 0]]), math.sqrt(17.0),
+                     id="booleans-among-floats-are-numbers"),
+    ])
+    def test_numbers_kept(self, build, distance):
+        assert build().dist[0, 1] == distance
+
+    def test_a_float_array_is_not_copied(self):
+        # as the CLI hands the constructor the array its reader converted
+        M = np.zeros((3, 3))
+        assert spaces._float_array(M, "distance matrix") is M
+        assert spaces._checked_input(("a", "b", "c"), M, 1e-9)[2] is M
+
+
+class TestPointsAtTheFloatLimits:
+    """Under the suite's RuntimeWarning filter, an infinite coordinate raised
+    "invalid value encountered in subtract", and a difference beyond the
+    largest float "overflow encountered in subtract"."""
+
+    @pytest.mark.parametrize("points, p, message", [
+        pytest.param([[math.inf, 0.0], [0.0, 0.0]], 2.0, "distance matrix contains NaN",
+                     id="inf-coordinate"),
+        pytest.param([[0.0, 0.0], [0.0, -math.inf]], 1.0, "distance matrix contains NaN",
+                     id="minus-inf-coordinate-l1"),
+        pytest.param([[0.0, 0.0], [math.nan, 0.0]], 2.0, "distance matrix contains NaN",
+                     id="nan-coordinate"),
+        pytest.param([[1e308], [-1e308]], 2.0,
+                     r"infinite distance between finite points \(p0, p1\)", id="overflow-l2"),
+        pytest.param([[1e308], [-1e308]], 1.0,
+                     r"infinite distance between finite points \(p0, p1\)", id="overflow-l1"),
+        pytest.param([[1e308], [-1e308], [0.0]], 2.0,
+                     r"infinite distance between finite points \(p0, p1\)",
+                     id="overflow-beside-a-finite-square"),
+    ])
+    def test_refused(self, points, p, message):
+        with pytest.raises(ValidationError, match=message):
+            mg.space_from_points(points, p=p)
+
+
 def _loose_line():
     """Six points on a line with d(p0, p5) 1e-7 short: a segment within eps = 1e-6."""
     D = np.abs(np.arange(6.0)[:, None] - np.arange(6.0))

@@ -59,6 +59,25 @@ class TestStereographic:
         with pytest.raises(ValidationError, match="pole dimension does not match the point"):
             mg.stereographic([0.0, 0.0, 1.0], pole=[0.0, 1.0])
 
+    @pytest.mark.parametrize("theta", [1e-9, 1e-5], ids=["1e-9", "1e-5"])
+    def test_near_the_pole(self, theta):
+        # 1 - u_k cancelled: at 1e-9 cos rounds to 1, and the image was [nan, inf]
+        x, y = mg.stereographic([0.0, math.sin(theta), math.cos(theta)])
+        assert x == 0.0 and math.isclose(y, 1.0 / math.tan(theta / 2.0), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda: mg.stereographic(["a", "b"]), "u must hold numbers, not strings",
+                     id="stereographic-letters"),
+        pytest.param(lambda: mg.chordal_metric([1.0, 0.0], ["a", "b"]),
+                     "v must hold numbers, not strings", id="chordal-letters"),
+        pytest.param(lambda: mg.circumcircle_three(["a", "b"], (0, 1), (1, 0)),
+                     "x1 must hold numbers, not strings", id="circumcircle-letters"),
+    ])
+    def test_cells_are_numbers(self, build, message):
+        # numpy's own ValueError ("could not convert string to float") escaped
+        with pytest.raises(ValidationError, match=message):
+            build()
+
     def test_distance_identity(self):
         # |su - sv| = 2 |u - v| / (|u - N| |v - N|), checked pointwise
         rng = np.random.default_rng(0)
