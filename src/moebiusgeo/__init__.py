@@ -61,11 +61,8 @@ from .glued import (
     bourdon_metric,
     bulk_point,
     exotic_report,
-    gamma_point,
-    glued_distance,
     gromov_product,
     halfplane_point,
-    ray_point,
     seam_minimizer,
 )
 

@@ -7,13 +7,14 @@ normal coordinates (rho, tau): distance rho >= 0 to the seam above the
 foot gamma(tau).  The off-seam base point o' sits in the halfplane at
 (ell, 0), so its projection onto the seam is o.
 
-Distances within a component are closed-form, and so are distances across
-the seam: the minimum of d(x, gamma(tau)) + d(gamma(tau), y) over tau is
-one hyperbolic-plane distance once the bulk point is rotated about the
-seam into the plane opposite the halfplane.  Gromov products of boundary
-points are closed-form: at o, -log sin(theta/2) of the angle theta between
-the rays; at o', that plus half the Busemann values of the two points
-(Bourdon 1995).  The boundary metric is exp(-product).
+Gromov products of boundary points are closed-form: at o, -log sin(theta/2)
+of the angle theta between the rays; at o', that plus half the Busemann
+values of the two points (Bourdon 1995).  The boundary metric is
+exp(-product).  Of the interior only the seam crossing of a halfplane point
+and a bulk point is here (:func:`seam_minimizer`): the minimum of
+d(x, gamma(tau)) + d(gamma(tau), y) over tau is one hyperbolic-plane
+distance once the bulk point is rotated about the seam into the plane
+opposite the halfplane.
 """
 
 from __future__ import annotations
@@ -55,24 +56,12 @@ class GluedSpaceConfig(_FrozenValue):
                 f"ell = {self.ell!r} must be positive and at most acosh(DBL_MAX) = "
                 f"{_MAX_COSH_ARG!r}, where cosh ell overflows")
 
-    def base_point(self, which: str):
-        if which == "o":
-            return halfplane_point(0.0, 0.0)
-        if which in ("o'", "oprime"):
-            return halfplane_point(self.ell, 0.0)
-        raise ValueError("base must be 'o' or 'oprime'")
-
 
 def halfplane_point(rho: float, tau: float):
     """A point of the halfplane component in normal coordinates."""
     if rho < 0.0:
         raise ValidationError("rho must be nonnegative")
     return ("H2", (float(rho), float(tau)))
-
-
-def gamma_point(tau: float):
-    """A point on the seam geodesic."""
-    return halfplane_point(0.0, tau)
 
 
 def bulk_point(vec):
@@ -105,33 +94,14 @@ def _seam_cosh(tau, y):
     return 0.5 * (up / e + down * e), up, down, sinh_r, e
 
 
-def _dist_matrix(points) -> np.ndarray:
-    """Glued distances between all pairs of a list of interior points.
-
-    Rotating a bulk point y about the seam into the plane opposite the
-    halfplane unfolds a crossing into one hyperbolic-plane geodesic: with
-    sinh r the distance from y to the seam, the halfplane point (rho, tau) has
-    cosh d = cosh rho cosh d(gamma(tau), y) + sinh rho sinh r.  Coordinates a
-    point lacks read as those of o.  The diagonal may be nan, as cosh d(x, x)
-    overflows for rho(x) > 355.
-    """
-    bulk = np.array([c == "H3" for c, _ in points])[:, None]
-    r, t = np.array([(0.0, 0.0) if c == "H3" else p for c, p in points]).T
-    Y = np.array([p if c == "H3" else (0.0, 0.0, 0.0, 1.0) for c, p in points])
-    rc, tc, P = r[:, None], t[:, None], Y[:, None]
-    cosh_gamma, _, _, sinh_r, _ = _seam_cosh(tc, Y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cross = np.cosh(rc) * cosh_gamma + np.sinh(rc) * sinh_r  # halfplane row, bulk column
-        h2 = np.cosh(rc) * np.cosh(r) * np.cosh(tc - t) - np.sinh(rc) * np.sinh(r)
-    h3 = P[..., 3] * Y[:, 3] - P[..., 0] * Y[:, 0] - P[..., 1] * Y[:, 1] - P[..., 2] * Y[:, 2]
-    ch = np.where(bulk == bulk.T, np.where(bulk, h3, h2), np.where(bulk, cross.T, cross))
-    return np.arccosh(np.maximum(1.0, ch))
-
-
 def seam_minimizer(cfg: GluedSpaceConfig, x, y):
     """Seam parameter and distance for a halfplane-to-bulk pair.
 
-    The unfolded geodesic of :func:`_dist_matrix` meets the seam at
+    Rotating the bulk point y about the seam into the plane opposite the
+    halfplane unfolds the crossing into one hyperbolic-plane geodesic: with
+    sinh r the distance from y to the seam, the halfplane point (rho, tau0)
+    has cosh d = cosh rho cosh d(gamma(tau0), y) + sinh rho sinh r, and the
+    geodesic meets the seam at
     tau* = log((A e^tau0 + sinh rho (y3 + y0)) / (A e^-tau0 + sinh rho (y3 - y0))) / 2
     with A = sinh r cosh rho.
     """
@@ -141,17 +111,13 @@ def seam_minimizer(cfg: GluedSpaceConfig, x, y):
     if not (cx == "H2" and cy == "H3"):
         raise ValueError("seam crossings join a halfplane point and a bulk point")
     rho, tau0 = px
-    d = glued_distance(cfg, x, y)
+    cosh_gamma, up, down, sinh_r, e = _seam_cosh(tau0, py)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = float(np.arccosh(np.maximum(1.0, np.cosh(rho) * cosh_gamma + np.sinh(rho) * sinh_r)))
     if rho == 0.0:
         return tau0, d
-    _, up, down, sinh_r, e = _seam_cosh(tau0, py)
     a, sh = sinh_r * math.cosh(rho), math.sinh(rho)
     return 0.5 * math.log((a * e + sh * up) / (a / e + sh * down)), d
-
-
-def glued_distance(cfg: GluedSpaceConfig, x, y) -> float:
-    """Distance between two interior points of the glued space."""
-    return float(_dist_matrix([x, y])[0, 1])
 
 
 class BoundaryPoint(_FrozenValue):
@@ -203,21 +169,6 @@ class BoundaryPoint(_FrozenValue):
         return cls("halfplane", angle)
 
 
-def ray_point(xi: BoundaryPoint, t: float):
-    """The point at arclength t along the canonical ray from o toward xi."""
-    if xi.kind == "north":
-        return gamma_point(t)
-    if xi.kind == "south":
-        return gamma_point(-t)
-    if xi.kind == "equator":
-        s, c = math.sin(xi.angle), math.cos(xi.angle)
-        return ("H3", np.array([0.0, math.sinh(t) * c, math.sinh(t) * s, math.cosh(t)]))
-    phi = xi.angle
-    rho = math.asinh(math.sinh(t) * math.sin(phi))
-    tau = math.atanh(math.sinh(t) * math.cos(phi) / math.cosh(t))
-    return halfplane_point(rho, tau)
-
-
 def _boundary_metrics(cfg: GluedSpaceConfig, points):
     """The metrics exp(-(xi_i . xi_j)_o) and exp(-(xi_i . xi_j)_o'), and
     lambda = exp(-B/2) for the Busemann values B(xi) = lim d(o', x_t) - d(o, x_t).
@@ -250,21 +201,26 @@ def _boundary_metrics(cfg: GluedSpaceConfig, points):
     return rho, rho * (lam[:, None] * lam), lam
 
 
+def _off_seam(base: str) -> bool:
+    """Whether ``base`` names o' ("o'" or "oprime") rather than o."""
+    if base not in ("o", "o'", "oprime"):
+        raise ValueError("base must be 'o' or 'oprime'")
+    return base != "o"
+
+
 def gromov_product(cfg: GluedSpaceConfig, base: str, xi1: BoundaryPoint,
                    xi2: BoundaryPoint) -> float:
     """(xi1 . xi2)_base in closed form: -log sin(theta/2) of the angle theta
     at o, plus half the Busemann values of xi1 and xi2 at o'."""
-    _, (off_seam, _) = cfg.base_point(base)
     rho_o, _, lam = _boundary_metrics(cfg, [xi1, xi2])
-    return -math.log(rho_o[0, 1]) - (math.log(lam[0] * lam[1]) if off_seam else 0.0)
+    return -math.log(rho_o[0, 1]) - (math.log(lam[0] * lam[1]) if _off_seam(base) else 0.0)
 
 
 def bourdon_metric(cfg: GluedSpaceConfig, base: str, xi1: BoundaryPoint,
                    xi2: BoundaryPoint) -> float:
     """exp(-(xi1 . xi2)_base); the boundary metric at curvature -1."""
-    _, (off_seam, _) = cfg.base_point(base)
     rho_o, rho_op, _ = _boundary_metrics(cfg, [xi1, xi2])
-    return float((rho_op if off_seam else rho_o)[0, 1])
+    return float((rho_op if _off_seam(base) else rho_o)[0, 1])
 
 
 class ExoticReport(_Record):

@@ -24,8 +24,7 @@ DEFAULT_EPS_ARG = 1e-10
 
 def signed_distance(p, q):
     """<Jp, q> = a_p b_q - b_p a_q; antisymmetric, broadcasts over stacks."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p, q = _float_array(p, "p"), _float_array(q, "q")
     return p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
 
 
@@ -34,6 +33,7 @@ def ptolemy_identity_residual(p1, p2, p3, p4):
 
     Vanishes identically for arbitrary planar points; broadcasts.
     """
+    p1, p2, p3, p4 = (_float_array(p, f"p{k}") for k, p in enumerate((p1, p2, p3, p4), 1))
     return (signed_distance(p1, p2) * signed_distance(p3, p4)
             + signed_distance(p2, p3) * signed_distance(p1, p4)
             - signed_distance(p1, p3) * signed_distance(p2, p4))
@@ -401,7 +401,7 @@ def _half_angle(R: float, r: float, branch: str) -> float:
         raise ValueError("arc radius must be at least R/2")
     if branch not in ("minor", "major"):
         raise ValueError("branch must be 'minor' or 'major'")
-    return math.asin(min(1.0, R / (2.0 * r)))
+    return math.asin(min(1.0, R / r * 0.5))
 
 
 def euclidean_segment_curve(R: float, r: float, branch: str = "minor",
@@ -411,17 +411,24 @@ def euclidean_segment_curve(R: float, r: float, branch: str = "minor",
     The arc has radius r >= R/2; ``branch`` picks the minor or major arc.
     The image in the quadrant lies on the ellipse
     a^2 + b^2 - 2 a b cos(beta) = R^2, where beta is the (constant)
-    inscribed angle of the chord seen from the chosen arc.
+    inscribed angle of the chord seen from the chosen arc.  The arc is built
+    at unit scale, r times the power of two 2^-e that scales max(R, r) into
+    [1/2, 1), and its samples are scaled back by 2^e, exactly; samples beyond
+    the largest float are refused as not finite.
     """
     half = _half_angle(R, r, branch)
     span = 2.0 * half if branch == "minor" else 2.0 * half - 2.0 * math.pi
     phi = np.linspace(-half, -half + span, n_samples)
-    pts = r * np.column_stack([np.cos(phi), np.sin(phi)])
+    e = math.frexp(max(R, r))[1]
+    unit = math.ldexp(r, -e)
+    pts = unit * np.column_stack([np.cos(phi), np.sin(phi)])
     A = pts[0]
-    B = r * np.array([math.cos(half), math.sin(half)])
+    B = unit * np.array([math.cos(half), math.sin(half)])
     a = np.linalg.norm(pts - B, axis=1)
     b = np.linalg.norm(pts - A, axis=1)
-    return QuadrantCurve(R, np.column_stack([a, b]), eps=eps)
+    with np.errstate(over="ignore"):
+        samples = np.ldexp(np.column_stack([a, b]), e)
+    return QuadrantCurve(R, samples, eps=eps)
 
 
 def ellipse_cos_beta(R: float, r: float, branch: str = "minor") -> float:

@@ -7,6 +7,7 @@ import numpy as np
 
 from moebiusgeo import QuadrantCurve, HalfplaneCurve
 from moebiusgeo.errors import ValidationError
+from moebiusgeo.glued import BoundaryPoint, GluedSpaceConfig, _seam_cosh, halfplane_point
 from moebiusgeo.spaces import _parse_cell, _unit_remote
 
 
@@ -269,3 +270,63 @@ def csv_bytes(header, columns) -> bytes:
     lines = [",".join(header)]
     lines += [",".join("%.17g" % v for v in row) for row in zip(*columns)]
     return "".join(line + "\n" for line in lines).encode()
+
+
+# The glued space's interior model: distances between interior points and the
+# canonical rays, the reference that the closed-form Gromov products and the
+# seam crossing are checked against.
+
+def base_point(cfg: GluedSpaceConfig, which: str):
+    if which == "o":
+        return halfplane_point(0.0, 0.0)
+    if which in ("o'", "oprime"):
+        return halfplane_point(cfg.ell, 0.0)
+    raise ValueError("base must be 'o' or 'oprime'")
+
+
+def gamma_point(tau: float):
+    """A point on the seam geodesic."""
+    return halfplane_point(0.0, tau)
+
+
+def _dist_matrix(points) -> np.ndarray:
+    """Glued distances between all pairs of a list of interior points.
+
+    Rotating a bulk point y about the seam into the plane opposite the
+    halfplane unfolds a crossing into one hyperbolic-plane geodesic: with
+    sinh r the distance from y to the seam, the halfplane point (rho, tau) has
+    cosh d = cosh rho cosh d(gamma(tau), y) + sinh rho sinh r.  Coordinates a
+    point lacks read as those of o.  The diagonal may be nan, as cosh d(x, x)
+    overflows for rho(x) > 355.
+    """
+    bulk = np.array([c == "H3" for c, _ in points])[:, None]
+    r, t = np.array([(0.0, 0.0) if c == "H3" else p for c, p in points]).T
+    Y = np.array([p if c == "H3" else (0.0, 0.0, 0.0, 1.0) for c, p in points])
+    rc, tc, P = r[:, None], t[:, None], Y[:, None]
+    cosh_gamma, _, _, sinh_r, _ = _seam_cosh(tc, Y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = np.cosh(rc) * cosh_gamma + np.sinh(rc) * sinh_r  # halfplane row, bulk column
+        h2 = np.cosh(rc) * np.cosh(r) * np.cosh(tc - t) - np.sinh(rc) * np.sinh(r)
+    h3 = P[..., 3] * Y[:, 3] - P[..., 0] * Y[:, 0] - P[..., 1] * Y[:, 1] - P[..., 2] * Y[:, 2]
+    ch = np.where(bulk == bulk.T, np.where(bulk, h3, h2), np.where(bulk, cross.T, cross))
+    return np.arccosh(np.maximum(1.0, ch))
+
+
+def glued_distance(cfg: GluedSpaceConfig, x, y) -> float:
+    """Distance between two interior points of the glued space."""
+    return float(_dist_matrix([x, y])[0, 1])
+
+
+def ray_point(xi: BoundaryPoint, t: float):
+    """The point at arclength t along the canonical ray from o toward xi."""
+    if xi.kind == "north":
+        return gamma_point(t)
+    if xi.kind == "south":
+        return gamma_point(-t)
+    if xi.kind == "equator":
+        s, c = math.sin(xi.angle), math.cos(xi.angle)
+        return ("H3", np.array([0.0, math.sinh(t) * c, math.sinh(t) * s, math.cosh(t)]))
+    phi = xi.angle
+    rho = math.asinh(math.sinh(t) * math.sin(phi))
+    tau = math.atanh(math.sinh(t) * math.cos(phi) / math.cosh(t))
+    return halfplane_point(rho, tau)

@@ -12,6 +12,8 @@ import moebiusgeo as mg
 from moebiusgeo.errors import ValidationError
 from moebiusgeo.glued import BoundaryPoint as BP
 
+from helpers import base_point, gamma_point, glued_distance, ray_point
+
 
 CFG = mg.GluedSpaceConfig(ell=1.0)
 
@@ -41,8 +43,8 @@ class TestConfig:
             mg.GluedSpaceConfig(ell=math.nextafter(bound, math.inf))
 
     def test_base_points(self):
-        assert mg.GluedSpaceConfig(ell=2.0).base_point("o") == ("H2", (0.0, 0.0))
-        assert mg.GluedSpaceConfig(ell=2.0).base_point("oprime") == ("H2", (2.0, 0.0))
+        assert base_point(mg.GluedSpaceConfig(ell=2.0), "o") == ("H2", (0.0, 0.0))
+        assert base_point(mg.GluedSpaceConfig(ell=2.0), "oprime") == ("H2", (2.0, 0.0))
 
 
 class TestDistances:
@@ -50,39 +52,39 @@ class TestDistances:
         # d(o', gamma(t)) = arccosh(cosh(ell) cosh(t)), the hyperbolic
         # right-triangle relation with the foot of o' at o
         for t in (0.3, 1.0, 5.0, 15.0):
-            d = mg.glued_distance(CFG, mg.halfplane_point(1.0, 0.0), mg.gamma_point(t))
+            d = glued_distance(CFG, mg.halfplane_point(1.0, 0.0), gamma_point(t))
             assert abs(d - math.acosh(math.cosh(1.0) * math.cosh(t))) <= 1e-12 * (1 + t)
 
     def test_base_separation(self):
         assert np.isclose(
-            mg.glued_distance(CFG, CFG.base_point("o"), CFG.base_point("oprime")), 1.0)
+            glued_distance(CFG, base_point(CFG, "o"), base_point(CFG, "oprime")), 1.0)
 
     def test_bulk_cone_angle_formula(self):
         # equator rays at angle delta: cosh d = cosh^2 t - sinh^2 t cos(delta)
         t, delta = 2.0, 1.3
-        x = mg.ray_point(BP.equator(0.0), t)
-        y = mg.ray_point(BP.equator(delta), t)
-        d = mg.glued_distance(CFG, x, y)
+        x = ray_point(BP.equator(0.0), t)
+        y = ray_point(BP.equator(delta), t)
+        d = glued_distance(CFG, x, y)
         expect = math.acosh(math.cosh(t) ** 2 - math.sinh(t) ** 2 * math.cos(delta))
         assert abs(d - expect) <= 1e-12
 
     def test_seam_crossing_through_o(self):
         # a ray from o' to an equator point passes through o: d = ell + s
         for s in (0.5, 2.0, 8.0):
-            y = mg.ray_point(BP.equator(1.1), s)
-            d = mg.glued_distance(CFG, mg.halfplane_point(1.0, 0.0), y)
+            y = ray_point(BP.equator(1.1), s)
+            d = glued_distance(CFG, mg.halfplane_point(1.0, 0.0), y)
             assert abs(d - (1.0 + s)) <= 1e-9
             tau, _ = mg.seam_minimizer(CFG, mg.halfplane_point(1.0, 0.0), y)
             assert abs(tau) <= 1e-9
 
     def test_seam_crossing_asymmetric_matches_scan(self):
         x = mg.halfplane_point(0.7, 1.3)
-        y = mg.ray_point(BP.equator(0.3), 4.0)
+        y = ray_point(BP.equator(0.3), 4.0)
         tau, d = mg.seam_minimizer(CFG, x, y)
 
         def objective(t):
-            return (mg.glued_distance(CFG, x, mg.gamma_point(t))
-                    + mg.glued_distance(CFG, mg.gamma_point(t), y))
+            return (glued_distance(CFG, x, gamma_point(t))
+                    + glued_distance(CFG, gamma_point(t), y))
 
         ts = np.linspace(tau - 0.01, tau + 0.01, 2001)
         vals = np.array([objective(t) for t in ts])
@@ -116,6 +118,8 @@ class TestDistances:
                                math.sinh(r) * math.sin(theta), math.cosh(r) * math.cosh(tau1)])
             tau, d = mg.seam_minimizer(CFG, x, y)
             assert mg.seam_minimizer(CFG, y, x) == (tau, d)
+            # the crossing's distance is the interior model's, bit for bit
+            assert d == glued_distance(CFG, x, y)
 
             def objective(ts):
                 return leg(rho, ts - tau0) + leg(r, ts - tau1)
@@ -133,9 +137,9 @@ class TestDistances:
             assert flat.min() - h <= tau <= flat.max() + h
 
     def test_gamma_point_reachable_from_both_sides(self):
-        y = mg.ray_point(BP.equator(0.2), 1.0)
-        d1 = mg.glued_distance(CFG, mg.gamma_point(0.5), y)
-        d2 = mg.glued_distance(CFG, ("H3", np.array([math.sinh(0.5), 0, 0, math.cosh(0.5)])), y)
+        y = ray_point(BP.equator(0.2), 1.0)
+        d1 = glued_distance(CFG, gamma_point(0.5), y)
+        d2 = glued_distance(CFG, ("H3", np.array([math.sinh(0.5), 0, 0, math.cosh(0.5)])), y)
         assert abs(d1 - d2) <= 1e-12
 
     @pytest.mark.parametrize("tau", [-5.0, 0.0, 5.0])
@@ -144,7 +148,7 @@ class TestDistances:
         r = 1e-3
         y = mg.bulk_point([math.cosh(r) * math.sinh(tau), math.sinh(r), 0.0,
                            math.cosh(r) * math.cosh(tau)])
-        assert abs(mg.glued_distance(CFG, mg.gamma_point(tau), y) - r) <= 1e-12
+        assert abs(glued_distance(CFG, gamma_point(tau), y) - r) <= 1e-12
 
     def test_bulk_point_validation(self):
         with pytest.raises(ValidationError):
@@ -231,13 +235,13 @@ class TestGromovProducts:
                   BP.halfplane_ray(2.9)]
 
         def product(b, xi, eta, t):
-            x, y = mg.ray_point(xi, t), mg.ray_point(eta, t)
-            return 0.5 * (mg.glued_distance(cfg, b, x) + mg.glued_distance(cfg, b, y)
-                          - mg.glued_distance(cfg, x, y))
+            x, y = ray_point(xi, t), ray_point(eta, t)
+            return 0.5 * (glued_distance(cfg, b, x) + glued_distance(cfg, b, y)
+                          - glued_distance(cfg, x, y))
 
         e1, e2 = math.exp(-40.0), math.exp(-80.0)
         for base in ("o", "oprime"):
-            b = cfg.base_point(base)
+            b = base_point(cfg, base)
             for a, xi in enumerate(points):
                 for eta in points[a + 1:]:
                     g1, g2 = product(b, xi, eta, 20.0), product(b, xi, eta, 40.0)
@@ -255,8 +259,13 @@ class TestGromovProducts:
         assert abs(g) <= 1e-12
 
     def test_unknown_base_rejected(self):
-        with pytest.raises(ValueError):
-            mg.gromov_product(CFG, "p", BP.north(), BP.south())
+        # one check on the base's name serves both functions; o' has two spellings
+        pair = (BP.north(), BP.equator(0.7))
+        for function in (mg.gromov_product, mg.bourdon_metric):
+            with pytest.raises(ValueError, match="base must be 'o' or 'oprime'"):
+                function(CFG, "p", *pair)
+            assert function(CFG, "o'", *pair) == function(CFG, "oprime", *pair)
+            assert function(CFG, "o'", *pair) != function(CFG, "o", *pair)
 
     def test_equal_points_rejected(self):
         with pytest.raises(ValueError):

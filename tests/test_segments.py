@@ -182,7 +182,7 @@ class TestPlanarNumbers:
     """Planar vectors and curve samples hold numbers: ("1", "0") built a
     wedge and [["1", "0"], ["0", "1"]] a curve, letters and ragged rows raised
     numpy's own ValueError, and an infinite arc radius warned before any
-    check."""
+    check.  signed_distance(("1", "0"), ("0", "1")) returned 1.0."""
 
     @pytest.mark.parametrize("build, message", [
         pytest.param(lambda: mg.WedgeRegion(("1", "0"), ("0", "1")),
@@ -203,6 +203,16 @@ class TestPlanarNumbers:
                      "R must be positive and finite", id="chord-inf"),
         pytest.param(lambda: mg.ellipse_cos_beta(1.0, math.inf),
                      "r must be positive and finite", id="cos-beta-arc-radius-inf"),
+        pytest.param(lambda: mg.euclidean_segment_curve(1e308, 1e308, "major"),
+                     "samples must be finite", id="major-arc-beyond-the-largest-float"),
+        pytest.param(lambda: mg.signed_distance(("1", "0"), ("0", "1")),
+                     "p must hold numbers, not strings", id="signed-distance-strings"),
+        pytest.param(lambda: mg.signed_distance((True, False), (False, True)),
+                     "p must hold numbers, not booleans", id="signed-distance-booleans"),
+        pytest.param(lambda: mg.signed_distance((1, 0), [[0, 1], [1]]),
+                     "q must be rows of one length", id="signed-distance-ragged"),
+        pytest.param(lambda: mg.ptolemy_identity_residual((1, 0), (0, 1), (1, 1), ("a", "b")),
+                     "p4 must hold numbers, not strings", id="residual-letters"),
     ])
     def test_refused(self, build, message):
         with pytest.raises(ValidationError, match=message):
@@ -561,6 +571,22 @@ class TestEuclideanFamily:
         for build in (mg.euclidean_segment_curve, mg.ellipse_cos_beta):
             with pytest.raises(ValueError, match=message):
                 build(*args)
+
+    @pytest.mark.parametrize("k", [-1000, 1023], ids=["2^-1000", "2^1023"])
+    @pytest.mark.parametrize("branch", ["minor", "major"])
+    def test_arc_does_not_depend_on_the_unit(self, k, branch):
+        # the norms of unscaled coordinates overflowed from R = r of about 1.4e154,
+        # and 2 r overflowed in the half-angle at r = 2^1023
+        unit = mg.euclidean_segment_curve(1.0, 1.0, branch)
+        curve = mg.euclidean_segment_curve(2.0 ** k, 2.0 ** k, branch)
+        assert curve.samples.tobytes() == np.ldexp(unit.samples, k).tobytes()
+        assert mg.ellipse_cos_beta(2.0 ** k, 2.0 ** k, branch) == mg.ellipse_cos_beta(1.0, 1.0, branch)
+
+    @pytest.mark.parametrize("R", [1e155, 1e308], ids=["1e155", "1e308"])
+    def test_minor_arc_near_the_largest_float(self, R):
+        a, b = mg.euclidean_segment_curve(R, R).samples.T / R
+        assert np.abs(a ** 2 + b ** 2 + math.sqrt(3.0) * a * b - 1.0).max() <= 1e-9
+        assert abs(mg.ellipse_cos_beta(R, R) + math.sqrt(3.0) / 2.0) <= 1e-15
 
     def test_embedded_arc_matches_its_own_metric(self):
         # the synthesized metric equals the ambient chord metric of the arc
