@@ -16,10 +16,11 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .spaces import DEFAULT_EPS, ExtendedMetricSpace, _Frozen, _Record, _Value
+from .spaces import (DEFAULT_EPS, ExtendedMetricSpace, _check_eps, _Frozen, _Record,
+                     _unit_exponent, _Value)
 from .segments import (_PlanarCurve, _anchor_triple, _check_convex, _check_length,
                        _curve_from_json, _curve_space, _curve_to_json, _loop_positions,
-                       _map_onto, _ordered, _plane_vector, _recover, _unit_exponent)
+                       _map_onto, _ordered, _plane_vector, _recover)
 
 
 class SectorRegion(_Frozen):
@@ -30,12 +31,11 @@ class SectorRegion(_Frozen):
 
     def __post_init__(self):
         _check_length(self.R)
-        # a power of two brings the largest coordinate into [1/2, 1), so the
-        # norm neither overflows nor underflows; it cancels from the unit vector
+        # at unit scale the norm neither overflows nor underflows; it cancels from x
         x = _plane_vector(self.x, "sector direction x")
-        x = np.ldexp(x, -math.frexp(np.abs(x).max(initial=0.0))[1])
+        x = np.ldexp(x, -_unit_exponent(x))
         norm = np.linalg.norm(x)
-        if not (np.isfinite(x).all() and norm > 0):
+        if not norm > 0:
             raise ValidationError("sector direction must be a nonzero vector, and finite")
         x = x / norm
         if abs(x[1]) <= 1e-12:
@@ -54,9 +54,8 @@ class SectorLocation(_Value):
 
 def sector_contains(sector: SectorRegion, v, eps: float = DEFAULT_EPS) -> SectorLocation:
     """Locate v via the decomposition v = s*(R, 0) + t*x."""
+    _check_eps(eps)
     v = _plane_vector(v, "point")
-    if not np.isfinite(v).all():
-        raise ValidationError(f"point {v} is not finite")
     t = v[1] / sector.x[1]
     s = (v[0] - t * sector.x[0]) / sector.R
     tol = eps * max(1.0, abs(s), abs(t) / sector.R)
@@ -76,8 +75,8 @@ def _find_sector_witness(samples: np.ndarray, R: float, eps: float) -> np.ndarra
     so no bound overflows; the ratios are exact at every normal scale.
     """
     e = _unit_exponent(samples, R)
-    a, b = np.ldexp(samples, e).T
-    R = math.ldexp(R, e)
+    a, b = np.ldexp(samples, -e).T
+    R = math.ldexp(R, -e)
     interior = b > eps * R
     slack = R * (1.0 + eps)
     if not interior.any():

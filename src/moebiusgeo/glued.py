@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .inversions import PointedCorrespondence, crt_equivalent
-from .spaces import _U, DEFAULT_EPS, ExtendedMetricSpace, _float_array, _FrozenValue, _Record
+from .spaces import (_U, DEFAULT_EPS, ExtendedMetricSpace, _float_array, _FrozenValue, _Record,
+                     _unit_exponent)
 
 # Largest x with cosh(x) finite in double precision, about 710.476.
 _MAX_COSH_ARG = math.acosh(sys.float_info.max)
@@ -59,8 +60,10 @@ class GluedSpaceConfig(_FrozenValue):
 
 def halfplane_point(rho: float, tau: float):
     """A point of the halfplane component in normal coordinates."""
-    if rho < 0.0:
-        raise ValidationError("rho must be nonnegative")
+    if not 0.0 <= rho < math.inf:  # false for NaN too
+        raise ValidationError(f"rho must be nonnegative and finite, not {rho}")
+    if not math.isfinite(tau):
+        raise ValidationError(f"tau must be finite, not {tau}")
     return ("H2", (float(rho), float(tau)))
 
 
@@ -69,8 +72,14 @@ def bulk_point(vec):
     v = _float_array(vec, "bulk point")
     if v.shape != (4,):
         raise ValidationError("bulk points are hyperboloid 4-vectors")
-    q = v[0] ** 2 + v[1] ** 2 + v[2] ** 2 - v[3] ** 2
-    if abs(q + 1.0) > 1e-9 * max(1.0, v[3] ** 2) or v[3] < 1.0 - 1e-12:
+    if not np.isfinite(v).all():
+        raise ValidationError("bulk point must be finite")
+    # |q + 1| <= 1e-9 max(1, v3^2) times 2^-2e, exact at unit scale where no square
+    # overflows (e >= 0 keeps 2^-2e finite; a v3 below 1/2 is refused either way)
+    e = max(_unit_exponent(v), 0)
+    s, one = np.ldexp(v, -e), math.ldexp(1.0, -2 * e)
+    q = s[0] ** 2 + s[1] ** 2 + s[2] ** 2 - s[3] ** 2
+    if v[3] < 1.0 - 1e-12 or abs(q + one) > 1e-9 * max(one, s[3] ** 2):
         raise ValidationError("vector does not lie on the upper hyperboloid sheet")
     return ("H3", v)
 

@@ -17,8 +17,8 @@ import types
 import numpy as np
 
 from .errors import NotPtolemyError, ValidationError
-from .spaces import (_U, DEFAULT_EPS, ExtendedMetricSpace, _Frozen, _unit_remote, _Value,
-                     max_crt_deviation)
+from .spaces import (_U, DEFAULT_EPS, ExtendedMetricSpace, _check_eps, _Frozen, _unit_remote,
+                     _Value, max_crt_deviation)
 
 
 @functools.lru_cache(maxsize=64)
@@ -229,6 +229,7 @@ def crt_equivalent(corr: PointedCorrespondence, eps: float = DEFAULT_EPS) -> Equ
     scanned.  Either way the verdict is the scan's.  Quadruples with repeated
     entries have fixed triples on both sides and are skipped.
     """
+    _check_eps(eps)
     src, tgt = corr.source, corr.target
     if src.n < 4:
         raise ValueError("crt comparison needs at least four points")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NotPtolemyError, ValidationError
 from .spaces import (_PLAIN_NUMBERS, _U, DEFAULT_EPS, ExtendedMetricSpace, _check_eps,
-                     _float_array, _Frozen, _Record, _Value, max_crt_deviation)
+                     _float_array, _Frozen, _Record, _unit_exponent, _Value, max_crt_deviation)
 
 DEFAULT_EPS_ARG = 1e-10
 
@@ -49,9 +49,8 @@ class WedgeRegion(_Frozen):
     def __post_init__(self):
         u = _plane_vector(self.u, "wedge direction u")
         w = _plane_vector(self.w, "wedge direction w")
-        if not (np.isfinite(u).all() and np.isfinite(w).all()):
-            raise ValidationError("wedge directions must be finite")
-        su, sw = _wedge_scaled(u, w)
+        # at unit scale no product of the wedge overflows; it cancels from lam and mu
+        su, sw = np.ldexp((u, w), -_unit_exponent(u, w))
         det = signed_distance(su, sw)
         if abs(det) <= 1e-14 * np.linalg.norm(su) * np.linalg.norm(sw):
             raise ValidationError("wedge directions are collinear")
@@ -62,19 +61,13 @@ class WedgeRegion(_Frozen):
 
 
 def _plane_vector(v, name: str) -> np.ndarray:
-    """A float copy of v, refused unless it has the shape (2,) of a planar vector."""
+    """A float copy of v, refused unless it is a planar vector: shape (2,), finite."""
     v = _float_array(v, name).copy()
     if v.shape != (2,):
         raise ValidationError(f"{name} must be a vector of 2 coordinates, not of shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValidationError(f"{name} {v} is not finite")
     return v
-
-
-def _wedge_scaled(u, w, *more) -> list:
-    """u, w and ``more`` times the power of two that brings the largest
-    coordinate of u and w into [1/2, 1), so that no product of the wedge
-    overflows or underflows; the power cancels from lam and mu."""
-    e = -math.frexp(max(np.abs(u).max(initial=0.0), np.abs(w).max(initial=0.0)))[1]
-    return [np.ldexp(x, e) for x in (u, w, *more)]
 
 
 class WedgeLocation(_Value):
@@ -87,12 +80,11 @@ class WedgeLocation(_Value):
 
 def wedge_contains(wedge: WedgeRegion, v, eps: float = DEFAULT_EPS) -> WedgeLocation:
     """Locate v relative to T(u, w) via its decomposition v = lam*u + mu*w."""
+    _check_eps(eps)
     v = _plane_vector(v, "point")
-    if not np.isfinite(v).all():
-        raise ValidationError(f"point {v} is not finite")
     # an overflow leaves lam or mu infinite, and a condition inf of its sign
     with np.errstate(over="ignore", invalid="ignore"):
-        u, w, s = _wedge_scaled(wedge.u, wedge.w, v)
+        u, w, s = np.ldexp((wedge.u, wedge.w, v), -_unit_exponent(wedge.u, wedge.w))
         det = signed_distance(u, w)
         lam = signed_distance(s, w) / det
         mu = signed_distance(u, s) / det
@@ -143,7 +135,7 @@ class _PlanarCurve(_Frozen):
             raise ValidationError(f"sample {int(np.argmax(below))} leaves the closed {region}")
         np.clip(S[:, clipped], 0.0, None, out=S[:, clipped])
         # the endpoint norms at a power-of-two scale (see _check_convex)
-        e = _unit_exponent(S, R)
+        e = -_unit_exponent(S, R)
         ends = np.ldexp(S[[0, -1]] - ((R, 0.0), last), e)
         if np.linalg.norm(ends[0]) > math.ldexp(tol, e):
             raise ValidationError("first sample must be (R, 0)")
@@ -174,12 +166,6 @@ def _check_length(value, name: str = "R"):
     return value
 
 
-def _unit_exponent(S: np.ndarray, R: float) -> int:
-    """The power of two that scales the largest of R and the coordinates of
-    the samples S into [1/2, 1)."""
-    return -math.frexp(max(R, float(np.abs(S).max())))[1]
-
-
 def _check_convex(S: np.ndarray, R: float, eps: float) -> None:
     """Discrete convexity: consecutive edges never turn clockwise.
 
@@ -188,7 +174,7 @@ def _check_convex(S: np.ndarray, R: float, eps: float) -> None:
     scaling is exact where no subnormal number is involved, so it leaves the
     verdict on a curve of normal scale as it was.
     """
-    e = _unit_exponent(S, R)
+    e = -_unit_exponent(S, R)
     edges = np.diff(np.ldexp(S, e), axis=0)
     turns = edges[:-1, 0] * edges[1:, 1] - edges[:-1, 1] * edges[1:, 0]
     if len(turns) and turns.min() < -eps * math.ldexp(R, e) ** 2:
@@ -227,7 +213,7 @@ def _area_metric(points: np.ndarray, R: float) -> np.ndarray:
     it, as in :func:`_check_area_form`, so the products neither overflow nor
     underflow at the curve's own scale; the scaling and its undoing are exact.
     """
-    e = -math.frexp(float(np.abs(points).max()))[1]
+    e = -_unit_exponent(points)
     P = np.ldexp(points, e)
     D = np.abs(signed_distance(P[:, None], P))
     D /= math.ldexp(R, e)
@@ -339,7 +325,7 @@ def _check_area_form(D: np.ndarray, R: float, samples: np.ndarray, labels: list,
     distance into [1/2, 1), as ``spaces._unit_remote`` does: no product can
     overflow, and the exact scaling leaves the residuals as they are.
     """
-    e = -math.frexp(float(D.max()))[1]
+    e = -_unit_exponent(D)
     DR = np.ldexp(D, e) * math.ldexp(R, e)
     S = np.ldexp(samples, e)
     sd = signed_distance(S[:, None], S)
@@ -419,7 +405,7 @@ def euclidean_segment_curve(R: float, r: float, branch: str = "minor",
     half = _half_angle(R, r, branch)
     span = 2.0 * half if branch == "minor" else 2.0 * half - 2.0 * math.pi
     phi = np.linspace(-half, -half + span, n_samples)
-    e = math.frexp(max(R, r))[1]
+    e = _unit_exponent(R, r)
     unit = math.ldexp(r, -e)
     pts = unit * np.column_stack([np.cos(phi), np.sin(phi)])
     A = pts[0]
@@ -458,7 +444,7 @@ def _loop_positions(D: np.ndarray, i1: int, i2: int, i3: int) -> np.ndarray:
     anchor-column entry into [1/2, 1), as ``spaces._unit_remote`` does, so
     the cross-ratio products neither overflow nor underflow."""
     C = D[:, [i1, i2, i3]]
-    C = np.ldexp(C, -math.frexp(float(C.max()))[1])
+    C = np.ldexp(C, -_unit_exponent(C))
     P = C * C[[i2, i1, i1], [2, 2, 1]]  # d(x,x1) d(x2,x3), d(x,x2) d(x1,x3), d(x,x3) d(x1,x2)
     T = P.sum(axis=1)
     if (T <= 0).any():

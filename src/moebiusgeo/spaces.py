@@ -523,7 +523,7 @@ class CrossRatioTriple(_FrozenValue):
         e = (self.a, self.b, self.c)
         if min(e) < -1e-12:
             raise ValidationError(f"cross-ratio entries must be nonnegative: {e}")
-        if abs(sum(e) - 1.0) > 1e-12:
+        if not abs(sum(e) - 1.0) <= 1e-12:  # false for NaN too
             raise ValidationError(f"cross-ratio entries must sum to 1: {e}")
 
     @classmethod
@@ -539,6 +539,7 @@ class CrossRatioTriple(_FrozenValue):
 
     def region(self, eps: float = DEFAULT_EPS) -> str:
         """Classify against the triangle-inequality region of the simplex."""
+        _check_eps(eps)
         m = max(self.a, self.b, self.c)
         if m > 0.5 + eps:
             return "outside"
@@ -579,6 +580,13 @@ def crt(space: ExtendedMetricSpace, quad) -> CrossRatioTriple:
 # max(budget, n^2 / 2) cells.  A small space, up to 18 points at this budget,
 # is gathered in one pass through the cached _one_pass_layout, with no mask.
 _BLOCK_ELEMENTS = 1 << 15
+
+
+def _unit_exponent(*values) -> int:
+    """The e for which the largest magnitude among ``values``, arrays or
+    numbers, times 2^-e lies in [1/2, 1) (0 when all are zero): the exact
+    scaling under which products and norms neither overflow nor underflow."""
+    return math.frexp(max(np.max(np.abs(v), initial=0.0) for v in values))[1]
 
 
 def _unit_remote(D: np.ndarray, scale: float | None = None,

@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .spaces import (DEFAULT_EPS, ExtendedMetricSpace, _float_array, _Record, _write_csv,
-                     space_from_points)
+from .spaces import (DEFAULT_EPS, ExtendedMetricSpace, _float_array, _Record, _unit_exponent,
+                     _write_csv, space_from_points)
 
 UNIT_TOL = 1e-12
 
@@ -103,7 +103,7 @@ def circumcircle_three(x1, x2, x3, n_samples: int = 24) -> SampledCircle:
         raise ValidationError("inputs must be finite")
     # a power of two scales the largest coordinate into [1/2, 1) (below, if it
     # is subnormal: 2^-e stays finite), so no norm overflows; exactly undone below
-    e = max(math.frexp(max(float(np.abs(p).max()) for p in pts))[1], -1021)
+    e = max(_unit_exponent(*pts), -1021)
     p1, p2, p3 = (np.ldexp(p, -e) for p in pts)
     v1 = p2 - p1
     v2 = p3 - p1

@@ -39,7 +39,7 @@ class TestSector:
 
     @pytest.mark.parametrize("x", [(math.nan, 1), (1, math.inf)], ids=["nan", "inf"])
     def test_non_finite_direction(self, x):
-        with pytest.raises(ValidationError, match="nonzero vector, and finite"):
+        with pytest.raises(ValidationError, match="^sector direction x .* is not finite$"):
             mg.SectorRegion(1.0, x)
 
     @pytest.mark.parametrize("v", [(math.nan, 0.5), (0.5, math.inf)], ids=["nan", "inf"])

@@ -154,9 +154,33 @@ class TestDistances:
         with pytest.raises(ValidationError):
             mg.bulk_point([1.0, 0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("vec, message", [
+        pytest.param([math.nan, 0.0, 0.0, math.nan], "bulk point must be finite", id="nan"),
+        pytest.param([0.0, 0.0, 0.0, math.inf], "bulk point must be finite", id="inf"),
+        pytest.param([1e200, 0.0, 0.0, 1e300], "vector does not lie on the upper hyperboloid sheet",
+                     id="squares-overflow"),
+        pytest.param([0.0, 0.0, 0.0, 1e-300], "vector does not lie on the upper hyperboloid sheet",
+                     id="tiny"),
+    ])
+    def test_bulk_point_refused_at_every_scale(self, vec, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            mg.bulk_point(vec)
+
+    def test_bulk_point_far_out_on_the_sheet(self):
+        # sinh^2 400 overflows, so the hyperboloid form is decided at unit scale
+        v = [0.0, math.sinh(400.0), 0.0, math.cosh(400.0)]
+        assert mg.bulk_point(v)[1].tolist() == v
+
     def test_point_refusals(self):
         with pytest.raises(ValidationError, match="rho must be nonnegative"):
             mg.halfplane_point(-1.0, 0.0)
+        for rho in (math.nan, math.inf):
+            message = f"^rho must be nonnegative and finite, not {rho}$"
+            with pytest.raises(ValidationError, match=message):
+                mg.halfplane_point(rho, 0.0)
+        for tau in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match=f"^tau must be finite, not {tau}$"):
+                mg.halfplane_point(1.0, tau)
         with pytest.raises(ValidationError, match="bulk points are hyperboloid 4-vectors"):
             mg.bulk_point([0.0, 0.0, 1.0])
 

@@ -97,7 +97,7 @@ class TestWedge:
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_directions_rejected(self, bad):
         for u, w in [((bad, 0), (0, 1)), ((1, 0), (0, bad))]:
-            with pytest.raises(ValidationError, match="wedge directions must be finite"):
+            with pytest.raises(ValidationError, match="^wedge direction [uw] .* is not finite$"):
                 mg.WedgeRegion(u, w)
 
     @pytest.mark.parametrize("v", [(math.nan, 0.5), (0.5, math.inf)], ids=["nan", "inf"])

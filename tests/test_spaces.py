@@ -386,7 +386,9 @@ class TestClassify:
     @pytest.mark.parametrize("entries, message", [
         ((-0.1, 0.6, 0.5), "cross-ratio entries must be nonnegative: (-0.1, 0.6, 0.5)"),
         ((0.5, 0.5, 0.5), "cross-ratio entries must sum to 1: (0.5, 0.5, 0.5)"),
-    ], ids=["negative", "sum"])
+        ((math.nan, 0.5, 0.5), "cross-ratio entries must sum to 1: (nan, 0.5, 0.5)"),
+        ((0.5, math.nan, 0.5), "cross-ratio entries must sum to 1: (0.5, nan, 0.5)"),
+    ], ids=["negative", "sum", "nan-first", "nan-second"])
     def test_entries_refused(self, entries, message):
         with pytest.raises(ValidationError) as exc:
             mg.CrossRatioTriple(*entries)
@@ -1000,6 +1002,21 @@ class TestSpaceTolerance:
         args = tuple(sp if a is None else a for a in args)
         with pytest.raises(TypeError, match="eps"):
             getattr(mg, name)(sp, *args, eps=1e-6)
+
+    # the functions that take an eps argument refuse one as a space does
+    @pytest.mark.parametrize("eps", [INF, math.nan, -1.0])
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda eps: mg.CrossRatioTriple(1.0, 0.0, 0.0).region(eps), id="region"),
+        pytest.param(lambda eps: mg.wedge_contains(mg.WedgeRegion((1, 0), (0, 1)), (100.0, -50.0),
+                                                   eps=eps), id="wedge_contains"),
+        pytest.param(lambda eps: mg.sector_contains(mg.SectorRegion(1.0, (0, 1)), (100.0, -50.0),
+                                                    eps=eps), id="sector_contains"),
+        pytest.param(lambda eps: mg.crt_equivalent(mg.PointedCorrespondence.identity(
+            _loose_line(), _loose_line()), eps=eps), id="crt_equivalent"),
+    ])
+    def test_eps_arguments_follow_the_space_rule(self, call, eps):
+        with pytest.raises(ValidationError, match=f"^eps must be finite and nonnegative, not {eps}$"):
+            call(eps)
 
 
 class TestJson:
