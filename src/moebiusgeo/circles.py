@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .spaces import (DEFAULT_EPS, ExtendedMetricSpace, _check_eps, _Frozen, _Record,
-                     _unit_exponent, _Value)
+from .spaces import (DEFAULT_EPS, ExtendedMetricSpace, _check_count, _check_eps, _Frozen,
+                     _Record, _unit_exponent, _Value)
 from .segments import (_PlanarCurve, _anchor_triple, _check_convex, _check_length,
                        _curve_from_json, _curve_space, _curve_to_json, _loop_positions,
                        _map_onto, _ordered, _plane_vector, _recover)
@@ -124,6 +124,7 @@ def chordal_circle_curve(R: float, n_samples: int = 64,
     sample exactly at (0, R).
     """
     _check_length(R)
+    _check_count(n_samples, "n_samples", 2)
     t = np.linspace(0.0, 2.0, n_samples + 1)
     samples = np.column_stack([R * np.cos(np.pi * t / 2), R * np.sin(np.pi * t / 2)])
     return HalfplaneCurve(R, samples, eps=eps)

@@ -35,7 +35,7 @@ def _emit(data, path: str | None) -> None:
         sys.stdout.flush()  # what the text layer holds goes first
         sys.stdout.buffer.writelines(data)
     else:  # a text stream alone, such as io.StringIO
-        sys.stdout.writelines(chunk.decode("ascii") for chunk in data)
+        sys.stdout.writelines(str(chunk, "ascii") for chunk in data)
 
 
 def cmd_check(args) -> int:

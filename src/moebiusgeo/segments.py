@@ -16,8 +16,9 @@ import math
 import numpy as np
 
 from .errors import NotPtolemyError, ValidationError
-from .spaces import (_PLAIN_NUMBERS, _U, DEFAULT_EPS, ExtendedMetricSpace, _check_eps,
-                     _float_array, _Frozen, _Record, _unit_exponent, _Value, max_crt_deviation)
+from .spaces import (_PLAIN_NUMBERS, _U, DEFAULT_EPS, ExtendedMetricSpace, _check_count,
+                     _check_eps, _float_array, _Frozen, _Record, _unit_exponent, _Value,
+                     max_crt_deviation)
 
 DEFAULT_EPS_ARG = 1e-10
 
@@ -403,6 +404,7 @@ def euclidean_segment_curve(R: float, r: float, branch: str = "minor",
     the largest float are refused as not finite.
     """
     half = _half_angle(R, r, branch)
+    _check_count(n_samples, "n_samples", 2)
     span = 2.0 * half if branch == "minor" else 2.0 * half - 2.0 * math.pi
     phi = np.linspace(-half, -half + span, n_samples)
     e = _unit_exponent(R, r)

@@ -322,6 +322,14 @@ def _check_eps(eps: float) -> None:
         raise ValidationError(f"eps must be finite and nonnegative, not {eps}")
 
 
+def _check_count(value, name: str, least: int, most: float = math.inf) -> None:
+    """A count or dimension must be an integer (not a bool) in [least, most]."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not least <= value <= most):
+        bound = f">= {least}" if most == math.inf else f"in [{least}, {most}]"
+        raise ValidationError(f"{name} must be an integer {bound}, not {value!r}")
+
+
 # What numpy's dtype kind of an array, or of a cell, shows in place of numbers
 _NOT_NUMBERS = {"b": "booleans", "U": "strings", "S": "strings", "c": "complex numbers",
                 "N": "None"}
@@ -854,7 +862,8 @@ _ORJSON_REPR_RANGE = (1e-4, 1e16)
 
 def space_to_json_chunks(space: ExtendedMetricSpace):
     r"""The bytes of ``json.dumps(space_to_json_dict(space), indent=2,
-    sort_keys=True) + "\n"``, yielded in chunks.
+    sort_keys=True) + "\n"``, yielded in bytes-like chunks (``bytes``, or a
+    ``memoryview`` of orjson's text, which spares a copy of it).
 
     JSON writes a float as its ``repr``; the only non-finite distances of a
     space are the remote point's infinities, whose ``repr`` is ``inf``.
@@ -873,8 +882,9 @@ def space_to_json_chunks(space: ExtendedMetricSpace):
 
         text = orjson.dumps({"matrix": np.ascontiguousarray(D)},
                             option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY)
-        text = text[:-2]  # without the closing "\n}"
-        yield text if space.omega is None else text.replace(b"null", b'"inf"')
+        if space.omega is not None:
+            text = text.replace(b"null", b'"inf"')
+        yield memoryview(text)[:-2]  # without the closing "\n}", and with no copy
     else:
         yield b'{\n  "matrix": [\n'
         sep = "    [\n      "

@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .spaces import (DEFAULT_EPS, ExtendedMetricSpace, _float_array, _Record, _unit_exponent,
-                     _write_csv, space_from_points)
+from .spaces import (DEFAULT_EPS, ExtendedMetricSpace, _check_count, _float_array, _Record,
+                     _unit_exponent, _write_csv, space_from_points)
 
 UNIT_TOL = 1e-12
 
@@ -96,6 +96,7 @@ def circumcircle_three(x1, x2, x3, n_samples: int = 24) -> SampledCircle:
     plane.  The first sample coincides with ``x1`` and the three inputs lie
     on the circle to machine accuracy.
     """
+    _check_count(n_samples, "n_samples", 1)
     pts = [_float_array(p, name) for p, name in ((x1, "x1"), (x2, "x2"), (x3, "x3"))]
     if len({p.shape for p in pts}) != 1 or pts[0].ndim != 1 or len(pts[0]) < 2:
         raise ValidationError("inputs must be three vectors of a common dimension >= 2")
@@ -153,40 +154,30 @@ def sample_space(kind: str, n: int = 2, count: int = 12, seed: int = 0,
     """
     if kind not in SAMPLE_KINDS:
         raise ValueError(f"unknown sample kind {kind!r}; choose from {SAMPLE_KINDS}")
-    if not 1 <= n <= MAX_DIMENSION:
-        raise ValueError(f"dimension must lie in [1, {MAX_DIMENSION}]")
-    if not 1 <= count <= MAX_COUNT:
-        raise ValueError(f"count must lie in [1, {MAX_COUNT}]")
+    _check_count(n, "dimension", 1, MAX_DIMENSION)
+    _check_count(count, "count", 1, MAX_COUNT)
     rng = np.random.default_rng(seed)
-    if kind == "sphere":
+    if kind == "l1":  # taxicab plane with an embedded square witness
+        if count < 4:
+            raise ValueError("l1 samples need at least four points for the square witness")
+        dim = max(n, 2)
+        pts = rng.uniform(-1.0, 1.0, (count, dim))
+        cx, cy = rng.uniform(-1.0, 1.0, 2)
+        h = rng.uniform(0.2, 1.0)
+        square = np.array([[cx - h, cy - h], [cx + h, cy - h], [cx + h, cy + h], [cx - h, cy + h]])
+        pts[:4, :2] = square
+        if dim > 2:
+            pts[:4, 2:] = rng.uniform(-1.0, 1.0, dim - 2)
+        return space_from_points(pts, p=1.0, eps=eps)
+    if kind in ("sphere", "hemisphere"):
         pts = _unit_rows(rng, count, n + 1)
-        return space_from_points(pts, eps=eps)
-    if kind == "hemisphere":
-        pts = _unit_rows(rng, count, n + 1)
-        pts[:, -1] = np.abs(pts[:, -1])
-        return space_from_points(pts, eps=eps)
-    if kind == "euclidean":
-        return space_from_points(rng.standard_normal((count, n)), eps=eps)
-    if kind == "halfspace":
+    elif kind in ("euclidean", "halfspace"):
         pts = rng.standard_normal((count, n))
+    elif kind == "ball-complement":
+        pts = _unit_rows(rng, count, n) * (1.0 + rng.exponential(1.0, count))[:, None]
+    else:  # line
+        pts = np.sort(rng.standard_normal(count))[:, None]
+    if kind in ("hemisphere", "halfspace"):
         pts[:, -1] = np.abs(pts[:, -1])
-        return space_from_points(pts, add_omega=True, eps=eps)
-    if kind == "ball-complement":
-        dirs = _unit_rows(rng, count, n)
-        radii = 1.0 + rng.exponential(1.0, count)
-        return space_from_points(dirs * radii[:, None], add_omega=True, eps=eps)
-    if kind == "line":
-        xs = np.sort(rng.standard_normal(count))
-        return space_from_points(xs[:, None], add_omega=True, eps=eps)
-    # taxicab plane with an embedded square witness
-    if count < 4:
-        raise ValueError("l1 samples need at least four points for the square witness")
-    dim = max(n, 2)
-    pts = rng.uniform(-1.0, 1.0, (count, dim))
-    cx, cy = rng.uniform(-1.0, 1.0, 2)
-    h = rng.uniform(0.2, 1.0)
-    square = np.array([[cx - h, cy - h], [cx + h, cy - h], [cx + h, cy + h], [cx - h, cy + h]])
-    pts[:4, :2] = square
-    if dim > 2:
-        pts[:4, 2:] = rng.uniform(-1.0, 1.0, dim - 2)
-    return space_from_points(pts, p=1.0, eps=eps)
+    return space_from_points(pts, add_omega=kind in ("halfspace", "ball-complement", "line"),
+                             eps=eps)

@@ -9,6 +9,7 @@ from moebiusgeo import QuadrantCurve, HalfplaneCurve
 from moebiusgeo.errors import ValidationError
 from moebiusgeo.glued import BoundaryPoint, GluedSpaceConfig, _seam_cosh, halfplane_point
 from moebiusgeo.spaces import _parse_cell, _unit_remote
+from moebiusgeo.spheres import _unit_rows
 
 
 def convex_hull_ccw(points: np.ndarray) -> np.ndarray:
@@ -330,3 +331,41 @@ def ray_point(xi: BoundaryPoint, t: float):
     rho = math.asinh(math.sinh(t) * math.sin(phi))
     tau = math.atanh(math.sinh(t) * math.cos(phi) / math.cosh(t))
     return halfplane_point(rho, tau)
+
+
+def reference_sample_points(kind: str, n: int, count: int, seed: int):
+    """The draws of ``sample_space`` written one branch per kind: the points,
+    the exponent ``p`` and whether a remote point is appended."""
+    rng = np.random.default_rng(seed)
+    if kind == "sphere":
+        pts = _unit_rows(rng, count, n + 1)
+        return pts, 2.0, False
+    if kind == "hemisphere":
+        pts = _unit_rows(rng, count, n + 1)
+        pts[:, -1] = np.abs(pts[:, -1])
+        return pts, 2.0, False
+    if kind == "euclidean":
+        return rng.standard_normal((count, n)), 2.0, False
+    if kind == "halfspace":
+        pts = rng.standard_normal((count, n))
+        pts[:, -1] = np.abs(pts[:, -1])
+        return pts, 2.0, True
+    if kind == "ball-complement":
+        dirs = _unit_rows(rng, count, n)
+        radii = 1.0 + rng.exponential(1.0, count)
+        return dirs * radii[:, None], 2.0, True
+    if kind == "line":
+        xs = np.sort(rng.standard_normal(count))
+        return xs[:, None], 2.0, True
+    # taxicab plane with an embedded square witness
+    if count < 4:
+        raise ValueError("l1 samples need at least four points for the square witness")
+    dim = max(n, 2)
+    pts = rng.uniform(-1.0, 1.0, (count, dim))
+    cx, cy = rng.uniform(-1.0, 1.0, 2)
+    h = rng.uniform(0.2, 1.0)
+    square = np.array([[cx - h, cy - h], [cx + h, cy - h], [cx + h, cy + h], [cx - h, cy + h]])
+    pts[:4, :2] = square
+    if dim > 2:
+        pts[:4, 2:] = rng.uniform(-1.0, 1.0, dim - 2)
+    return pts, 1.0, False

@@ -1,7 +1,9 @@
 """Sphere models: chordal metric, stereographic projection, circumcircles,
 sample corpora."""
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ import moebiusgeo as mg
 from moebiusgeo import spheres
 from moebiusgeo.errors import ValidationError
 
-from helpers import csv_bytes, ordered_quads, ptolemy_equality_residuals
+from helpers import (csv_bytes, ordered_quads, ptolemy_equality_residuals,
+                     reference_sample_points)
 
 
 def unit(v):
@@ -237,6 +240,33 @@ class TestCircumcircle:
             mg.circumcircle_three((0, 0), (1, 0), (0, 0, 1))
 
 
+TRIANGLE = ((1, 0), (0, 1), (-1, 0))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: mg.euclidean_segment_curve(1.0, 1.0, n_samples=0),
+     "n_samples must be an integer >= 2, not 0"),
+    (lambda: mg.euclidean_segment_curve(1.0, 1.0, n_samples=1),
+     "n_samples must be an integer >= 2, not 1"),
+    (lambda: mg.chordal_circle_curve(1.0, 0), "n_samples must be an integer >= 2, not 0"),
+    (lambda: mg.chordal_circle_curve(1.0, 1), "n_samples must be an integer >= 2, not 1"),
+    (lambda: mg.chordal_circle_curve(1.0, 2.5), "n_samples must be an integer >= 2, not 2.5"),
+    (lambda: mg.circumcircle_three(*TRIANGLE, n_samples=0),
+     "n_samples must be an integer >= 1, not 0"),
+    (lambda: mg.circumcircle_three(*TRIANGLE, n_samples=-1),
+     "n_samples must be an integer >= 1, not -1"),
+    (lambda: mg.sample_space("sphere", n=True),
+     r"dimension must be an integer in \[1, 4\], not True"),
+    (lambda: mg.sample_space("sphere", n=1.5),
+     r"dimension must be an integer in \[1, 4\], not 1.5"),
+    (lambda: mg.sample_space("sphere", count=4.0),
+     r"count must be an integer in \[1, 64\], not 4.0"),
+])
+def test_sample_counts_are_integers_in_range(build, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build()
+
+
 class TestSampleSpace:
     def test_sphere_and_hemisphere_are_ptolemy(self):
         for seed in range(5):
@@ -274,6 +304,21 @@ class TestSampleSpace:
             mg.sample_space("sphere", 2, 65, 0)
         with pytest.raises(ValueError):
             mg.sample_space("klein-bottle", 2, 10, 0)
+
+    @pytest.mark.parametrize("kind", spheres.SAMPLE_KINDS)
+    def test_draws_match_the_reference(self, kind):
+        for n, count, seed in itertools.product(range(1, 5), [*range(1, 18), 64],
+                                                [0, 1, 7, 2**31 - 1]):
+            try:
+                pts, p, add_omega = reference_sample_points(kind, n, count, seed)
+            except ValueError as exc:
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    mg.sample_space(kind, n, count, seed)
+                continue
+            want = mg.space_from_points(pts, p=p, add_omega=add_omega)
+            got = mg.sample_space(kind, n, count, seed)
+            assert got.dist.tobytes() == want.dist.tobytes(), (n, count, seed)
+            assert got.omega == want.omega
 
     def test_a_vanishing_draw_is_redrawn(self):
         class Draws:  # a generator whose first draw holds two rows of norm below 1e-12
