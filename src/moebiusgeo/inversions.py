@@ -196,11 +196,15 @@ class EquivalenceReport(_Value):
     factor_residual: float | None
 
 
-def _log_factor(A: np.ndarray, B: np.ndarray):
-    """f = log lambda for B(x,y) ~ lambda(x) lambda(y) A(x,y), fitted at three
-    anchors; with the largest residual |log(B/A) - f(x) - f(y)| and the largest
-    |log(B/A)| off the diagonal.  None when such an entry is 0 or subnormal.
+def _factor_bound(A: np.ndarray, B: np.ndarray):
+    """The bound on every cross-ratio deviation between ``A`` and ``B`` that
+    a conformal factor proves in O(n^2), with no scan; with the factor's
+    residual.  None when an entry off the diagonal is 0 or subnormal.
 
+    f = log lambda for B(x,y) ~ lambda(x) lambda(y) A(x,y) is fitted at three
+    anchors.  If it leaves residuals |log(B/A) - f(x) - f(y)| <= r off the
+    diagonal, every normalized triple entry moves by a factor in [e^-4r, e^4r],
+    so the deviation is at most e^4r - 1; the bound adds a rounding allowance.
     Off the diagonal, A and B hold entries of at most 1 (as from
     ``_unit_remote``); their diagonals are overwritten with ones, which
     neither minimum sees and whose log is 0.
@@ -214,20 +218,24 @@ def _log_factor(A: np.ndarray, B: np.ndarray):
     f = ell[0] - 0.5 * (ell01 + ell02 - float(ell[1, 2]))  # f(x) = ell(x, 0) - f(0)
     f[0] = ell01 - f[1]
     resid = np.abs(ell - f[:, None] - f)
-    return (f, float(resid.max(where=_off_diagonal(n), initial=0.0)),  # a point is no pair
-            float(np.abs(ell).max()))
+    resid = float(resid.max(where=_off_diagonal(n), initial=0.0))  # a point is no pair
+    # With u = 2^-53: B/A, the log (within 4 ulp) and two subtractions move
+    # a residual by less than u (2 + 12 max|log(B/A)| + 4 max|f|); expm1 and
+    # the scan's rounding of its normalized triples add less than 24 u.
+    slack = _U * (2.0 + 12.0 * float(np.abs(ell).max()) + 4.0 * float(np.abs(f).max()))
+    # equal matrices have ell = 0, f = 0 and no residual
+    return (0.0 if resid == 0.0 and (A == B).all()
+            else math.expm1(4.0 * (resid + slack)) + 24.0 * _U), resid
 
 
 def crt_equivalent(corr: PointedCorrespondence, eps: float = DEFAULT_EPS) -> EquivalenceReport:
     """Compare cross-ratio triples of all distinct 4-subsets under the mapping.
 
-    The triples agree exactly when d'(x,y) = lambda(x) lambda(y) d(x,y).  If a
-    factor fitted in O(n^2) leaves residuals |log(d'/d) - log lambda(x) lambda(y)|
-    <= r, every normalized triple entry moves by a factor in [e^-4r, e^4r], so
-    the deviation is at most e^4r - 1; that bound, plus a rounding allowance,
-    is reported when it is within ``eps``.  Otherwise every 4-subset is
-    scanned.  Either way the verdict is the scan's.  Quadruples with repeated
-    entries have fixed triples on both sides and are skipped.
+    The triples agree exactly when d'(x,y) = lambda(x) lambda(y) d(x,y).  When
+    the bound of such a factor (:func:`_factor_bound`, O(n^2)) is within
+    ``eps``, it is reported; otherwise every 4-subset is scanned.  Either way
+    the verdict is the scan's.  Quadruples with repeated entries have fixed
+    triples on both sides and are skipped.
     """
     _check_eps(eps)
     src, tgt = corr.source, corr.target
@@ -238,17 +246,9 @@ def crt_equivalent(corr: PointedCorrespondence, eps: float = DEFAULT_EPS) -> Equ
     perm = None if corr.is_identity() else corr.target_indices()
     if perm is not None:  # B in the order of the source's points
         B = B.take(perm, 0).take(perm, 1)
-    f, resid, log_max = _log_factor(A, B) or (None, None, None)
-    if resid is not None:
-        # With u = 2^-53: B/A, the log (within 4 ulp) and two subtractions move
-        # a residual by less than u (2 + 12 max|log(B/A)| + 4 max|f|); expm1 and
-        # the scan's rounding of its normalized triples add less than 24 u.
-        slack = _U * (2.0 + 12.0 * log_max + 4.0 * float(np.abs(f).max()))
-        # equal matrices have ell = 0, f = 0 and no residual
-        bound = (0.0 if resid == 0.0 and (A == B).all()
-                 else math.expm1(4.0 * (resid + slack)) + 24.0 * _U)
-        if bound <= eps:
-            return EquivalenceReport(True, bound, None, math.comb(src.n, 4), "factor", resid)
+    bound, resid = _factor_bound(A, B) or (math.inf, None)
+    if bound <= eps:
+        return EquivalenceReport(True, bound, None, math.comb(src.n, 4), "factor", resid)
     if perm is None:
         perm = np.arange(src.n)
     dev, quad = max_crt_deviation(src.dist, src.omega, tgt.dist, tgt.omega, perm)

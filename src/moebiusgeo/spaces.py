@@ -226,21 +226,14 @@ class ExtendedMetricSpace(_Frozen):
         """Refuse NaN, then inf, in the finite block of ``dist``, store the
         fields, and settle the block's triangle pass against the stored
         ``tol``: clear it when ``bound`` proves it (:meth:`_proves`), else
-        leave it pending inside :func:`_triangle_deferred` or run it.  The
-        block of a remote point first or last is a view, which the pass
-        copies (it is slower on a view); any other is taken as a copy."""
-        dist.flags.writeable = False  # before the views of the block are taken
+        leave it pending inside :func:`_triangle_deferred` or run it.  Beside
+        a remote point, wherever it sits, the block is taken as a copy."""
+        dist.flags.writeable = False  # stored as is, and the block itself with no remote point
         sub = dist
         if omega is not None:
-            n = len(labels)
-            if omega == n - 1:
-                sub = dist[:-1, :-1]
-            elif omega == 0:
-                sub = dist[1:, 1:]
-            else:
-                keep = np.arange(n - 1)
-                keep[omega:] += 1
-                sub = dist.take(keep, 0).take(keep, 1)
+            keep = np.arange(len(labels) - 1)
+            keep[omega:] += 1
+            sub = dist.take(keep, 0).take(keep, 1)
         # no entry is negative, so the largest is finite unless one is NaN or inf
         scale = float(sub.max(initial=0.0))
         if not scale < math.inf:
@@ -344,8 +337,6 @@ def _float_array(values, name: str) -> np.ndarray:
     of any size that fits a float are numbers; numpy reads a list that mixes
     booleans with numbers as numbers, True as 1 (the file readers check each
     cell)."""
-    if type(values) is np.ndarray and values.dtype == np.float64:
-        return values
     try:
         A = np.asarray(values)
     except ValueError:  # numpy's "inhomogeneous shape"
@@ -612,8 +603,6 @@ def _unit_remote(D: np.ndarray, scale: float | None = None,
     """
     if scale is None:
         finite = np.isfinite(D)
-        if np.count_nonzero(finite) == D.size:
-            return np.ldexp(D, -math.frexp(D.max(initial=0.0))[1])
         M = np.ldexp(D, -math.frexp(D[finite].max(initial=0.0))[1])
         M[~finite] = 1.0
         return M
@@ -832,8 +821,6 @@ def line_embed(space: ExtendedMetricSpace) -> np.ndarray | None:
     if space.omega is not None:
         raise ValueError("line embedding requires a space without a remote point")
     D = space.dist
-    if space.n == 1:
-        return np.zeros(1)
     tol = space.tol
     anchor = int(np.argmax(D[0]))
     if D[0, anchor] <= tol and D.max() <= tol:

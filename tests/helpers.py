@@ -2,13 +2,15 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 
 from moebiusgeo import QuadrantCurve, HalfplaneCurve
 from moebiusgeo.errors import ValidationError
 from moebiusgeo.glued import BoundaryPoint, GluedSpaceConfig, _seam_cosh, halfplane_point
-from moebiusgeo.spaces import _parse_cell, _unit_remote
+from moebiusgeo.inversions import EquivalenceReport
+from moebiusgeo.spaces import _U, _check_eps, _parse_cell, _unit_remote, max_crt_deviation
 from moebiusgeo.spheres import _unit_rows
 
 
@@ -187,6 +189,49 @@ def reference_crt_deviation(D1, D2, perm):
         if dev > worst:
             worst, witness = dev, quad
     return (0.0, None) if witness is None else (worst, witness)
+
+
+def _reference_log_factor(A: np.ndarray, B: np.ndarray):
+    """The three-anchor fit f = log lambda of B ~ lambda(x) lambda(y) A, with
+    the largest residual and the largest |log(B/A)| off the diagonal; None
+    when such an entry is 0 or subnormal.  Overwrites both diagonals."""
+    n = len(A)
+    A.flat[:: n + 1] = B.flat[:: n + 1] = 1.0
+    if not (A.min() >= sys.float_info.min and B.min() >= sys.float_info.min):
+        return None
+    ell = np.log(B / A)
+    ell01, ell02 = ell[0, 1:3].tolist()
+    f = ell[0] - 0.5 * (ell01 + ell02 - float(ell[1, 2]))
+    f[0] = ell01 - f[1]
+    resid = np.abs(ell - f[:, None] - f)
+    return (f, float(resid.max(where=~np.eye(n, dtype=bool), initial=0.0)),
+            float(np.abs(ell).max()))
+
+
+def reference_crt_equivalent(corr, eps: float = 1e-9) -> EquivalenceReport:
+    """``crt_equivalent`` in one function: the factor fit, its rounding slack
+    and bound inline, then the factor report or the scan."""
+    _check_eps(eps)
+    src, tgt = corr.source, corr.target
+    if src.n < 4:
+        raise ValueError("crt comparison needs at least four points")
+    A = _unit_remote(src.dist, src.scale, src.omega)
+    B = _unit_remote(tgt.dist, tgt.scale, tgt.omega)
+    perm = None if corr.is_identity() else corr.target_indices()
+    if perm is not None:
+        B = B.take(perm, 0).take(perm, 1)
+    f, resid, log_max = _reference_log_factor(A, B) or (None, None, None)
+    if resid is not None:
+        slack = _U * (2.0 + 12.0 * log_max + 4.0 * float(np.abs(f).max()))
+        bound = (0.0 if resid == 0.0 and (A == B).all()
+                 else math.expm1(4.0 * (resid + slack)) + 24.0 * _U)
+        if bound <= eps:
+            return EquivalenceReport(True, bound, None, math.comb(src.n, 4), "factor", resid)
+    if perm is None:
+        perm = np.arange(src.n)
+    dev, quad = max_crt_deviation(src.dist, src.omega, tgt.dist, tgt.omega, perm)
+    witness = tuple(src.labels[i] for i in quad)
+    return EquivalenceReport(dev <= eps, dev, witness, math.comb(src.n, 4), "scan", resid)
 
 
 def reference_first_violation(D: np.ndarray, tol: float):

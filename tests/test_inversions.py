@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moebiusgeo as mg
-from moebiusgeo import inversions
+from moebiusgeo import glued, inversions, spaces
 from moebiusgeo.errors import NotPtolemyError, ValidationError
 from moebiusgeo.spaces import max_crt_deviation
+from moebiusgeo.spheres import _unit_rows
 
-from helpers import apex_index, random_halfplane_curve
+from helpers import apex_index, random_halfplane_curve, reference_crt_equivalent
 
 
 def line_space_with_omega(xs):
@@ -302,6 +303,91 @@ class TestCrtEquivalence:
         other = mg.space_from_points([(0, 0), (1, 0), (0, 1)])
         with pytest.raises(mg.ValidationError):
             mg.PointedCorrespondence(sp, other, {lab: lab for lab in sp.labels})
+
+
+def _report_bits(rep):
+    """Every field of an EquivalenceReport, floats by their hex digits."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in vars(rep).values())
+
+
+def _scaled(space, k):
+    """``space`` with every distance times 2^k."""
+    return mg.ExtendedMetricSpace(space.labels, np.ldexp(space.dist, k), space.omega, space.eps)
+
+
+def _equivalence_cases(kind, n, seed):
+    """Correspondences of a 10-point sample: its inversions both ways, a
+    bounded metric, itself, scaled inversions, a shuffle and an unrelated
+    sample; with the tolerance of each comparison."""
+    sp = mg.sample_space(kind, n=n, count=10, seed=seed)
+    identity = mg.PointedCorrespondence.identity
+    for z in ("p0", "p5", "p9"):
+        inv = mg.invert_at(sp, z)
+        yield identity(sp, inv), 1e-9
+        yield identity(inv, sp), 1e-9
+    yield identity(sp, mg.bound_at(sp, "p1")), 1e-9
+    yield identity(sp, sp), 1e-9
+    yield identity(sp, sp), 0.0
+    for k in (600, -600):
+        yield identity(sp, _scaled(mg.invert_at(sp, "p5"), k)), 1e-9
+    shuffled = np.random.default_rng(seed).permutation(sp.labels)
+    yield mg.PointedCorrespondence(sp, sp, dict(zip(sp.labels, shuffled))), 1e-9
+    yield identity(sp, mg.sample_space(kind, n=n, count=10, seed=seed + 10)), 1e-9
+
+
+class TestFactorBound:
+    """``crt_equivalent`` with its O(n^2) factor step split out reports what
+    the one-function reference reports, field for field."""
+
+    @pytest.mark.parametrize("kind", [k for k in mg.spheres.SAMPLE_KINDS if k != "l1"])
+    def test_reports_match_the_reference(self, kind):
+        methods = set()
+        for n in (1, 2, 3):
+            for seed in (0, 1, 2):
+                for corr, eps in _equivalence_cases(kind, n, seed):
+                    rep = mg.crt_equivalent(corr, eps)
+                    assert _report_bits(rep) == _report_bits(reference_crt_equivalent(corr, eps))
+                    methods.add(rep.method)
+        assert methods == {"factor", "scan"}
+
+    def test_a_duplicated_point_matches_the_reference(self):
+        pts = np.random.default_rng(2).standard_normal((12, 3))
+        pts[-1] = pts[-2]
+        sp = mg.space_from_points(pts)
+        corr = mg.PointedCorrespondence.identity(sp, mg.invert_at(sp, "p0"))
+        rep = mg.crt_equivalent(corr, 1e-9)
+        assert (rep.method, rep.factor_residual) == ("scan", None)
+        assert _report_bits(rep) == _report_bits(reference_crt_equivalent(corr, 1e-9))
+
+    @pytest.mark.parametrize("ell", [0.5, 1.0, 2.0, 710.0])
+    def test_exotic_deviation_matches_the_reference(self, ell, monkeypatch):
+        cfg = mg.GluedSpaceConfig(ell)
+        got = glued.exotic_report(cfg).max_crt_deviation
+        monkeypatch.setattr(glued, "crt_equivalent", reference_crt_equivalent)
+        assert got.hex() == glued.exotic_report(cfg).max_crt_deviation.hex()
+
+    def test_a_zero_entry_gives_no_bound(self):
+        A = np.ones((5, 5))
+        B = A.copy()
+        B[1, 3] = B[3, 1] = 0.0
+        assert inversions._factor_bound(A, B) is None
+        B[1, 3] = B[3, 1] = 2.0 ** -1060  # subnormal
+        assert inversions._factor_bound(A, B) is None
+
+    def test_certifies_a_sphere_sample_without_a_scan(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the factor step scanned")
+
+        monkeypatch.setattr(spaces, "max_crt_deviation", refuse)
+        monkeypatch.setattr(inversions, "max_crt_deviation", refuse)
+        sp = mg.space_from_points(_unit_rows(np.random.default_rng(0), 300, 4))  # S^3
+        inv = mg.invert_at(sp, "p0")
+        A = spaces._unit_remote(sp.dist, sp.scale, sp.omega)
+        B = spaces._unit_remote(inv.dist, inv.scale, inv.omega)
+        bound, resid = inversions._factor_bound(A, B)
+        assert 0.0 < resid <= bound < 1e-12
+        rep = mg.crt_equivalent(mg.PointedCorrespondence.identity(sp, inv))
+        assert (rep.method, rep.max_deviation, rep.factor_residual) == ("factor", bound, resid)
 
 
 class TestCircleInversionInvariant:

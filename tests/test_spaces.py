@@ -369,6 +369,28 @@ class TestCrt:
         assert dev <= 20.0 * delta
 
 
+class TestUnitRemote:
+    """The search mode of ``_unit_remote`` and its mode for the matrix of a
+    space (the space's ``scale`` and remote point) give the same bits."""
+
+    @pytest.mark.parametrize("kind", mg.spheres.SAMPLE_KINDS)
+    def test_modes_agree(self, kind):
+        cases = 0
+        for n, seed in itertools.product((1, 2, 3), range(5)):
+            sp = mg.sample_space(kind, n=n, count=9, seed=seed)
+            family = [sp]
+            if kind != "l1":  # not Ptolemy: its inversions are refused
+                family += [mg.invert_at(sp, z) for z in ("p0", "p4", "p7")]
+            for space, k in itertools.product(family, (0, 600, -600)):
+                scaled = mg.ExtendedMetricSpace(space.labels, np.ldexp(space.dist, k),
+                                                space.omega, space.eps)
+                search = spaces._unit_remote(scaled.dist)
+                known = spaces._unit_remote(scaled.dist, scaled.scale, scaled.omega)
+                assert search.tobytes() == known.tobytes()
+                cases += 1
+        assert cases == (45 if kind == "l1" else 180)
+
+
 class TestClassify:
     def test_center_interior(self):
         t = mg.CrossRatioTriple(1 / 3, 1 / 3, 1 / 3)
@@ -1394,8 +1416,8 @@ class TestExactTriangleCheck:
 
     @pytest.mark.parametrize("omega", [0, 3, 5])
     def test_failing_block_beside_the_remote_point(self, omega):
-        # the finite block is a view of the stored matrix for the remote point
-        # first or last and a copy in the middle; each fails on one triangle
+        # the finite block is a copy beside the remote point, first, in the
+        # middle or last; each fails on one triangle
         with pytest.raises(ValidationError) as exc:
             with_remote(BENT_LINE, omega)
         assert_bent_line_failure(exc.value, omega)
